@@ -59,10 +59,11 @@ fn batch() -> Vec<SteadyScenario> {
 /// The gather batch: affine index walks (exact cyclic states) over every
 /// multiplier on the same three bank counts, cross-CPU. This is the hot
 /// path of the generalized pattern layer — the trajectory number that
-/// keeps indexed workloads from silently regressing. The span bounds the
-/// index period (cycle detection walks one full period), so it is kept
-/// small enough for a sub-second batch while still exceeding every
-/// `m · n_c` state period in the batch.
+/// keeps indexed workloads from silently regressing. On m = 8 and 16,
+/// which divide the span, a port's request period is at most `m`. On
+/// m = 13 it is the full index period (cycle detection walks one full
+/// period), so the span is kept small enough for a sub-second batch while
+/// still exceeding every `m · n_c` state period in the batch.
 fn gather_batch() -> Vec<PatternSteadyScenario> {
     let mut scenarios = Vec::new();
     for (m, nc) in [(8u64, 2u64), (13, 4), (16, 4)] {

@@ -1294,6 +1294,26 @@ mod tests {
     }
 
     #[test]
+    fn affine_gather_period_is_the_request_period() {
+        // ix(k) = 3k + c over 2^20 words walks the 16 banks exactly like
+        // the stride-3 pair, so both report the same minimal period 16.
+        let base = ["--banks", "16", "--nc", "4"];
+        let period = |extra: &[&str]| {
+            let mut args = base.to_vec();
+            args.extend(extra);
+            let out = cmd_steady(&opts(&args, FLAGS)).unwrap();
+            assert!(out.contains("b_eff = 2 (per port: 1, 1)"), "{out}");
+            out.lines()
+                .find_map(|l| l.split("period ").nth(1))
+                .map(ToString::to_string)
+                .unwrap_or_else(|| panic!("no period line in {out}"))
+        };
+        let gather = period(&["--pattern", "gather", "--affine", "3"]);
+        assert_eq!(gather, "16 cycles");
+        assert_eq!(gather, period(&["--d1", "3", "--d2", "3"]));
+    }
+
+    #[test]
     fn trace_respects_cycle_budget() {
         let o = opts(
             &[

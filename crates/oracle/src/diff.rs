@@ -418,6 +418,62 @@ mod tests {
         assert!(out.matched(), "{out:?}");
     }
 
+    /// Lockstep over one transient plus one period of the optimized
+    /// engine's cyclic state, with the period found under the
+    /// request-period slot encoding of affine gathers.
+    fn affine_lockstep_over_cyclic_state(cfg: &SimConfig, specs: &[PatternSpec]) {
+        let mut w = PatternWorkload::from_specs(cfg, specs);
+        let ss = vecmem_banksim::measure_steady_state_workload(cfg, &mut w, 0, 1 << 20).unwrap();
+        assert!(ss.exact);
+        let cycles = ss.transient + ss.period;
+        let out = run_pair_patterns(cfg, specs, cycles);
+        assert!(out.matched(), "{out:?}");
+    }
+
+    #[test]
+    fn affine_gather_pow2_lockstep_matches() {
+        use vecmem_banksim::pattern::IndexPattern;
+        let g = Geometry::unsectioned(16, 4).unwrap();
+        let cfg = SimConfig::one_port_per_cpu(g, 2).with_priority(PriorityRule::Cyclic);
+        let specs = [
+            PatternSpec::Gather {
+                base: 0,
+                span: 1 << 16,
+                index: IndexPattern::Affine { a: 6, c: 0 },
+            },
+            PatternSpec::Gather {
+                base: 3,
+                span: 1 << 16,
+                index: IndexPattern::Affine { a: 10, c: 1 },
+            },
+        ];
+        affine_lockstep_over_cyclic_state(&cfg, &specs);
+    }
+
+    #[test]
+    fn affine_gather_dram_lockstep_matches() {
+        use vecmem_banksim::pattern::IndexPattern;
+        use vecmem_banksim::BankModel;
+        let g = Geometry::unsectioned(8, 4).unwrap();
+        let cfg = SimConfig::one_port_per_cpu(g, 2).with_bank_model(BankModel::Dram {
+            hit_cycle: 2,
+            rows: 4,
+        });
+        let specs = [
+            PatternSpec::Gather {
+                base: 0,
+                span: 1 << 10,
+                index: IndexPattern::Affine { a: 3, c: 0 },
+            },
+            PatternSpec::Gather {
+                base: 1,
+                span: 1 << 10,
+                index: IndexPattern::Affine { a: 8, c: 5 },
+            },
+        ];
+        affine_lockstep_over_cyclic_state(&cfg, &specs);
+    }
+
     #[test]
     fn beff_fast_mode_agrees() {
         let g = Geometry::unsectioned(13, 6).unwrap();

@@ -20,9 +20,11 @@
 //!   [`SimState`](crate::state::SimState) layout, same hash, same stats.
 //! * [`GatherPattern`] — indexed gather/scatter, `addr(k) = base +
 //!   ix(k)` with [`IndexPattern`] index generation. Affine index vectors
-//!   are periodic (slot = `k mod P`); pseudo-random ones are aperiodic
-//!   (slot = raw issue count, no bound, `period_hint` = `None`), which the
-//!   steady-state solver answers with a budgeted windowed estimate.
+//!   are periodic (slot = `k mod T`, `T` the minimal period of the
+//!   `(bank, row)` request sequence, not of the index sequence);
+//!   pseudo-random ones are aperiodic (slot = raw issue count, no bound,
+//!   `period_hint` = `None`), which the steady-state solver answers with a
+//!   budgeted windowed estimate.
 //! * [`BurstPattern`] — strided access with amortised multi-word grants:
 //!   each grant transfers `B` words and the port then idles `B − 1`
 //!   periods (the cooldown, aged by [`Workload::tick`]). The packed slot
@@ -48,12 +50,19 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
     a
 }
 
+/// The address modulus `L = m·max(rows, 1)` that decides a request: bank
+/// `addr mod m` and row `(addr / m) mod rows` are together a bijective
+/// image of `addr mod L` (`rows = 0` = no row tracking, `L = m`).
+fn request_modulus(banks: u64, rows: u64) -> u64 {
+    banks * rows.max(1)
+}
+
 /// Reduced period of the (bank, row) sequence of an arithmetic address
 /// walk `addr(k) = start + k·d` over `m` banks and `rows` rows per bank
 /// (`rows = 0` = no row tracking): the smallest `T` with
 /// `addr(k + T) ≡ addr(k)` modulo bank *and* row.
 fn arith_state_period(distance: u64, banks: u64, rows: u64) -> u64 {
-    let modulus = banks * rows.max(1);
+    let modulus = request_modulus(banks, rows);
     modulus / gcd(distance % modulus, modulus)
 }
 
@@ -90,10 +99,12 @@ pub trait AccessPattern: Clone {
     /// encoding is unbounded (aperiodic patterns).
     fn slot_bound(&self) -> Option<u64>;
 
-    /// Period of the request sequence in the grant count `k`, when one
-    /// exists: `request_at(k + p) == request_at(k)` for all `k`. `None`
-    /// declares the pattern aperiodic, routing steady-state measurement to
-    /// the budgeted windowed estimate.
+    /// Minimal period of the request sequence in the grant count `k`, when
+    /// one exists: the smallest `p` with `request_at(k + p) ==
+    /// request_at(k)` for all `k`. The shipped families encode their slot
+    /// modulo it, so the encoding never inflates the period the
+    /// steady-state solver finds. `None` declares the pattern aperiodic,
+    /// routing steady-state measurement to the budgeted windowed estimate.
     fn period_hint(&self) -> Option<u64>;
 
     /// Words transferred per grant. A port idles `burst() − 1` periods
@@ -287,14 +298,51 @@ impl IndexPattern {
             Self::PseudoRandom { .. } => None,
         }
     }
+
+    /// Minimal period in `k` of the address residue `(base + ix(k)) mod
+    /// modulus`, for any `base`, or `None` for the aperiodic pseudo-random
+    /// walk. Anything decided by `addr mod modulus` alone — a gather's
+    /// `(bank, row)` request with `modulus = m·max(rows, 1)`, or a bank
+    /// mapping that reduces addresses modulo its address period — repeats
+    /// with this period.
+    ///
+    /// For `ix(k) = (a·k + c) mod span`, with `P = span / gcd(a, span)`
+    /// the index period:
+    ///
+    /// * if `modulus | span`, reducing modulo `span` is invisible modulo
+    ///   `modulus`, so `addr(k) ≡ base + a·k + c (mod modulus)`: an
+    ///   arithmetic walk whose minimal period is Thm 1's return number
+    ///   `modulus / gcd(a mod modulus, modulus)`, a divisor of `P`;
+    /// * otherwise the period is `P`, and no shorter one exists. `P` is a
+    ///   period of the index itself. For a shift `T` with `d = a·T mod
+    ///   span ≠ 0`, `ix(k + T) − ix(k)` is `d` where the index does not
+    ///   wrap and `d − span` where it does. Both occur: the index visits
+    ///   every value `≡ c (mod g)`, `g = gcd(a, span)`, so it takes values
+    ///   below `g` and at least `span − g`, while `g ≤ d ≤ span − g`. For
+    ///   `T` to be a residue period both steps would have to be `≡ 0 (mod
+    ///   modulus)`, forcing `modulus | span`. So every residue period has
+    ///   `d = 0`, i.e. is a multiple of `P`.
+    #[must_use]
+    pub fn request_period(&self, span: u64, modulus: u64) -> Option<u64> {
+        match *self {
+            Self::Affine { a, .. } if span.is_multiple_of(modulus) => {
+                Some(modulus / gcd(a % modulus, modulus))
+            }
+            _ => self.period(span),
+        }
+    }
 }
 
 /// Indexed gather/scatter as an [`AccessPattern`]: `addr(k) = base +
 /// ix(k)`, bank `addr mod m`, row `(addr / m) mod rows` when rows are
 /// tracked.
 ///
-/// Affine index vectors make the pattern periodic with the index period
-/// `P` (slot = `k mod P`, marker `P`); pseudo-random ones are aperiodic —
+/// Affine index vectors make the pattern periodic with the minimal period
+/// `T` of its `(bank, row)` request sequence
+/// ([`IndexPattern::request_period`] modulo `m·max(rows, 1)`): slot =
+/// `k mod T`, marker `T`. `T` divides the index period and is often far
+/// shorter — a power-of-two span on power-of-two banks repeats its banks
+/// long before its indices. Pseudo-random index vectors are aperiodic —
 /// the slot is the raw issue count, the bound `None`, and the periodicity
 /// hint `None`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -331,13 +379,14 @@ impl GatherPattern {
         rows: u64,
     ) -> Self {
         assert!(span > 0, "gather span must be positive");
+        let banks = geom.banks();
         Self {
             base,
             span,
             index,
-            banks: geom.banks(),
+            banks,
             rows,
-            period: index.period(span),
+            period: index.request_period(span, request_modulus(banks, rows)),
         }
     }
 }
@@ -936,6 +985,33 @@ mod tests {
     }
 
     #[test]
+    fn affine_gather_slot_follows_the_request_period() {
+        // m = 16 divides the span 2^20: the banks of ix(k) = 3k + 1 repeat
+        // after 16 grants although the indices need 2^20.
+        let g = geom(16, 4);
+        let ix = IndexPattern::Affine { a: 3, c: 1 };
+        assert_eq!(ix.period(1 << 20), Some(1 << 20));
+        let p = GatherPattern::new(&g, 5, 1 << 20, ix);
+        assert_eq!(p.period_hint(), Some(16));
+        assert_eq!(p.finished_code(), 16);
+        assert_eq!(p.encode_slot(37, 0), 5);
+        // With 4 rows the request modulus is 64, still a divisor.
+        let dram = GatherPattern::with_rows(&g, 5, 1 << 20, ix, 4);
+        assert_eq!(dram.period_hint(), Some(64));
+        // a = 16 on 16 banks: one bank forever.
+        assert_eq!(
+            IndexPattern::Affine { a: 16, c: 0 }.request_period(1 << 20, 16),
+            Some(1)
+        );
+        // m = 13 does not divide 2^10: the index period is genuine.
+        assert_eq!(ix.request_period(1 << 10, 13), Some(1 << 10));
+        assert_eq!(
+            IndexPattern::PseudoRandom { seed: 1 }.request_period(64, 8),
+            None
+        );
+    }
+
+    #[test]
     fn burst_slot_encodes_position_and_cooldown() {
         let p = BurstPattern::new(&geom(8, 2), spec(0, 1), 4);
         assert_eq!(p.burst(), 4);
@@ -1129,15 +1205,17 @@ mod tests {
             64,
             IndexPattern::PseudoRandom { seed: 1 },
         ));
+        // m = 8 does not divide the span 60, so the gather keeps its index
+        // period 60, above the stride's bound 8.
         let affine = AnyPattern::Gather(GatherPattern::new(
             &g,
             0,
-            64,
+            60,
             IndexPattern::Affine { a: 1, c: 0 },
         ));
         let bounded =
             PatternWorkload::new(vec![PatternPort::new(stride), PatternPort::new(affine)]);
-        assert_eq!(bounded.signature_bound(), Some(64));
+        assert_eq!(bounded.signature_bound(), Some(60));
         assert!(bounded.periodic());
         let unbounded =
             PatternWorkload::new(vec![PatternPort::new(stride), PatternPort::new(random)]);

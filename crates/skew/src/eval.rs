@@ -118,16 +118,17 @@ impl<M: BankMapping + ?Sized> ObservableWorkload for MappedStreamWorkload<'_, M>
 /// `addr(k) = base + ix(k)`, bank `mapping.bank_of(addr mod P)`.
 ///
 /// Affine index vectors make the workload periodic in the element index
-/// (the address walk repeats with the index period), so the steady-state
-/// solver finds an exact cyclic state; pseudo-random indexing is aperiodic
-/// and measured with the budgeted windowed estimate.
+/// (the reduced address `addr mod P` repeats with
+/// [`IndexPattern::request_period`]), so the steady-state solver finds an
+/// exact cyclic state; pseudo-random indexing is aperiodic and measured
+/// with the budgeted windowed estimate.
 pub struct MappedGatherWorkload<'a, M: BankMapping + ?Sized> {
     mapping: &'a M,
     base: u64,
     span: u64,
     index: IndexPattern,
     issued: u64,
-    /// Period of the index sequence in `k`, `None` when aperiodic.
+    /// Period of `addr mod P` in `k`, `None` when aperiodic.
     period: Option<u64>,
 }
 
@@ -145,7 +146,7 @@ impl<'a, M: BankMapping + ?Sized> MappedGatherWorkload<'a, M> {
             span,
             index,
             issued: 0,
-            period: index.period(span),
+            period: index.request_period(span, mapping.address_period()),
         }
     }
 
@@ -326,6 +327,7 @@ pub fn stride_table<M: BankMapping + ?Sized>(
 mod tests {
     use super::*;
     use crate::linear::LinearSkew;
+    use crate::prime::PrimeInterleaved;
     use crate::scheme::Interleaved;
     use crate::xorfold::XorFold;
     use vecmem_analytic::Geometry;
@@ -427,6 +429,20 @@ mod tests {
         let skewed =
             gather_bandwidth(&LinearSkew::classic(m), &cfg, 0, 1 << 16, ix, 100_000).unwrap();
         assert_eq!(skewed, Ratio::integer(1));
+    }
+
+    #[test]
+    fn affine_gather_period_follows_the_mapping_period() {
+        // ix(k) = 3k over 2^16 words: the address period 16 of plain
+        // interleaving divides the span, so banks repeat after 16 grants;
+        // the prime mapping's 13 does not, so the full index period stays.
+        let ix = IndexPattern::Affine { a: 3, c: 0 };
+        let plain = Interleaved { banks: 16 };
+        let w = MappedGatherWorkload::new(&plain, 0, 1 << 16, ix);
+        assert_eq!(w.signature_bound(), Some(16));
+        let prime = PrimeInterleaved::new(13);
+        let w = MappedGatherWorkload::new(&prime, 0, 1 << 16, ix);
+        assert_eq!(w.signature_bound(), Some(1 << 16));
     }
 
     #[test]
