@@ -209,11 +209,17 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streams::{StreamWorkload, StridedStream};
+    use crate::pattern::{PatternPort, PatternWorkload, StridePattern};
     use vecmem_analytic::{Geometry, StreamSpec};
 
     fn geom(m: u64, nc: u64) -> Geometry {
         Geometry::unsectioned(m, nc).unwrap()
+    }
+
+    fn finite(g: &Geometry, spec: StreamSpec, n: u64) -> PatternWorkload<StridePattern> {
+        PatternWorkload::new(vec![
+            PatternPort::new(StridePattern::new(g, spec)).with_length(n)
+        ])
     }
 
     #[test]
@@ -223,7 +229,7 @@ mod tests {
         let cfg = SimConfig::single_cpu(g, 1);
         let mut engine = Engine::new(cfg);
         let spec = StreamSpec::new(&g, 0, 1).unwrap();
-        let mut w = StreamWorkload::new(vec![StridedStream::finite(&g, spec, 32)]);
+        let mut w = finite(&g, spec, 32);
         let out = engine.run(&mut w, 1000);
         assert_eq!(out, RunOutcome::Finished(32));
         assert_eq!(engine.stats().total_grants(), 32);
@@ -239,7 +245,7 @@ mod tests {
         let g = geom(8, 4);
         let mut engine = Engine::new(SimConfig::single_cpu(g, 1));
         let spec = StreamSpec::new(&g, 0, 4).unwrap();
-        let mut w = StreamWorkload::new(vec![StridedStream::finite(&g, spec, 16)]);
+        let mut w = finite(&g, spec, 16);
         let out = engine.run(&mut w, 1000);
         let cycles = out.finished_cycles().unwrap();
         // Exact: pairs of grants at (4k, 4k+1): last grant at 4·7 + 1 = 29,
@@ -253,7 +259,7 @@ mod tests {
         let g = geom(4, 3);
         let mut engine = Engine::new(SimConfig::single_cpu(g, 1));
         let spec = StreamSpec::new(&g, 0, 0).unwrap(); // hammer bank 0
-        let mut w = StreamWorkload::new(vec![StridedStream::finite(&g, spec, 3)]);
+        let mut w = finite(&g, spec, 3);
         engine.run(&mut w, 100);
         // Grants at cycles 0, 3, 6; finished at 7.
         assert_eq!(engine.stats().total_grants(), 3);
@@ -265,7 +271,7 @@ mod tests {
         let g = geom(4, 2);
         let mut engine = Engine::new(SimConfig::single_cpu(g, 1)).with_trace(8);
         let spec = StreamSpec::new(&g, 0, 1).unwrap();
-        let mut w = StreamWorkload::new(vec![StridedStream::finite(&g, spec, 4)]);
+        let mut w = finite(&g, spec, 4);
         engine.run(&mut w, 100);
         let t = engine.trace().unwrap();
         assert_eq!(t.row(0, 0, 4), "11..");
@@ -283,7 +289,7 @@ mod tests {
         let mut engine = Engine::new(cfg);
         let s1 = StreamSpec::new(&g, 0, 1).unwrap();
         let s2 = StreamSpec::new(&g, 1, 7).unwrap();
-        let mut w = StreamWorkload::infinite(&g, &[s1, s2]);
+        let mut w = PatternWorkload::strided(&g, &[s1, s2]);
         for _ in 0..240 {
             engine.step(&mut w);
         }
@@ -299,7 +305,7 @@ mod tests {
         let g = geom(4, 2);
         let mut engine = Engine::new(SimConfig::single_cpu(g, 1));
         let spec = StreamSpec::new(&g, 0, 1).unwrap();
-        let mut w = StreamWorkload::infinite(&g, &[spec]);
+        let mut w = PatternWorkload::strided(&g, &[spec]);
         assert_eq!(engine.run(&mut w, 10), RunOutcome::CyclesExhausted);
         assert_eq!(engine.now(), 10);
     }
@@ -309,7 +315,7 @@ mod tests {
         let g = geom(4, 3);
         let mut engine = Engine::new(SimConfig::single_cpu(g, 1));
         let spec = StreamSpec::new(&g, 2, 1).unwrap();
-        let mut w = StreamWorkload::infinite(&g, &[spec]);
+        let mut w = PatternWorkload::strided(&g, &[spec]);
         engine.step(&mut w); // grant at bank 2, busy for 3
         assert_eq!(engine.bank_residues(), vec![0, 0, 2, 0]);
     }
@@ -320,7 +326,7 @@ mod tests {
         let g = geom(4, 3);
         let mut engine = Engine::new(SimConfig::single_cpu(g, 1));
         let spec = StreamSpec::new(&g, 0, 0).unwrap();
-        let mut w = StreamWorkload::new(vec![StridedStream::finite(&g, spec, 3)]);
+        let mut w = finite(&g, spec, 3);
         engine.run(&mut w, 100);
         let p = engine.stats().port(PortId(0));
         assert_eq!(p.wait_histogram[0], 1);
@@ -335,7 +341,7 @@ mod tests {
         let mut engine = Engine::new(SimConfig::one_port_per_cpu(g, 2));
         let s1 = StreamSpec::new(&g, 0, 0).unwrap();
         let s2 = StreamSpec::new(&g, 0, 0).unwrap();
-        let mut w = StreamWorkload::infinite(&g, &[s1, s2]);
+        let mut w = PatternWorkload::strided(&g, &[s1, s2]);
         let out = engine.step(&mut w);
         assert_eq!(out.len(), engine.state().outcomes().len());
         for (o, ev) in out.iter().zip(engine.state().outcomes()) {

@@ -17,7 +17,8 @@
 //!
 //! On top of the per-cycle [`engine::Engine`] sit:
 //!
-//! * [`streams`] — the vector-mode strided access streams of §III;
+//! * [`pattern`] — the vector-mode strided access streams of §III
+//!   ([`PatternWorkload::strided`]) and the other access patterns;
 //! * [`steady`] — exact cyclic-state detection, yielding the effective
 //!   bandwidth `b_eff` as an exact rational;
 //! * [`trace`] — ASCII traces in the visual style of the paper's Figs. 2–9;
@@ -53,7 +54,6 @@ pub mod engine;
 pub mod random;
 pub mod rng;
 pub mod steady;
-pub mod streams;
 pub mod trace;
 pub mod transient;
 
@@ -74,7 +74,6 @@ pub use steady::{
     measure_steady_state, measure_steady_state_patterns, measure_steady_state_workload,
     ObservableWorkload, SteadyState, SteadyStateError,
 };
-pub use streams::{StreamLength, StreamWorkload, StridedStream};
 pub use trace::TraceRecorder;
 pub use transient::{finite_vector_bandwidth, transient_profile, TransientProfile};
 pub use vecmem_simcore::WINDOWED_FALLBACK_CYCLES;

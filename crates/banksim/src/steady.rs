@@ -12,9 +12,8 @@
 //! burst, DRAM bank models).
 
 use crate::config::SimConfig;
-use crate::streams::{StreamWorkload, StridedStream};
 use vecmem_analytic::{Geometry, StreamSpec};
-use vecmem_simcore::pattern::{PatternSpec, PatternWorkload};
+use vecmem_simcore::pattern::{PatternPort, PatternSpec, PatternWorkload, StridePattern};
 
 pub use vecmem_simcore::steady::{
     measure_steady_state_workload, ObservableWorkload, SteadyState, SteadyStateError,
@@ -27,10 +26,8 @@ pub use vecmem_simcore::steady::{
 /// must have a stream. `max_cycles` bounds the search (the cycle is
 /// normally found within a few `lcm`-scale periods).
 ///
-/// Since the workload-layer generalisation the streams run as
-/// [`StridePattern`](vecmem_simcore::pattern::StridePattern)s through the
-/// generic [`PatternWorkload`] adapter — bitwise-identical packed state,
-/// hash and stats to the historical stride-specialised workload.
+/// The streams run as [`StridePattern`]s through the generic
+/// [`PatternWorkload`] adapter ([`PatternWorkload::strided`]).
 ///
 /// # Errors
 /// Returns a [`SteadyStateError`] when the simulator state does not recur
@@ -167,10 +164,10 @@ pub fn measure_steady_state_with_delays(
 ) -> Result<SteadyState, SteadyStateError> {
     assert_eq!(specs.len(), config.num_ports());
     let geom = config.geometry;
-    let mut workload = StreamWorkload::new(
+    let mut workload = PatternWorkload::new(
         specs
             .iter()
-            .map(|&(spec, at)| StridedStream::infinite(&geom, spec).starting_at(at))
+            .map(|&(spec, at)| PatternPort::new(StridePattern::new(&geom, spec)).starting_at(at))
             .collect(),
     );
     // Advance past all start offsets first so the state core (which does
@@ -411,9 +408,9 @@ mod tests {
             let label =
                 format!("case {case}: m={m} nc={nc} ports={ports} specs={specs:?} warmup={warmup}");
 
-            let mut w1 = StreamWorkload::infinite(&g, &specs);
+            let mut w1 = PatternWorkload::strided(&g, &specs);
             let brent = measure_steady_state_workload(&cfg, &mut w1, warmup, 500_000);
-            let mut w2 = StreamWorkload::infinite(&g, &specs);
+            let mut w2 = PatternWorkload::strided(&g, &specs);
             let reference = reference_measure(&cfg, &mut w2, warmup, 500_000);
 
             let (b, r) = (brent.unwrap(), reference.unwrap());
@@ -443,9 +440,9 @@ mod tests {
             ];
             let label = format!("case {case}: m={m} nc={nc} specs={specs:?}");
 
-            let mut w1 = StreamWorkload::infinite(&g, &specs);
+            let mut w1 = PatternWorkload::strided(&g, &specs);
             let b = measure_steady_state_workload(&cfg, &mut w1, 0, 500_000).unwrap();
-            let mut w2 = StreamWorkload::infinite(&g, &specs);
+            let mut w2 = PatternWorkload::strided(&g, &specs);
             let r = reference_measure(&cfg, &mut w2, 0, 500_000).unwrap();
             assert_eq!(
                 (

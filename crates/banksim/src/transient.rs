@@ -13,8 +13,8 @@
 use crate::config::SimConfig;
 use crate::engine::Engine;
 use crate::steady::{measure_steady_state, SteadyState, SteadyStateError};
-use crate::streams::{StreamWorkload, StridedStream};
 use vecmem_analytic::StreamSpec;
+use vecmem_simcore::pattern::{PatternPort, PatternWorkload, StridePattern};
 
 /// Transient statistics of a stream pair over all relative start banks.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,10 +71,10 @@ pub fn transient_profile(
 pub fn finite_vector_bandwidth(config: &SimConfig, specs: &[StreamSpec], n: u64) -> f64 {
     let geom = config.geometry;
     let mut engine = Engine::new(config.clone());
-    let mut workload = StreamWorkload::new(
+    let mut workload = PatternWorkload::new(
         specs
             .iter()
-            .map(|&s| StridedStream::finite(&geom, s, n))
+            .map(|&s| PatternPort::new(StridePattern::new(&geom, s)).with_length(n))
             .collect(),
     );
     let bound = n * geom.bank_cycle() * specs.len() as u64 + 10_000;

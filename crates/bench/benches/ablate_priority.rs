@@ -66,7 +66,7 @@ fn bench_priority_under_load(p: &mut Profiler) {
             CYCLES,
             || {
                 let mut engine = vecmem_banksim::Engine::new(config.clone());
-                let mut w = vecmem_banksim::StreamWorkload::infinite(&geom, black_box(&specs));
+                let mut w = vecmem_banksim::PatternWorkload::strided(&geom, black_box(&specs));
                 for _ in 0..CYCLES {
                     engine.step(&mut w);
                 }

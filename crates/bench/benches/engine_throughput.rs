@@ -4,14 +4,14 @@
 
 use std::hint::black_box;
 use vecmem_analytic::{Geometry, StreamSpec};
-use vecmem_banksim::{Engine, NoopObserver, SimConfig, StreamWorkload};
+use vecmem_banksim::{Engine, NoopObserver, PatternWorkload, SimConfig};
 use vecmem_obs::{MetricsRegistry, Profiler};
 
 const CYCLES: u64 = 10_000;
 
 fn run_streams(config: &SimConfig, specs: &[StreamSpec]) -> u64 {
     let mut engine = Engine::new(config.clone());
-    let mut workload = StreamWorkload::infinite(&config.geometry, specs);
+    let mut workload = PatternWorkload::strided(&config.geometry, specs);
     for _ in 0..CYCLES {
         engine.step(&mut workload);
     }
@@ -120,7 +120,7 @@ fn bench_observer_overhead(p: &mut Profiler) {
     });
     p.bench_with_elements("engine/observer/step_with_noop", CYCLES, || {
         let mut engine = Engine::new(config.clone());
-        let mut workload = StreamWorkload::infinite(&config.geometry, &specs);
+        let mut workload = PatternWorkload::strided(&config.geometry, &specs);
         for _ in 0..CYCLES {
             engine.step_with(&mut workload, &mut NoopObserver);
         }
@@ -128,7 +128,7 @@ fn bench_observer_overhead(p: &mut Profiler) {
     });
     p.bench_with_elements("engine/observer/step_with_metrics", CYCLES, || {
         let mut engine = Engine::new(config.clone());
-        let mut workload = StreamWorkload::infinite(&config.geometry, &specs);
+        let mut workload = PatternWorkload::strided(&config.geometry, &specs);
         let mut metrics = MetricsRegistry::new(64, 4);
         for _ in 0..CYCLES {
             engine.step_with(&mut workload, &mut metrics);

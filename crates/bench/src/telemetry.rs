@@ -8,7 +8,7 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
-use vecmem_banksim::{Engine, StreamWorkload};
+use vecmem_banksim::{Engine, PatternWorkload};
 use vecmem_obs::{write_metrics, MetricsRegistry, MetricsSnapshot};
 use vecmem_vproc::triad::{TriadExperiment, TriadResult};
 
@@ -40,7 +40,7 @@ pub fn observed_triad(
 pub fn observed_figure(figure: &crate::figures::Figure, window: u64) -> MetricsSnapshot {
     let config = figure.config();
     let mut engine = Engine::new(config);
-    let mut workload = StreamWorkload::infinite(&figure.geometry, &figure.streams);
+    let mut workload = PatternWorkload::strided(&figure.geometry, &figure.streams);
     let mut metrics = MetricsRegistry::with_window(figure.geometry.banks(), 2, window);
     for _ in 0..FIGURE_CYCLES {
         engine.step_with(&mut workload, &mut metrics);

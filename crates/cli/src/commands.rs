@@ -6,12 +6,11 @@ use vecmem_analytic::planner::{assess_stride, pad_dimension, pair_is_safe};
 use vecmem_analytic::sections::analyze_sectioned_pair;
 use vecmem_analytic::{Geometry, SectionMapping, StreamSpec};
 use vecmem_banksim::pattern::{PatternSpec, PatternWorkload};
-use vecmem_banksim::steady::{
-    measure_steady_state, measure_steady_state_patterns, measure_steady_state_workload,
-};
+use vecmem_banksim::state::MAX_BANK_CYCLE;
+use vecmem_banksim::steady::{measure_steady_state, measure_steady_state_patterns};
 use vecmem_banksim::{
     hellerman_asymptotic, hellerman_bandwidth, measure_random_bandwidth, BankModel, Engine,
-    PriorityRule, SimConfig, StreamWorkload, Tee, WINDOWED_FALLBACK_CYCLES,
+    PriorityRule, SimConfig, Tee, WINDOWED_FALLBACK_CYCLES,
 };
 use vecmem_exec::{
     batch_spans, export_exec_telemetry, triad_sweep, PatternSteadyScenario, ResultCache, Runner,
@@ -21,24 +20,64 @@ use vecmem_obs::{
     write_metrics, ConflictLedger, EventLog, Json, LossKind, MetricsRegistry, SpanSink,
 };
 use vecmem_oracle::{explore, sweep_observed, DiffOutcome, ExploreConfig, SweepBounds};
-use vecmem_skew::eval::MappedGatherWorkload;
+use vecmem_skew::eval::gather_bandwidth;
 use vecmem_skew::{BankMapping, Interleaved, LinearSkew, PrimeInterleaved, XorFold};
 use vecmem_vproc::gather::{run_gather, IndexPattern};
 use vecmem_vproc::loops::{LoopSpec, Walk};
 use vecmem_vproc::triad::TriadExperiment;
 use vecmem_vproc::{FortranArray, Kernel};
 
+/// Why a command failed, which decides the exit code: `Usage` for an
+/// option value the simulator cannot take (exit 2, like a malformed
+/// command line), `Run` for everything else (exit 1).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Failure {
+    /// Rejected option value.
+    Usage(String),
+    /// Any other failure.
+    Run(String),
+}
+
+impl Failure {
+    /// Process exit code for this failure.
+    pub fn exit_code(&self) -> i32 {
+        match self {
+            Self::Usage(_) => 2,
+            Self::Run(_) => 1,
+        }
+    }
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Self::Run(message)
+    }
+}
+
+impl std::fmt::Display for Failure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Usage(m) | Self::Run(m) => f.write_str(m),
+        }
+    }
+}
+
 /// Common geometry options: `--banks`, `--sections`, `--nc`, `--consecutive`.
-fn geometry(opts: &Options) -> Result<Geometry, String> {
+fn geometry(opts: &Options) -> Result<Geometry, Failure> {
     let banks = opts.u64_or("banks", 16).map_err(err)?;
     let sections = opts.u64_or("sections", banks).map_err(err)?;
     let nc = opts.u64_or("nc", 4).map_err(err)?;
+    if nc > MAX_BANK_CYCLE {
+        return Err(Failure::Usage(format!(
+            "--nc {nc} exceeds the simulator's largest bank cycle time {MAX_BANK_CYCLE}"
+        )));
+    }
     let mapping = if opts.flag("consecutive") {
         SectionMapping::Consecutive
     } else {
         SectionMapping::Cyclic
     };
-    Geometry::with_mapping(banks, sections, nc, mapping).map_err(|e| e.to_string())
+    Geometry::with_mapping(banks, sections, nc, mapping).map_err(|e| Failure::Run(e.to_string()))
 }
 
 fn err(e: ParseError) -> String {
@@ -257,7 +296,7 @@ fn pattern_specs(opts: &Options, geom: &Geometry) -> Result<Vec<PatternSpec>, St
 }
 
 /// `vecmem predict`: analytic classification of a stream pair.
-pub fn cmd_predict(opts: &Options) -> Result<String, String> {
+pub fn cmd_predict(opts: &Options) -> Result<String, Failure> {
     let geom = geometry(opts)?;
     let [s1, s2] = pair_streams(opts, &geom)?;
     let mut out = format!(
@@ -290,7 +329,7 @@ pub fn cmd_predict(opts: &Options) -> Result<String, String> {
 /// run through the `vecmem-exec` layer (`--cycle-budget N` bounds the
 /// cyclic-state search; a pair that does not converge exits non-zero).
 /// Aperiodic gathers report a windowed estimate instead of an exact state.
-pub fn cmd_steady(opts: &Options) -> Result<String, String> {
+pub fn cmd_steady(opts: &Options) -> Result<String, Failure> {
     let geom = geometry(opts)?;
     let patterns = pattern_specs(opts, &geom)?;
     let config = pair_config(opts, geom).with_bank_model(bank_model(opts, &geom)?);
@@ -338,7 +377,7 @@ pub fn cmd_steady(opts: &Options) -> Result<String, String> {
 /// `--pattern gather|burst` / `--bank-model dram`, of a generalized
 /// pattern pair), followed by the exact steady state (`--cycle-budget N`
 /// bounds the search; a pair that does not converge exits non-zero).
-pub fn cmd_trace(opts: &Options) -> Result<String, String> {
+pub fn cmd_trace(opts: &Options) -> Result<String, Failure> {
     let geom = geometry(opts)?;
     let specs = pair_streams(opts, &geom)?;
     let cycles = opts.u64_or("cycles", 36).map_err(err)?;
@@ -391,7 +430,7 @@ pub fn cmd_trace(opts: &Options) -> Result<String, String> {
     }
     if obs.enabled() {
         let mut engine = Engine::new(config.clone()).with_trace(cycles);
-        let mut workload = StreamWorkload::infinite(&geom, &specs);
+        let mut workload = PatternWorkload::strided(&geom, &specs);
         let (mut metrics, mut events) = obs.observers(geom.banks(), ports);
         for _ in 0..cycles {
             engine.step_with(&mut workload, &mut Tee(&mut metrics, &mut events));
@@ -417,7 +456,7 @@ pub fn cmd_trace(opts: &Options) -> Result<String, String> {
 }
 
 /// `vecmem triad`: the §IV experiment.
-pub fn cmd_triad(opts: &Options) -> Result<String, String> {
+pub fn cmd_triad(opts: &Options) -> Result<String, Failure> {
     let max_inc = opts.u64_or("sweep", 0).map_err(err)?;
     let alone = opts.flag("alone");
     if max_inc > 0 {
@@ -469,7 +508,7 @@ pub fn cmd_triad(opts: &Options) -> Result<String, String> {
 }
 
 /// `vecmem random`: random-access bandwidth vs the classical models.
-pub fn cmd_random(opts: &Options) -> Result<String, String> {
+pub fn cmd_random(opts: &Options) -> Result<String, Failure> {
     let geom = geometry(opts)?;
     let ports = opts.u64_or("ports", 4).map_err(err)? as usize;
     let cycles = opts.u64_or("cycles", 100_000).map_err(err)?;
@@ -491,7 +530,7 @@ pub fn cmd_random(opts: &Options) -> Result<String, String> {
 }
 
 /// `vecmem plan`: stride assessment and padding advice.
-pub fn cmd_plan(opts: &Options) -> Result<String, String> {
+pub fn cmd_plan(opts: &Options) -> Result<String, Failure> {
     let geom = geometry(opts)?;
     let max_stride = opts.u64_or("max-stride", 2 * geom.banks()).map_err(err)?;
     let mut out = format!(
@@ -527,13 +566,13 @@ pub fn cmd_plan(opts: &Options) -> Result<String, String> {
 }
 
 /// `vecmem figure`: regenerate one of the paper's trace figures.
-pub fn cmd_figure(opts: &Options) -> Result<String, String> {
+pub fn cmd_figure(opts: &Options) -> Result<String, Failure> {
     use vecmem_bench::figures;
     let id = opts
         .positional()
         .first()
         .map(String::as_str)
-        .ok_or("usage: vecmem figure <2|3|4|5|6|7|8a|8b|9> [--cycles N]")?;
+        .ok_or_else(|| "usage: vecmem figure <2|3|4|5|6|7|8a|8b|9> [--cycles N]".to_string())?;
     let cycles = opts.u64_or("cycles", 36).map_err(err)?;
     let figure = figures::all_figures()
         .into_iter()
@@ -543,7 +582,7 @@ pub fn cmd_figure(opts: &Options) -> Result<String, String> {
 }
 
 /// `vecmem loop`: analyse a Fortran loop over an array.
-pub fn cmd_loop(opts: &Options) -> Result<String, String> {
+pub fn cmd_loop(opts: &Options) -> Result<String, Failure> {
     let geom = geometry(opts)?;
     let dims: Vec<u64> = opts
         .string("dims")
@@ -558,7 +597,7 @@ pub fn cmd_loop(opts: &Options) -> Result<String, String> {
     } else {
         let dim = opts.u64_or("dim", 1).map_err(err)? as usize;
         if dim == 0 || dim > dims.len() {
-            return Err(format!("--dim must be 1..={}", dims.len()));
+            return Err(format!("--dim must be 1..={}", dims.len()).into());
         }
         Walk::Dimension { dim, inc }
     };
@@ -590,7 +629,7 @@ pub fn cmd_loop(opts: &Options) -> Result<String, String> {
 }
 
 /// `vecmem gather`: index-vector (gather) bandwidth.
-pub fn cmd_gather(opts: &Options) -> Result<String, String> {
+pub fn cmd_gather(opts: &Options) -> Result<String, Failure> {
     let geom = geometry(opts)?;
     let n = opts.u64_or("n", 4096).map_err(err)?;
     let seed = opts.u64_or("seed", 1).map_err(err)?;
@@ -610,7 +649,7 @@ pub fn cmd_gather(opts: &Options) -> Result<String, String> {
 }
 
 /// `vecmem spectrum`: classification census over a geometry's design space.
-pub fn cmd_spectrum(opts: &Options) -> Result<String, String> {
+pub fn cmd_spectrum(opts: &Options) -> Result<String, Failure> {
     let geom = geometry(opts)?;
     let s = if opts.flag("full") {
         // The full (d1, d2, b2) census is cubic in m: fan it out over the
@@ -644,9 +683,9 @@ pub fn cmd_spectrum(opts: &Options) -> Result<String, String> {
 /// `vecmem skew`: scheme comparison on one geometry. `--pattern gather`
 /// switches from the stride table to a single-port gather walk (affine
 /// via `--affine`, pseudo-random via `--seed`) per scheme.
-pub fn cmd_skew(opts: &Options) -> Result<String, String> {
-    let banks = opts.u64_or("banks", 16).map_err(err)?;
-    let nc = opts.u64_or("nc", 4).map_err(err)?;
+pub fn cmd_skew(opts: &Options) -> Result<String, Failure> {
+    let geom = geometry(opts)?;
+    let (banks, nc) = (geom.banks(), geom.bank_cycle());
     let max_stride = opts.u64_or("max-stride", banks).map_err(err)?;
     let mut schemes: Vec<Box<dyn BankMapping>> = vec![Box::new(Interleaved { banks })];
     if banks.is_power_of_two() && banks > 1 {
@@ -657,12 +696,10 @@ pub fn cmd_skew(opts: &Options) -> Result<String, String> {
         schemes.push(Box::new(p));
     }
     if opts.string("pattern").is_some_and(|p| p == "gather") {
-        return skew_gather(opts, banks, nc, &schemes);
+        return skew_gather(opts, geom, &schemes);
     }
     if let Some(other) = opts.string("pattern").filter(|p| *p != "stride") {
-        return Err(format!(
-            "unknown pattern '{other}' for skew (have stride, gather)"
-        ));
+        return Err(format!("unknown pattern '{other}' for skew (have stride, gather)").into());
     }
     let mut out = String::new();
     for scheme in &schemes {
@@ -692,13 +729,12 @@ pub fn cmd_skew(opts: &Options) -> Result<String, String> {
 /// windowed estimate (flagged in the output).
 fn skew_gather(
     opts: &Options,
-    banks: u64,
-    nc: u64,
+    geom: Geometry,
     schemes: &[Box<dyn BankMapping>],
-) -> Result<String, String> {
+) -> Result<String, Failure> {
     let span = opts.u64_or("span", 1 << 20).map_err(err)?;
     if span == 0 {
-        return Err("--span must be at least 1".to_string());
+        return Err("--span must be at least 1".to_string().into());
     }
     let index = if let Some(a) = opts.string("affine") {
         let a: u64 = a
@@ -710,12 +746,14 @@ fn skew_gather(
             seed: opts.u64_or("seed", 1).map_err(err)?,
         }
     };
-    let geom = Geometry::unsectioned(banks, nc).map_err(|e| e.to_string())?;
     let config = SimConfig::single_cpu(geom, 1);
-    let mut out = format!("gather {index:?} over span {span}: m = {banks}, nc = {nc}, solo port\n");
+    let mut out = format!(
+        "gather {index:?} over span {span}: m = {}, nc = {}, solo port\n",
+        geom.banks(),
+        geom.bank_cycle()
+    );
     for scheme in schemes {
-        let mut w = MappedGatherWorkload::new(scheme.as_ref(), 0, span, index);
-        let ss = measure_steady_state_workload(&config, &mut w, 0, 2_000_000)
+        let ss = gather_bandwidth(scheme.as_ref(), &config, 0, span, index, 2_000_000)
             .map_err(|e| e.to_string())?;
         out.push_str(&format!(
             "{:>24} {:>10}{}\n",
@@ -739,7 +777,7 @@ fn skew_gather(
 /// triad run, `spectrum` reports the census with execution telemetry.
 /// All modes take `--trace-out P` (Chrome trace JSON when `P` ends in
 /// `.json`, spans-v1 JSONL otherwise) and `--metrics-out P`.
-pub fn cmd_report(opts: &Options) -> Result<String, String> {
+pub fn cmd_report(opts: &Options) -> Result<String, Failure> {
     let mode = opts
         .positional()
         .first()
@@ -749,9 +787,9 @@ pub fn cmd_report(opts: &Options) -> Result<String, String> {
         "steady" => report_steady(opts),
         "triad" => report_triad(opts),
         "spectrum" => report_spectrum(opts),
-        other => Err(format!(
-            "unknown report mode '{other}' (have steady, triad, spectrum)"
-        )),
+        other => {
+            Err(format!("unknown report mode '{other}' (have steady, triad, spectrum)").into())
+        }
     }
 }
 
@@ -847,7 +885,7 @@ fn write_text(path: &str, text: &str) -> Result<(), String> {
 /// bandwidth identity `stalls = period · (N − b_eff)` (for bursty
 /// patterns, `stalls + idle = period · N − grants`, where idle covers the
 /// `burst − 1` cooldown cycles each grant buys).
-fn report_steady(opts: &Options) -> Result<String, String> {
+fn report_steady(opts: &Options) -> Result<String, Failure> {
     let geom = geometry(opts)?;
     let patterns = pattern_specs(opts, &geom)?;
     let burst = pattern_burst(opts)?;
@@ -910,7 +948,8 @@ fn report_steady(opts: &Options) -> Result<String, String> {
         return Err(format!(
             "attribution accounting broke: {stalls} attributed stalls != \
              {expected} = ports x period - grants - idle"
-        ));
+        )
+        .into());
     }
 
     let topo = if opts.flag("same-cpu") {
@@ -980,7 +1019,7 @@ fn report_steady(opts: &Options) -> Result<String, String> {
 /// `vecmem report triad`: conflict attribution over one whole Fig. 10
 /// triad run (`--inc N`, `--alone`). The per-period identity does not
 /// apply to the finite workload, so totals are reported as-is.
-fn report_triad(opts: &Options) -> Result<String, String> {
+fn report_triad(opts: &Options) -> Result<String, Failure> {
     let inc = opts.u64_or("inc", 1).map_err(err)?;
     let top = usize::try_from(opts.u64_or("top", 8).map_err(err)?).map_err(|e| e.to_string())?;
     let exp = if opts.flag("alone") {
@@ -1038,7 +1077,7 @@ fn report_triad(opts: &Options) -> Result<String, String> {
 /// `vecmem report spectrum`: the design-space census run through the
 /// cached work-stealing runner, reported with execution telemetry and an
 /// optional merged sweep trace.
-fn report_spectrum(opts: &Options) -> Result<String, String> {
+fn report_spectrum(opts: &Options) -> Result<String, Failure> {
     let geom = geometry(opts)?;
     let runner = Runner::new();
     let scenarios: Vec<SpectrumScenario> = (1..geom.banks())
@@ -1093,7 +1132,7 @@ fn report_spectrum(opts: &Options) -> Result<String, String> {
 /// `--random N` (coverage-guided exploration of the sectioned space),
 /// `--exhaustive` (default: full small-geometry conformance sweep).
 /// Exits non-zero on any divergence or theorem violation.
-pub fn cmd_verify(opts: &Options) -> Result<String, String> {
+pub fn cmd_verify(opts: &Options) -> Result<String, Failure> {
     if opts.flag("diff") {
         return verify_diff(opts);
     }
@@ -1103,7 +1142,7 @@ pub fn cmd_verify(opts: &Options) -> Result<String, String> {
     verify_exhaustive(opts)
 }
 
-fn verify_exhaustive(opts: &Options) -> Result<String, String> {
+fn verify_exhaustive(opts: &Options) -> Result<String, Failure> {
     let max_ports = opts.u64_or("max-ports", 3).map_err(err)?;
     let bounds = SweepBounds {
         max_banks: opts.u64_or("max-banks", 16).map_err(err)?,
@@ -1167,11 +1206,11 @@ fn verify_exhaustive(opts: &Options) -> Result<String, String> {
             out.push_str(&format!("\n{v}\n"));
         }
         out.push_str("verdict: FAILED\n");
-        Err(out)
+        Err(out.into())
     }
 }
 
-fn verify_random(opts: &Options) -> Result<String, String> {
+fn verify_random(opts: &Options) -> Result<String, Failure> {
     let cfg = ExploreConfig {
         cases: opts.u64_or("random", 200).map_err(err)?,
         seed: opts.u64_or("seed", 1).map_err(err)?,
@@ -1206,11 +1245,11 @@ fn verify_random(opts: &Options) -> Result<String, String> {
             out.push_str(&format!("\n{v}\n"));
         }
         out.push_str("verdict: FAILED\n");
-        Err(out)
+        Err(out.into())
     }
 }
 
-fn verify_diff(opts: &Options) -> Result<String, String> {
+fn verify_diff(opts: &Options) -> Result<String, Failure> {
     let geom = geometry(opts)?;
     let streams = pair_streams(opts, &geom)?;
     let config = pair_config(opts, geom);
@@ -1219,7 +1258,7 @@ fn verify_diff(opts: &Options) -> Result<String, String> {
         DiffOutcome::Match { cycles, grants } => Ok(format!(
             "engines agree over {cycles} cycles ({grants} grants on each side)\n"
         )),
-        DiffOutcome::Diverged(d) => Err(format!("{d}")),
+        DiffOutcome::Diverged(d) => Err(format!("{d}").into()),
     }
 }
 
@@ -1241,6 +1280,42 @@ mod tests {
         "exhaustive",
         "diff",
     ];
+
+    /// `--nc 300` does not fit the packed state's residue bytes: the
+    /// command must refuse it as a usage error instead of panicking.
+    fn assert_nc_rejected(args: &[&str], cmd: fn(&Options) -> Result<String, Failure>) {
+        let mut argv = args.to_vec();
+        argv.extend(["--banks", "16", "--nc", "300"]);
+        match cmd(&opts(&argv, FLAGS)) {
+            Err(e @ Failure::Usage(_)) => assert!(e.to_string().contains("--nc"), "{e}"),
+            other => panic!("--nc 300 not rejected as usage: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn steady_rejects_oversized_nc() {
+        assert_nc_rejected(&[], cmd_steady);
+    }
+
+    #[test]
+    fn trace_rejects_oversized_nc() {
+        assert_nc_rejected(&[], cmd_trace);
+    }
+
+    #[test]
+    fn report_steady_rejects_oversized_nc() {
+        assert_nc_rejected(&["steady"], cmd_report);
+    }
+
+    #[test]
+    fn verify_diff_rejects_oversized_nc() {
+        assert_nc_rejected(&["--diff"], cmd_verify);
+    }
+
+    #[test]
+    fn skew_rejects_oversized_nc() {
+        assert_nc_rejected(&[], cmd_skew);
+    }
 
     #[test]
     fn predict_fig2() {
@@ -1286,7 +1361,7 @@ mod tests {
         let mut starved: Vec<&str> = base.to_vec();
         starved.extend(["--cycle-budget", "2"]);
         let e = cmd_steady(&opts(&starved, FLAGS)).unwrap_err();
-        assert!(e.contains("no cyclic state"), "{e}");
+        assert!(e.to_string().contains("no cyclic state"), "{e}");
         let mut ample: Vec<&str> = base.to_vec();
         ample.extend(["--cycle-budget", "100000"]);
         let out = cmd_steady(&opts(&ample, FLAGS)).unwrap();

@@ -139,13 +139,13 @@ fn main() {
             print!("{USAGE}");
             return;
         }
-        other => Err(format!("unknown command '{other}' (try 'vecmem help')")),
+        other => Err(format!("unknown command '{other}' (try 'vecmem help')").into()),
     };
     match result {
         Ok(output) => print!("{output}"),
         Err(e) => {
             eprintln!("error: {e}");
-            std::process::exit(1);
+            std::process::exit(e.exit_code());
         }
     }
 }

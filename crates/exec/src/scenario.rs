@@ -10,13 +10,11 @@
 use vecmem_analytic::isomorphism::canonical_streams;
 use vecmem_analytic::spectrum::{full_spectrum_slice, Spectrum};
 use vecmem_analytic::{Geometry, SectionMapping, StreamSpec};
-use vecmem_banksim::pattern::PatternSpec;
+use vecmem_banksim::pattern::{PatternSpec, PatternWorkload};
 use vecmem_banksim::steady::{
     measure_steady_state, measure_steady_state_patterns, SteadyStateError,
 };
-use vecmem_banksim::{
-    BankModel, Engine, PriorityRule, SimConfig, SimStats, SteadyState, StreamWorkload,
-};
+use vecmem_banksim::{BankModel, Engine, PriorityRule, SimConfig, SimStats, SteadyState};
 use vecmem_vproc::triad::{TriadExperiment, TriadResult};
 
 /// A unit of sweep work executable on the [`Runner`](crate::Runner).
@@ -355,13 +353,13 @@ impl Scenario for TraceScenario {
 
     fn execute(&self) -> TraceOutcome {
         let mut engine = Engine::new(self.config.clone()).with_trace(self.trace_cycles);
-        let mut workload = StreamWorkload::infinite(&self.config.geometry, &self.streams);
+        let mut workload = PatternWorkload::strided(&self.config.geometry, &self.streams);
         for _ in 0..self.trace_cycles {
             engine.step(&mut workload);
         }
         let trace = engine.trace().expect("trace enabled").render_all();
         let stats = engine.stats().clone();
-        let mut fresh = StreamWorkload::infinite(&self.config.geometry, &self.streams);
+        let mut fresh = PatternWorkload::strided(&self.config.geometry, &self.streams);
         let steady = vecmem_banksim::steady::measure_steady_state_workload(
             &self.config,
             &mut fresh,

@@ -272,7 +272,7 @@ impl SimObserver for ConflictLedger {
 mod tests {
     use super::*;
     use vecmem_analytic::{Geometry, StreamSpec};
-    use vecmem_banksim::{Engine, PriorityRule, StreamWorkload};
+    use vecmem_banksim::{Engine, PatternWorkload, PriorityRule};
 
     fn run_ledger(
         config: &SimConfig,
@@ -280,7 +280,7 @@ mod tests {
         cycles: u64,
     ) -> (ConflictLedger, vecmem_banksim::SimStats) {
         let mut engine = Engine::new(config.clone());
-        let mut workload = StreamWorkload::infinite(&config.geometry, specs);
+        let mut workload = PatternWorkload::strided(&config.geometry, specs);
         let mut ledger = ConflictLedger::new(config);
         for _ in 0..cycles {
             engine.step_with(&mut workload, &mut ledger);
@@ -372,7 +372,7 @@ mod tests {
             distance: 0,
         }];
         let mut engine = Engine::new(config.clone());
-        let mut workload = StreamWorkload::infinite(&config.geometry, &specs);
+        let mut workload = PatternWorkload::strided(&config.geometry, &specs);
         let mut ledger = ConflictLedger::new(&config);
         engine.step_with(&mut workload, &mut ledger); // grant, holder learnt
         ledger.clear_counts();

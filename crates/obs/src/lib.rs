@@ -30,7 +30,7 @@
 //!
 //! ```
 //! use vecmem_analytic::{Geometry, StreamSpec};
-//! use vecmem_banksim::{Engine, SimConfig, StreamWorkload, Tee};
+//! use vecmem_banksim::{Engine, PatternWorkload, SimConfig, Tee};
 //! use vecmem_obs::{EventLog, MetricsRegistry};
 //!
 //! let geom = Geometry::unsectioned(8, 4).unwrap();
@@ -40,7 +40,7 @@
 //!     StreamSpec::new(&geom, 0, 1).unwrap(),
 //!     StreamSpec::new(&geom, 1, 2).unwrap(),
 //! ];
-//! let mut workload = StreamWorkload::infinite(&geom, &specs);
+//! let mut workload = PatternWorkload::strided(&geom, &specs);
 //! let mut metrics = MetricsRegistry::new(8, 2);
 //! let mut events = EventLog::new(8, 2);
 //! let mut tee = Tee(&mut metrics, &mut events);

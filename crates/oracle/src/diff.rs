@@ -21,7 +21,7 @@ use vecmem_analytic::StreamSpec;
 use vecmem_banksim::pattern::{PatternSpec, PatternWorkload};
 use vecmem_banksim::workload::Workload;
 use vecmem_banksim::{
-    BankModel, ConflictKind, Engine, PortOutcome, PriorityRule, SimConfig, SimState, StreamWorkload,
+    BankModel, ConflictKind, Engine, PortOutcome, PriorityRule, SimConfig, SimState,
 };
 
 /// Builds the [`RefConfig`] mirroring a simulator configuration,
@@ -280,7 +280,7 @@ pub fn run_pair_against(
     streams: &[StreamSpec],
     cycles: u64,
 ) -> DiffOutcome {
-    let workload = StreamWorkload::infinite(&config.geometry, streams);
+    let workload = PatternWorkload::strided(&config.geometry, streams);
     run_lockstep(oracle, config, workload, cycles)
 }
 
@@ -307,7 +307,7 @@ pub fn run_pair_patterns(config: &SimConfig, specs: &[PatternSpec], cycles: u64)
 /// totals are diffed.
 pub fn run_beff(config: &SimConfig, streams: &[StreamSpec], cycles: u64) -> BeffDiff {
     let mut engine = Engine::new(config.clone());
-    let mut workload = StreamWorkload::infinite(&config.geometry, streams);
+    let mut workload = PatternWorkload::strided(&config.geometry, streams);
     for _ in 0..cycles {
         engine.step(&mut workload);
     }

@@ -104,27 +104,6 @@ pub fn arbitrate_into(
     }
 }
 
-/// Arbitrates one clock period, returning a fresh outcome list.
-///
-/// Convenience wrapper over [`arbitrate_into`] for callers outside the hot
-/// path; the step kernel uses the in-place form with a reused buffer.
-#[must_use]
-pub fn arbitrate(
-    config: &SimConfig,
-    rotation: usize,
-    bank_busy: impl Fn(u64) -> bool,
-    requests: &[(PortId, Request)],
-) -> Vec<(PortId, Request, PortOutcome)> {
-    // vecmem-lint: allow(L2) -- cold-path convenience wrapper; the hot loop calls arbitrate_into
-    let mut outcomes = Vec::with_capacity(requests.len());
-    arbitrate_into(config, rotation, bank_busy, requests, &mut outcomes);
-    requests
-        .iter()
-        .zip(outcomes)
-        .map(|(&(port, req), o)| (port, req, o))
-        .collect() // vecmem-lint: allow(L2) -- cold-path convenience wrapper
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,19 +117,30 @@ mod tests {
         false
     }
 
+    fn arbitrated(
+        config: &SimConfig,
+        rotation: usize,
+        bank_busy: impl Fn(u64) -> bool,
+        requests: &[(PortId, Request)],
+    ) -> Vec<PortOutcome> {
+        let mut outcomes = Vec::new();
+        arbitrate_into(config, rotation, bank_busy, requests, &mut outcomes);
+        outcomes
+    }
+
     #[test]
     fn no_conflicts_all_granted() {
         let c = SimConfig::one_port_per_cpu(Geometry::unsectioned(8, 2).unwrap(), 2);
-        let out = arbitrate(&c, 0, never_busy, &[req(0, 1), req(1, 5)]);
-        assert!(out.iter().all(|&(_, _, o)| o == PortOutcome::Granted));
+        let out = arbitrated(&c, 0, never_busy, &[req(0, 1), req(1, 5)]);
+        assert!(out.iter().all(|&o| o == PortOutcome::Granted));
     }
 
     #[test]
     fn bank_conflict_on_busy_bank() {
         let c = SimConfig::one_port_per_cpu(Geometry::unsectioned(8, 2).unwrap(), 2);
-        let out = arbitrate(&c, 0, |b| b == 3, &[req(0, 3), req(1, 5)]);
-        assert_eq!(out[0].2, PortOutcome::Delayed(ConflictKind::Bank));
-        assert_eq!(out[1].2, PortOutcome::Granted);
+        let out = arbitrated(&c, 0, |b| b == 3, &[req(0, 3), req(1, 5)]);
+        assert_eq!(out[0], PortOutcome::Delayed(ConflictKind::Bank));
+        assert_eq!(out[1], PortOutcome::Granted);
     }
 
     #[test]
@@ -158,12 +148,9 @@ mod tests {
         // Two ports on different CPUs hit the same inactive bank: fixed
         // priority gives it to port 0.
         let c = SimConfig::one_port_per_cpu(Geometry::unsectioned(8, 2).unwrap(), 2);
-        let out = arbitrate(&c, 0, never_busy, &[req(0, 3), req(1, 3)]);
-        assert_eq!(out[0].2, PortOutcome::Granted);
-        assert_eq!(
-            out[1].2,
-            PortOutcome::Delayed(ConflictKind::SimultaneousBank)
-        );
+        let out = arbitrated(&c, 0, never_busy, &[req(0, 3), req(1, 3)]);
+        assert_eq!(out[0], PortOutcome::Granted);
+        assert_eq!(out[1], PortOutcome::Delayed(ConflictKind::SimultaneousBank));
     }
 
     #[test]
@@ -171,9 +158,9 @@ mod tests {
         // Paper §III-B: within one CPU there is a single path to the bank's
         // section, so the collision is classified as a section conflict.
         let c = SimConfig::single_cpu(Geometry::unsectioned(8, 2).unwrap(), 2);
-        let out = arbitrate(&c, 0, never_busy, &[req(0, 3), req(1, 3)]);
-        assert_eq!(out[0].2, PortOutcome::Granted);
-        assert_eq!(out[1].2, PortOutcome::Delayed(ConflictKind::Section));
+        let out = arbitrated(&c, 0, never_busy, &[req(0, 3), req(1, 3)]);
+        assert_eq!(out[0], PortOutcome::Granted);
+        assert_eq!(out[1], PortOutcome::Delayed(ConflictKind::Section));
     }
 
     #[test]
@@ -181,9 +168,9 @@ mod tests {
         // m = 4, s = 2: banks 1 and 3 are both in section 1; two ports of one
         // CPU need the same path.
         let c = SimConfig::single_cpu(Geometry::new(4, 2, 2).unwrap(), 2);
-        let out = arbitrate(&c, 0, never_busy, &[req(0, 1), req(1, 3)]);
-        assert_eq!(out[0].2, PortOutcome::Granted);
-        assert_eq!(out[1].2, PortOutcome::Delayed(ConflictKind::Section));
+        let out = arbitrated(&c, 0, never_busy, &[req(0, 1), req(1, 3)]);
+        assert_eq!(out[0], PortOutcome::Granted);
+        assert_eq!(out[1], PortOutcome::Delayed(ConflictKind::Section));
     }
 
     #[test]
@@ -191,8 +178,8 @@ mod tests {
         // Same section, different banks, different CPUs: each CPU has its
         // own path, both granted.
         let c = SimConfig::one_port_per_cpu(Geometry::new(4, 2, 2).unwrap(), 2);
-        let out = arbitrate(&c, 0, never_busy, &[req(0, 1), req(1, 3)]);
-        assert!(out.iter().all(|&(_, _, o)| o == PortOutcome::Granted));
+        let out = arbitrated(&c, 0, never_busy, &[req(0, 1), req(1, 3)]);
+        assert!(out.iter().all(|&o| o == PortOutcome::Granted));
     }
 
     #[test]
@@ -200,13 +187,13 @@ mod tests {
         let c = SimConfig::one_port_per_cpu(Geometry::unsectioned(8, 2).unwrap(), 2)
             .with_priority(PriorityRule::Cyclic);
         // rotation 0: port 0 wins.
-        let out0 = arbitrate(&c, 0, never_busy, &[req(0, 3), req(1, 3)]);
-        assert_eq!(out0[0].2, PortOutcome::Granted);
+        let out0 = arbitrated(&c, 0, never_busy, &[req(0, 3), req(1, 3)]);
+        assert_eq!(out0[0], PortOutcome::Granted);
         // rotation 1: port 1 holds top priority.
-        let out1 = arbitrate(&c, 1, never_busy, &[req(0, 3), req(1, 3)]);
-        assert_eq!(out1[1].2, PortOutcome::Granted);
+        let out1 = arbitrated(&c, 1, never_busy, &[req(0, 3), req(1, 3)]);
+        assert_eq!(out1[1], PortOutcome::Granted);
         assert_eq!(
-            out1[0].2,
+            out1[0],
             PortOutcome::Delayed(ConflictKind::SimultaneousBank)
         );
     }
@@ -214,13 +201,10 @@ mod tests {
     #[test]
     fn three_way_section_conflict_single_winner() {
         let c = SimConfig::single_cpu(Geometry::new(8, 2, 2).unwrap(), 3);
-        let out = arbitrate(&c, 0, never_busy, &[req(0, 0), req(1, 2), req(2, 4)]);
-        let granted = out
-            .iter()
-            .filter(|&&(_, _, o)| o == PortOutcome::Granted)
-            .count();
+        let out = arbitrated(&c, 0, never_busy, &[req(0, 0), req(1, 2), req(2, 4)]);
+        let granted = out.iter().filter(|&&o| o == PortOutcome::Granted).count();
         assert_eq!(granted, 1);
-        assert_eq!(out[0].2, PortOutcome::Granted);
+        assert_eq!(out[0], PortOutcome::Granted);
     }
 
     #[test]
@@ -228,9 +212,9 @@ mod tests {
         // A port whose bank is busy must record a bank conflict even if it
         // would also have lost the path arbitration.
         let c = SimConfig::single_cpu(Geometry::new(4, 2, 2).unwrap(), 2);
-        let out = arbitrate(&c, 0, |b| b == 3, &[req(0, 1), req(1, 3)]);
-        assert_eq!(out[0].2, PortOutcome::Granted);
-        assert_eq!(out[1].2, PortOutcome::Delayed(ConflictKind::Bank));
+        let out = arbitrated(&c, 0, |b| b == 3, &[req(0, 1), req(1, 3)]);
+        assert_eq!(out[0], PortOutcome::Granted);
+        assert_eq!(out[1], PortOutcome::Delayed(ConflictKind::Bank));
     }
 
     #[test]

@@ -13,11 +13,9 @@
 //!
 //! Three pattern families ship with the core:
 //!
-//! * [`StridePattern`] — the canonical re-expression of the paper's
-//!   constant-stride stream. Its packed-slot encoding is the current bank
-//!   (finished marker `m`, bound `m`), **bitwise-identical** to the
-//!   stride-specialised `StreamWorkload` it generalises: same
-//!   [`SimState`](crate::state::SimState) layout, same hash, same stats.
+//! * [`StridePattern`] — the paper's constant-stride stream. Its
+//!   packed-slot encoding is the current bank (finished marker `m`, bound
+//!   `m`), which the bank walk itself determines.
 //! * [`GatherPattern`] — indexed gather/scatter, `addr(k) = base +
 //!   ix(k)` with [`IndexPattern`] index generation. Affine index vectors
 //!   are periodic (slot = `k mod T`, `T` the minimal period of the
@@ -34,8 +32,8 @@
 //! model's row count) they derive each request's bank-local row from the
 //! word address, and widen their slot encoding so the reduced position
 //! still determines all future requests — rows and banks both. With
-//! `rows = 0` (the uniform model) the row is `0` and the legacy encodings
-//! apply unchanged.
+//! `rows = 0` (the uniform model) the row is `0` and the bank-only
+//! encodings apply.
 
 use crate::config::{BankModel, SimConfig};
 use crate::request::{PortId, Request};
@@ -138,12 +136,10 @@ pub trait AccessPattern: Clone {
 /// The paper's constant-stride stream as an [`AccessPattern`]: `addr(k) =
 /// start_bank + k·distance`, bank `addr mod m`.
 ///
-/// With `rows = 0` this is the canonical re-expression of the legacy
-/// stride stream: the packed slot is the **current bank** (finished
-/// marker `m`), exactly the encoding `StreamWorkload` used, so the packed
-/// state, hash and stats are bitwise-identical. With `rows > 0` the slot
-/// is the reduced position `k mod T` instead, since the bank alone no
-/// longer determines the upcoming rows.
+/// With `rows = 0` the packed slot is the **current bank** (finished
+/// marker `m`): on a stride walk the bank alone determines every later
+/// request. With `rows > 0` the slot is the reduced position `k mod T`
+/// instead, since the bank alone no longer determines the upcoming rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StridePattern {
     start: u64,
@@ -796,9 +792,10 @@ impl<P: AccessPattern> PatternWorkload<P> {
 }
 
 impl PatternWorkload<StridePattern> {
-    /// Infinite constant-stride streams, one per spec — the canonical
-    /// re-expression of the legacy stride workload (bitwise-identical
-    /// packed state, hash and stats).
+    /// Infinite constant-stride streams, one per spec, starting at cycle
+    /// 0: the paper's §III vector-mode workload. Finite or delayed streams
+    /// build their ports with [`PatternPort::with_length`] and
+    /// [`PatternPort::starting_at`].
     #[must_use]
     pub fn strided(geom: &Geometry, specs: &[StreamSpec]) -> Self {
         Self::new(

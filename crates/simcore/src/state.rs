@@ -9,8 +9,8 @@
 //!
 //! * the priority **rotation** (word 0);
 //! * per-bank busy **residues** — remaining busy clock periods, stored as
-//!   one byte per bank (they are bounded by `n_c`, which must fit in a
-//!   `u8`), eight banks per word;
+//!   one byte per bank (they are bounded by `n_c`, at most
+//!   [`MAX_BANK_CYCLE`]), eight banks per word;
 //! * per-bank **open rows** — under the DRAM bank model
 //!   ([`BankModel::Dram`](crate::config::BankModel::Dram)) only, one word
 //!   per bank holding `row + 1` (`0` = closed). The uniform model packs
@@ -171,6 +171,10 @@ impl std::fmt::Display for InvariantViolation {
     }
 }
 
+/// Largest bank cycle time `n_c` the packed state can hold: residues are
+/// stored one byte per bank.
+pub const MAX_BANK_CYCLE: u64 = u8::MAX as u64;
+
 /// The packed dynamic state of one simulated memory system.
 ///
 /// Construction fixes the dimensions (banks, ports, signature slots); all
@@ -234,12 +238,11 @@ impl SimState {
     /// slots in the hashed core.
     ///
     /// # Panics
-    /// If the geometry's bank cycle time does not fit in the `u8` residue
-    /// encoding.
+    /// If the geometry's bank cycle time exceeds [`MAX_BANK_CYCLE`].
     #[must_use]
     pub fn with_signature_slots(config: &SimConfig, sig_len: usize) -> Self {
         assert!(
-            config.geometry.bank_cycle() <= u64::from(u8::MAX),
+            config.geometry.bank_cycle() <= MAX_BANK_CYCLE,
             "bank cycle time {} exceeds the u8 residue encoding",
             config.geometry.bank_cycle()
         );

@@ -1,20 +1,19 @@
 //! Evaluating skewing schemes on the cycle-accurate simulator.
 //!
-//! A [`MappedStreamWorkload`] drives strided *address* streams through an
-//! arbitrary [`BankMapping`]; the steady-state machinery of
+//! A [`Mapped`] access pattern routes an [`IndexPattern`]-generated
+//! address walk through an arbitrary [`BankMapping`]. Strided address
+//! streams ([`AddressStream`]) are the affine special case, indexed
+//! gathers the general one. Driven through the shared
+//! [`PatternWorkload`] adapter, the steady-state machinery of
 //! `vecmem-banksim` then yields exact effective bandwidths, so schemes can
-//! be compared stride by stride against plain interleaving. The
-//! generalized workload layer extends the same treatment to indexed
-//! gathers: [`MappedGatherWorkload`] routes an
-//! [`IndexPattern`]-generated address walk through a mapping, so skew
-//! schemes can be compared under irregular indexing too
-//! ([`gather_bandwidth`]).
+//! be compared stride by stride against plain interleaving, and under
+//! irregular indexing too ([`gather_bandwidth`]).
 
 use crate::scheme::BankMapping;
 use vecmem_analytic::Ratio;
-use vecmem_banksim::pattern::IndexPattern;
-use vecmem_banksim::steady::{measure_steady_state_workload, ObservableWorkload, SteadyStateError};
-use vecmem_banksim::{PortId, Request, SimConfig, Workload};
+use vecmem_banksim::pattern::{AccessPattern, IndexPattern, PatternPort, PatternWorkload};
+use vecmem_banksim::steady::{measure_steady_state_workload, SteadyState, SteadyStateError};
+use vecmem_banksim::{Request, SimConfig};
 
 /// An infinite strided address stream evaluated through a bank mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,186 +24,105 @@ pub struct AddressStream {
     pub stride: u64,
 }
 
-/// Strided address streams routed through a [`BankMapping`].
+/// An index walk routed through a [`BankMapping`], as an
+/// [`AccessPattern`]: `addr(k) = base + ix(k)`, bank
+/// `mapping.bank_of(addr mod P)` with `P` the mapping's address period.
 ///
-/// `Clone` is implemented manually (the steady-state solver replays
-/// pristine clones of the workload): the mapping reference is shared, the
-/// per-stream positions are copied.
-pub struct MappedStreamWorkload<'a, M: BankMapping + ?Sized> {
-    mapping: &'a M,
-    streams: Vec<AddressStream>,
-    issued: Vec<u64>,
-    /// Per-stream position period: the bank sequence of stream `i` repeats
-    /// with this period in the element index.
-    index_period: Vec<u64>,
-}
-
-impl<'a, M: BankMapping + ?Sized> MappedStreamWorkload<'a, M> {
-    /// Builds the workload; stream `i` drives port `i`.
-    #[must_use]
-    pub fn new(mapping: &'a M, streams: Vec<AddressStream>) -> Self {
-        let p = mapping.address_period();
-        let index_period = streams
-            .iter()
-            .map(|s| {
-                if s.stride == 0 {
-                    1
-                } else {
-                    // Smallest T with T·stride ≡ 0 (mod P): addresses then
-                    // realign with the mapping period.
-                    let g = vecmem_analytic::numtheory::gcd(s.stride, p);
-                    p / g
-                }
-            })
-            .collect();
-        let issued = vec![0; streams.len()];
-        Self {
-            mapping,
-            streams,
-            issued,
-            index_period,
-        }
-    }
-
-    fn bank(&self, port: usize) -> u64 {
-        let s = self.streams[port];
-        let addr = s.start as u128 + self.issued[port] as u128 * s.stride as u128;
-        // Reduce the address within the mapping period to keep it bounded.
-        let p = self.mapping.address_period() as u128;
-        self.mapping.bank_of((addr % p) as u64)
-    }
-}
-
-impl<M: BankMapping + ?Sized> Workload for MappedStreamWorkload<'_, M> {
-    fn pending(&self, port: PortId, _now: u64) -> Option<Request> {
-        if port.0 >= self.streams.len() {
-            return None;
-        }
-        Some(Request::to_bank(self.bank(port.0)))
-    }
-
-    fn granted(&mut self, port: PortId, _now: u64) {
-        let i = port.0;
-        self.issued[i] = (self.issued[i] + 1) % self.index_period[i];
-    }
-
-    fn is_finished(&self) -> bool {
-        false
-    }
-}
-
-impl<M: BankMapping + ?Sized> Clone for MappedStreamWorkload<'_, M> {
-    fn clone(&self) -> Self {
-        Self {
-            mapping: self.mapping,
-            streams: self.streams.clone(),
-            issued: self.issued.clone(),
-            index_period: self.index_period.clone(),
-        }
-    }
-}
-
-impl<M: BankMapping + ?Sized> ObservableWorkload for MappedStreamWorkload<'_, M> {
-    fn signature_len(&self) -> usize {
-        self.issued.len()
-    }
-
-    fn write_signature(&self, out: &mut [u64]) {
-        out.copy_from_slice(&self.issued);
-    }
-}
-
-/// A single-port indexed gather routed through a [`BankMapping`]:
-/// `addr(k) = base + ix(k)`, bank `mapping.bank_of(addr mod P)`.
-///
-/// Affine index vectors make the workload periodic in the element index
-/// (the reduced address `addr mod P` repeats with
-/// [`IndexPattern::request_period`]), so the steady-state solver finds an
-/// exact cyclic state; pseudo-random indexing is aperiodic and measured
-/// with the budgeted windowed estimate.
-pub struct MappedGatherWorkload<'a, M: BankMapping + ?Sized> {
+/// The mapping decides a request from `addr mod P` alone, so the slot is
+/// `k mod T` with `T` = [`IndexPattern::request_period`]`(span, P)`
+/// (marker `T`). Pseudo-random index vectors are aperiodic: the slot is the
+/// raw issue count, the bound and the periodicity hint are `None`, and the
+/// steady-state solver answers with a windowed estimate.
+#[derive(Debug)]
+pub struct Mapped<'a, M: BankMapping + ?Sized> {
     mapping: &'a M,
     base: u64,
     span: u64,
     index: IndexPattern,
-    issued: u64,
-    /// Period of `addr mod P` in `k`, `None` when aperiodic.
     period: Option<u64>,
 }
 
-impl<'a, M: BankMapping + ?Sized> MappedGatherWorkload<'a, M> {
-    /// A gather over `base .. base + span` through `mapping`, on port 0.
+impl<'a, M: BankMapping + ?Sized> Mapped<'a, M> {
+    /// A gather over `base .. base + span` through `mapping`.
     ///
     /// # Panics
     /// If `span` is zero.
     #[must_use]
-    pub fn new(mapping: &'a M, base: u64, span: u64, index: IndexPattern) -> Self {
+    pub fn gather(mapping: &'a M, base: u64, span: u64, index: IndexPattern) -> Self {
         assert!(span > 0, "gather span must be positive");
         Self {
             mapping,
             base,
             span,
             index,
-            issued: 0,
             period: index.request_period(span, mapping.address_period()),
         }
     }
 
-    fn bank(&self) -> u64 {
-        let addr = self.base as u128 + u128::from(self.index.index(self.issued, self.span));
-        let p = self.mapping.address_period() as u128;
-        self.mapping.bank_of((addr % p) as u64)
-    }
-}
-
-impl<M: BankMapping + ?Sized> Workload for MappedGatherWorkload<'_, M> {
-    fn pending(&self, port: PortId, _now: u64) -> Option<Request> {
-        (port.0 == 0).then(|| Request::to_bank(self.bank()))
-    }
-
-    fn granted(&mut self, port: PortId, _now: u64) {
-        debug_assert_eq!(port.0, 0);
-        self.issued = match self.period {
-            Some(p) => (self.issued + 1) % p,
-            None => self.issued + 1,
+    /// The strided address stream `start + k·stride`: the affine index
+    /// walk `ix(k) = (stride·k + start) mod P` over one address period,
+    /// with period `P / gcd(stride mod P, P)`.
+    #[must_use]
+    pub fn stream(mapping: &'a M, stream: AddressStream) -> Self {
+        let index = IndexPattern::Affine {
+            a: stream.stride,
+            c: stream.start,
         };
-    }
-
-    fn is_finished(&self) -> bool {
-        false
+        Self::gather(mapping, 0, mapping.address_period(), index)
     }
 }
 
-impl<M: BankMapping + ?Sized> Clone for MappedGatherWorkload<'_, M> {
+// Manual impls: deriving would demand `M: Clone`, which trait objects are
+// not; only the mapping reference is shared.
+impl<M: BankMapping + ?Sized> Clone for Mapped<'_, M> {
     fn clone(&self) -> Self {
-        Self {
-            mapping: self.mapping,
-            ..*self
-        }
+        *self
     }
 }
 
-impl<M: BankMapping + ?Sized> ObservableWorkload for MappedGatherWorkload<'_, M> {
-    fn signature_len(&self) -> usize {
-        1
+impl<M: BankMapping + ?Sized> Copy for Mapped<'_, M> {}
+
+impl<M: BankMapping + ?Sized> AccessPattern for Mapped<'_, M> {
+    fn request_at(&self, k: u64) -> Request {
+        let addr = u128::from(self.base) + u128::from(self.index.index(k, self.span));
+        let reduced = addr % u128::from(self.mapping.address_period());
+        Request::to_bank(self.mapping.bank_of(reduced as u64))
     }
 
-    fn write_signature(&self, out: &mut [u64]) {
-        out[0] = self.issued;
+    fn encode_slot(&self, k: u64, _cooldown: u64) -> u64 {
+        self.period.map_or(k, |p| k % p)
     }
 
-    fn signature_bound(&self) -> Option<u64> {
+    fn decode_slot(&self, slot: u64) -> (u64, u64) {
+        (slot, 0)
+    }
+
+    fn finished_code(&self) -> u64 {
+        self.period.unwrap_or(u64::MAX)
+    }
+
+    fn slot_bound(&self) -> Option<u64> {
         self.period
     }
 
-    fn periodic(&self) -> bool {
-        self.period.is_some()
+    fn period_hint(&self) -> Option<u64> {
+        self.period
     }
 }
 
-/// Steady-state bandwidth of a single-port indexed gather under a mapping
-/// (exact for affine index vectors, windowed estimate for pseudo-random
-/// ones).
+/// Steady state of one infinite [`Mapped`] port per configured port.
+fn measure<'a, M: BankMapping + ?Sized + 'a>(
+    config: &SimConfig,
+    patterns: impl IntoIterator<Item = Mapped<'a, M>>,
+    max_cycles: u64,
+) -> Result<SteadyState, SteadyStateError> {
+    let ports: Vec<_> = patterns.into_iter().map(PatternPort::new).collect();
+    assert_eq!(config.num_ports(), ports.len());
+    measure_steady_state_workload(config, &mut PatternWorkload::new(ports), 0, max_cycles)
+}
+
+/// Steady state of a single-port indexed gather under a mapping (exact
+/// for affine index vectors, windowed estimate for pseudo-random ones).
 ///
 /// # Errors
 /// Returns a [`SteadyStateError`] when the state neither recurs nor can be
@@ -216,10 +134,12 @@ pub fn gather_bandwidth<M: BankMapping + ?Sized>(
     span: u64,
     index: IndexPattern,
     max_cycles: u64,
-) -> Result<Ratio, SteadyStateError> {
-    assert_eq!(config.num_ports(), 1);
-    let mut w = MappedGatherWorkload::new(mapping, base, span, index);
-    Ok(measure_steady_state_workload(config, &mut w, 0, max_cycles)?.beff)
+) -> Result<SteadyState, SteadyStateError> {
+    measure(
+        config,
+        [Mapped::gather(mapping, base, span, index)],
+        max_cycles,
+    )
 }
 
 /// Steady-state bandwidth of one address stream under a mapping.
@@ -246,9 +166,7 @@ pub fn single_stream_bandwidth<M: BankMapping + ?Sized>(
     stream: AddressStream,
     max_cycles: u64,
 ) -> Result<Ratio, SteadyStateError> {
-    assert_eq!(config.num_ports(), 1);
-    let mut w = MappedStreamWorkload::new(mapping, vec![stream]);
-    Ok(measure_steady_state_workload(config, &mut w, 0, max_cycles)?.beff)
+    Ok(measure(config, [Mapped::stream(mapping, stream)], max_cycles)?.beff)
 }
 
 /// Steady-state bandwidth of a pair of address streams under a mapping.
@@ -262,9 +180,8 @@ pub fn pair_bandwidth<M: BankMapping + ?Sized>(
     streams: [AddressStream; 2],
     max_cycles: u64,
 ) -> Result<Ratio, SteadyStateError> {
-    assert_eq!(config.num_ports(), 2);
-    let mut w = MappedStreamWorkload::new(mapping, streams.to_vec());
-    Ok(measure_steady_state_workload(config, &mut w, 0, max_cycles)?.beff)
+    let patterns = streams.map(|s| Mapped::stream(mapping, s));
+    Ok(measure(config, patterns, max_cycles)?.beff)
 }
 
 /// One row of a scheme-comparison table: the bandwidth each stride achieves.
@@ -425,10 +342,12 @@ mod tests {
         let ix = IndexPattern::Affine { a: m, c: 0 };
         let plain =
             gather_bandwidth(&Interleaved { banks: m }, &cfg, 0, 1 << 16, ix, 100_000).unwrap();
-        assert_eq!(plain, Ratio::new(1, 4));
+        assert!(plain.exact);
+        assert_eq!(plain.beff, Ratio::new(1, 4));
         let skewed =
             gather_bandwidth(&LinearSkew::classic(m), &cfg, 0, 1 << 16, ix, 100_000).unwrap();
-        assert_eq!(skewed, Ratio::integer(1));
+        assert!(skewed.exact);
+        assert_eq!(skewed.beff, Ratio::integer(1));
     }
 
     #[test]
@@ -438,11 +357,11 @@ mod tests {
         // the prime mapping's 13 does not, so the full index period stays.
         let ix = IndexPattern::Affine { a: 3, c: 0 };
         let plain = Interleaved { banks: 16 };
-        let w = MappedGatherWorkload::new(&plain, 0, 1 << 16, ix);
-        assert_eq!(w.signature_bound(), Some(16));
+        let p = Mapped::gather(&plain, 0, 1 << 16, ix);
+        assert_eq!(p.slot_bound(), Some(16));
         let prime = PrimeInterleaved::new(13);
-        let w = MappedGatherWorkload::new(&prime, 0, 1 << 16, ix);
-        assert_eq!(w.signature_bound(), Some(1 << 16));
+        let p = Mapped::gather(&prime, 0, 1 << 16, ix);
+        assert_eq!(p.slot_bound(), Some(1 << 16));
     }
 
     #[test]
@@ -463,7 +382,8 @@ mod tests {
                 IndexPattern::Affine { a: 1, c: 0 },
                 100_000,
             )
-            .unwrap();
+            .unwrap()
+            .beff;
             let stream = single_stream_bandwidth(
                 scheme,
                 &cfg,
@@ -492,8 +412,7 @@ mod tests {
             &LinearSkew::classic(16),
             &XorFold::new(16),
         ] {
-            let mut w = MappedGatherWorkload::new(scheme, 0, 1 << 16, ix);
-            let ss = measure_steady_state_workload(&cfg, &mut w, 0, 1 << 20).unwrap();
+            let ss = gather_bandwidth(scheme, &cfg, 0, 1 << 16, ix, 1 << 20).unwrap();
             assert!(!ss.exact, "{} should be a windowed estimate", scheme.name());
             let beff = ss.beff.to_f64();
             assert!(beff > 0.5 && beff < 0.95, "{}: {beff}", scheme.name());
@@ -522,16 +441,41 @@ mod tests {
             (&XorFold::new(16), Ratio::new(128, 131)),
         ];
         for (scheme, want) in exact {
-            let mut w = MappedStreamWorkload::new(
-                scheme,
-                vec![AddressStream {
-                    start: 0,
-                    stride: 1,
-                }],
-            );
-            let ss = measure_steady_state_workload(&cfg, &mut w, 0, 100_000).unwrap();
-            assert_eq!(ss.beff, want, "{}", scheme.name());
-            assert!(ss.beff >= Ratio::new(9, 10), "{}", scheme.name());
+            let unit = AddressStream {
+                start: 0,
+                stride: 1,
+            };
+            let beff = single_stream_bandwidth(scheme, &cfg, unit, 100_000).unwrap();
+            assert_eq!(beff, want, "{}", scheme.name());
+            assert!(beff >= Ratio::new(9, 10), "{}", scheme.name());
+        }
+    }
+
+    #[test]
+    fn mapped_stream_period_is_the_address_realignment() {
+        // A stride-s stream realigns with the mapping's address period P
+        // after P / gcd(s, P) elements, and its banks repeat with that
+        // period, for every scheme and every stride in 0..2P.
+        for scheme in [
+            &Interleaved { banks: 12 } as &dyn BankMapping,
+            &LinearSkew::classic(8),
+            &XorFold::new(16),
+            &PrimeInterleaved::new(13),
+        ] {
+            let p = scheme.address_period();
+            for stride in 0..2 * p {
+                let mapped = Mapped::stream(scheme, AddressStream { start: 5, stride });
+                let period = p / vecmem_analytic::numtheory::gcd(stride, p);
+                let label = format!("{} stride {stride}", scheme.name());
+                assert_eq!(mapped.period_hint(), Some(period), "{label}");
+                for k in 0..2 * period {
+                    assert_eq!(
+                        mapped.request_at(k + period),
+                        mapped.request_at(k),
+                        "{label}, k = {k}"
+                    );
+                }
+            }
         }
     }
 }

@@ -12,7 +12,7 @@
 use vecmem::analytic::pair::classify_pair;
 use vecmem::analytic::{predict_single, PortPlacement};
 use vecmem::banksim::steady::measure_pair_cross_cpu;
-use vecmem::banksim::{Engine, SimConfig, StreamWorkload};
+use vecmem::banksim::{Engine, PatternWorkload, SimConfig};
 use vecmem::{Geometry, StreamSpec};
 
 fn main() {
@@ -58,7 +58,7 @@ fn main() {
     // And the paper-style trace of the first 36 clock periods.
     let config = SimConfig::one_port_per_cpu(geom, 2);
     let mut engine = Engine::new(config).with_trace(36);
-    let mut workload = StreamWorkload::infinite(&geom, &[s1, s2]);
+    let mut workload = PatternWorkload::strided(&geom, &[s1, s2]);
     for _ in 0..36 {
         engine.step(&mut workload);
     }

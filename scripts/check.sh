@@ -68,6 +68,14 @@ for fig in 02 03 04 05 06 07 08 09; do
     || { echo "fig$fig drifted from results/fig$fig.txt"; exit 1; }
 done
 echo "    fig02-fig09 match the golden traces"
+# Mapped skew walks and finite/delayed strides: the two pattern paths the
+# figure traces never reach.
+for table in table_skewing table_matrix table_transient; do
+  ./target/release/"$table" > "$smoke_dir/$table.txt"
+  diff -u "results/$table.txt" "$smoke_dir/$table.txt" \
+    || { echo "$table drifted from results/$table.txt"; exit 1; }
+done
+echo "    table_skewing, table_matrix, table_transient match their goldens"
 ./target/release/fig10 3 > "$smoke_dir/fig10.txt"
 grep -q "INC" "$smoke_dir/fig10.txt" || { echo "fig10 smoke output empty"; exit 1; }
 ./target/release/table_theorems 8 2 > "$smoke_dir/theorems.txt" 2> "$smoke_dir/theorems.log"

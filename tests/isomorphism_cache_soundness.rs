@@ -12,7 +12,7 @@
 
 use vecmem::analytic::isomorphism::canonical_streams;
 use vecmem::analytic::numtheory::coprime;
-use vecmem::banksim::{Engine, PriorityRule, SimConfig, SimStats, StreamWorkload};
+use vecmem::banksim::{Engine, PatternWorkload, PriorityRule, SimConfig, SimStats};
 use vecmem::exec::steady_key;
 use vecmem::{Geometry, SectionMapping, StreamSpec};
 use vecmem_prop::prelude::*;
@@ -23,7 +23,7 @@ const RUN: u64 = 256;
 
 fn stats_of(config: &SimConfig, streams: &[StreamSpec], cycles: u64) -> SimStats {
     let mut engine = Engine::new(config.clone());
-    let mut workload = StreamWorkload::infinite(&config.geometry, streams);
+    let mut workload = PatternWorkload::strided(&config.geometry, streams);
     for _ in 0..cycles {
         engine.step(&mut workload);
     }

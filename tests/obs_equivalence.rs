@@ -9,7 +9,9 @@
 //!    drawn geometries and stream pairs.
 
 use vecmem::analytic::{Geometry, StreamSpec};
-use vecmem::banksim::{measure_steady_state, Engine, PriorityRule, SimConfig, StreamWorkload, Tee};
+use vecmem::banksim::{
+    measure_steady_state, Engine, ObservableWorkload, PatternWorkload, PriorityRule, SimConfig, Tee,
+};
 use vecmem_obs::{ConflictLedger, EventLog, MetricsRegistry, SpanSink};
 use vecmem_prop::prelude::*;
 
@@ -57,10 +59,10 @@ fn recording_observer_never_changes_results() {
         let ports = config.num_ports();
 
         let mut plain_engine = Engine::new(config.clone());
-        let mut plain_workload = StreamWorkload::infinite(&geom, &specs);
+        let mut plain_workload = PatternWorkload::strided(&geom, &specs);
 
         let mut observed_engine = Engine::new(config.clone());
-        let mut observed_workload = StreamWorkload::infinite(&geom, &specs);
+        let mut observed_workload = PatternWorkload::strided(&geom, &specs);
         let mut metrics = MetricsRegistry::new(geom.banks(), ports);
         let mut events = EventLog::new(geom.banks(), ports as u64);
         let mut ledger = ConflictLedger::new(&config);
@@ -113,7 +115,7 @@ fn metrics_registry_mirrors_sim_stats_on_scenarios() {
         let geom = config.geometry;
         let ports = config.num_ports();
         let mut engine = Engine::new(config.clone());
-        let mut workload = StreamWorkload::infinite(&geom, &specs);
+        let mut workload = PatternWorkload::strided(&geom, &specs);
         let mut metrics = MetricsRegistry::new(geom.banks(), ports);
         for _ in 0..CYCLES {
             engine.step_with(&mut workload, &mut metrics);
@@ -176,7 +178,7 @@ proptest! {
             StreamSpec { start_bank: b2 % m, distance: d2 % m },
         ];
         let mut engine = Engine::new(config);
-        let mut workload = StreamWorkload::infinite(&geom, &specs);
+        let mut workload = PatternWorkload::strided(&geom, &specs);
         let mut metrics = MetricsRegistry::new(geom.banks(), 2);
         for _ in 0..1_000 {
             engine.step_with(&mut workload, &mut metrics);
@@ -226,7 +228,7 @@ proptest! {
         // Replay the same run with the ledger riding along; the transient
         // warms its attribution state, then exactly one period is counted.
         let mut engine = Engine::new(config.clone());
-        let mut workload = StreamWorkload::infinite(&geom, &specs);
+        let mut workload = PatternWorkload::strided(&geom, &specs);
         let mut ledger = ConflictLedger::new(&config);
         for _ in 0..ss.transient {
             engine.step_with(&mut workload, &mut ledger);

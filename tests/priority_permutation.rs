@@ -13,7 +13,7 @@
 //! swaps shift the total bandwidth.
 
 use vecmem::banksim::steady::measure_steady_state;
-use vecmem::banksim::{Engine, PriorityRule, SimConfig, SimStats, StreamWorkload};
+use vecmem::banksim::{Engine, PatternWorkload, PriorityRule, SimConfig, SimStats};
 use vecmem::{Geometry, Ratio, SectionMapping, StreamSpec};
 
 /// Finite-horizon cycles for the exact per-port statistics comparison
@@ -22,7 +22,7 @@ const HORIZON: u64 = 300;
 
 fn stats_of(config: &SimConfig, streams: &[StreamSpec], cycles: u64) -> SimStats {
     let mut engine = Engine::new(config.clone());
-    let mut workload = StreamWorkload::infinite(&config.geometry, streams);
+    let mut workload = PatternWorkload::strided(&config.geometry, streams);
     for _ in 0..cycles {
         engine.step(&mut workload);
     }

@@ -5,13 +5,13 @@
 use vecmem::analytic::{Geometry, StreamSpec};
 use vecmem::banksim::steady::measure_steady_state;
 use vecmem::banksim::SmallRng;
-use vecmem::banksim::{Engine, PriorityRule, SimConfig, StreamWorkload};
+use vecmem::banksim::{Engine, PatternWorkload, PriorityRule, SimConfig};
 
 /// Long-run average bandwidth by brute force over `cycles` clock periods,
 /// discarding a warm-up prefix.
 fn brute_force_average(config: &SimConfig, specs: &[StreamSpec], cycles: u64) -> f64 {
     let mut engine = Engine::new(config.clone());
-    let mut workload = StreamWorkload::infinite(&config.geometry, specs);
+    let mut workload = PatternWorkload::strided(&config.geometry, specs);
     let warmup = cycles / 10;
     for _ in 0..warmup {
         engine.step(&mut workload);
