@@ -2,7 +2,7 @@
 //! streams.
 //!
 //! The detector itself — Brent's cycle-finding over the packed simulator
-//! state's incremental hash, in O(state) memory — lives in
+//! state's incremental hash, in O(state · log) memory — lives in
 //! [`vecmem_simcore::steady`] and is re-exported here together with its
 //! result and error types. This module adds the stream-level entry points
 //! the paper's figures are phrased in: one [`StreamSpec`] per port, start

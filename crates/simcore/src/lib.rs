@@ -20,7 +20,8 @@
 //!   collect pending requests, arbitrate ([`arbiter`]), apply delays and
 //!   grants, notify the [`observe::SimObserver`], age the banks;
 //! * [`steady`] — Brent's cycle-finding over the state hash: exact
-//!   effective bandwidth of the cyclic state in O(state) memory, with a
+//!   effective bandwidth of the cyclic state in O(state · log(μ + λ))
+//!   memory and an exact transient in O(μ) extra steps, with a
 //!   budgeted windowed estimate for aperiodic workloads;
 //! * [`pattern`] — the access-pattern abstraction: address generation as
 //!   a swappable concern ([`pattern::AccessPattern`]), with constant

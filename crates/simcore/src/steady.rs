@@ -24,18 +24,23 @@
 //!   counters, so the difference between the cursor and the matched
 //!   snapshot is one full period of window statistics — period sums are
 //!   phase-independent, so no replay pass is needed;
-//! * the exact transient `μ` comes from walking two cursors `λ` apart
-//!   until they meet. When the match was against the start snapshot the
-//!   transient is zero and this phase is skipped entirely; otherwise the
-//!   leading cursor starts from the latest snapshot at or before `λ`, so
-//!   the pre-advance costs at most `λ/2` steps.
+//! * the matched snapshot is the first one on the cycle, so the transient
+//!   `μ` lies between the snapshot before it and the matched one, and the
+//!   exact `μ` comes from walking two cursors `λ` apart from that earlier
+//!   snapshot until they meet. When the match was against the start
+//!   snapshot the transient is zero and this phase is skipped entirely.
+//!   The leading cursor is restored from the nearest *rung*: a restore
+//!   checkpoint the searching cursor leaves every `RUNG_SPACING` steps
+//!   and thins level by level (see `RUNGS_PER_LEVEL`), so its
+//!   pre-advance is bounded by the gap between the two snapshots, not by
+//!   `λ`. The whole phase costs `O(μ)` steps however long the period is.
 //!
 //! Equality is checked hash-first (one `u64` compare per cycle per
 //! snapshot) and confirmed on the full core, so a hash collision can never
 //! produce a wrong answer — only a skipped candidate. Memory use is
-//! O(state · log transient): one snapshot per power of two, independent of
-//! how many cycles the transient takes, where the previous detector kept a
-//! hash map entry (state key + per-port grant vector) for *every*
+//! O(state · log(μ + λ)): one snapshot per power of two and at most
+//! `RUNGS_PER_LEVEL` rungs per power of two, where the previous detector
+//! kept a hash map entry (state key + per-port grant vector) for *every*
 //! simulated cycle.
 
 use crate::config::SimConfig;
@@ -205,6 +210,18 @@ struct Cursor<'c, W> {
     conflicts: ConflictCounts,
 }
 
+/// Search steps between two rungs (restore checkpoints). A power of two,
+/// so every rung sits at a multiple of it.
+const RUNG_SPACING: u64 = 64;
+
+/// Rungs kept per level: a rung at step `q`, a multiple of `2^k` with `k =
+/// q.trailing_zeros()`, is kept while the searching cursor is fewer than
+/// `RUNGS_PER_LEVEL · 2^k` steps past it. So for any lag `L` behind the
+/// cursor, a rung (or power-of-two snapshot) lies fewer than `max(
+/// RUNG_SPACING, 2^⌈log2(L/3)⌉)` steps before that point, and at most
+/// `RUNGS_PER_LEVEL` rungs per level are alive at once.
+const RUNGS_PER_LEVEL: u64 = 4;
+
 /// A saved cursor position: the trajectory step count (post-warmup), the
 /// state, the workload, and the cumulative counters at that point.
 struct Snapshot<W> {
@@ -319,11 +336,14 @@ pub fn measure_steady_state_workload<W: ObservableWorkload + Clone>(
     // stepped while racing against snapshots of its own past taken at
     // every power-of-two step count. The first recurrence is provably
     // exactly one period behind the cursor (a distance of k·λ with k ≥ 2
-    // would have matched the same snapshot λ steps sooner).
+    // would have matched the same snapshot λ steps sooner). Between
+    // snapshots it leaves rungs, never compared against, only restored
+    // from by the transient walk.
     let mut hare = Cursor::new(config, workload.clone());
     hare.advance_by(warmup);
     let mut snaps: Vec<Snapshot<W>> = vec![hare.snapshot(0)];
     let mut snap_hashes: Vec<u64> = vec![hare.state.hash()];
+    let mut rungs: Vec<Snapshot<W>> = Vec::new();
     let mut pos: u64 = 0;
     let mut next_snap: u64 = 1;
     let (lambda, matched) = loop {
@@ -347,6 +367,9 @@ pub fn measure_steady_state_workload<W: ObservableWorkload + Clone>(
             snaps.push(hare.snapshot(pos));
             snap_hashes.push(h);
             next_snap *= 2;
+        } else if pos.is_multiple_of(RUNG_SPACING) {
+            rungs.retain(|r| (pos - r.pos) >> r.pos.trailing_zeros() < RUNGS_PER_LEVEL);
+            rungs.push(hare.snapshot(pos));
         }
     };
 
@@ -362,32 +385,7 @@ pub fn measure_steady_state_workload<W: ObservableWorkload + Clone>(
         .collect();
     let conflicts = hare.conflicts - anchor.conflicts;
 
-    // Transient μ: the first post-warmup cycle whose state lies on the
-    // cycle. A match against the start snapshot means the trajectory was
-    // cyclic from the start; otherwise two cursors λ apart meet exactly at
-    // μ, with the leading cursor restored from the latest snapshot at or
-    // before λ (the snapshot at step 1 always exists here, since a match
-    // at pos 1 can only be against the start snapshot).
-    let mu = if anchor.pos == 0 {
-        0
-    } else {
-        let near = snaps
-            .iter()
-            .rev()
-            .find(|s| s.pos <= lambda)
-            .expect("start snapshot is at pos 0");
-        let mut ahead = Cursor::restore(config, near);
-        ahead.advance_by(lambda - near.pos);
-        let mut behind = Cursor::restore(config, &snaps[0]);
-        let mut mu: u64 = 0;
-        while !(ahead.state.hash() == behind.state.hash() && ahead.state == behind.state) {
-            ahead.advance();
-            behind.advance();
-            mu += 1;
-        }
-        mu
-    };
-
+    let mu = transient(config, &snaps, &rungs, matched, lambda);
     let grants_per_period: u64 = per_port_grants.iter().sum();
     Ok(SteadyState {
         beff: Ratio::new(grants_per_period, lambda),
@@ -401,6 +399,52 @@ pub fn measure_steady_state_workload<W: ObservableWorkload + Clone>(
         conflicts_per_period: conflicts,
         exact: true,
     })
+}
+
+/// Transient μ: the first post-warmup step whose state lies on the cycle,
+/// given that the search first recurred onto `snaps[matched]` one period
+/// `lambda` after it. A match against the start snapshot means the
+/// trajectory was cyclic from the start. Otherwise the matched snapshot is
+/// the first one on the cycle (an earlier one would have matched sooner),
+/// so μ lies in `(prev.pos, anchor.pos]` for the snapshot `prev` before it.
+/// Two cursors `lambda` apart, the trailing one restored from `prev` and
+/// the leading one from the latest rung or snapshot at or before `prev.pos
+/// + lambda`, meet exactly at μ; reaching `anchor.pos` without meeting
+/// means μ is `anchor.pos`.
+fn transient<W: ObservableWorkload + Clone>(
+    config: &SimConfig,
+    snaps: &[Snapshot<W>],
+    rungs: &[Snapshot<W>],
+    matched: usize,
+    lambda: u64,
+) -> u64 {
+    let Some(before) = matched.checked_sub(1) else {
+        return 0;
+    };
+    let (prev, anchor) = (&snaps[before], &snaps[matched]);
+    let mut mu = prev.pos + 1;
+    if mu == anchor.pos {
+        return mu;
+    }
+    let target = prev.pos + lambda;
+    let near = snaps
+        .iter()
+        .chain(rungs)
+        .filter(|s| s.pos <= target)
+        .max_by_key(|s| s.pos)
+        .unwrap_or(prev);
+    let mut ahead = Cursor::restore(config, near);
+    ahead.advance_by(target - near.pos);
+    let mut behind = Cursor::restore(config, prev);
+    while mu < anchor.pos {
+        ahead.advance();
+        behind.advance();
+        if ahead.state.hash() == behind.state.hash() && ahead.state == behind.state {
+            break;
+        }
+        mu += 1;
+    }
+    mu
 }
 
 /// Cycle budget of the windowed estimate used for self-declared aperiodic
@@ -454,6 +498,9 @@ fn measure_windowed<W: ObservableWorkload + Clone>(
 mod tests {
     use super::*;
     use crate::request::{PortId, Request};
+    use std::cell::Cell;
+    use std::collections::HashMap;
+    use std::rc::Rc;
     use vecmem_analytic::Geometry;
 
     /// Port p cycles through banks `p, p + d, p + 2d, …` (mod m).
@@ -536,5 +583,140 @@ mod tests {
         let before = w.state_signature();
         let _ = measure_steady_state_workload(&cfg, &mut w, 0, 10_000).unwrap();
         assert_eq!(w.state_signature(), before);
+    }
+
+    /// Counts the cycles simulated by every clone of the wrapped workload,
+    /// so a test sees the solver's whole step cost.
+    #[derive(Clone)]
+    struct Counted<W> {
+        inner: W,
+        cycles: Rc<Cell<u64>>,
+    }
+
+    impl<W: Workload> Workload for Counted<W> {
+        fn pending(&self, port: PortId, now: u64) -> Option<Request> {
+            self.inner.pending(port, now)
+        }
+        fn granted(&mut self, port: PortId, now: u64) {
+            self.inner.granted(port, now);
+        }
+        fn tick(&mut self, now: u64) {
+            self.cycles.set(self.cycles.get() + 1);
+            self.inner.tick(now);
+        }
+        fn is_finished(&self) -> bool {
+            self.inner.is_finished()
+        }
+    }
+
+    impl<W: ObservableWorkload> ObservableWorkload for Counted<W> {
+        fn signature_len(&self) -> usize {
+            self.inner.signature_len()
+        }
+        fn write_signature(&self, out: &mut [u64]) {
+            self.inner.write_signature(out);
+        }
+    }
+
+    /// Solves `inner` from a zero warmup; returns the result and the
+    /// cycles simulated on the way.
+    fn solve_counted<W: ObservableWorkload + Clone>(
+        config: &SimConfig,
+        inner: W,
+    ) -> (SteadyState, u64) {
+        let cycles = Rc::new(Cell::new(0));
+        let mut w = Counted {
+            inner,
+            cycles: Rc::clone(&cycles),
+        };
+        let ss = measure_steady_state_workload(config, &mut w, 0, 1 << 20).unwrap();
+        (ss, cycles.get())
+    }
+
+    /// Reference `(μ, λ)`: keeps every visited state and stops at the first
+    /// repeat.
+    fn brute_force<W: ObservableWorkload + Clone>(config: &SimConfig, workload: &W) -> (u64, u64) {
+        let mut cursor = Cursor::new(config, workload.clone());
+        let mut seen: HashMap<u64, Vec<(u64, SimState)>> = HashMap::new();
+        for pos in 0.. {
+            let visits = seen.entry(cursor.state.hash()).or_default();
+            if let Some(&(first, _)) = visits.iter().find(|(_, s)| *s == cursor.state) {
+                return (first, pos - first);
+            }
+            visits.push((pos, cursor.state.clone()));
+            cursor.advance();
+        }
+        unreachable!("the state space is finite")
+    }
+
+    /// Most cycles one solve may simulate: the search up to the first
+    /// power-of-two snapshot on the cycle plus one period, then the
+    /// leading cursor's pre-advance from its rung and the two-cursor walk
+    /// from the snapshot before.
+    fn cycle_bound(mu: u64, lambda: u64) -> u64 {
+        if mu == 0 {
+            return lambda;
+        }
+        let anchor = mu.next_power_of_two();
+        let prev = anchor / 2;
+        let pre_advance = RUNG_SPACING.max((anchor - prev).div_ceil(3).next_power_of_two());
+        anchor + lambda + pre_advance + 2 * (mu - prev)
+    }
+
+    #[test]
+    fn transient_walk_cost_is_independent_of_the_period() {
+        // One unit stride over 1000 banks: a 3-cycle transient (the bank
+        // residues fill up) and a 1000-cycle period. The leading cursor
+        // starts from a rung near step 2 + 1000 instead of advancing from
+        // the snapshot at 512.
+        let cfg = SimConfig::single_cpu(Geometry::unsectioned(1000, 4).unwrap(), 1);
+        let w = Strides::new(1000, &[1]);
+        let (ss, cycles) = solve_counted(&cfg, w.clone());
+        assert_eq!((ss.transient, ss.period), (3, 1000));
+        assert_eq!((ss.transient, ss.period), brute_force(&cfg, &w));
+        assert!(
+            cycles <= cycle_bound(3, 1000),
+            "{cycles} cycles > {}",
+            cycle_bound(3, 1000)
+        );
+    }
+
+    #[test]
+    fn transient_matches_brute_force_across_rung_levels() {
+        // Three contending strides on one CPU: transients from a few cycles
+        // to several hundred and periods into the thousands, so the walk
+        // restores from snapshots and from rungs of several levels.
+        let (mut longest_mu, mut longest_lambda) = (0, 0);
+        for (m, nc) in [(61u64, 8u64), (64, 13), (96, 16), (127, 13)] {
+            let cfg = SimConfig::single_cpu(Geometry::unsectioned(m, nc).unwrap(), 3);
+            for d1 in [1u64, 3] {
+                for d2 in [5u64, 7, 12] {
+                    for b2 in [1u64, 9] {
+                        let mut w = Strides::new(m, &[d1, d2, d1 + d2]);
+                        w.pos = vec![0, b2, 3 * b2 % m];
+                        let label = format!("m={m} nc={nc} d=({d1}, {d2}) b2={b2}");
+                        let (ss, cycles) = solve_counted(&cfg, w.clone());
+                        let (mu, lambda) = brute_force(&cfg, &w);
+                        assert_eq!((ss.transient, ss.period), (mu, lambda), "{label}");
+                        assert!(
+                            cycles <= cycle_bound(mu, lambda),
+                            "{label}: {cycles} cycles"
+                        );
+                        longest_mu = longest_mu.max(mu);
+                        longest_lambda = longest_lambda.max(lambda);
+                    }
+                }
+            }
+        }
+        // The grid reaches a rung level above the first and periods far
+        // longer than the rung spacing.
+        assert!(
+            longest_mu > 4 * RUNG_SPACING,
+            "longest transient {longest_mu}"
+        );
+        assert!(
+            longest_lambda > 64 * RUNG_SPACING,
+            "longest period {longest_lambda}"
+        );
     }
 }
