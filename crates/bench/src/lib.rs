@@ -14,11 +14,9 @@
 //! | `table_sections` | ablation A2: cyclic vs consecutive section mapping |
 //! | `table_skewing` | ablation A3: skewing schemes vs plain interleaving |
 //!
-//! The `cargo bench` harness (the std-only profiler from `vecmem-obs`)
-//! measures the simulator and the analytic model themselves (throughput
-//! per simulated cycle, steady-state detection, classification speed,
-//! observer overhead) plus end-to-end figure regeneration, and writes
-//! `BENCH_<set>.json` reports.
+//! This crate times nothing. The out-of-workspace `benchmark/` package
+//! (`vecmem-benchmark`) measures the solver, and it calls [`figures`],
+//! [`fig10`], [`tables`] and [`csv`] as its `reproduce` workload.
 //!
 //! With `--features obs` the reproduction binaries additionally export
 //! per-run telemetry (see [`telemetry`]).

@@ -125,20 +125,6 @@ pub fn field_u64(line: &str, key: &str) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
-/// Extracts the numeric value of `"key":<number>` from a compact JSON
-/// line, accepting the float shapes this crate emits (optional sign,
-/// decimal point, exponent). Same field-scanner caveats as [`field_u64`].
-#[must_use]
-pub fn field_f64(line: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Extracts the string value of `"key":"…"` from a compact JSON line emitted
 /// by this crate (no escape handling — our field values never need it).
 #[must_use]
@@ -183,16 +169,6 @@ mod tests {
         assert_eq!(field_u64(line, "bank"), Some(11));
         assert_eq!(field_u64(line, "missing"), None);
         assert_eq!(field_str(line, "cycle"), None);
-    }
-
-    #[test]
-    fn field_f64_parses_emitted_floats() {
-        let line = r#"{"rate":0.25,"neg":-1.5e-3,"n":7,"s":"x"}"#;
-        assert_eq!(field_f64(line, "rate"), Some(0.25));
-        assert_eq!(field_f64(line, "neg"), Some(-1.5e-3));
-        assert_eq!(field_f64(line, "n"), Some(7.0));
-        assert_eq!(field_f64(line, "s"), None);
-        assert_eq!(field_f64(line, "missing"), None);
     }
 
     #[test]

@@ -20,8 +20,6 @@
 //!   `vecmem-obs/spans-v1` JSONL;
 //! * [`export`] — JSON / long-format-CSV snapshot writers
 //!   (`vecmem-obs/metrics-v1`);
-//! * [`profiler`] — a std-only hot-loop bench harness reporting simulated
-//!   cycles per second (`vecmem-bench/v1` reports);
 //! * [`json`] — the hand-rolled JSON writer the exporters share (the
 //!   container has no serialization crates).
 //!
@@ -60,7 +58,6 @@ pub mod export;
 pub mod json;
 pub mod ledger;
 pub mod metrics;
-pub mod profiler;
 pub mod span;
 pub mod window;
 
@@ -70,8 +67,5 @@ pub use export::{csv_field, metrics_to_csv, metrics_to_json, write_metrics, METR
 pub use json::Json;
 pub use ledger::{ConflictLedger, LedgerEntry, LedgerKey, LossDecomposition};
 pub use metrics::{MetricsRegistry, MetricsSnapshot, PortMetrics, DEFAULT_EPSILON, DEFAULT_WINDOW};
-pub use profiler::{
-    BenchHistoryEntry, BenchResult, Profiler, ProfilerConfig, BENCH_HISTORY_SCHEMA, BENCH_SCHEMA,
-};
 pub use span::{Span, SpanSink, SPANS_SCHEMA};
 pub use window::{BeffWindow, SteadyEntry, WindowPoint};

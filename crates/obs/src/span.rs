@@ -2,8 +2,7 @@
 //!
 //! A [`SpanSink`] records named spans whose clock is the simulator's cycle
 //! count (one tick = one clock period), not wall time — traces are
-//! bit-deterministic and the module stays lint-L1 clean (wall clock lives
-//! only in the [`profiler`](crate::profiler)). Spans nest by a
+//! bit-deterministic and the module stays lint-L1 clean. Spans nest by a
 //! begin/end stack ([`SpanSink::begin`] / [`SpanSink::end`]) and carry
 //! structured args; pre-computed spans can be appended with
 //! [`SpanSink::push`] (e.g. when `exec` lays a whole sweep out on worker
