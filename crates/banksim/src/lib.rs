@@ -39,8 +39,18 @@
 //! assert_eq!(steady.beff, Ratio::integer(2));
 //! ```
 
-#![warn(missing_docs)]
-#![warn(clippy::all)]
+// Panic policy and exhaustive matches for non-test library code; bins and
+// integration tests are separate crates and stay exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )
+)]
 
 // The simulation core — packed state, step kernel, arbitration, observer
 // hooks, statistics vocabulary and cyclic-state detection — lives in

@@ -78,6 +78,10 @@ pub fn finite_vector_bandwidth(config: &SimConfig, specs: &[StreamSpec], n: u64)
             .collect(),
     );
     let bound = n * geom.bank_cycle() * specs.len() as u64 + 10_000;
+    #[expect(
+        clippy::expect_used,
+        reason = "n grants per stream finish within n·n_c cycles per stream, which `bound` exceeds"
+    )]
     let cycles = engine
         .run(&mut workload, bound)
         .finished_cycles()

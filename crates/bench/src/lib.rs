@@ -21,8 +21,12 @@
 //! With `--features obs` the reproduction binaries additionally export
 //! per-run telemetry (see [`telemetry`]).
 
-#![warn(missing_docs)]
-#![warn(clippy::all)]
+// Panic policy for non-test library code; bins and integration tests are
+// separate crates and stay exempt.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod csv;
 pub mod fig10;

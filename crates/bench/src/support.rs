@@ -8,15 +8,21 @@ use vecmem_banksim::SteadyStateError;
 /// Unwraps a constructor fed with literal parameters transcribed from the
 /// paper. A rejection is a transcription typo, not a runtime condition;
 /// the figure and table tests catch one instantly.
+#[expect(
+    clippy::expect_used,
+    reason = "literal paper parameters: a rejection is a transcription typo the tests catch at once"
+)]
 pub(crate) fn paper<T>(v: Result<T, ModelError>) -> T {
-    // vecmem-lint: allow(L3) -- literal paper parameters: a rejection is a transcription typo the tests catch at once
     v.expect("paper parameters")
 }
 
 /// Unwraps a steady-state measurement of a catalogued scenario. Every
 /// catalogued geometry/stream pair reaches its cyclic steady state well
 /// inside the configured budget; the ratchet tests pin each value.
+#[expect(
+    clippy::expect_used,
+    reason = "catalogued scenarios converge within budget; the figure and table tests pin every value"
+)]
 pub(crate) fn converged<T>(v: Result<T, SteadyStateError>) -> T {
-    // vecmem-lint: allow(L3) -- catalogued scenarios converge within budget; the ratchet tests pin every value
     v.expect("catalogued scenario converges")
 }

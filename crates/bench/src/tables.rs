@@ -81,9 +81,15 @@ fn theorem_row(geom: &Geometry, d1: u64, d2: u64, sweep: &[SteadyState]) -> Theo
         distance: d2,
     };
     let class = classify_pair(geom, &s1, &s2, true);
-    // vecmem-lint: allow(L3) -- sweep is one chunk of m >= 1 outcomes, never empty
+    #[expect(
+        clippy::expect_used,
+        reason = "sweep is one chunk of m >= 1 outcomes, never empty"
+    )]
     let min = sweep.iter().map(|s| s.beff).min().expect("nonempty");
-    // vecmem-lint: allow(L3) -- sweep is one chunk of m >= 1 outcomes, never empty
+    #[expect(
+        clippy::expect_used,
+        reason = "sweep is one chunk of m >= 1 outcomes, never empty"
+    )]
     let max = sweep.iter().map(|s| s.beff).max().expect("nonempty");
     let (predicted, ok) = match class {
         PairClass::ConflictFree => (
@@ -382,9 +388,15 @@ pub fn kernel_table(max_inc: u64, n: u64) -> Vec<KernelRow> {
     let mut block = CommonBlock::new();
     block.declare("A", vec![16 * 1024 + 1]);
     block.declare("B", vec![16 * 1024 + 1]);
-    // vecmem-lint: allow(L3) -- both arrays were declared two lines above
+    #[expect(
+        clippy::expect_used,
+        reason = "both arrays were declared two lines above"
+    )]
     let a = block.get("A").expect("A declared above").clone();
-    // vecmem-lint: allow(L3) -- both arrays were declared two lines above
+    #[expect(
+        clippy::expect_used,
+        reason = "both arrays were declared two lines above"
+    )]
     let b = block.get("B").expect("B declared above").clone();
     [Kernel::Copy, Kernel::Daxpy, Kernel::Dot]
         .into_iter()
@@ -394,10 +406,13 @@ pub fn kernel_table(max_inc: u64, n: u64) -> Vec<KernelRow> {
                     let program = compile(kernel, &machine, &[&a, &b], n, inc);
                     let mut workload = ProgramWorkload::new(&geom, machine, program, &[], 3);
                     let mut engine = vecmem_banksim::Engine::new(SimConfig::single_cpu(geom, 3));
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the kernels are finite programs; 10M cycles is far past the longest"
+                    )]
                     engine
                         .run(&mut workload, 10_000_000)
                         .finished_cycles()
-                        // vecmem-lint: allow(L3) -- triad kernels are finite programs; 10M cycles is far past the longest
                         .expect("kernel finishes")
                 })
                 .collect();

@@ -62,7 +62,7 @@ impl Options {
     }
 
     /// A required `u64` option.
-    #[allow(dead_code)] // part of the parser API, exercised in tests
+    #[allow(dead_code, reason = "part of the parser API, exercised in tests")]
     pub fn u64_required(&self, name: &str) -> Result<u64, ParseError> {
         let v = self
             .values

@@ -1155,7 +1155,10 @@ fn verify_exhaustive(opts: &Options) -> Result<String, Failure> {
         .string("metrics-out")
         .map(|_| MetricsRegistry::new(1, 1));
     let mut sink = opts.string("trace-out").map(|_| SpanSink::new());
-    // vecmem-lint: allow(L1) -- elapsed time is printed for the operator only, never part of results
+    #[expect(
+        clippy::disallowed_types,
+        reason = "elapsed time is printed for the operator only, never part of results"
+    )]
     let start = std::time::Instant::now();
     let report = sweep_observed(&bounds, &runner, registry.as_mut(), sink.as_mut());
     let elapsed = start.elapsed();
@@ -1218,7 +1221,10 @@ fn verify_random(opts: &Options) -> Result<String, Failure> {
         ..ExploreConfig::default()
     };
     let mut registry = MetricsRegistry::new(1, 1);
-    // vecmem-lint: allow(L1) -- elapsed time is printed for the operator only, never part of results
+    #[expect(
+        clippy::disallowed_types,
+        reason = "elapsed time is printed for the operator only, never part of results"
+    )]
     let start = std::time::Instant::now();
     let report = explore(&cfg, &mut registry);
     let elapsed = start.elapsed();

@@ -9,7 +9,7 @@
 use crate::geometry::Geometry;
 use crate::pair::{classify_pair, PairClass};
 use crate::ratio::Ratio;
-use crate::sections::{analyze_sectioned_pair, SectionAnalysis};
+use crate::sections::{analyze_sectioned_pair, SectionAnalysis, SectionClass};
 use crate::stream::StreamSpec;
 
 /// Whether two concurrent streams share an access path bottleneck.
@@ -44,8 +44,10 @@ impl PairPrediction {
         match self {
             Self::Unsectioned(class) => class.predicted_bandwidth(),
             Self::Sectioned(analysis) => match analysis.class {
-                crate::sections::SectionClass::FullyDisjoint => Some(Ratio::integer(2)),
-                _ => None,
+                SectionClass::FullyDisjoint => Some(Ratio::integer(2)),
+                SectionClass::SelfLimited
+                | SectionClass::DisjointBanksSharedSections { .. }
+                | SectionClass::SharedBanks { .. } => None,
             },
         }
     }
@@ -85,7 +87,7 @@ pub fn predict_pair(
 mod tests {
     use super::*;
     use crate::pair::PairClass;
-    use crate::sections::{ConflictFreeRoute, SectionClass};
+    use crate::sections::ConflictFreeRoute;
 
     #[test]
     fn single_stream_predictions() {

@@ -84,6 +84,10 @@ impl<K: Hash + Eq, V: Clone> ResultCache<K, V> {
     /// result. Two workers racing on the same fresh key may both compute;
     /// the first insert wins (the results are identical by construction).
     pub fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> V {
+        #[expect(
+            clippy::expect_used,
+            reason = "a lock is poisoned only by a panic while it is held, and that panic already propagates"
+        )]
         if let Some(v) = self.shard(&key).lock().expect("cache shard").get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return v.clone();
@@ -92,6 +96,10 @@ impl<K: Hash + Eq, V: Clone> ResultCache<K, V> {
         // simulated cycles and must not serialise the shard.
         self.misses.fetch_add(1, Ordering::Relaxed);
         let value = compute();
+        #[expect(
+            clippy::expect_used,
+            reason = "a lock is poisoned only by a panic while it is held, and that panic already propagates"
+        )]
         match self.shard(&key).lock().expect("cache shard").entry(key) {
             std::collections::hash_map::Entry::Occupied(_) => {
                 // A racing worker inserted first: this computation was
@@ -106,6 +114,10 @@ impl<K: Hash + Eq, V: Clone> ResultCache<K, V> {
     }
 
     /// Cached value for `key`, if present (does not count as a hit).
+    #[expect(
+        clippy::expect_used,
+        reason = "a lock is poisoned only by a panic while it is held, and that panic already propagates"
+    )]
     pub fn peek(&self, key: &K) -> Option<V> {
         self.shard(key)
             .lock()
@@ -116,9 +128,13 @@ impl<K: Hash + Eq, V: Clone> ResultCache<K, V> {
 
     /// Number of distinct keys stored.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "a lock is poisoned only by a panic while it is held, and that panic already propagates"
+    )]
     pub fn len(&self) -> usize {
         self.shards
-            .iter() // vecmem-lint: allow(L1) -- shards is a Vec (fixed order); the sum is order-independent
+            .iter()
             .map(|s| s.lock().expect("cache shard").len())
             .sum()
     }

@@ -24,6 +24,19 @@
 //!   an executed batch out as a deterministic merged trace on a
 //!   [`SpanSink`](vecmem_obs::SpanSink).
 
+// Panic policy and exhaustive matches for non-test library code; bins and
+// integration tests are separate crates and stay exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )
+)]
+
 pub mod cache;
 pub mod runner;
 pub mod scenario;

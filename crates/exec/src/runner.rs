@@ -148,10 +148,18 @@ impl Runner {
                             local.push((start + i, work(s)));
                         }
                     }
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the lock is held only for an `append`, which cannot panic, so it is never poisoned"
+                    )]
                     merged.lock().expect("runner merge").append(&mut local);
                 });
             }
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "`thread::scope` re-raises any worker panic before this line, so the mutex is not poisoned"
+        )]
         let mut indexed = merged.into_inner().expect("runner merge");
         debug_assert_eq!(indexed.len(), n);
         // Stitch back into submission order: determinism across thread

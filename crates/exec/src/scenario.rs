@@ -206,7 +206,7 @@ pub fn pattern_steady_key(
                 start_bank,
                 distance,
             }),
-            _ => None,
+            PatternSpec::Gather { .. } | PatternSpec::Burst { .. } => None,
         })
         .collect();
     let patterns = match strides {
@@ -357,6 +357,10 @@ impl Scenario for TraceScenario {
         for _ in 0..self.trace_cycles {
             engine.step(&mut workload);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the engine was built `with_trace` above"
+        )]
         let trace = engine.trace().expect("trace enabled").render_all();
         let stats = engine.stats().clone();
         let mut fresh = PatternWorkload::strided(&self.config.geometry, &self.streams);

@@ -3,8 +3,8 @@
 //! design, so it cannot lean on serde).
 //!
 //! The renderer is the contract; the parser exists so the schema can be
-//! round-trip tested and so `check.sh` consumers get a structure check
-//! for free. Both handle exactly the subset of JSON the schema uses —
+//! round-trip tested and so the workspace gate test
+//! (`tests/linter.rs`) checks the real document's structure. Both handle exactly the subset of JSON the schema uses —
 //! objects, arrays, strings, and unsigned integers.
 
 use crate::rules::Violation;

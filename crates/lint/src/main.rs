@@ -1,35 +1,31 @@
 //! CLI for the workspace invariant linter.
 //!
 //! ```text
-//! vecmem-lint --workspace [--root DIR] [--baseline FILE] [--write-baseline | --no-baseline]
-//!             [--format text|json|gcc] [--json-out FILE] [--budget-ms N]
+//! vecmem-lint --workspace [--root DIR] [--format text|json|gcc]
+//!             [--json-out FILE] [--budget-ms N]
 //! ```
 //!
-//! Exit codes: 0 clean (all violations absorbed by the baseline), 1 gate
-//! failure (new or stale entries, or the runtime budget blown), 2 usage
-//! or IO error.
+//! Exit codes: 0 clean, 1 gate failure (any finding, or the runtime
+//! budget blown), 2 usage or IO error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use vecmem_lint::json::render_findings;
-use vecmem_lint::{apply_baseline, lint_workspace, Baseline};
+use vecmem_lint::lint_workspace;
 
 const USAGE: &str = "\
 usage: vecmem-lint --workspace [options]
 
-Lints every workspace crate's src/ tree against the vecmem rules
-(L1 determinism, L2 purity, L3 panic policy, L4 feature hygiene, L5 doc
-contract, L6/L7 transitive hot-path proofs, L8 match exhaustiveness,
-L9 overflow policy; L0 audits the suppressions themselves) and diffs
-the result against the committed ratchet baseline.
+Lints every workspace crate's src/ tree against the vecmem rules that
+clippy cannot express (L2 purity, L6/L7 transitive hot-path proofs, L9
+overflow policy) and fails on any finding. Determinism, panic policy,
+match exhaustiveness and doc contracts are clippy lints (see the root
+Cargo.toml and crates/clippy.toml).
 
 options:
   --workspace          lint the whole workspace (required today)
   --root DIR           workspace root (default: nearest ancestor with
                        both Cargo.toml and crates/)
-  --baseline FILE      ratchet file (default: <root>/lint-baseline.toml)
-  --write-baseline     rewrite the baseline to the current violations
-  --no-baseline        report raw violations, exit 1 if any
   --format FMT         violation output: text (default), gcc
                        (file:line: warning: ... [rule]), or json (the
                        full vecmem-lint/findings-v1 document on stdout)
@@ -49,9 +45,6 @@ enum Format {
 struct Args {
     workspace: bool,
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    write_baseline: bool,
-    no_baseline: bool,
     format: Format,
     json_out: Option<PathBuf>,
     budget_ms: Option<u64>,
@@ -61,9 +54,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         workspace: false,
         root: None,
-        baseline: None,
-        write_baseline: false,
-        no_baseline: false,
         format: Format::Text,
         json_out: None,
         budget_ms: None,
@@ -73,11 +63,6 @@ fn parse_args() -> Result<Args, String> {
         match a.as_str() {
             "--workspace" => args.workspace = true,
             "--root" => args.root = Some(PathBuf::from(it.next().ok_or("--root needs a value")?)),
-            "--baseline" => {
-                args.baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a value")?));
-            }
-            "--write-baseline" => args.write_baseline = true,
-            "--no-baseline" => args.no_baseline = true,
             "--format" => {
                 args.format = match it.next().ok_or("--format needs a value")?.as_str() {
                     "text" => Format::Text,
@@ -102,9 +87,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if !args.workspace {
         return Err("missing --workspace (the only supported mode)".to_string());
-    }
-    if args.write_baseline && args.no_baseline {
-        return Err("--write-baseline conflicts with --no-baseline".to_string());
     }
     Ok(args)
 }
@@ -139,7 +121,10 @@ fn main() -> ExitCode {
         eprintln!("vecmem-lint: no workspace root found (looked for Cargo.toml + crates/)");
         return ExitCode::from(2);
     };
-    // vecmem-lint: allow(L1) -- the CLI's own runtime budget gate needs a monotonic clock; nothing it measures feeds a result
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the CLI's own runtime budget gate needs a monotonic clock; nothing it measures feeds a result"
+    )]
     let started = std::time::Instant::now();
     let run = match lint_workspace(&root) {
         Ok(r) => r,
@@ -160,7 +145,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let gate = report(&args, &root, &run);
+    let gate = report(&args, &run);
 
     if let Some(budget) = args.budget_ms {
         if elapsed_ms > budget {
@@ -182,97 +167,30 @@ fn print_violation(v: &vecmem_lint::Violation, format: Format) {
     }
 }
 
-/// Runs the selected reporting mode and returns the gate's exit code.
-fn report(args: &Args, root: &std::path::Path, run: &vecmem_lint::LintRun) -> ExitCode {
+/// Prints the run in the selected format and returns the gate's exit
+/// code: success only when there is no finding.
+fn report(args: &Args, run: &vecmem_lint::LintRun) -> ExitCode {
     // In json mode stdout IS the document; human summaries stay on stderr.
     if args.format == Format::Json {
         print!("{}", render_findings(run));
-    }
-
-    if args.no_baseline {
-        if args.format != Format::Json {
-            for v in &run.violations {
-                print_violation(v, args.format);
-            }
-            println!(
-                "vecmem-lint: {} file(s), {} violation(s), {} suppressed",
-                run.files,
-                run.violations.len(),
-                run.suppressed
-            );
-        }
-        return if run.violations.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-
-    let baseline_path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| root.join("lint-baseline.toml"));
-
-    if args.write_baseline {
-        let baseline = Baseline::from_violations(&run.violations);
-        if let Err(e) = std::fs::write(&baseline_path, baseline.render()) {
-            eprintln!("vecmem-lint: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
+    } else {
+        for v in &run.violations {
+            print_violation(v, args.format);
         }
         println!(
-            "vecmem-lint: wrote {} ({} entries, {} violation(s) frozen)",
-            baseline_path.display(),
-            baseline.len(),
-            baseline.total()
+            "vecmem-lint: {} file(s), {} violation(s), {} suppressed",
+            run.files,
+            run.violations.len(),
+            run.suppressed
         );
-        return ExitCode::SUCCESS;
     }
-
-    let baseline = if baseline_path.is_file() {
-        match std::fs::read_to_string(&baseline_path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| Baseline::parse(&t))
-        {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("vecmem-lint: bad baseline {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        }
+    if run.violations.is_empty() {
+        ExitCode::SUCCESS
     } else {
-        Baseline::default()
-    };
-
-    let outcome = apply_baseline(&baseline, run);
-    if outcome.breaks.is_empty() {
-        if args.format != Format::Json {
-            println!(
-                "vecmem-lint: clean — {} file(s), {} baselined violation(s), {} suppressed",
-                run.files, outcome.absorbed, run.suppressed
-            );
-        }
-        return ExitCode::SUCCESS;
+        eprintln!(
+            "vecmem-lint: gate FAILED ({} violation(s))",
+            run.violations.len()
+        );
+        ExitCode::FAILURE
     }
-    // Show every violation for files whose ratchet broke, then the breaks.
-    if args.format != Format::Json {
-        for b in &outcome.breaks {
-            if let vecmem_lint::RatchetBreak::New { rule, file, .. } = b {
-                for v in run
-                    .violations
-                    .iter()
-                    .filter(|v| v.rule == *rule && v.file == *file)
-                {
-                    print_violation(v, args.format);
-                }
-            }
-        }
-    }
-    for b in &outcome.breaks {
-        eprintln!("vecmem-lint: {b}");
-    }
-    eprintln!(
-        "vecmem-lint: gate FAILED ({} break(s))",
-        outcome.breaks.len()
-    );
-    ExitCode::FAILURE
 }

@@ -3,9 +3,8 @@
 //!
 //! This is deliberately not a full Rust parser. It recovers exactly the
 //! structure the call-graph rules need — function definitions with their
-//! module/impl-qualified paths and body extents, call expressions inside
-//! those bodies, enum definitions with their variants, and `match`
-//! expressions with per-arm pattern summaries — and nothing else. Every
+//! module/impl-qualified paths and body extents, and the call expressions
+//! inside those bodies — and nothing else. Every
 //! construct it cannot classify is skipped, never an error: a linter must
 //! not crash on work-in-progress code, so the parser degrades to "fewer
 //! facts", which for the reachability rules means fewer findings, never a
@@ -13,8 +12,7 @@
 //!
 //! The parse is a single forward walk over the comment-free token stream
 //! with an explicit scope stack (`mod` and `impl` frames keyed by brace
-//! depth), plus two focused sub-scans: enum bodies (variant names) and
-//! `match` bodies (arm patterns), both nesting-aware.
+//! depth).
 
 use crate::tokens::{Tok, TokKind};
 
@@ -57,29 +55,6 @@ pub struct FnDef {
     pub calls: Vec<CallSite>,
 }
 
-/// One enum definition with its variant names.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EnumDef {
-    /// Enum name.
-    pub name: String,
-    /// Variant names, in source order.
-    pub variants: Vec<String>,
-    /// 1-based line of the `enum` keyword.
-    pub line: u32,
-}
-
-/// One `match` expression with the facts the exhaustiveness rule needs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MatchSite {
-    /// 1-based line of the `match` keyword.
-    pub line: u32,
-    /// `Enum::Variant` paths mentioned in arm *patterns* (not arm bodies),
-    /// deduplicated, with the line of first mention.
-    pub enum_paths: Vec<(String, String, u32)>,
-    /// Line of a bare `_ =>` wildcard arm, if the match has one.
-    pub wildcard: Option<u32>,
-}
-
 /// Parse result for one file: the comment-free token stream plus the
 /// recovered structure.
 #[derive(Debug)]
@@ -89,10 +64,6 @@ pub struct ParsedFile {
     pub code: Vec<Tok>,
     /// Function definitions, in source order.
     pub fns: Vec<FnDef>,
-    /// Enum definitions, in source order.
-    pub enums: Vec<EnumDef>,
-    /// `match` expressions, in source order.
-    pub matches: Vec<MatchSite>,
 }
 
 /// Keywords that can directly precede `(` without being a call.
@@ -122,7 +93,6 @@ enum Frame {
 pub fn parse(toks: &[Tok]) -> ParsedFile {
     let code: Vec<Tok> = toks.iter().filter(|t| !t.is_comment()).cloned().collect();
     let mut fns = Vec::new();
-    let mut enums = Vec::new();
     // Scope stack: one frame per open brace.
     let mut frames: Vec<Frame> = Vec::new();
     let mut i = 0usize;
@@ -154,13 +124,6 @@ pub fn parse(toks: &[Tok]) -> ParsedFile {
                 frames.push(frame);
                 i = next;
             }
-            TokKind::Ident if t.text == "enum" => {
-                let (def, next) = parse_enum(&code, i);
-                if let Some(def) = def {
-                    enums.push(def);
-                }
-                i = next;
-            }
             TokKind::Ident if t.text == "fn" => {
                 let (def, next) = parse_fn(&code, i, &frames);
                 if let Some(def) = def {
@@ -171,13 +134,7 @@ pub fn parse(toks: &[Tok]) -> ParsedFile {
             _ => i += 1,
         }
     }
-    let matches = collect_matches(&code);
-    ParsedFile {
-        code,
-        fns,
-        enums,
-        matches,
-    }
+    ParsedFile { code, fns }
 }
 
 /// Parses an `impl` header starting just past the `impl` keyword. Returns
@@ -266,89 +223,6 @@ fn skip_generics(code: &[Tok], i: usize) -> usize {
         j += 1;
     }
     j
-}
-
-/// Parses `enum Name { … }` starting at the `enum` keyword. Collects
-/// variant names: the first identifier of each variant at payload depth 0,
-/// skipping attributes. Returns the def and the index just past the
-/// closing `}`.
-fn parse_enum(code: &[Tok], i: usize) -> (Option<EnumDef>, usize) {
-    let Some(name) = code.get(i + 1).filter(|n| n.kind == TokKind::Ident) else {
-        return (None, i + 1);
-    };
-    let line = code[i].line;
-    let name = name.text.clone();
-    let mut j = i + 2;
-    j = skip_generics(code, j);
-    // Find the opening brace (skipping a where clause).
-    while j < code.len() && !code[j].is_punct('{') {
-        if code[j].is_punct(';') {
-            // `enum Name;` is not a thing, but never loop on junk.
-            return (None, j + 1);
-        }
-        j += 1;
-    }
-    if j >= code.len() {
-        return (None, j);
-    }
-    j += 1; // past `{`
-    let mut variants = Vec::new();
-    let mut depth = 0i32; // nesting inside variant payloads
-    let mut expect_variant = true;
-    while j < code.len() {
-        let t = &code[j];
-        if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-        } else if t.is_punct('}') {
-            if depth == 0 {
-                return (
-                    Some(EnumDef {
-                        name,
-                        variants,
-                        line,
-                    }),
-                    j + 1,
-                );
-            }
-            depth -= 1;
-        } else if depth == 0 {
-            if t.is_punct('#') {
-                // Skip a variant attribute `#[…]`.
-                let mut k = j + 1;
-                if code.get(k).is_some_and(|b| b.is_punct('[')) {
-                    let mut d = 0i32;
-                    while k < code.len() {
-                        if code[k].is_punct('[') {
-                            d += 1;
-                        } else if code[k].is_punct(']') {
-                            d -= 1;
-                            if d == 0 {
-                                break;
-                            }
-                        }
-                        k += 1;
-                    }
-                    j = k;
-                }
-            } else if t.is_punct(',') {
-                expect_variant = true;
-            } else if expect_variant && t.kind == TokKind::Ident {
-                variants.push(t.text.clone());
-                expect_variant = false;
-            }
-        }
-        j += 1;
-    }
-    (
-        Some(EnumDef {
-            name,
-            variants,
-            line,
-        }),
-        j,
-    )
 }
 
 /// Parses `fn name …` starting at the `fn` keyword: signature, body
@@ -561,193 +435,6 @@ fn turbofish_head(code: &[Tok], close: usize, from: usize) -> Option<usize> {
     }
 }
 
-/// State of one `match` currently being scanned.
-struct MatchCtx {
-    site: MatchSite,
-    /// Brace depth of the match body (arms live at this depth).
-    depth: i32,
-    /// Paren/bracket nesting within the current arm: `,` and `=>` only
-    /// delimit at nest 0 (so commas inside call arguments or tuple
-    /// patterns never split an arm).
-    nest: i32,
-    /// True while between an arm's start and its `=>`.
-    in_pattern: bool,
-    /// True while inside an arm guard (`pat if cond =>`): guard tokens
-    /// are expression, not pattern, and must not feed `enum_paths`.
-    in_guard: bool,
-    /// Pattern tokens of the current arm (text only).
-    pattern: Vec<String>,
-    pattern_line: u32,
-}
-
-/// Collects every `match` expression with its arm-pattern summary. Nested
-/// matches are handled by the context stack.
-fn collect_matches(code: &[Tok]) -> Vec<MatchSite> {
-    let mut out = Vec::new();
-    let mut stack: Vec<MatchCtx> = Vec::new();
-    // A `match` whose scrutinee we are still scanning: (line, paren nest).
-    let mut pending: Option<(u32, i32)> = None;
-    let mut depth = 0i32;
-    let mut j = 0usize;
-    while j < code.len() {
-        let t = &code[j];
-        if t.is_ident("match") && !code.get(j + 1).is_some_and(|n| n.is_punct('!')) {
-            pending = Some((t.line, 0));
-            j += 1;
-            continue;
-        }
-        if t.is_punct('(') || t.is_punct('[') {
-            if let Some((_, nest)) = pending.as_mut() {
-                *nest += 1;
-            } else if let Some(ctx) = stack.last_mut() {
-                ctx.nest += 1;
-                if ctx.in_pattern && !ctx.in_guard && depth == ctx.depth {
-                    record_pattern_token(ctx, t, code, j);
-                }
-            }
-            j += 1;
-            continue;
-        }
-        if t.is_punct(')') || t.is_punct(']') {
-            if let Some((_, nest)) = pending.as_mut() {
-                *nest -= 1;
-            } else if let Some(ctx) = stack.last_mut() {
-                ctx.nest -= 1;
-                if ctx.in_pattern && !ctx.in_guard && depth == ctx.depth {
-                    record_pattern_token(ctx, t, code, j);
-                }
-            }
-            j += 1;
-            continue;
-        }
-        if t.is_punct('{') {
-            depth += 1;
-            if let Some((line, nest)) = pending {
-                if nest == 0 {
-                    stack.push(MatchCtx {
-                        site: MatchSite {
-                            line,
-                            enum_paths: Vec::new(),
-                            wildcard: None,
-                        },
-                        depth,
-                        nest: 0,
-                        in_pattern: true,
-                        in_guard: false,
-                        pattern: Vec::new(),
-                        pattern_line: t.line,
-                    });
-                    pending = None;
-                }
-            }
-        } else if t.is_punct('}') {
-            if let Some(ctx) = stack.last_mut() {
-                if depth == ctx.depth {
-                    // End of this match body.
-                    // vecmem-lint: allow(L3) -- guarded by the `stack.last_mut()` match on the line above
-                    let mut ctx = stack.pop().expect("stack non-empty");
-                    finish_arm(&mut ctx);
-                    out.push(ctx.site);
-                    depth -= 1;
-                    j += 1;
-                    continue;
-                }
-            }
-            depth -= 1;
-            // Returning to arm level of the innermost match means a
-            // block-bodied arm just closed; the next tokens start a new arm.
-            if let Some(ctx) = stack.last_mut() {
-                if depth == ctx.depth && !ctx.in_pattern {
-                    finish_arm(ctx);
-                    ctx.in_pattern = true;
-                }
-            }
-        } else if let Some(ctx) = stack.last_mut() {
-            if depth == ctx.depth {
-                if ctx.in_pattern {
-                    // `=>` ends the pattern (only at nest 0, so `=>` of a
-                    // closure in a guard cannot — closures in guards need
-                    // parens anyway).
-                    if ctx.nest == 0
-                        && t.is_punct('=')
-                        && code.get(j + 1).is_some_and(|n| n.is_punct('>'))
-                    {
-                        record_pattern(ctx);
-                        ctx.in_pattern = false;
-                        ctx.in_guard = false;
-                        j += 2;
-                        continue;
-                    }
-                    if ctx.nest == 0 && t.is_ident("if") && !ctx.pattern.is_empty() {
-                        ctx.in_guard = true;
-                        j += 1;
-                        continue;
-                    }
-                    if !ctx.in_guard {
-                        record_pattern_token(ctx, t, code, j);
-                    }
-                } else if ctx.nest == 0 && t.is_punct(',') {
-                    finish_arm(ctx);
-                    ctx.in_pattern = true;
-                }
-            } else if ctx.in_pattern && !ctx.in_guard && depth > ctx.depth {
-                // Struct-pattern braces: still pattern tokens.
-                ctx.pattern.push(t.text.clone());
-            }
-        }
-        j += 1;
-    }
-    out
-}
-
-/// Appends one token to the current arm's pattern, tracking
-/// `Enum::Variant` mentions.
-fn record_pattern_token(ctx: &mut MatchCtx, t: &Tok, code: &[Tok], j: usize) {
-    if ctx.pattern.is_empty() {
-        // The optional `,` after a block-bodied arm is a separator, not
-        // the start of the next pattern.
-        if t.is_punct(',') {
-            return;
-        }
-        ctx.pattern_line = t.line;
-    }
-    ctx.pattern.push(t.text.clone());
-    if t.kind == TokKind::Ident
-        && code.get(j + 1).is_some_and(|a| a.is_punct(':'))
-        && code.get(j + 2).is_some_and(|a| a.is_punct(':'))
-        && code.get(j + 3).is_some_and(|a| a.kind == TokKind::Ident)
-        && t.text.chars().next().is_some_and(char::is_uppercase)
-    {
-        let e = t.text.clone();
-        let v = code[j + 3].text.clone();
-        if !ctx
-            .site
-            .enum_paths
-            .iter()
-            .any(|(a, b, _)| *a == e && *b == v)
-        {
-            ctx.site.enum_paths.push((e, v, t.line));
-        }
-    }
-}
-
-/// Records the just-completed pattern: a bare `_` arm sets the wildcard.
-fn record_pattern(ctx: &mut MatchCtx) {
-    if ctx.pattern.len() == 1 && ctx.pattern[0] == "_" && ctx.site.wildcard.is_none() {
-        ctx.site.wildcard = Some(ctx.pattern_line);
-    }
-    ctx.pattern.clear();
-}
-
-/// Closes the current arm without a `=>` (trailing or block-bodied arm).
-fn finish_arm(ctx: &mut MatchCtx) {
-    if ctx.in_pattern {
-        record_pattern(ctx);
-    }
-    ctx.pattern.clear();
-    ctx.in_guard = false;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -843,101 +530,9 @@ mod tests {
     }
 
     #[test]
-    fn enum_variants_with_payloads_and_attributes() {
-        let src = "pub enum BankModel {\n\
-                   Uniform,\n\
-                   #[allow(dead_code)]\n\
-                   Dram { hit_cycle: u64, rows: u64 },\n\
-                   Pair(u64, u64),\n\
-                   }\n";
-        let p = parsed(src);
-        assert_eq!(p.enums.len(), 1);
-        assert_eq!(p.enums[0].name, "BankModel");
-        assert_eq!(p.enums[0].variants, vec!["Uniform", "Dram", "Pair"]);
-    }
-
-    #[test]
-    fn match_wildcard_and_enum_paths() {
-        let src = "fn f(m: BankModel) -> u64 {\n\
-                   match m {\n\
-                   BankModel::Uniform => 0,\n\
-                   BankModel::Dram { hit_cycle, .. } => hit_cycle,\n\
-                   _ => 1,\n\
-                   }\n\
-                   }\n";
-        let p = parsed(src);
-        assert_eq!(p.matches.len(), 1);
-        let m = &p.matches[0];
-        assert_eq!(m.line, 2);
-        assert_eq!(m.wildcard, Some(5));
-        assert!(m
-            .enum_paths
-            .iter()
-            .any(|(e, v, _)| e == "BankModel" && v == "Uniform"));
-        assert!(m
-            .enum_paths
-            .iter()
-            .any(|(e, v, _)| e == "BankModel" && v == "Dram"));
-    }
-
-    #[test]
-    fn exhaustive_match_has_no_wildcard() {
-        let src = "fn f(m: BankModel) -> u64 {\n\
-                   match m {\n\
-                   BankModel::Uniform => 0,\n\
-                   BankModel::Dram { .. } => 1,\n\
-                   }\n\
-                   }\n";
-        let p = parsed(src);
-        assert_eq!(p.matches[0].wildcard, None);
-    }
-
-    #[test]
-    fn nested_match_and_block_arms() {
-        let src = "fn f(a: A, b: B) -> u64 {\n\
-                   match a {\n\
-                   A::X => {\n\
-                   match b {\n\
-                   B::Y => 0,\n\
-                   _ => 1,\n\
-                   }\n\
-                   }\n\
-                   A::Z => 2,\n\
-                   _ => 3,\n\
-                   }\n\
-                   }\n";
-        let p = parsed(src);
-        assert_eq!(p.matches.len(), 2);
-        // Outer match (line 2) has its own wildcard at line 10; inner
-        // (line 4) at line 6.
-        let outer = p.matches.iter().find(|m| m.line == 2).unwrap();
-        let inner = p.matches.iter().find(|m| m.line == 4).unwrap();
-        assert_eq!(inner.wildcard, Some(6));
-        assert_eq!(outer.wildcard, Some(10));
-        assert!(outer.enum_paths.iter().any(|(e, _, _)| e == "A"));
-        assert!(!outer.enum_paths.iter().any(|(e, _, _)| e == "B"));
-    }
-
-    #[test]
-    fn match_scrutinee_with_parens_and_method_calls() {
-        let src = "fn f() -> u64 {\n\
-                   match cfg.model(x) {\n\
-                   Model::A => 1,\n\
-                   Model::B => 2,\n\
-                   }\n\
-                   }\n";
-        let p = parsed(src);
-        assert_eq!(p.matches.len(), 1);
-        assert_eq!(p.matches[0].wildcard, None);
-        assert_eq!(p.matches[0].enum_paths.len(), 2);
-    }
-
-    #[test]
-    fn matches_macro_is_not_a_match() {
+    fn matches_macro_is_not_a_call() {
         let src = "fn f() -> bool { matches!(x, Some(_)) }\n";
         let p = parsed(src);
-        assert!(p.matches.is_empty());
-        // And `matches!` is not a call either.
         assert!(p.fns[0].calls.is_empty());
     }
 
@@ -946,29 +541,5 @@ mod tests {
         let src = "fn f()\n-> u64\n{\n    g()\n}\n";
         let p = parsed(src);
         assert_eq!(p.fns[0].body_lines, Some((3, 5)));
-    }
-
-    #[test]
-    fn guard_expression_enums_do_not_feed_patterns() {
-        // `BankModel::Uniform` lives in the guard, not the pattern: the
-        // match is on an Option and must not look like a BankModel match.
-        let p = parsed(
-            "fn f(x: Option<u32>, m: BankModel) -> u32 {\n    match x {\n        Some(v) if m == BankModel::Uniform => v,\n        _ => 0,\n    }\n}\n",
-        );
-        assert_eq!(p.matches.len(), 1);
-        assert_eq!(p.matches[0].enum_paths, Vec::new());
-        assert_eq!(p.matches[0].wildcard, Some(4));
-    }
-
-    #[test]
-    fn match_guard_does_not_confuse_arms() {
-        let src = "fn f(x: u64) -> u64 {\n\
-                   match x {\n\
-                   n if n > compare(3) => 1,\n\
-                   _ => 0,\n\
-                   }\n\
-                   }\n";
-        let p = parsed(src);
-        assert_eq!(p.matches[0].wildcard, Some(4));
     }
 }

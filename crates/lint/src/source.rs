@@ -1,6 +1,5 @@
 //! The per-file source model rules operate on: tokens plus derived
-//! structure (test regions, feature-gated regions, alloc-free regions,
-//! suppressions).
+//! structure (test regions, marked regions, suppressions).
 //!
 //! Regions are tracked as inclusive line spans, derived from a single
 //! brace-matching scan over the token stream. The derivation is heuristic
@@ -30,7 +29,7 @@ pub const SUPPRESS_PREFIX: &str = "vecmem-lint: allow(";
 /// Prefix of a function-scoped suppression comment: placed directly above
 /// a `fn`, it silences the named rules for the whole body. Reserved for
 /// rules whose findings cluster (L7 indexing in a packed-state kernel);
-/// audited by L0 exactly like the line form.
+/// like the line form, it takes effect only with a reason.
 pub const SUPPRESS_FN_PREFIX: &str = "vecmem-lint: allow-fn(";
 
 /// An inclusive 1-based line span.
@@ -54,8 +53,6 @@ impl Span {
 /// `// vecmem-lint: allow-fn(RULE, …) -- reason` comment.
 #[derive(Debug, Clone)]
 pub struct Suppression {
-    /// Line of the comment itself.
-    pub comment_line: u32,
     /// Line the suppression applies to: the comment's own line when it
     /// trails code, otherwise the next line holding code.
     pub applies_to: u32,
@@ -77,8 +74,6 @@ pub struct SourceFile {
     pub toks: Vec<Tok>,
     /// Spans of `#[cfg(test)]` items (test modules, test-only impls).
     pub test_spans: Vec<Span>,
-    /// Spans gated on `#[cfg(… feature = "<name>" …)]`, with the feature.
-    pub feature_spans: Vec<(String, Span)>,
     /// True when the whole file is marked alloc-free.
     pub alloc_free_file: bool,
     /// Function bodies marked alloc-free by a preceding marker comment.
@@ -98,8 +93,7 @@ impl SourceFile {
     #[must_use]
     pub fn parse(rel: &str, src: &str) -> Self {
         let toks = tokenize(src);
-        let test_spans = attribute_spans(&toks, &|attr| attr.iter().any(|t| t.is_ident("test")));
-        let feature_spans = feature_attribute_spans(&toks);
+        let test_spans = test_spans(&toks);
         let (alloc_free_file, alloc_free_spans) = marker_regions(&toks, ALLOC_FREE_MARKER);
         let (_, hot_path_spans) = marker_regions(&toks, HOT_PATH_MARKER);
         let (overflow_file, overflow_spans) = marker_regions(&toks, OVERFLOW_MARKER);
@@ -108,7 +102,6 @@ impl SourceFile {
             rel: rel.to_string(),
             toks,
             test_spans,
-            feature_spans,
             alloc_free_file,
             alloc_free_spans,
             hot_path_spans,
@@ -122,14 +115,6 @@ impl SourceFile {
     #[must_use]
     pub fn in_test(&self, line: u32) -> bool {
         self.test_spans.iter().any(|s| s.contains(line))
-    }
-
-    /// True when `line` lies in a region gated on the named feature.
-    #[must_use]
-    pub fn in_feature(&self, feature: &str, line: u32) -> bool {
-        self.feature_spans
-            .iter()
-            .any(|(f, s)| f == feature && s.contains(line))
     }
 
     /// True when `line` is inside an alloc-free region (whole-file marker
@@ -153,11 +138,14 @@ impl SourceFile {
     }
 
     /// The suppression covering `rule` at `line`, if any: an exact-line
-    /// `allow` or an `allow-fn` whose function body contains the line.
+    /// `allow` or an `allow-fn` whose function body contains the line. A
+    /// suppression without a reason covers nothing, so the finding it
+    /// meant to hide stays visible.
     #[must_use]
     pub fn suppression_for(&self, rule: &str, line: u32) -> Option<&Suppression> {
         self.suppressions.iter().find(|s| {
-            (s.applies_to == line || s.span.is_some_and(|sp| sp.contains(line)))
+            !s.reason.is_empty()
+                && (s.applies_to == line || s.span.is_some_and(|sp| sp.contains(line)))
                 && s.rules.iter().any(|r| r == rule)
         })
     }
@@ -168,10 +156,11 @@ fn code_indices(toks: &[Tok]) -> Vec<usize> {
     (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect()
 }
 
-/// Scans for `#[…]` attributes whose content satisfies `pred` and returns
-/// the line span of the item each one gates: up to the matching `}` of the
-/// first brace after the attribute, or the first `;` if one comes sooner.
-fn attribute_spans(toks: &[Tok], pred: &dyn Fn(&[Tok]) -> bool) -> Vec<Span> {
+/// Scans for `#[…]` attributes that mention `test` (`#[test]`,
+/// `#[cfg(test)]`, `#[cfg(all(test, …))]`) and returns the line span of
+/// the item each one gates: up to the matching `}` of the first brace
+/// after the attribute, or the first `;` if one comes sooner.
+fn test_spans(toks: &[Tok]) -> Vec<Span> {
     let code = code_indices(toks);
     let mut spans = Vec::new();
     let mut k = 0usize;
@@ -181,7 +170,7 @@ fn attribute_spans(toks: &[Tok], pred: &dyn Fn(&[Tok]) -> bool) -> Vec<Span> {
             // Collect the attribute tokens up to the matching `]`.
             let mut depth = 0i32;
             let mut end = k + 1;
-            let mut attr: Vec<Tok> = Vec::new();
+            let mut mentions_test = false;
             for (kk, &j) in code.iter().enumerate().skip(k + 1) {
                 if toks[j].is_punct('[') {
                     depth += 1;
@@ -192,9 +181,9 @@ fn attribute_spans(toks: &[Tok], pred: &dyn Fn(&[Tok]) -> bool) -> Vec<Span> {
                         break;
                     }
                 }
-                attr.push(toks[j].clone());
+                mentions_test |= toks[j].is_ident("test");
             }
-            if pred(&attr) {
+            if mentions_test {
                 if let Some(span) = gated_item_span(toks, &code, end + 1, toks[i].line) {
                     spans.push(span);
                 }
@@ -259,36 +248,6 @@ fn gated_item_span(toks: &[Tok], code: &[usize], from: usize, start_line: u32) -
         start: start_line,
         end: t.line,
     })
-}
-
-/// Feature-gated spans: every `#[cfg(… feature = "X" …)]` (including
-/// inside `all(…)`/`any(…)`) yields `("X", span-of-gated-item)`.
-fn feature_attribute_spans(toks: &[Tok]) -> Vec<(String, Span)> {
-    // Run the generic scan once per feature name found in the file.
-    let mut features: Vec<String> = Vec::new();
-    for w in toks.windows(3) {
-        if w[0].is_ident("feature") && w[1].is_punct('=') && w[2].kind == TokKind::Str {
-            let name = w[2].text.clone();
-            if !features.contains(&name) {
-                features.push(name);
-            }
-        }
-    }
-    let mut out = Vec::new();
-    for feature in features {
-        let spans = attribute_spans(toks, &|attr| {
-            attr.windows(3).any(|w| {
-                w[0].is_ident("feature")
-                    && w[1].is_punct('=')
-                    && w[2].kind == TokKind::Str
-                    && w[2].text == feature
-            })
-        });
-        for s in spans {
-            out.push((feature.clone(), s));
-        }
-    }
-    out
 }
 
 /// Region markers (alloc-free, hot-path, overflow-policy): an
@@ -395,7 +354,6 @@ fn collect_suppressions(toks: &[Tok]) -> Vec<Suppression> {
             None
         };
         out.push(Suppression {
-            comment_line: t.line,
             applies_to,
             span,
             rules,
@@ -423,24 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn feature_span_with_all_combinator() {
-        let f = SourceFile::parse(
-            "x.rs",
-            "#[cfg(all(test, feature = \"bug_injection\"))]\nmod t {\n    fn b() {}\n}\n",
-        );
-        assert!(f.in_feature("bug_injection", 3));
-        assert!(!f.in_feature("other", 3));
-    }
-
-    #[test]
-    fn feature_gate_on_statement_and_field() {
-        let src = "struct S {\n    #[cfg(feature = \"bug_injection\")]\n    bug: u32,\n}\n";
-        let f = SourceFile::parse("x.rs", src);
-        assert!(f.in_feature("bug_injection", 3));
-        assert!(!f.in_feature("bug_injection", 1));
-    }
-
-    #[test]
     fn whole_file_alloc_free_marker() {
         let f = SourceFile::parse("x.rs", "//! vecmem-lint: alloc-free\nfn a() {}\n");
         assert!(f.in_alloc_free(2));
@@ -458,22 +398,23 @@ mod tests {
 
     #[test]
     fn suppression_trailing_and_standalone() {
-        let src = "let a = x.unwrap(); // vecmem-lint: allow(L3) -- bounded by ctor\n\
-                   // vecmem-lint: allow(L2, L3) -- cold path\n\
+        let src = "let a = x.unwrap(); // vecmem-lint: allow(L7) -- bounded by ctor\n\
+                   // vecmem-lint: allow(L2, L7) -- cold path\n\
                    let b = y.unwrap();\n";
         let f = SourceFile::parse("x.rs", src);
-        assert!(f.suppression_for("L3", 1).is_some());
+        assert!(f.suppression_for("L7", 1).is_some());
         assert!(f.suppression_for("L2", 1).is_none());
-        assert!(f.suppression_for("L3", 3).is_some());
+        assert!(f.suppression_for("L7", 3).is_some());
         assert!(f.suppression_for("L2", 3).is_some());
         assert_eq!(f.suppressions[1].reason, "cold path");
     }
 
     #[test]
-    fn suppression_without_reason_is_flagged_as_empty() {
-        let f = SourceFile::parse("x.rs", "// vecmem-lint: allow(L3)\nlet b = y.unwrap();\n");
+    fn suppression_without_reason_covers_nothing() {
+        let f = SourceFile::parse("x.rs", "// vecmem-lint: allow(L7)\nlet b = y.unwrap();\n");
         assert_eq!(f.suppressions[0].reason, "");
         assert_eq!(f.suppressions[0].applies_to, 2);
+        assert!(f.suppression_for("L7", 2).is_none());
     }
 
     #[test]
@@ -506,7 +447,7 @@ mod tests {
         assert!(f.suppression_for("L7", 3).is_some());
         assert!(f.suppression_for("L7", 4).is_some());
         assert!(f.suppression_for("L7", 7).is_none());
-        assert!(f.suppression_for("L3", 3).is_none());
+        assert!(f.suppression_for("L6", 3).is_none());
         assert_eq!(f.suppressions[0].reason, "ctor-bounded indexing");
     }
 }

@@ -1,10 +1,9 @@
-//! Workspace discovery and the lint driver: find the crates, classify
-//! their files, run the rules, apply suppressions, diff the baseline.
+//! Workspace discovery and the lint driver: find the crates, load their
+//! files, run the rules, apply suppressions.
 
-use crate::baseline::{Baseline, RatchetBreak};
 use crate::graph::{module_path, CallGraph, GraphFile};
 use crate::parse::{parse, ParsedFile};
-use crate::rules::{check_file, collect_gated_items, FileContext, Violation};
+use crate::rules::{check_file, Violation};
 use crate::source::SourceFile;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -16,19 +15,10 @@ pub struct CrateInfo {
     pub name: String,
     /// Crate directory relative to the workspace root.
     pub rel_dir: String,
-    /// Features the crate declares that L4 polices (today: whether a
-    /// `bug_injection` feature exists).
-    pub policed_features: Vec<String>,
-    /// True when the crate has no library target (`[[bin]]` only): every
-    /// source file then gets the binary-target exemption.
-    pub bin_only: bool,
     /// Direct workspace (`vecmem-*`) dependencies, for call-graph edge
     /// filtering.
     pub deps: Vec<String>,
 }
-
-/// Feature names L4 watches for when a crate declares them.
-pub const POLICED_FEATURES: &[&str] = &["bug_injection"];
 
 /// Everything one lint run produced.
 #[derive(Debug)]
@@ -95,20 +85,9 @@ fn read_crate(root: &Path, dir: &Path) -> Result<Option<CrateInfo>, String> {
         }
     }
     let Some(name) = name else { return Ok(None) };
-    let policed_features = POLICED_FEATURES
-        .iter()
-        .filter(|f| {
-            text.lines()
-                .any(|l| l.trim_start().starts_with(&format!("{f} =")))
-        })
-        .map(|f| (*f).to_string())
-        .collect();
     let rel_dir = dir
         .strip_prefix(root)
         .map_or(String::new(), |p| p.to_string_lossy().replace('\\', "/"));
-    let bin_only = !dir.join("src/lib.rs").is_file()
-        && !text.lines().any(|l| l.trim() == "[lib]")
-        && text.lines().any(|l| l.trim() == "[[bin]]");
     // Workspace dependencies: `vecmem-x = { path = … }` lines in any
     // dependency section (dev-dependencies included — they only matter
     // for test code, which the graph skips anyway, but keeping them
@@ -124,8 +103,6 @@ fn read_crate(root: &Path, dir: &Path) -> Result<Option<CrateInfo>, String> {
     Ok(Some(CrateInfo {
         name,
         rel_dir,
-        policed_features,
-        bin_only,
         deps,
     }))
 }
@@ -158,12 +135,6 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// True for binary-target sources, which the panic policy and doc
-/// contract exempt.
-fn is_binary_source(rel: &str) -> bool {
-    rel.ends_with("src/main.rs") || rel.contains("/src/bin/")
-}
-
 /// One fully loaded source file, ready for rules and graph building.
 struct LoadedFile {
     krate: usize,
@@ -172,9 +143,8 @@ struct LoadedFile {
     parsed: ParsedFile,
 }
 
-/// Lints the whole workspace rooted at `root`: per-file rules (L0–L5,
-/// L8, L9) plus the interprocedural L6/L7 over the workspace call
-/// graph.
+/// Lints the whole workspace rooted at `root`: the per-file rules (L2,
+/// L9) plus the interprocedural L6/L7 over the workspace call graph.
 ///
 /// # Errors
 /// Returns a rendered message when the workspace layout or a source file
@@ -184,10 +154,8 @@ pub fn lint_workspace(root: &Path) -> Result<LintRun, String> {
     let mut violations = Vec::new();
     let mut suppressed = 0u64;
 
-    // Pass 1: load and parse every file; collect L4's feature-gated item
-    // definitions per crate.
+    // Pass 1: load and parse every file.
     let mut loaded: Vec<LoadedFile> = Vec::new();
-    let mut gated: Vec<Vec<(String, String)>> = vec![Vec::new(); crates.len()];
     for (ki, krate) in crates.iter().enumerate() {
         for path in crate_sources(root, krate) {
             let rel = path
@@ -199,13 +167,6 @@ pub fn lint_workspace(root: &Path) -> Result<LintRun, String> {
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
             let source = SourceFile::parse(&rel, &text);
             let parsed = parse(&source.toks);
-            for feature in &krate.policed_features {
-                for name in collect_gated_items(&source, feature) {
-                    if !gated[ki].iter().any(|(n, _)| *n == name) {
-                        gated[ki].push((name, feature.clone()));
-                    }
-                }
-            }
             loaded.push(LoadedFile {
                 krate: ki,
                 rel,
@@ -217,16 +178,8 @@ pub fn lint_workspace(root: &Path) -> Result<LintRun, String> {
 
     // Pass 2: per-file rules.
     for f in &loaded {
-        let krate = &crates[f.krate];
-        let ctx = FileContext {
-            crate_name: krate.name.clone(),
-            is_library: !krate.bin_only && !is_binary_source(&f.rel),
-            gated_items: gated[f.krate].clone(),
-        };
-        for v in check_file(&f.source, &f.parsed, &ctx) {
-            // L0 findings are about the suppressions themselves and
-            // cannot be suppressed away.
-            if v.rule != "L0" && f.source.suppression_for(v.rule, v.line).is_some() {
+        for v in check_file(&f.source, &f.parsed) {
+            if f.source.suppression_for(v.rule, v.line).is_some() {
                 suppressed += 1;
             } else {
                 violations.push(v);
@@ -236,7 +189,7 @@ pub fn lint_workspace(root: &Path) -> Result<LintRun, String> {
 
     // Pass 3: the call graph and the interprocedural rules. Suppressions
     // apply at the violating line's own file, exactly like per-file
-    // rules (so one `allow(L3, L7)` covers both findings on a line).
+    // rules (so one `allow(L2, L6)` covers both findings on a line).
     let inputs: Vec<GraphFile<'_>> = loaded
         .iter()
         .map(|f| GraphFile {
@@ -267,34 +220,4 @@ pub fn lint_workspace(root: &Path) -> Result<LintRun, String> {
         files: loaded.len() as u64,
         notes,
     })
-}
-
-/// Outcome of a gated run: violations after baseline absorption plus the
-/// ratchet breaks.
-#[derive(Debug)]
-pub struct GateOutcome {
-    /// Ratchet breaks (new or stale); non-empty fails the gate.
-    pub breaks: Vec<RatchetBreak>,
-    /// Violations absorbed by the baseline.
-    pub absorbed: u64,
-}
-
-/// Applies the baseline ratchet to a run.
-#[must_use]
-pub fn apply_baseline(baseline: &Baseline, run: &LintRun) -> GateOutcome {
-    let (breaks, absorbed) = baseline.diff(&run.violations);
-    GateOutcome { breaks, absorbed }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn binary_sources_detected() {
-        assert!(is_binary_source("crates/cli/src/main.rs"));
-        assert!(is_binary_source("crates/bench/src/bin/fig02.rs"));
-        assert!(!is_binary_source("crates/cli/src/commands.rs"));
-        assert!(!is_binary_source("src/lib.rs"));
-    }
 }

@@ -1,15 +1,14 @@
-//! End-to-end fixture tests for the linter: each rule has one fixture
-//! seeding exactly one violation and one validly suppressed occurrence,
-//! and the assertions pin the rule id *and* the line, so a tokenizer or
-//! region regression that shifts diagnostics fails loudly.
+//! End-to-end tests for the linter. Each rule has one fixture seeding
+//! exactly one violation and one validly suppressed occurrence, and the
+//! assertions pin the rule id *and* the line, so a tokenizer or region
+//! regression that shifts diagnostics fails loudly. The last test lints
+//! the real workspace and checks its findings-v1 document.
 
 use std::fs;
 use std::path::Path;
 use vecmem_lint::graph::{module_path, GraphFile};
-use vecmem_lint::{
-    check_file, collect_gated_items, parse, Baseline, CallGraph, FileContext, RatchetBreak,
-    SourceFile, Violation,
-};
+use vecmem_lint::json::{parse as parse_json, render_findings, FINDINGS_SCHEMA};
+use vecmem_lint::{check_file, lint_workspace, parse, CallGraph, SourceFile, Violation};
 
 fn fixture(name: &str) -> SourceFile {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -21,12 +20,12 @@ fn fixture(name: &str) -> SourceFile {
 
 /// Mirrors the driver: run the per-file rules, split findings into
 /// surviving violations and suppressed counts.
-fn lint(file: &SourceFile, ctx: &FileContext) -> (Vec<Violation>, u64) {
+fn lint(file: &SourceFile) -> (Vec<Violation>, u64) {
     let mut surviving = Vec::new();
     let mut suppressed = 0;
     let parsed = parse(&file.toks);
-    for v in check_file(file, &parsed, ctx) {
-        if v.rule != "L0" && file.suppression_for(v.rule, v.line).is_some() {
+    for v in check_file(file, &parsed) {
+        if file.suppression_for(v.rule, v.line).is_some() {
             suppressed += 1;
         } else {
             surviving.push(v);
@@ -60,94 +59,14 @@ fn lint_graph(file: &SourceFile, crate_name: &str) -> (Vec<Violation>, u64) {
     (surviving, suppressed)
 }
 
-fn library_ctx(crate_name: &str) -> FileContext {
-    FileContext {
-        crate_name: crate_name.to_string(),
-        is_library: true,
-        gated_items: Vec::new(),
-    }
-}
-
-#[test]
-fn l1_fixture_flags_hash_iteration_and_honours_suppression() {
-    let file = fixture("l1_hash_iteration.rs");
-    let (violations, suppressed) = lint(&file, &library_ctx("vecmem-simcore"));
-    assert_eq!(suppressed, 1, "the allowed .values() call is silenced");
-    assert_eq!(violations.len(), 1, "violations: {violations:?}");
-    assert_eq!(violations[0].rule, "L1");
-    assert_eq!(violations[0].line, 10, "the `for … in &counts` loop");
-}
-
-#[test]
-fn l1_fixture_is_silent_outside_result_crates() {
-    let file = fixture("l1_hash_iteration.rs");
-    let (violations, suppressed) = lint(&file, &library_ctx("vecmem-obs"));
-    assert_eq!(violations, Vec::new());
-    assert_eq!(suppressed, 0, "nothing fires, so nothing is suppressed");
-}
-
 #[test]
 fn l2_fixture_flags_allocation_in_marked_fn() {
     let file = fixture("l2_alloc_free.rs");
-    let (violations, suppressed) = lint(&file, &library_ctx("vecmem-simcore"));
+    let (violations, suppressed) = lint(&file);
     assert_eq!(suppressed, 1, "the allowed .collect() is silenced");
     assert_eq!(violations.len(), 1, "violations: {violations:?}");
     assert_eq!(violations[0].rule, "L2");
     assert_eq!(violations[0].line, 5, "the vec! literal");
-}
-
-#[test]
-fn l3_fixture_flags_unwrap_in_library_code() {
-    let file = fixture("l3_panic_policy.rs");
-    let (violations, suppressed) = lint(&file, &library_ctx("vecmem-simcore"));
-    assert_eq!(suppressed, 1, "the allowed .expect() is silenced");
-    assert_eq!(violations.len(), 1, "violations: {violations:?}");
-    assert_eq!(violations[0].rule, "L3");
-    assert_eq!(violations[0].line, 4, "the .unwrap() call");
-}
-
-#[test]
-fn l3_fixture_is_silent_in_binary_targets() {
-    let file = fixture("l3_panic_policy.rs");
-    let mut ctx = library_ctx("vecmem-simcore");
-    ctx.is_library = false;
-    let (violations, suppressed) = lint(&file, &ctx);
-    assert_eq!(violations, Vec::new());
-    assert_eq!(suppressed, 0);
-}
-
-#[test]
-fn l4_fixture_flags_gated_item_leaking_past_its_gate() {
-    let file = fixture("l4_feature_gate.rs");
-    let gated = collect_gated_items(&file, "bug_injection");
-    assert!(
-        gated.contains(&"injected_overflow".to_string()),
-        "gated items: {gated:?}"
-    );
-    let ctx = FileContext {
-        crate_name: "vecmem-oracle".to_string(),
-        is_library: true,
-        gated_items: gated
-            .into_iter()
-            .map(|n| (n, "bug_injection".to_string()))
-            .collect(),
-    };
-    let (violations, suppressed) = lint(&file, &ctx);
-    assert_eq!(suppressed, 1, "the trailing allow is honoured");
-    assert_eq!(violations.len(), 1, "violations: {violations:?}");
-    assert_eq!(violations[0].rule, "L4");
-    assert_eq!(violations[0].line, 9, "the ungated call in run()");
-}
-
-#[test]
-fn l5_fixture_flags_undocumented_result_fn() {
-    let file = fixture("l5_errors_doc.rs");
-    let (violations, suppressed) = lint(&file, &library_ctx("vecmem-cli"));
-    assert_eq!(suppressed, 1, "parse_cycle's allow is honoured");
-    assert_eq!(violations.len(), 1, "violations: {violations:?}");
-    assert_eq!(violations[0].rule, "L5");
-    assert_eq!(violations[0].line, 4, "pub fn parse_banks");
-    assert!(violations[0].message.contains("parse_banks"));
 }
 
 #[test]
@@ -171,7 +90,7 @@ fn l6_fixture_proves_the_lexical_rule_misses_it() {
     // no alloc-free marker covers `build_scratch`, so L2 stays silent.
     // Only the call-graph pass above can reach the allocation.
     let file = fixture("l6_transitive_alloc.rs");
-    let (violations, suppressed) = lint(&file, &library_ctx("vecmem-simcore"));
+    let (violations, suppressed) = lint(&file);
     assert_eq!(violations, Vec::new(), "L2 cannot see the escape");
     assert_eq!(suppressed, 0);
 }
@@ -195,27 +114,9 @@ fn l7_fixture_flags_panic_surfaces_on_the_kernel_cone() {
 }
 
 #[test]
-fn l8_fixture_flags_wildcard_on_policed_enum() {
-    let file = fixture("l8_match_wildcard.rs");
-    let (violations, suppressed) = lint(&file, &library_ctx("vecmem-simcore"));
-    assert_eq!(suppressed, 1, "the allowed wildcard is silenced");
-    assert_eq!(violations.len(), 1, "violations: {violations:?}");
-    assert_eq!(violations[0].rule, "L8");
-    assert_eq!(violations[0].line, 12, "the bare `_` arm in hold()");
-}
-
-#[test]
-fn l8_fixture_is_silent_outside_result_crates() {
-    let file = fixture("l8_match_wildcard.rs");
-    let (violations, suppressed) = lint(&file, &library_ctx("vecmem-obs"));
-    assert_eq!(violations, Vec::new());
-    assert_eq!(suppressed, 0);
-}
-
-#[test]
 fn l9_fixture_flags_bare_shift_in_policy_region() {
     let file = fixture("l9_overflow.rs");
-    let (violations, suppressed) = lint(&file, &library_ctx("vecmem-simcore"));
+    let (violations, suppressed) = lint(&file);
     assert_eq!(suppressed, 1, "the allowed multiply is silenced");
     assert_eq!(violations.len(), 1, "violations: {violations:?}");
     assert_eq!(violations[0].rule, "L9");
@@ -223,53 +124,25 @@ fn l9_fixture_flags_bare_shift_in_policy_region() {
 }
 
 #[test]
-fn ratchet_fails_on_new_violations() {
-    let baseline = Baseline::parse(
-        "[[entry]]\nrule = \"L3\"\nfile = \"tests/fixtures/l3_panic_policy.rs\"\ncount = 0\n",
-    )
-    .expect("baseline parses");
-    let file = fixture("l3_panic_policy.rs");
-    let (violations, _) = lint(&file, &library_ctx("vecmem-simcore"));
-    let (breaks, absorbed) = baseline.diff(&violations);
-    assert_eq!(absorbed, 0);
+fn workspace_is_clean_and_renders_findings_v1() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let run = lint_workspace(&root).expect("workspace lints");
+    let doc = parse_json(&render_findings(&run)).expect("findings document parses");
     assert_eq!(
-        breaks,
-        vec![RatchetBreak::New {
-            rule: "L3".to_string(),
-            file: "tests/fixtures/l3_panic_policy.rs".to_string(),
-            found: 1,
-            allowed: 0,
-        }]
+        doc.get("schema").and_then(|v| v.as_str()),
+        Some(FINDINGS_SCHEMA)
     );
-}
-
-#[test]
-fn ratchet_fails_on_stale_entries() {
-    // The baseline still records a violation that no longer fires: the
-    // gate must demand the entry be banked, not silently keep the slack.
-    let baseline = Baseline::parse(
-        "[[entry]]\nrule = \"L3\"\nfile = \"crates/simcore/src/fixed.rs\"\ncount = 2\n",
-    )
-    .expect("baseline parses");
-    let (breaks, absorbed) = baseline.diff(&[]);
-    assert_eq!(absorbed, 0);
-    assert_eq!(
-        breaks,
-        vec![RatchetBreak::Stale {
-            rule: "L3".to_string(),
-            file: "crates/simcore/src/fixed.rs".to_string(),
-            found: 0,
-            allowed: 2,
-        }]
+    let findings = doc
+        .get("findings")
+        .and_then(|v| v.as_arr())
+        .expect("findings is an array");
+    assert!(
+        doc.get("notes").and_then(|v| v.as_arr()).is_some(),
+        "notes is an array"
     );
-}
-
-#[test]
-fn ratchet_absorbs_exactly_matching_debt() {
-    let file = fixture("l3_panic_policy.rs");
-    let (violations, _) = lint(&file, &library_ctx("vecmem-simcore"));
-    let baseline = Baseline::from_violations(&violations);
-    let (breaks, absorbed) = baseline.diff(&violations);
-    assert_eq!(breaks, Vec::new());
-    assert_eq!(absorbed, 1);
+    assert!(
+        findings.is_empty(),
+        "workspace findings: {:#?}",
+        run.violations
+    );
 }

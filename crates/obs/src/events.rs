@@ -375,6 +375,10 @@ impl EventLog {
 
     /// Renders the whole log as a JSONL string.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "writing to a Vec cannot fail, and the renderer emits only UTF-8"
+    )]
     pub fn to_jsonl_string(&self) -> String {
         let mut out = Vec::new();
         self.write_to(&mut out)

@@ -49,8 +49,12 @@
 //! assert_eq!(metrics.total_grants(), engine.stats().total_grants());
 //! ```
 
-#![warn(missing_docs)]
-#![warn(clippy::all)]
+// Panic policy for non-test library code; bins and integration tests are
+// separate crates and stay exempt.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod attrib;
 pub mod events;

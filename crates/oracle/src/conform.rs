@@ -211,6 +211,7 @@ fn access_mask(m: u64, b: u64, d: u64) -> u64 {
 
 /// Pure-analytic Thm 1 and Thm 2 checks for one `m`, no simulation needed.
 fn check_analytic_theorems(m: u64, report: &mut SweepReport) {
+    #[expect(clippy::expect_used, reason = "the sweep's m starts at 1, and n_c = 1")]
     let geom = Geometry::unsectioned(m, 1).expect("valid geometry");
     // Thm 1: the brute-force count of distinct banks visited equals
     // m / gcd(m, d).
@@ -487,6 +488,7 @@ pub fn sweep_observed(
         }
         check_analytic_theorems(m, &mut report);
         for nc in 1..=bounds.max_nc {
+            #[expect(clippy::expect_used, reason = "the sweep's m and n_c both start at 1")]
             let geom = Geometry::unsectioned(m, nc).expect("valid geometry");
             let mut run_chunk =
                 |topo: Topology, prio: PriorityRule, scenarios: Vec<ConformScenario>| {

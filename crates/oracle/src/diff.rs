@@ -242,8 +242,12 @@ fn run_lockstep<W: Workload>(
         // structural invariant; a violation is reported at the exact cycle
         // the corruption appears, before any divergence masking it.
         #[cfg(feature = "sanitize")]
+        #[expect(
+            clippy::panic,
+            reason = "sanitizer: corruption must abort at the violating cycle"
+        )]
         if let Err(violation) = oracle_state.validate() {
-            // vecmem-lint: allow(L3, L7) -- sanitizer: corruption must abort at the violating cycle
+            // vecmem-lint: allow(L7) -- the sanitizer aborts at the violating cycle by design
             panic!("vecmem sanitize: oracle state at cycle {cycle}: {violation}");
         }
         let agree = engine_view == oracle_view

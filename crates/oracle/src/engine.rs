@@ -213,7 +213,7 @@ impl RefPattern {
     fn burst(&self) -> u64 {
         match *self {
             Self::Burst { burst, .. } => burst,
-            _ => 1,
+            Self::Stride { .. } | Self::Gather { .. } => 1,
         }
     }
 }
@@ -429,6 +429,10 @@ impl RefEngine {
     /// # Panics
     /// If a port was idle this cycle (burst cooldown) — use
     /// [`step_ports`](Self::step_ports) for burst patterns.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented under `# Panics`: burst workloads use `step_ports`"
+    )]
     pub fn step(&mut self) -> Vec<RefStep> {
         self.step_ports()
             .into_iter()

@@ -132,6 +132,10 @@ fn draw_candidate(rng: &mut TestRng) -> Candidate {
     let (m, nc, ports) = (2u64..=16u64, 1u64..=4u64, 1usize..=3usize).generate(rng);
     let sections = select(divisors(m)).generate(rng);
     let mapping = select(vec![SectionMapping::Cyclic, SectionMapping::Consecutive]).generate(rng);
+    #[expect(
+        clippy::expect_used,
+        reason = "sections is drawn from the divisors of m, and m >= 2, n_c >= 1"
+    )]
     let geom = Geometry::with_mapping(m, sections, nc, mapping).expect("divisor section count");
     let cross = select(vec![false, true]).generate(rng);
     let priority = select(vec![PriorityRule::Fixed, PriorityRule::Cyclic]).generate(rng);

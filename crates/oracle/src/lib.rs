@@ -22,6 +22,19 @@
 //! [`RefEngine`] so the golden tests can prove the harness detects real
 //! divergences (see `tests/oracle_vs_engine.rs` at the workspace root).
 
+// Panic policy and exhaustive matches for non-test library code; bins and
+// integration tests are separate crates and stay exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )
+)]
+
 pub mod conform;
 pub mod diff;
 pub mod engine;

@@ -16,8 +16,12 @@
 //! the harness panics with the generated inputs so the case can be replayed
 //! as a plain unit test.
 
-#![warn(missing_docs)]
-#![warn(clippy::all)]
+// Panic policy for non-test library code; bins and integration tests are
+// separate crates and stay exempt.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod rng;
 pub mod strategy;
@@ -109,6 +113,10 @@ where
                      the prop_assume! filter is too strict for the strategy"
                 );
             }
+            #[expect(
+                clippy::panic,
+                reason = "a falsified property fails its test by panicking, as proptest does"
+            )]
             Err(TestCaseError::Fail(msg)) => {
                 panic!(
                     "property `{name}` falsified after {accepted} passing case(s)\n\
@@ -132,9 +140,10 @@ where
 ///     }
 /// }
 /// ```
-// The `#[test]` in the doctest is the macro's required input syntax, not a
-// unit test the doctest is expected to run.
-#[allow(clippy::test_attr_in_doctest)]
+#[allow(
+    clippy::test_attr_in_doctest,
+    reason = "the `#[test]` in the doctest is the macro's input syntax, not a test the doctest runs"
+)]
 #[macro_export]
 macro_rules! proptest {
     // With a leading config attribute.
@@ -170,7 +179,10 @@ macro_rules! __proptest_items {
                     $(let $arg = ::std::clone::Clone::clone($arg);)+
                     (|| -> ::std::result::Result<(), $crate::TestCaseError> {
                         $body
-                        #[allow(unreachable_code)]
+                        #[allow(
+                            unreachable_code,
+                            reason = "a body that always returns early leaves the trailing `Ok(())` unreachable"
+                        )]
                         Ok(())
                     })()
                 },

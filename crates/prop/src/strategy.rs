@@ -113,7 +113,10 @@ macro_rules! impl_tuple_strategy {
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
 
-            #[allow(non_snake_case)]
+            #[allow(
+                non_snake_case,
+                reason = "the type parameters double as the tuple's binding names"
+            )]
             fn generate(&self, rng: &mut TestRng) -> Self::Value {
                 let ($($name,)+) = self;
                 ($($name.generate(rng),)+)

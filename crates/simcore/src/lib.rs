@@ -38,6 +38,19 @@
 //! [`Engine`](https://docs.rs/vecmem-banksim), and `skew`/`exec`/`oracle`
 //! build on both.
 
+// Panic policy and exhaustive matches for non-test library code; bins and
+// integration tests are separate crates and stay exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )
+)]
+
 pub mod arbiter;
 pub mod config;
 pub mod observe;

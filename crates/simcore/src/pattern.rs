@@ -324,7 +324,7 @@ impl IndexPattern {
             Self::Affine { a, .. } if span.is_multiple_of(modulus) => {
                 Some(modulus / gcd(a % modulus, modulus))
             }
-            _ => self.period(span),
+            Self::Affine { .. } | Self::PseudoRandom { .. } => self.period(span),
         }
     }
 }

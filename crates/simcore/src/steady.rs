@@ -249,8 +249,11 @@ impl<'c, W: ObservableWorkload + Clone> Cursor<'c, W> {
         // Construction-time contract check: the initial signature must
         // already satisfy the declared bound (see
         // `ObservableWorkload::signature_bound`).
+        #[expect(
+            clippy::panic,
+            reason = "a workload that breaks its signature contract at construction must abort loudly"
+        )]
         if let Err(violation) = cursor.state.validate() {
-            // vecmem-lint: allow(L3) -- contract violation at construction must abort loudly
             panic!("workload signature invalid at construction: {violation}");
         }
         cursor

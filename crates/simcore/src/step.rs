@@ -198,8 +198,12 @@ pub fn step<W: Workload + ?Sized, O: SimObserver>(
     // violating one.
     #[cfg(feature = "sanitize")]
     if cfg!(debug_assertions) {
+        #[expect(
+            clippy::panic,
+            reason = "the sanitizer's whole job is to abort loudly at the violating cycle"
+        )]
         if let Err(violation) = state.validate() {
-            // vecmem-lint: allow(L3, L7) -- the sanitizer's whole job is to abort loudly at the violating cycle
+            // vecmem-lint: allow(L7) -- the sanitizer aborts at the violating cycle by design
             panic!("vecmem sanitize: cycle {now}: {violation}");
         }
     }

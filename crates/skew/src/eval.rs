@@ -207,6 +207,10 @@ pub fn stride_table<M: BankMapping + ?Sized>(
     max_stride: u64,
     max_cycles: u64,
 ) -> Result<Vec<StrideRow>, SteadyStateError> {
+    #[expect(
+        clippy::expect_used,
+        reason = "a mapping has at least one bank, and callers pass a nonzero bank cycle"
+    )]
     let geom =
         vecmem_analytic::Geometry::unsectioned(mapping.banks(), geom_bank_cycle).expect("geometry");
     let solo_cfg = SimConfig::single_cpu(geom, 1);

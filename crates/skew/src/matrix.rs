@@ -50,6 +50,10 @@ pub fn matrix_walks<M: BankMapping + ?Sized>(
     bank_cycle: u64,
     ld: u64,
 ) -> Result<MatrixWalks, SteadyStateError> {
+    #[expect(
+        clippy::expect_used,
+        reason = "a mapping has at least one bank, and callers pass a nonzero bank cycle"
+    )]
     let geom = Geometry::unsectioned(mapping.banks(), bank_cycle).expect("geometry");
     let config = SimConfig::single_cpu(geom, 1);
     let walk = |stride: u64| {

@@ -135,6 +135,10 @@ impl Workload for ProgramWorkload {
             *issued += 1;
             return;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "only a port that issued a request is granted, and an idle port issues none"
+        )]
         let id = self.current_segment(port).expect("grant on idle port");
         let seg_count = self.program.segment(id).count;
         let state = &mut self.states[id.0];

@@ -63,6 +63,10 @@ pub fn run_gather(geom: &Geometry, pattern: IndexPattern, span: u64, n: u64) -> 
     let mut engine = Engine::new(config);
     let mut workload = gather_workload(geom, 0, span, pattern, n);
     let bound = n * geom.bank_cycle() + 1_000;
+    #[expect(
+        clippy::panic,
+        reason = "`bound` gives each of the n requests a full bank cycle, so one port always finishes"
+    )]
     let cycles = match engine.run(&mut workload, bound) {
         RunOutcome::Finished(c) => c,
         RunOutcome::CyclesExhausted => panic!("gather did not finish in {bound} cycles"),

@@ -21,8 +21,18 @@
 //! assert_eq!(result.triad_grants, 4 * 1024);
 //! ```
 
-#![warn(missing_docs)]
-#![warn(clippy::all)]
+// Panic policy and exhaustive matches for non-test library code; bins and
+// integration tests are separate crates and stay exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )
+)]
 
 pub mod array;
 pub mod exec;

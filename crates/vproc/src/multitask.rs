@@ -70,6 +70,10 @@ pub fn run_multitasked(base: &TriadExperiment, half_offset: u64) -> MultitaskRes
     );
     let mut engine = Engine::new(base.sim.clone());
     let bound = 8 * base.n * base.sim.geometry.bank_cycle() + 100_000;
+    #[expect(
+        clippy::panic,
+        reason = "`bound` is twice the fully serialised run time plus 100 000 cycles"
+    )]
     let cycles = match engine.run(&mut workload, bound) {
         RunOutcome::Finished(c) => c,
         RunOutcome::CyclesExhausted => panic!("multitasked triad did not finish"),

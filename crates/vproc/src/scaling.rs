@@ -60,6 +60,10 @@ pub fn scaled_triad(cpus: usize, banks_per_cpu: u64, inc: u64) -> ScalingResult 
     );
     let banks = banks_per_cpu * cpus as u64;
     let sections = banks / 4;
+    #[expect(
+        clippy::expect_used,
+        reason = "callers pass a multiple of 4 banks per CPU, so the section count divides the bank count"
+    )]
     let geom = Geometry::new(banks, sections.max(1), 4).expect("valid geometry");
     let ports: Vec<CpuId> = (0..cpus).flat_map(|c| [CpuId(c); 3]).collect();
     let sim = SimConfig {
@@ -95,6 +99,10 @@ pub fn scaled_triad(cpus: usize, banks_per_cpu: u64, inc: u64) -> ScalingResult 
     let mut workload = ProgramWorkload::new(&geom, base.machine, program, &[], sim.num_ports());
     let mut engine = Engine::new(sim);
     let bound = 16 * base.n * geom.bank_cycle() + 100_000;
+    #[expect(
+        clippy::panic,
+        reason = "`bound` is far past the fully serialised run time of three triads"
+    )]
     let cycles = match engine.run(&mut workload, bound) {
         RunOutcome::Finished(c) => c,
         RunOutcome::CyclesExhausted => panic!("scaled triad did not finish"),

@@ -71,6 +71,10 @@ impl TriadExperiment {
 
     /// Builds the triad's vector program (ports 0–2 of the first CPU).
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "every constructor lays out `CommonBlock::paper_triad()`, which declares A, B, C and D"
+    )]
     pub fn build_program(&self) -> Program {
         let a = self.layout.get("A").expect("layout has A").clone();
         let b = self.layout.get("B").expect("layout has B").clone();
@@ -171,6 +175,10 @@ impl TriadExperiment {
             + 64 * (self.machine.dep_latency + self.machine.issue_overhead + 4)
             + 10_000;
         let outcome = engine.run_with(&mut workload, bound, observer);
+        #[expect(
+            clippy::panic,
+            reason = "`bound` covers the fully serialised triad, about 4·n·n_c cycles, plus overheads"
+        )]
         let cycles = match outcome {
             RunOutcome::Finished(c) => c,
             RunOutcome::CyclesExhausted => panic!("triad did not finish within {bound} cycles"),

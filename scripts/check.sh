@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, full-workspace clippy, the vecmem-lint
-# invariant gate, the tier-1 verification command from ROADMAP.md, the
-# benchmark's correctness checks, and golden diffs of the reproduction.
+# Local CI gate: formatting, full-workspace clippy (which also carries the
+# determinism and panic-policy rules), the vecmem-lint invariant gate, the
+# tier-1 verification command from ROADMAP.md, the benchmark's correctness
+# checks, and golden diffs of the reproduction.
 # Run from anywhere inside the repository; exits non-zero on the first
 # failure.
 set -euo pipefail
@@ -14,27 +15,28 @@ cargo fmt --all --check
 cargo fmt --manifest-path benchmark/Cargo.toml --check
 
 echo "==> cargo clippy -D warnings (workspace + benchmark)"
+# The workspace lint table (root Cargo.toml), crates/clippy.toml and each
+# library crate's `lib.rs` attribute turn wall-clock, thread-identity and
+# hash-iteration reads, library `unwrap`/`expect`/`panic!`, wildcard arms
+# in the result crates and reasonless `#[allow]`s into errors here. Known
+# debt carries `#[expect(…, reason = "…")]`; fixing it fails as an
+# unfulfilled expectation until the attribute goes.
 cargo clippy --workspace --all-targets --all-features -- -D warnings
 cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 
 echo "==> vecmem-lint: workspace invariant gate (+ its fixture suite)"
-# The fixture suite covers the interprocedural rules end-to-end: L6/L7
-# call-graph cones, L8 match policy, L9 overflow policy, and the
-# findings-v1 schema round-trip.
+# The fixture suite covers the rules clippy cannot express end to end: L2
+# alloc-free regions, the L6/L7 call-graph cones and the L9 overflow
+# policy. Its workspace test lints this tree and parses the findings-v1
+# document: schema tag, `findings` and `notes` arrays, no finding.
 cargo test -q -p vecmem-lint
-# Gate run: emits the machine-readable findings artifact and enforces the
-# linter's own runtime budget (the analysis must stay under 2 s so this
-# script stays cheap to run on every change).
+# Gate run: fails on any finding, emits the machine-readable findings
+# artifact and enforces the linter's own runtime budget (the analysis must
+# stay under 2 s so this script stays cheap to run on every change).
 mkdir -p target/lint
 cargo run -q --release -p vecmem-lint -- --workspace \
   --json-out target/lint/findings.json --budget-ms 2000
-python3 - <<'EOF' || { echo "findings artifact is not valid findings-v1 JSON"; exit 1; }
-import json
-doc = json.load(open("target/lint/findings.json"))
-assert doc["schema"] == "vecmem-lint/findings-v1", doc["schema"]
-assert isinstance(doc["findings"], list) and isinstance(doc["notes"], list)
-EOF
-echo "    findings artifact: target/lint/findings.json (schema OK)"
+echo "    findings artifact: target/lint/findings.json"
 
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release

@@ -30,6 +30,13 @@
 //! See the `examples/` directory for runnable entry points and
 //! `crates/bench` for the harnesses regenerating every figure of the paper.
 
+// Panic policy for non-test library code; bins and integration tests are
+// separate crates and stay exempt.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub use vecmem_analytic as analytic;
 pub use vecmem_banksim as banksim;
 pub use vecmem_exec as exec;
