@@ -10,10 +10,11 @@
 //! vector-mode structure is worth.
 
 use crate::config::SimConfig;
-use crate::engine::Engine;
+use crate::observe::NoopObserver;
 use crate::request::{PortId, Request};
 use crate::rng::SmallRng;
 use crate::workload::Workload;
+use vecmem_simcore::{step::step, SimState};
 
 /// Each port requests an independent, uniformly random bank per element.
 #[derive(Debug, Clone)]
@@ -55,19 +56,23 @@ impl Workload for RandomWorkload {
 /// Long-run average bandwidth of the random workload (no cyclic state
 /// exists; this is a Monte Carlo estimate over `cycles` clock periods
 /// after a warm-up of `cycles / 10`).
+///
+/// Drives the [`step`] kernel directly on a bare [`SimState`] with a
+/// [`NoopObserver`], summing each cycle's
+/// [`CycleEvents::grants`](vecmem_simcore::CycleEvents): no per-cycle
+/// outcome vector and no statistics that nothing reads.
 #[must_use]
 pub fn measure_random_bandwidth(config: &SimConfig, seed: u64, cycles: u64) -> f64 {
-    let mut engine = Engine::new(config.clone());
+    let mut state = SimState::new(config);
     let mut workload = RandomWorkload::new(config.geometry.banks(), config.num_ports(), seed);
-    let warmup = cycles / 10;
-    for _ in 0..warmup {
-        engine.step(&mut workload);
+    for _ in 0..cycles / 10 {
+        step(config, &mut state, &mut workload, &mut NoopObserver);
     }
-    let grants_before = engine.stats().total_grants();
+    let mut grants = 0u64;
     for _ in 0..cycles {
-        engine.step(&mut workload);
+        grants += u64::from(step(config, &mut state, &mut workload, &mut NoopObserver).grants);
     }
-    (engine.stats().total_grants() - grants_before) as f64 / cycles as f64
+    grants as f64 / cycles as f64
 }
 
 /// Hellerman's classical batch-scan bandwidth: the expected number of

@@ -37,16 +37,19 @@ impl SmallRng {
     pub fn gen_range(&mut self, range: std::ops::Range<u64>) -> u64 {
         assert!(range.start < range.end, "gen_range on empty range");
         let span = range.end - range.start;
-        // Debiased multiply-shift (Lemire): rejection keeps the draw uniform
-        // even when `span` does not divide 2^64.
-        let threshold = span.wrapping_neg() % span;
-        loop {
-            let x = self.next_u64();
-            let m = (x as u128) * (span as u128);
-            if (m as u64) >= threshold {
-                return range.start + (m >> 64) as u64;
+        // Debiased multiply-shift (Lemire, "Fast random integer generation
+        // in an interval", 2019): rejecting low words below
+        // `2^64 mod span` keeps the draw uniform even when `span` does not
+        // divide 2^64. That threshold is below `span`, so the division is
+        // needed only when the low word is — rarely, for small spans.
+        let mut m = u128::from(self.next_u64()) * u128::from(span);
+        if (m as u64) < span {
+            let threshold = span.wrapping_neg() % span;
+            while (m as u64) < threshold {
+                m = u128::from(self.next_u64()) * u128::from(span);
             }
         }
+        range.start + (m >> 64) as u64
     }
 
     /// A uniform draw from an inclusive range. Panics on an empty range.
@@ -108,6 +111,58 @@ mod tests {
             seen[r.gen_range(0..4) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    /// The always-divide formulation `gen_range` replaced: the threshold
+    /// `2^64 mod span` is computed before every draw.
+    fn gen_range_reference(rng: &mut SmallRng, range: std::ops::Range<u64>) -> u64 {
+        let span = range.end - range.start;
+        let threshold = span.wrapping_neg() % span;
+        loop {
+            let x = rng.next_u64();
+            let m = (x as u128) * (span as u128);
+            if (m as u64) >= threshold {
+                return range.start + (m >> 64) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn gen_range_matches_always_divide_reference() {
+        // Same draws and same generator state, rejections included: spans
+        // that divide 2^64 (never reject), tiny and huge spans, and
+        // 2^63 + 1, which rejects almost half of all words.
+        for span in [
+            1u64,
+            2,
+            3,
+            5,
+            16,
+            1000,
+            (1 << 32) + 1,
+            1 << 63,
+            (1 << 63) + 1,
+            u64::MAX,
+        ] {
+            let mut fast = SmallRng::seed_from_u64(span ^ 0x5EED);
+            let mut reference = fast.clone();
+            for i in 0..10_000 {
+                let start = (i % 7).min(u64::MAX - span);
+                let range = start..start + span;
+                assert_eq!(
+                    fast.gen_range(range.clone()),
+                    gen_range_reference(&mut reference, range),
+                    "span {span}, draw {i}"
+                );
+                assert_eq!(fast, reference, "span {span}, draw {i}");
+            }
+        }
+        let mut fast = SmallRng::seed_from_u64(3);
+        let mut reference = fast.clone();
+        for _ in 0..10_000 {
+            assert_eq!(fast.gen_range_inclusive(0..=u64::MAX), reference.next_u64());
+        }
+        assert_eq!(fast, reference);
     }
 
     #[test]

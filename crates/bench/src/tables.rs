@@ -12,7 +12,7 @@ use vecmem_analytic::{Geometry, Ratio, SectionMapping, StreamSpec};
 use vecmem_banksim::steady::measure_steady_state;
 use vecmem_banksim::{hellerman_bandwidth, measure_random_bandwidth};
 use vecmem_banksim::{PriorityRule, SimConfig, SteadyState};
-use vecmem_exec::{ExecReport, ResultCache, Runner, SweepBuilder};
+use vecmem_exec::{ExecReport, ResultCache, Runner, Scenario, SweepBuilder};
 use vecmem_skew::{eval, BankMapping, Interleaved, LinearSkew, PrimeInterleaved, XorFold};
 
 /// One row of the theorem-validation table.
@@ -335,35 +335,64 @@ pub struct RandomRow {
 
 /// Experiment E1: random access vs vector mode on the same memory,
 /// sweeping the port count.
+///
+/// Each row is one [`Scenario`] on the shared runner, stolen one at a
+/// time: the Monte Carlo cost grows with the port count, so the rows are
+/// submitted heaviest first and put back in port order. A row depends only
+/// on its own port count and seed, so the table is byte-identical for any
+/// thread count.
 #[must_use]
 pub fn random_vs_vector_table(m: u64, nc: u64, max_ports: usize) -> Vec<RandomRow> {
     let geom = paper(Geometry::unsectioned(m, nc));
-    (1..=max_ports)
-        .map(|p| {
-            let config = SimConfig::one_port_per_cpu(geom, p);
-            let random = measure_random_bandwidth(&config, 0xC0FFEE + p as u64, 200_000);
-            let vector =
-                vecmem_analytic::multi::equal_distance_family(&geom, 1, p as u64).map(|starts| {
-                    let specs: Vec<StreamSpec> = starts
-                        .iter()
-                        .map(|&b| StreamSpec {
-                            start_bank: b,
-                            distance: 1,
-                        })
-                        .collect();
-                    converged(measure_steady_state(&config, &specs, 5_000_000))
-                        .beff
-                        .to_f64()
-                });
-            RandomRow {
-                ports: p,
-                random,
-                vector,
-                hellerman: hellerman_bandwidth(m),
-                capacity: m as f64 / nc as f64,
-            }
-        })
-        .collect()
+    let scenarios: Vec<RandomRowScenario> = (1..=max_ports)
+        .rev()
+        .map(|ports| RandomRowScenario { geom, ports })
+        .collect();
+    let mut rows = Runner::new().chunk(1).run(&scenarios);
+    rows.reverse();
+    rows
+}
+
+/// One row of [`random_vs_vector_table`]: `ports` random-access ports
+/// against the best vector-mode placement of `ports` unit-stride streams.
+struct RandomRowScenario {
+    geom: Geometry,
+    ports: usize,
+}
+
+impl Scenario for RandomRowScenario {
+    type Output = RandomRow;
+    type Key = ();
+
+    fn key(&self) -> Option<()> {
+        None
+    }
+
+    fn execute(&self) -> RandomRow {
+        let (geom, p) = (self.geom, self.ports);
+        let config = SimConfig::one_port_per_cpu(geom, p);
+        let random = measure_random_bandwidth(&config, 0xC0FFEE + p as u64, 200_000);
+        let vector =
+            vecmem_analytic::multi::equal_distance_family(&geom, 1, p as u64).map(|starts| {
+                let specs: Vec<StreamSpec> = starts
+                    .iter()
+                    .map(|&b| StreamSpec {
+                        start_bank: b,
+                        distance: 1,
+                    })
+                    .collect();
+                converged(measure_steady_state(&config, &specs, 5_000_000))
+                    .beff
+                    .to_f64()
+            });
+        RandomRow {
+            ports: p,
+            random,
+            vector,
+            hellerman: hellerman_bandwidth(geom.banks()),
+            capacity: geom.banks() as f64 / geom.bank_cycle() as f64,
+        }
+    }
 }
 
 /// One row of the kernel stride-sensitivity table.

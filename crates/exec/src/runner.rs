@@ -134,27 +134,32 @@ impl Runner {
         }
         let cursor = AtomicUsize::new(0);
         let merged: Mutex<Vec<(usize, O)>> = Mutex::new(Vec::with_capacity(n));
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, O)> = Vec::new();
-                    loop {
-                        let start = cursor.fetch_add(self.chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + self.chunk).min(n);
-                        for (i, s) in scenarios[start..end].iter().enumerate() {
-                            local.push((start + i, work(s)));
-                        }
-                    }
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "the lock is held only for an `append`, which cannot panic, so it is never poisoned"
-                    )]
-                    merged.lock().expect("runner merge").append(&mut local);
-                });
+        let worker = || {
+            let mut local: Vec<(usize, O)> = Vec::new();
+            loop {
+                let start = cursor.fetch_add(self.chunk, Ordering::Relaxed);
+                if start >= n {
+                    break;
+                }
+                let end = (start + self.chunk).min(n);
+                for (i, s) in scenarios[start..end].iter().enumerate() {
+                    local.push((start + i, work(s)));
+                }
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "the lock is held only for an `append`, which cannot panic, so it is never poisoned"
+            )]
+            merged.lock().expect("runner merge").append(&mut local);
+        };
+        // The calling thread is one of the `threads` workers: it would
+        // otherwise only wait in the scope's join, and every spawned thread
+        // adds a stack and an allocator arena to the resident set.
+        std::thread::scope(|scope| {
+            for _ in 1..threads {
+                scope.spawn(worker);
+            }
+            worker();
         });
         #[expect(
             clippy::expect_used,

@@ -30,10 +30,14 @@ pub fn priority_rank(rule: PriorityRule, rotation: usize, n_ports: usize, port: 
 /// is pushed into `outcomes` (which is cleared first), in input order.
 ///
 /// `bank_busy(bank)` reports whether a bank is still active; `requests`
-/// holds the pending request of every active port this cycle. The port
-/// count is small (one to a few per CPU), so the phase-2/3 group scans are
-/// plain O(p²) passes over the request slice — no sorting, no temporary
-/// group tables.
+/// holds the pending request of every active port this cycle, each port
+/// below `config.num_ports()`. The port count is small (one to a few per
+/// CPU), so the phase-2/3 group scans are plain O(p²) passes over the
+/// request slice — no sorting, no temporary group tables. The passes do
+/// not divide: the rotation is reduced once per call, phase 2 looks up
+/// sections only for a same-CPU pair whose rank already decides it, and
+/// phase 3 folds its pairwise test without short-circuiting, so it
+/// compiles to straight-line code.
 // vecmem-lint: hot-path
 // vecmem-lint: allow-fn(L7) -- every index walks `requests`/`outcomes`, which this function sized itself; the step kernel asserted the banks
 pub fn arbitrate_into(
@@ -44,7 +48,23 @@ pub fn arbitrate_into(
     outcomes: &mut Vec<PortOutcome>,
 ) {
     let n = config.num_ports();
-    let rank = |p: PortId| priority_rank(config.priority, rotation, n, p);
+    // `priority_rank` with the rotation reduced once (fixed priority is
+    // rotation 0): for a port below `n` and a rotation below `n`,
+    // `port + n - rotation` lies in `1..2n`, so one conditional subtract
+    // replaces the modulo.
+    let rotation = match config.priority {
+        PriorityRule::Fixed => 0,
+        PriorityRule::Cyclic => rotation % n.max(1),
+    };
+    let rank = |p: PortId| {
+        debug_assert!(p.0 < n, "port {} of {n}", p.0);
+        let r = p.0 + n - rotation;
+        if r >= n {
+            r - n
+        } else {
+            r
+        }
+    };
 
     // Phase 1: bank conflicts. Everything else is tentatively granted.
     outcomes.clear();
@@ -61,19 +81,20 @@ pub fn arbitrate_into(
     // better rank. Requests already marked `Delayed(Section)` by this pass
     // still count as phase-1 survivors for later comparisons, so the scan
     // order does not matter.
+    let geometry = &config.geometry;
     for i in 0..requests.len() {
         if outcomes[i] != PortOutcome::Granted {
             continue;
         }
         let (port, req) = requests[i];
         let cpu = config.cpu_of(port);
-        let section = config.geometry.section_of(req.bank);
+        let rank_i = rank(port);
         let loses = requests.iter().enumerate().any(|(j, &(p, r))| {
             j != i
                 && outcomes[j] != PortOutcome::Delayed(ConflictKind::Bank)
                 && config.cpu_of(p) == cpu
-                && config.geometry.section_of(r.bank) == section
-                && rank(p) < rank(port)
+                && rank(p) < rank_i
+                && geometry.section_of(r.bank) == geometry.section_of(req.bank)
         });
         if loses {
             outcomes[i] = PortOutcome::Delayed(ConflictKind::Section);
@@ -89,15 +110,15 @@ pub fn arbitrate_into(
             continue;
         }
         let (port, req) = requests[i];
-        let loses = requests.iter().enumerate().any(|(j, &(p, r))| {
-            j != i
-                && matches!(
-                    outcomes[j],
-                    PortOutcome::Granted | PortOutcome::Delayed(ConflictKind::SimultaneousBank)
-                )
-                && r.bank == req.bank
-                && rank(p) < rank(port)
-        });
+        let rank_i = rank(port);
+        let mut loses = false;
+        for (j, &(p, r)) in requests.iter().enumerate() {
+            let survivor = matches!(
+                outcomes[j],
+                PortOutcome::Granted | PortOutcome::Delayed(ConflictKind::SimultaneousBank)
+            );
+            loses |= (j != i) & survivor & (r.bank == req.bank) & (rank(p) < rank_i);
+        }
         if loses {
             outcomes[i] = PortOutcome::Delayed(ConflictKind::SimultaneousBank);
         }
@@ -107,7 +128,10 @@ pub fn arbitrate_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vecmem_analytic::Geometry;
+    use crate::request::CpuId;
+    use vecmem_analytic::{Geometry, SectionMapping};
+    use vecmem_prop::prelude::*;
+    use vecmem_prop::{select, TestRng};
 
     fn req(port: usize, bank: u64) -> (PortId, Request) {
         (PortId(port), Request::to_bank(bank))
@@ -231,6 +255,126 @@ mod tests {
         );
         arbitrate_into(&c, 0, |b| b == 1, &[req(0, 1)], &mut buf);
         assert_eq!(buf, vec![PortOutcome::Delayed(ConflictKind::Bank)]);
+    }
+
+    /// The three-phase arbiter as it stood before the passes stopped
+    /// dividing, kept verbatim as the equivalence reference.
+    fn arbitrate_reference(
+        config: &SimConfig,
+        rotation: usize,
+        bank_busy: impl Fn(u64) -> bool,
+        requests: &[(PortId, Request)],
+        outcomes: &mut Vec<PortOutcome>,
+    ) {
+        let n = config.num_ports();
+        let rank = |p: PortId| priority_rank(config.priority, rotation, n, p);
+
+        // Phase 1: bank conflicts. Everything else is tentatively granted.
+        outcomes.clear();
+        for &(_, req) in requests {
+            outcomes.push(if bank_busy(req.bank) {
+                PortOutcome::Delayed(ConflictKind::Bank)
+            } else {
+                PortOutcome::Granted
+            });
+        }
+
+        // Phase 2: section conflicts within each CPU. A tentative grant loses
+        // to any phase-1 survivor of the same (cpu, section) group with a
+        // better rank. Requests already marked `Delayed(Section)` by this pass
+        // still count as phase-1 survivors for later comparisons, so the scan
+        // order does not matter.
+        for i in 0..requests.len() {
+            if outcomes[i] != PortOutcome::Granted {
+                continue;
+            }
+            let (port, req) = requests[i];
+            let cpu = config.cpu_of(port);
+            let section = config.geometry.section_of(req.bank);
+            let loses = requests.iter().enumerate().any(|(j, &(p, r))| {
+                j != i
+                    && outcomes[j] != PortOutcome::Delayed(ConflictKind::Bank)
+                    && config.cpu_of(p) == cpu
+                    && config.geometry.section_of(r.bank) == section
+                    && rank(p) < rank(port)
+            });
+            if loses {
+                outcomes[i] = PortOutcome::Delayed(ConflictKind::Section);
+            }
+        }
+
+        // Phase 3: simultaneous bank conflicts across CPUs. A remaining grant
+        // loses to any phase-2 survivor (granted, or already demoted to
+        // `Delayed(SimultaneousBank)` by this pass) on the same bank with a
+        // better rank.
+        for i in 0..requests.len() {
+            if outcomes[i] != PortOutcome::Granted {
+                continue;
+            }
+            let (port, req) = requests[i];
+            let loses = requests.iter().enumerate().any(|(j, &(p, r))| {
+                j != i
+                    && matches!(
+                        outcomes[j],
+                        PortOutcome::Granted | PortOutcome::Delayed(ConflictKind::SimultaneousBank)
+                    )
+                    && r.bank == req.bank
+                    && rank(p) < rank(port)
+            });
+            if loses {
+                outcomes[i] = PortOutcome::Delayed(ConflictKind::SimultaneousBank);
+            }
+        }
+    }
+
+    fn equivalence_geometries() -> Vec<Geometry> {
+        let mut geometries = vec![
+            Geometry::unsectioned(4, 2).unwrap(),
+            Geometry::unsectioned(8, 3).unwrap(),
+            Geometry::unsectioned(13, 4).unwrap(),
+        ];
+        for (banks, sections, nc) in [(8, 2, 2), (12, 3, 4), (16, 4, 4), (6, 6, 2)] {
+            for mapping in [SectionMapping::Cyclic, SectionMapping::Consecutive] {
+                geometries.push(Geometry::with_mapping(banks, sections, nc, mapping).unwrap());
+            }
+        }
+        geometries
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        #[test]
+        fn arbitrate_into_matches_reference(
+            geometry in select(equivalence_geometries()),
+            n in 1usize..=6,
+            cpus in 1u64..=3,
+            priority in select(vec![PriorityRule::Fixed, PriorityRule::Cyclic]),
+            rotation in 0usize..12,
+            busy in 0u64..=u64::MAX,
+            seed in 0u64..=u64::MAX,
+        ) {
+            // Ports spread over one to three CPUs; each port requests a
+            // random bank with probability 3/4, in ascending port order as
+            // the step kernel collects them. `priority_rank` accepts any
+            // rotation, so both arbiters see one in `0..2n`.
+            let mut rng = TestRng::seed_from_u64(seed);
+            let config = SimConfig {
+                ports: (0..n).map(|_| CpuId(rng.bounded(cpus) as usize)).collect(),
+                ..SimConfig::single_cpu(geometry, n).with_priority(priority)
+            };
+            let rotation = rotation % (2 * n);
+            let requests: Vec<(PortId, Request)> = (0..n)
+                .filter_map(|p| {
+                    let bank = rng.bounded(geometry.banks());
+                    (rng.bounded(4) != 0).then(|| (PortId(p), Request::to_bank(bank)))
+                })
+                .collect();
+            let bank_busy = |b: u64| busy >> b & 1 != 0;
+            let (mut fast, mut reference) = (Vec::new(), Vec::new());
+            arbitrate_into(&config, rotation, bank_busy, &requests, &mut fast);
+            arbitrate_reference(&config, rotation, bank_busy, &requests, &mut reference);
+            prop_assert_eq!(fast, reference);
+        }
     }
 
     #[test]

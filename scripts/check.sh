@@ -38,9 +38,12 @@ cargo run -q --release -p vecmem-lint -- --workspace \
   --json-out target/lint/findings.json --budget-ms 2000
 echo "    findings artifact: target/lint/findings.json"
 
-echo "==> tier-1: cargo build --release && cargo test -q"
+echo "==> tier-1: cargo build --release && cargo test -q --workspace"
 cargo build --release
-cargo test -q
+# `--workspace`: a bare `cargo test` builds only the root package, so the
+# crates' own unit tests (arbiter, rng, SimState, detector) would gate
+# nothing.
+cargo test -q --workspace
 # The seeded-fault arbiter variants must keep compiling and passing.
 cargo test -q -p vecmem-oracle --features bug_injection
 # The SimState sanitizer must catch seeded corruption at the violating

@@ -93,3 +93,41 @@ fn vector_mode_dominates_random_mode_everywhere() {
         assert!(random < vector, "p={p}: random {random} >= vector {vector}");
     }
 }
+
+#[test]
+fn monte_carlo_bits_are_pinned() {
+    // The E1 Monte Carlo at m = 16, n_c = 4 with the table's seeds,
+    // shortened to 20,000 cycles. Any change to the kernel, the arbiter or
+    // the generator that moves one draw or one grant moves these bits.
+    const PINNED: [u64; 8] = [
+        0x3fe8_0275_2546_0aa6,
+        0x3ff2_b9f5_59b3_d07d,
+        0x3ff7_7c50_4816_f007,
+        0x3ffb_4395_8106_24dd,
+        0x3ffe_81d7_dbf4_87fd,
+        0x4000_6b36_7a0f_9097,
+        0x4001_8831_26e9_78d5,
+        0x4002_5758_e219_652c,
+    ];
+    let geom = Geometry::unsectioned(16, 4).unwrap();
+    for (p, &bits) in (1..=8usize).zip(&PINNED) {
+        let config = SimConfig::one_port_per_cpu(geom, p);
+        let b = measure_random_bandwidth(&config, 0xC0FFEE + p as u64, 20_000);
+        assert_eq!(b.to_bits(), bits, "p={p}: {b}");
+    }
+}
+
+#[test]
+fn random_table_rows_match_serial_calls() {
+    // The table fans its rows out over the runner; each row must still be
+    // the serial Monte Carlo for its own port count and seed, in port order.
+    let geom = Geometry::unsectioned(16, 4).unwrap();
+    let rows = vecmem_bench::tables::random_vs_vector_table(16, 4, 8);
+    assert_eq!(rows.len(), 8);
+    for (p, row) in (1..=8usize).zip(&rows) {
+        assert_eq!(row.ports, p);
+        let config = SimConfig::one_port_per_cpu(geom, p);
+        let serial = measure_random_bandwidth(&config, 0xC0FFEE + p as u64, 200_000);
+        assert_eq!(row.random.to_bits(), serial.to_bits(), "p={p}");
+    }
+}
