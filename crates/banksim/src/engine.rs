@@ -104,7 +104,7 @@ impl Engine {
     /// True when `bank` is still active at the current clock period.
     #[must_use]
     pub fn bank_busy(&self, bank: u64) -> bool {
-        self.state.residue(bank) > 0
+        self.state.is_busy(bank)
     }
 
     /// Remaining busy periods of every bank at the current clock period —

@@ -130,13 +130,16 @@ fn outcome_name(o: RefOutcome) -> &'static str {
 /// Lifts the reference engine's state into the canonical packed form in
 /// place, so the full-state comparison is one `PartialEq` and the dump
 /// comes from one renderer. Under the DRAM bank model the open-row vector
-/// is lifted too.
+/// is lifted too. Called once per lockstep cycle: the packed copy first
+/// advances its own clock with the oracle's, so a bank still aging keeps
+/// its free time and only the oracle's new grants change the copy.
 fn repack_oracle_state(
     oracle: &RefEngine,
     dram: bool,
     residue_buf: &mut Vec<u8>,
     packed: &mut SimState,
 ) {
+    packed.advance_now();
     residue_buf.clear();
     residue_buf.extend(oracle.bank_residues().iter().map(|&r| r as u8));
     packed.repack(residue_buf, &[], oracle.rotation());

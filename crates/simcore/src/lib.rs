@@ -12,10 +12,10 @@
 //! kernel, and one cyclic-state detector:
 //!
 //! * [`state::SimState`] — the packed dynamic state: priority rotation,
-//!   per-bank busy residues (one byte each, bounded by `n_c`), workload
-//!   position slots and wait counters in a single contiguous buffer, with
-//!   an incrementally maintained 64-bit hash of the behaviour-determining
-//!   core;
+//!   per-bank absolute free times with an expiry wheel of the busy banks,
+//!   workload position slots and wait counters in a single contiguous
+//!   buffer, with an incrementally maintained, shift-invariant 64-bit
+//!   hash of the behaviour-determining core;
 //! * [`step::step`] — the one kernel that simulates a clock period:
 //!   collect pending requests, arbitrate ([`arbiter`]), apply delays and
 //!   grants, notify the [`observe::SimObserver`], age the banks;

@@ -7,15 +7,17 @@
 //! [`step`]. The kernel owns the canonical event order of a clock period:
 //!
 //! 1. report the busy→free transitions queued by the previous cycle's
-//!    aging pass;
+//!    aging pass, in ascending bank order;
 //! 2. collect each port's pending request (ascending port order);
 //! 3. observer: [`on_arbitration`](crate::observe::SimObserver::on_arbitration);
-//! 4. arbitrate ([`arbitrate_into`]) against the current bank residues;
+//! 4. arbitrate ([`arbitrate_into`]) against the banks busy now (free
+//!    time after the current clock period);
 //! 5. delays, in input order: count the conflict, bump the port's wait
 //!    counter, [`on_delay`](crate::observe::SimObserver::on_delay);
 //! 6. record the per-port [`PortEvent`]s (input order) into
 //!    [`SimState::outcomes`];
-//! 7. grants, in input order: mark the bank busy — `n_c` periods under
+//! 7. grants, in input order: mark the bank busy (set its free time and
+//!    queue it on the expiry wheel) — `n_c` periods under
 //!    the uniform bank model; under the DRAM model `hit_cycle` on an
 //!    open-row hit and `n_c` on a miss, which opens the accessed row —
 //!    [`on_grant`](crate::observe::SimObserver::on_grant) and
@@ -27,7 +29,11 @@
 //!    with the grant count and the number of banks busy *during* the cycle;
 //! 9. under cyclic priority, advance the rotation if the cycle was
 //!    contested (a section or simultaneous-bank delay occurred);
-//! 10. age every busy bank by one period and advance the clock.
+//! 10. advance the clock ([`SimState::advance_now`]): pop the expiry-wheel
+//!     slot of the new period, queueing its banks as freed and dropping
+//!     their residue-hash coefficients. Busy banks age through the clock
+//!     alone, so the pass costs O(banks freeing now), independent of the
+//!     bank count.
 //!
 //! The kernel is allocation-free: scratch vectors live in the
 //! [`SimState`] and are reused cycle after cycle.
@@ -73,7 +79,9 @@ pub fn step<W: Workload + ?Sized, O: SimObserver>(
     let banks = u64::from(state.banks());
 
     // 1. Busy→free transitions queued by the previous cycle's aging pass.
+    // The wheel yields them in grant order; observers see bank order.
     if O::ENABLED {
+        state.just_freed.sort_unstable();
         for &bank in &state.just_freed {
             observer.on_bank_busy(now, bank, false);
         }
@@ -103,7 +111,7 @@ pub fn step<W: Workload + ?Sized, O: SimObserver>(
     arbitrate_into(
         config,
         state.rotation(),
-        |b| state.residue(b) > 0,
+        |b| state.is_busy(b),
         &pending,
         &mut kinds,
     );
@@ -161,7 +169,7 @@ pub fn step<W: Workload + ?Sized, O: SimObserver>(
                     }
                 }
             };
-            state.set_residue(req.bank, hold as u8);
+            state.occupy(req.bank, hold);
             if O::ENABLED {
                 observer.on_grant(now, port, req.bank, wait, hold);
                 observer.on_bank_busy(now, req.bank, true);
@@ -187,8 +195,7 @@ pub fn step<W: Workload + ?Sized, O: SimObserver>(
         state.set_rotation((state.rotation() + 1) % n);
     }
 
-    // 10. Age the banks and advance the clock.
-    state.decrement_residues();
+    // 10. Advance the clock: the whole aging pass.
     state.pending = pending;
     state.kinds = kinds;
     state.advance_now();

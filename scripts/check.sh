@@ -111,6 +111,15 @@ diff -u "results/report_steady_m16.txt" "$smoke_dir/report_steady.txt" \
   || { echo "vecmem report steady drifted from results/report_steady_m16.txt"; exit 1; }
 echo "    vecmem report steady matches the golden attribution report"
 
+echo "==> event-log smoke: observer events of the pinned m=16 trace"
+# Bank-free events come off the expiry wheel in grant order; the kernel
+# must still report them in ascending bank order within a cycle.
+./target/release/vecmem trace --banks 16 --nc 4 --d1 1 --d2 3 --b2 5 \
+  --events-out "$smoke_dir/trace_events.jsonl" > /dev/null
+diff -u "results/trace_events_m16.jsonl" "$smoke_dir/trace_events.jsonl" \
+  || { echo "vecmem trace events drifted from results/trace_events_m16.jsonl"; exit 1; }
+echo "    vecmem trace event log matches results/trace_events_m16.jsonl"
+
 echo "==> verify: differential oracle + theorem conformance (see TESTING.md)"
 ./target/release/vecmem verify --exhaustive > "$smoke_dir/verify.txt" \
   || { echo "vecmem verify --exhaustive failed"; cat "$smoke_dir/verify.txt"; exit 1; }
