@@ -40,35 +40,31 @@ use crate::stream::StreamSpec;
 #[must_use]
 pub fn canonical_streams(geom: &Geometry, streams: &[StreamSpec]) -> Vec<StreamSpec> {
     let m = geom.banks();
-    let flatten = |k: u64| -> Vec<StreamSpec> {
-        streams
-            .iter()
-            .map(|s| StreamSpec {
-                distance: (k as u128 * (s.distance % m) as u128 % m as u128) as u64,
-                start_bank: (k as u128 * (s.start_bank % m) as u128 % m as u128) as u64,
-            })
-            .collect()
-    };
-    let order_key = |specs: &[StreamSpec]| -> Vec<u64> {
-        specs
-            .iter()
-            .flat_map(|s| [s.distance, s.start_bank])
-            .collect()
-    };
-    let mut best = flatten(1);
-    let mut best_key = order_key(&best);
-    for k in 2..m {
-        if !coprime(k, m) {
-            continue;
-        }
-        let cand = flatten(k);
-        let key = order_key(&cand);
-        if key < best_key {
-            best = cand;
-            best_key = key;
-        }
+    let k = least_image_multiplier(m, streams, (2..m).filter(|&k| coprime(k, m)));
+    streams.iter().map(|s| scale_stream(s, k, m)).collect()
+}
+
+/// `s` with both bank addresses multiplied by `k`, modulo `m`.
+fn scale_stream(s: &StreamSpec, k: u64, m: u64) -> StreamSpec {
+    let scale = |x: u64| (u128::from(k) * u128::from(x % m) % u128::from(m)) as u64;
+    StreamSpec {
+        distance: scale(s.distance),
+        start_bank: scale(s.start_bank),
     }
-    best
+}
+
+/// The multiplier, `1` or one of `units`, whose image of `streams` is the
+/// lexicographically smallest flattened `(distance, start_bank)` sequence;
+/// the first one wins a tie. Images are compared lazily, element by
+/// element, so no candidate is materialised.
+fn least_image_multiplier(m: u64, streams: &[StreamSpec], units: impl Iterator<Item = u64>) -> u64 {
+    let image = |k: u64| {
+        streams.iter().flat_map(move |s| {
+            let s = scale_stream(s, k, m);
+            [s.distance, s.start_bank]
+        })
+    };
+    units.fold(1, |best, k| if image(k).lt(image(best)) { k } else { best })
 }
 
 /// A distance pair brought into the canonical form required by the barrier
@@ -326,6 +322,119 @@ mod tests {
             ],
         );
         assert_ne!(a, b);
+    }
+
+    /// The allocating canonicalisation `canonical_streams` replaced: the
+    /// full image and its order key are built for every candidate unit.
+    /// Takes the candidate units explicitly, like
+    /// `least_image_multiplier`, so large moduli can be sampled.
+    fn canonical_reference(
+        m: u64,
+        streams: &[StreamSpec],
+        units: impl Iterator<Item = u64>,
+    ) -> Vec<StreamSpec> {
+        let flatten = |k: u64| -> Vec<StreamSpec> {
+            streams
+                .iter()
+                .map(|s| StreamSpec {
+                    distance: (k as u128 * (s.distance % m) as u128 % m as u128) as u64,
+                    start_bank: (k as u128 * (s.start_bank % m) as u128 % m as u128) as u64,
+                })
+                .collect()
+        };
+        let order_key = |specs: &[StreamSpec]| -> Vec<u64> {
+            specs
+                .iter()
+                .flat_map(|s| [s.distance, s.start_bank])
+                .collect()
+        };
+        let mut best = flatten(1);
+        let mut best_key = order_key(&best);
+        for k in units {
+            let cand = flatten(k);
+            let key = order_key(&cand);
+            if key < best_key {
+                best = cand;
+                best_key = key;
+            }
+        }
+        best
+    }
+
+    fn assert_matches_reference(m: u64, streams: &[StreamSpec]) {
+        let units = (2..m).filter(|&k| coprime(k, m));
+        assert_eq!(
+            canonical_streams(&geom(m), streams),
+            canonical_reference(m, streams, units),
+            "m={m} streams={streams:?}"
+        );
+    }
+
+    fn spec(start_bank: u64, distance: u64) -> StreamSpec {
+        StreamSpec {
+            start_bank,
+            distance,
+        }
+    }
+
+    /// A seeded splitmix64 sequence for the sampled tiers.
+    fn splitmix(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+    }
+
+    #[test]
+    fn canonical_streams_matches_the_allocating_reference() {
+        for m in 1..=16u64 {
+            for d in 0..m {
+                for b in 0..m {
+                    assert_matches_reference(m, &[spec(b, d)]);
+                }
+            }
+            for d1 in 0..m {
+                for d2 in 0..m {
+                    for b2 in 0..m {
+                        assert_matches_reference(m, &[spec(0, d1), spec(b2, d2)]);
+                    }
+                }
+            }
+        }
+        let mut next = splitmix(3);
+        for _ in 0..2_000 {
+            let m = 1 + next() % 16;
+            let streams: Vec<StreamSpec> = (0..3)
+                .map(|_| spec(next() % (2 * m), next() % (2 * m)))
+                .collect();
+            assert_matches_reference(m, &streams);
+        }
+    }
+
+    /// Moduli above 2^32, where `k·x` overflows `u64`: the lazy search and
+    /// the reference agree over the same sampled units, the smallest and
+    /// the largest few thousand below `m`.
+    #[test]
+    fn least_image_agrees_with_the_reference_above_two_to_the_32() {
+        let mut next = splitmix(32);
+        for m in [(1u64 << 32) + 15, (1 << 40) - 87, u64::MAX - 58, u64::MAX] {
+            let units = || {
+                (2..2_000)
+                    .chain(m - 2_000..m)
+                    .filter(move |&k| coprime(k, m))
+            };
+            for _ in 0..16 {
+                let streams: Vec<StreamSpec> = (0..3)
+                    .map(|_| spec(next(), m - 1 - next() % (1 << 20)))
+                    .collect();
+                let k = least_image_multiplier(m, &streams, units());
+                let lazy: Vec<StreamSpec> = streams.iter().map(|s| scale_stream(s, k, m)).collect();
+                assert_eq!(lazy, canonical_reference(m, &streams, units()), "m={m}");
+            }
+        }
     }
 
     #[test]

@@ -1,27 +1,33 @@
-//! Lockstep differential harness: the optimized [`Engine`] against the
-//! naive [`RefEngine`], cycle by cycle.
+//! Lockstep differential harness: the optimized `step()` kernel against
+//! the naive [`RefEngine`], cycle by cycle.
 //!
 //! Both engines simulate the same configuration and streams. Every clock
 //! period the harness compares, port by port, the requested bank and the
-//! grant/delay outcome (including the conflict kind); the reference
-//! engine's bank residues and rotation are then lifted into a canonical
-//! packed [`SimState`] via [`SimState::pack`], so the full-state check is
-//! one `PartialEq` against the optimized engine's state and both sides
-//! share one dump format ([`SimState::render`]). The first mismatch aborts
-//! the run with a [`Divergence`] carrying the rendered dual dump;
-//! agreement over the full horizon returns [`DiffOutcome::Match`].
+//! grant/delay outcome (including the conflict kind), then the complete
+//! dynamic state: the rotation, every bank's residue against the oracle's
+//! countdown (in `u64`, so a corrupt countdown cannot wrap into a false
+//! match) and, under the DRAM bank model, the open rows. The comparison
+//! reads the optimized side's [`SimState`] in place. Only two paths lift
+//! the oracle into a canonical packed [`SimState`] (via [`SimState::pack`]):
+//! the divergence report, so both sides share one dump format
+//! ([`SimState::render`]), and the `sanitize` feature, which validates the
+//! lifted state every cycle. The first mismatch aborts the run with a
+//! [`Divergence`] carrying the rendered dual dump; agreement over the full
+//! horizon returns [`DiffOutcome::Match`].
 //!
 //! Because both simulators are deterministic and the compared residues +
 //! stream positions + rotation form the complete dynamic state, agreement
 //! through one transient plus one full period of the cyclic steady state
 //! implies agreement forever.
 
-use crate::engine::{RefBankModel, RefConfig, RefEngine, RefOutcome, RefPriority};
+use crate::engine::{RefBankModel, RefConfig, RefEngine, RefOutcome, RefPriority, RefStep};
 use vecmem_analytic::StreamSpec;
 use vecmem_banksim::pattern::{PatternSpec, PatternWorkload};
+use vecmem_banksim::step::step;
 use vecmem_banksim::workload::Workload;
 use vecmem_banksim::{
-    BankModel, ConflictKind, Engine, PortOutcome, PriorityRule, SimConfig, SimState,
+    BankModel, ConflictKind, Engine, NoopObserver, PortEvent, PortOutcome, PriorityRule, SimConfig,
+    SimState,
 };
 
 /// Builds the [`RefConfig`] mirroring a simulator configuration,
@@ -127,24 +133,78 @@ fn outcome_name(o: RefOutcome) -> &'static str {
     }
 }
 
-/// Lifts the reference engine's state into the canonical packed form in
-/// place, so the full-state comparison is one `PartialEq` and the dump
-/// comes from one renderer. Under the DRAM bank model the open-row vector
-/// is lifted too. Called once per lockstep cycle: the packed copy first
-/// advances its own clock with the oracle's, so a bank still aging keeps
-/// its free time and only the oracle's new grants change the copy.
-fn repack_oracle_state(
-    oracle: &RefEngine,
-    dram: bool,
-    residue_buf: &mut Vec<u8>,
-    packed: &mut SimState,
-) {
-    packed.advance_now();
-    residue_buf.clear();
-    residue_buf.extend(oracle.bank_residues().iter().map(|&r| r as u8));
-    packed.repack(residue_buf, &[], oracle.rotation());
-    if dram {
-        packed.sync_open_rows(oracle.open_rows());
+/// True when the optimized state holds exactly the oracle's rotation,
+/// bank residues and (under the DRAM model) open rows. Residues compare in
+/// `u64`: the oracle's countdown is unbounded, so a corrupt one cannot
+/// wrap into a false match the way a byte would.
+fn same_state(state: &SimState, oracle: &RefEngine, dram: bool) -> bool {
+    state.rotation() == oracle.rotation()
+        && state.residues().eq(oracle.bank_residues())
+        && (!dram
+            || (0..)
+                .zip(oracle.open_rows())
+                .all(|(bank, &row)| state.open_row(bank) == row))
+}
+
+/// True when the kernel's per-port events (ascending port order, idle
+/// ports absent) name the same bank and outcome as the oracle's steps, and
+/// the same ports idle.
+fn same_events(events: &[PortEvent], steps: &[Option<RefStep>]) -> bool {
+    let mut events = events.iter().peekable();
+    steps.iter().enumerate().all(|(port, s)| {
+        let e = events
+            .next_if(|ev| ev.port.0 == port)
+            .map(|ev| (ev.request.bank, kind_of(ev.outcome)));
+        e == s.map(|s| (s.bank, s.outcome))
+    }) && events.next().is_none()
+}
+
+/// The kernel's events as one `(bank, outcome)` per port, idle ports as
+/// `(u64::MAX, Granted)`: the engine column of a divergence dump.
+// vecmem-lint: allow-fn(L6, L7) -- divergence report only
+fn engine_view(events: &[PortEvent], ports: usize) -> Vec<(u64, RefOutcome)> {
+    let mut view = vec![(u64::MAX, RefOutcome::Granted); ports];
+    for ev in events {
+        view[ev.port.0] = (ev.request.bank, kind_of(ev.outcome));
+    }
+    view
+}
+
+/// The oracle's steps in the same form: the oracle column of the dump.
+// vecmem-lint: allow-fn(L6) -- divergence report only
+fn oracle_view(steps: &[Option<RefStep>]) -> Vec<(u64, RefOutcome)> {
+    steps
+        .iter()
+        .map(|s| s.map_or((u64::MAX, RefOutcome::Granted), |s| (s.bank, s.outcome)))
+        .collect()
+}
+
+/// Lifts the reference engine's state into the canonical packed form:
+/// residues, rotation and, under the DRAM model, open rows. The residues
+/// narrow to the packed byte, so this serves the dump and the sanitizer
+/// only; the lockstep compares through [`same_state`].
+// vecmem-lint: allow-fn(L6, L7) -- divergence report and sanitizer only: builds a fresh state, never on the release lockstep loop
+fn lift_oracle_state(config: &SimConfig, oracle: &RefEngine) -> SimState {
+    let residues: Vec<u8> = oracle.bank_residues().map(|r| r as u8).collect();
+    let mut state = SimState::pack(config, &residues, &[], oracle.rotation());
+    if matches!(config.bank_model, BankModel::Dram { .. }) {
+        state.sync_open_rows(oracle.open_rows());
+    }
+    state
+}
+
+/// Sanitizer: the lifted oracle state must satisfy every [`SimState`]
+/// structural invariant; a violation is reported at the exact cycle the
+/// corruption appears, before any divergence masking it.
+#[cfg(feature = "sanitize")]
+#[expect(
+    clippy::panic,
+    reason = "sanitizer: corruption must abort at the violating cycle"
+)]
+// vecmem-lint: allow-fn(L6, L7) -- sanitize builds only: lifts the oracle every cycle and aborts at the violating one by design
+fn sanitize_oracle(config: &SimConfig, oracle: &RefEngine, cycle: u64) {
+    if let Err(violation) = lift_oracle_state(config, oracle).validate() {
+        panic!("vecmem sanitize: oracle state at cycle {cycle}: {violation}");
     }
 }
 
@@ -194,12 +254,16 @@ fn render_dump(
     s
 }
 
-/// Steps a pre-built reference engine against a fresh optimized engine in
-/// lockstep for `cycles` clock periods, over any shared workload.
+/// Steps a pre-built reference engine against a fresh optimized state in
+/// lockstep for `cycles` clock periods, over any shared workload. The
+/// optimized side is the bare [`step`] kernel the steady-state solver
+/// runs.
 ///
-/// Ports idle on one side must be idle on the other: an inactive port
-/// keeps the `(u64::MAX, Granted)` placeholder in both views, so a
-/// cooldown disagreement surfaces as a view mismatch.
+/// Ports idle on one side must be idle on the other: [`same_events`]
+/// compares idle ports too, so a cooldown disagreement surfaces as an
+/// event mismatch. Beyond the fresh state and what the naive reference
+/// engine allocates itself, the loop allocates nothing until it renders a
+/// dump.
 // vecmem-lint: alloc-free
 // vecmem-lint: hot-path
 fn run_lockstep<W: Workload>(
@@ -208,62 +272,22 @@ fn run_lockstep<W: Workload>(
     mut workload: W,
     cycles: u64,
 ) -> DiffOutcome {
-    let mut engine = Engine::new(config.clone());
-    let ports = config.num_ports();
+    let mut state = SimState::new(config);
     let dram = matches!(config.bank_model, BankModel::Dram { .. });
     let mut grants = 0u64;
-    // Reused across cycles: the per-port views and the canonical packed
-    // copy of the oracle's state (updated in place — the hot loop of the
-    // exhaustive conformance sweep allocates nothing per cycle beyond what
-    // the naive reference engine itself does).
-    let mut engine_view = vec![(u64::MAX, RefOutcome::Granted); ports]; // vecmem-lint: allow(L2) -- per-run setup; reused across cycles
-    let mut oracle_view = vec![(u64::MAX, RefOutcome::Granted); ports]; // vecmem-lint: allow(L2) -- per-run setup; reused across cycles
-    let mut residue_buf: Vec<u8> = Vec::with_capacity(config.geometry.banks() as usize); // vecmem-lint: allow(L2) -- per-run setup; reused across cycles
-    let mut oracle_state = SimState::new(config);
     for cycle in 0..cycles {
-        engine.run_with(&mut workload, 1, &mut vecmem_banksim::observe::NoopObserver);
+        step(config, &mut state, &mut workload, &mut NoopObserver);
         let oracle_steps = oracle.step_ports();
-        // Normalise the engine's per-port events to per-port order; ports
-        // with no pending request keep the placeholder.
-        engine_view
-            .iter_mut()
-            .for_each(|v| *v = (u64::MAX, RefOutcome::Granted));
-        for ev in engine.state().outcomes() {
-            // vecmem-lint: allow(L7) -- port ids come from the engine's own config, always < ports
-            engine_view[ev.port.0] = (ev.request.bank, kind_of(ev.outcome));
-        }
-        oracle_view
-            .iter_mut()
-            .for_each(|v| *v = (u64::MAX, RefOutcome::Granted));
-        for (slot, s) in oracle_view.iter_mut().zip(&oracle_steps) {
-            if let Some(s) = s {
-                *slot = (s.bank, s.outcome);
-            }
-        }
-        repack_oracle_state(&oracle, dram, &mut residue_buf, &mut oracle_state);
-        // Sanitizer: the lifted oracle state must satisfy every SimState
-        // structural invariant; a violation is reported at the exact cycle
-        // the corruption appears, before any divergence masking it.
         #[cfg(feature = "sanitize")]
-        #[expect(
-            clippy::panic,
-            reason = "sanitizer: corruption must abort at the violating cycle"
-        )]
-        if let Err(violation) = oracle_state.validate() {
-            // vecmem-lint: allow(L7) -- the sanitizer aborts at the violating cycle by design
-            panic!("vecmem sanitize: oracle state at cycle {cycle}: {violation}");
-        }
-        let agree = engine_view == oracle_view
-            && engine.state().hash() == oracle_state.hash()
-            && *engine.state() == oracle_state;
-        if !agree {
+        sanitize_oracle(config, &oracle, cycle);
+        if !same_events(state.outcomes(), &oracle_steps) || !same_state(&state, &oracle, dram) {
             let report = render_dump(
                 config,
                 cycle,
-                &engine_view,
-                &oracle_view,
-                engine.state(),
-                &oracle_state,
+                &engine_view(state.outcomes(), config.num_ports()),
+                &oracle_view(&oracle_steps),
+                &state,
+                &lift_oracle_state(config, &oracle),
             );
             return DiffOutcome::Diverged(Divergence { cycle, report });
         }
@@ -275,7 +299,7 @@ fn run_lockstep<W: Workload>(
     DiffOutcome::Match { cycles, grants }
 }
 
-/// Steps a pre-built reference engine against a fresh optimized engine in
+/// Steps a pre-built reference engine against a fresh optimized state in
 /// lockstep for `cycles` clock periods.
 ///
 /// The `oracle` must have been built from [`mirror_config`]`(config)` and
@@ -504,6 +528,299 @@ mod tests {
         // the wrong port immediately.
         assert_eq!(div.cycle, 0);
         assert!(div.report.contains("simultaneous-bank"));
+    }
+
+    /// Full divergence reports of every seeded fault, pinned byte for
+    /// byte: the cycle, the per-port table and both state lines. Three
+    /// strided uniform-model cases, one per [`InjectedBug`], and one DRAM
+    /// case whose dump carries the open rows. Without `sanitize`, so
+    /// `ResidueOverflow` surfaces as a plain residue divergence.
+    #[cfg(all(feature = "bug_injection", not(feature = "sanitize")))]
+    #[test]
+    fn seeded_fault_reports_are_pinned() {
+        use crate::engine::InjectedBug;
+        let strided = |cfg: &SimConfig, streams: &[StreamSpec], bug| {
+            let oracle = RefEngine::new(mirror_config(cfg), streams).with_bug(bug);
+            run_pair_against(oracle, cfg, streams, 4_000)
+        };
+        let s = |start_bank, distance| StreamSpec {
+            start_bank,
+            distance,
+        };
+        let diverged = |cycle, report: &str| {
+            DiffOutcome::Diverged(Divergence {
+                cycle,
+                report: report.to_string(),
+            })
+        };
+
+        let g = Geometry::unsectioned(8, 2).unwrap();
+        let cfg = SimConfig::one_port_per_cpu(g, 2);
+        assert_eq!(
+            strided(&cfg, &[s(0, 1), s(6, 3)], InjectedBug::InvertedPriority),
+            diverged(
+                1,
+                "geometry m=8 s=8 nc=2 priority=Fixed ports=[0, 1]\n\
+                 cycle 1:\n\
+                 \x20 port cpu | engine: bank outcome | oracle: bank outcome\n\
+                 \x20*   0   0 |    1 granted           |    1 simultaneous-bank\n\
+                 \x20*   1   1 |    1 simultaneous-bank |    1 granted\n\
+                 \x20 state (rotation, remaining bank busy periods):\n\
+                 \x20   engine: rotation=0 residues=[0, 1, 0, 0, 0, 0, 0, 0]\n\
+                 \x20   oracle: rotation=0 residues=[0, 1, 0, 0, 0, 0, 0, 0]\n"
+            )
+        );
+
+        let g = Geometry::unsectioned(4, 1).unwrap();
+        let cfg = SimConfig::one_port_per_cpu(g, 2).with_priority(PriorityRule::Cyclic);
+        assert_eq!(
+            strided(&cfg, &[s(0, 0), s(0, 0)], InjectedBug::StuckRotation),
+            diverged(
+                0,
+                "geometry m=4 s=4 nc=1 priority=Cyclic ports=[0, 1]\n\
+                 cycle 0:\n\
+                 \x20 port cpu | engine: bank outcome | oracle: bank outcome\n\
+                 \x20    0   0 |    0 granted           |    0 granted\n\
+                 \x20    1   1 |    0 simultaneous-bank |    0 simultaneous-bank\n\
+                 \x20 state (rotation, remaining bank busy periods):\n\
+                 \x20   engine: rotation=1 residues=[0, 0, 0, 0]\n\
+                 \x20   oracle: rotation=0 residues=[0, 0, 0, 0]\n"
+            )
+        );
+
+        let g = Geometry::unsectioned(8, 4).unwrap();
+        let cfg = SimConfig::single_cpu(g, 1);
+        assert_eq!(
+            strided(&cfg, &[s(0, 0)], InjectedBug::ResidueOverflow),
+            diverged(
+                4,
+                "geometry m=8 s=8 nc=4 priority=Fixed ports=[0]\n\
+                 cycle 4:\n\
+                 \x20 port cpu | engine: bank outcome | oracle: bank outcome\n\
+                 \x20    0   0 |    0 granted           |    0 granted\n\
+                 \x20 state (rotation, remaining bank busy periods):\n\
+                 \x20   engine: rotation=0 residues=[3, 0, 0, 0, 0, 0, 0, 0]\n\
+                 \x20   oracle: rotation=0 residues=[5, 0, 0, 0, 0, 0, 0, 0]\n"
+            )
+        );
+
+        let cfg = SimConfig::one_port_per_cpu(g, 2).with_bank_model(BankModel::Dram {
+            hit_cycle: 2,
+            rows: 4,
+        });
+        let specs = [
+            PatternSpec::Stride {
+                start_bank: 0,
+                distance: 1,
+            },
+            PatternSpec::Stride {
+                start_bank: 6,
+                distance: 3,
+            },
+        ];
+        let oracle = RefEngine::from_specs(mirror_config(&cfg), &specs)
+            .with_bug(InjectedBug::InvertedPriority);
+        let workload = PatternWorkload::from_specs(&cfg, &specs);
+        assert_eq!(
+            run_lockstep(oracle, &cfg, workload, 4_000),
+            diverged(
+                1,
+                "geometry m=8 s=8 nc=4 priority=Fixed ports=[0, 1]\n\
+                 cycle 1:\n\
+                 \x20 port cpu | engine: bank outcome | oracle: bank outcome\n\
+                 \x20*   0   0 |    1 granted           |    1 simultaneous-bank\n\
+                 \x20*   1   1 |    1 simultaneous-bank |    1 granted\n\
+                 \x20 state (rotation, remaining bank busy periods):\n\
+                 \x20   engine: rotation=0 residues=[2, 3, 0, 0, 0, 0, 2, 0] \
+                 open_rows=[Some(0), Some(0), None, None, None, None, Some(0), None]\n\
+                 \x20   oracle: rotation=0 residues=[2, 3, 0, 0, 0, 0, 2, 0] \
+                 open_rows=[Some(0), Some(1), None, None, None, None, Some(0), None]\n"
+            )
+        );
+    }
+
+    /// Re-packs the oracle into a persistent canonical copy, as the
+    /// lockstep did before it compared in place (reference loop only).
+    fn repack_oracle_state(
+        oracle: &RefEngine,
+        dram: bool,
+        residue_buf: &mut Vec<u8>,
+        packed: &mut SimState,
+    ) {
+        packed.advance_now();
+        residue_buf.clear();
+        residue_buf.extend(oracle.bank_residues().map(|r| r as u8));
+        packed.repack(residue_buf, &[], oracle.rotation());
+        if dram {
+            packed.sync_open_rows(oracle.open_rows());
+        }
+    }
+
+    /// The lockstep loop before it compared the oracle in place: the
+    /// optimized side steps through `Engine::run_with`, and the oracle is
+    /// lifted into a packed copy every cycle and compared by `PartialEq`.
+    /// Kept as the reference [`run_lockstep`] must match outcome for
+    /// outcome.
+    fn run_lockstep_lifted<W: Workload>(
+        mut oracle: RefEngine,
+        config: &SimConfig,
+        mut workload: W,
+        cycles: u64,
+    ) -> DiffOutcome {
+        let mut engine = Engine::new(config.clone());
+        let ports = config.num_ports();
+        let dram = matches!(config.bank_model, BankModel::Dram { .. });
+        let mut grants = 0u64;
+        let mut engine_view = vec![(u64::MAX, RefOutcome::Granted); ports];
+        let mut oracle_view = vec![(u64::MAX, RefOutcome::Granted); ports];
+        let mut residue_buf: Vec<u8> = Vec::with_capacity(config.geometry.banks() as usize);
+        let mut oracle_state = SimState::new(config);
+        for cycle in 0..cycles {
+            engine.run_with(&mut workload, 1, &mut vecmem_banksim::observe::NoopObserver);
+            let oracle_steps = oracle.step_ports();
+            engine_view
+                .iter_mut()
+                .for_each(|v| *v = (u64::MAX, RefOutcome::Granted));
+            for ev in engine.state().outcomes() {
+                engine_view[ev.port.0] = (ev.request.bank, kind_of(ev.outcome));
+            }
+            oracle_view
+                .iter_mut()
+                .for_each(|v| *v = (u64::MAX, RefOutcome::Granted));
+            for (slot, s) in oracle_view.iter_mut().zip(&oracle_steps) {
+                if let Some(s) = s {
+                    *slot = (s.bank, s.outcome);
+                }
+            }
+            repack_oracle_state(&oracle, dram, &mut residue_buf, &mut oracle_state);
+            #[cfg(feature = "sanitize")]
+            if let Err(violation) = oracle_state.validate() {
+                panic!("vecmem sanitize: oracle state at cycle {cycle}: {violation}");
+            }
+            let agree = engine_view == oracle_view
+                && engine.state().hash() == oracle_state.hash()
+                && *engine.state() == oracle_state;
+            if !agree {
+                let report = render_dump(
+                    config,
+                    cycle,
+                    &engine_view,
+                    &oracle_view,
+                    engine.state(),
+                    &oracle_state,
+                );
+                return DiffOutcome::Diverged(Divergence { cycle, report });
+            }
+            grants += oracle_steps
+                .iter()
+                .filter(|s| s.is_some_and(|s| s.outcome.granted()))
+                .count() as u64;
+        }
+        DiffOutcome::Match { cycles, grants }
+    }
+
+    /// A geometry from the property test's draw: `m` in 1..=16
+    /// unsectioned, or one of a few sectioned ones (both mappings).
+    fn drawn_geometry(pick: u64, m: u64, nc: u64) -> Geometry {
+        use vecmem_analytic::SectionMapping;
+        match pick {
+            0 => Geometry::new(16, 4, nc).unwrap(),
+            1 => Geometry::with_mapping(16, 4, nc, SectionMapping::Consecutive).unwrap(),
+            2 => Geometry::new(12, 3, nc).unwrap(),
+            3 => Geometry::with_mapping(8, 2, nc, SectionMapping::Consecutive).unwrap(),
+            _ => Geometry::unsectioned(m, nc).unwrap(),
+        }
+    }
+
+    /// One port's pattern from three drawn words: stride, affine or
+    /// pseudo-random gather, or burst.
+    fn drawn_spec(kind: u64, a: u64, b: u64) -> PatternSpec {
+        use vecmem_banksim::pattern::IndexPattern;
+        match kind {
+            0 => PatternSpec::Gather {
+                base: a,
+                span: 1 + b % 97,
+                index: IndexPattern::Affine { a: b, c: a },
+            },
+            1 => PatternSpec::Gather {
+                base: a,
+                span: 1 << 12,
+                index: IndexPattern::PseudoRandom { seed: b },
+            },
+            2 => PatternSpec::Burst {
+                start_bank: a,
+                distance: b,
+                burst: 1 + a % 4,
+            },
+            _ => PatternSpec::Stride {
+                start_bank: a,
+                distance: b,
+            },
+        }
+    }
+
+    /// The seeded faults a drawn case may carry. `ResidueOverflow` aborts
+    /// both loops under `sanitize`; the sanitizer tests pin that case.
+    #[cfg(feature = "bug_injection")]
+    fn drawn_bug(pick: u64) -> Option<crate::engine::InjectedBug> {
+        use crate::engine::InjectedBug;
+        match pick {
+            1 => Some(InjectedBug::InvertedPriority),
+            2 => Some(InjectedBug::StuckRotation),
+            3 if cfg!(not(feature = "sanitize")) => Some(InjectedBug::ResidueOverflow),
+            _ => None,
+        }
+    }
+
+    vecmem_prop::proptest! {
+        #![proptest_config(vecmem_prop::ProptestConfig::with_cases(384))]
+        #[test]
+        fn in_place_lockstep_matches_the_lifted_loop(
+            geom_pick in 0u64..8,
+            m in 1u64..=16,
+            nc in 1u64..=6,
+            ports in 1usize..=3,
+            shape in 0u64..4,
+            dram in 0u64..3,
+            kinds in (0u64..5, 0u64..5, 0u64..5, 0u64..4),
+            words in (0u64..64, 0u64..64, 0u64..64, 0u64..64, 0u64..64, 0u64..64),
+        ) {
+            let geom = drawn_geometry(geom_pick, m, nc);
+            let base = if shape & 1 == 0 {
+                SimConfig::one_port_per_cpu(geom, ports)
+            } else {
+                SimConfig::single_cpu(geom, ports)
+            };
+            let priority = if shape & 2 == 0 { PriorityRule::Fixed } else { PriorityRule::Cyclic };
+            let mut cfg = base.with_priority(priority);
+            if dram > 0 {
+                cfg = cfg.with_bank_model(BankModel::Dram {
+                    hit_cycle: 1 + words.0 % nc,
+                    rows: dram * 2,
+                });
+            }
+            let all = [
+                drawn_spec(kinds.0, words.0, words.1),
+                drawn_spec(kinds.1, words.2, words.3),
+                drawn_spec(kinds.2, words.4, words.5),
+            ];
+            let specs = &all[..ports];
+            let oracle = RefEngine::from_specs(mirror_config(&cfg), specs);
+            #[cfg(feature = "bug_injection")]
+            let oracle = match drawn_bug(kinds.3) {
+                Some(bug) => oracle.with_bug(bug),
+                None => oracle,
+            };
+            let cycles = 160;
+            let lifted = run_lockstep_lifted(
+                oracle.clone(),
+                &cfg,
+                PatternWorkload::from_specs(&cfg, specs),
+                cycles,
+            );
+            let in_place = run_lockstep(oracle, &cfg, PatternWorkload::from_specs(&cfg, specs), cycles);
+            vecmem_prop::prop_assert_eq!(in_place, lifted);
+        }
     }
 
     #[cfg(feature = "sanitize")]

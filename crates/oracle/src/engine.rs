@@ -379,16 +379,15 @@ impl RefEngine {
     }
 
     /// Remaining busy periods of every bank *after* the last simulated
-    /// cycle, in the same convention as
+    /// cycle, in bank order and in the same convention as
     /// [`Engine::bank_residues`](vecmem_banksim::Engine::bank_residues):
     /// the number of upcoming clock periods the bank is still unavailable.
-    #[must_use]
-    // vecmem-lint: allow-fn(L6) -- reference engine: clarity over speed is its specification
-    pub fn bank_residues(&self) -> Vec<u64> {
+    /// A view over the countdowns, read without allocating.
+    pub fn bank_residues(&self) -> impl Iterator<Item = u64> + '_ {
         // The countdown holds `n_c - (elapsed since grant)` and is one
         // ahead of the optimized engine's `free_at - now` because it is
         // decremented at the start of the next cycle rather than on read.
-        self.busy.iter().map(|&c| c.saturating_sub(1)).collect()
+        self.busy.iter().map(|&c| c.saturating_sub(1))
     }
 
     /// Open row of every bank (`None` = closed); all-`None` under the

@@ -391,10 +391,44 @@ impl SimState {
         state
     }
 
+    /// A copy of the state without its per-cycle scratch: `outcomes`,
+    /// `pending`, `kinds` and `just_freed` come back empty, so the copy
+    /// costs one buffer allocation. Equality and the hash ignore the
+    /// scratch, and [`step`](crate::step::step) refills the first three
+    /// before reading them; only an observer reads `just_freed` before
+    /// the clock advance refills it. So under
+    /// [`NoopObserver`](crate::observe::NoopObserver) the copy steps,
+    /// compares and hashes like a clone. The cyclic-state detector
+    /// snapshots and restores through it; `clone` keeps the scratch for
+    /// observers.
+    pub(crate) fn copy_core(&self) -> Self {
+        Self {
+            buf: self.buf.clone(),
+            banks: self.banks,
+            ports: self.ports,
+            sig_len: self.sig_len,
+            wheel: self.wheel,
+            row_words: self.row_words,
+            max_rows: self.max_rows,
+            max_residue: self.max_residue,
+            slot_bound: self.slot_bound,
+            now: self.now,
+            h_res: self.h_res,
+            g_busy: self.g_busy,
+            h_rot: self.h_rot,
+            h_pos: self.h_pos,
+            h_row: self.h_row,
+            outcomes: Vec::new(), // vecmem-lint: allow(L2) -- an empty Vec does not allocate; step() grows it on first use
+            pending: Vec::new(), // vecmem-lint: allow(L2) -- an empty Vec does not allocate; step() grows it on first use
+            kinds: Vec::new(), // vecmem-lint: allow(L2) -- an empty Vec does not allocate; step() grows it on first use
+            just_freed: Vec::new(), // vecmem-lint: allow(L2) -- an empty Vec does not allocate; advance_now() grows it on first use
+        }
+    }
+
     /// Packs an externally held state (used by the differential oracle to
     /// lift the reference engine's state into the canonical form, so both
-    /// sides of a lockstep comparison share one `PartialEq` and one dump
-    /// format).
+    /// sides of a divergence dump share one format and the sanitizer can
+    /// [`validate`](Self::validate) the oracle).
     ///
     /// # Panics
     /// If `residues` does not have one entry per bank.
@@ -608,12 +642,19 @@ impl SimState {
         }
     }
 
+    /// Every bank's residue at the current clock period, in bank order.
+    // vecmem-lint: allow-fn(L7) -- the free-time region spans words 1..=banks of the buffer sized from the validated geometry
+    pub fn residues(&self) -> impl Iterator<Item = u64> + '_ {
+        let now = self.now;
+        self.buf[1..=self.banks as usize]
+            .iter()
+            .map(move |&free_at| free_at.saturating_sub(now))
+    }
+
     /// All residues as one byte per bank (the legacy signature format).
     #[must_use]
     pub fn residues_vec(&self) -> Vec<u8> {
-        (0..u64::from(self.banks))
-            .map(|b| self.residue(b))
-            .collect() // vecmem-lint: allow(L2) -- legacy signature/diagnostic path, not called by step()
+        self.residues().map(|r| r as u8).collect() // vecmem-lint: allow(L2) -- legacy signature/diagnostic path, not called by step()
     }
 
     /// Number of banks busy at the current clock period.

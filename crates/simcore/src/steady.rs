@@ -290,7 +290,7 @@ impl<'c, W: ObservableWorkload + Clone> Cursor<'c, W> {
     fn snapshot(&self, pos: u64) -> Snapshot<W> {
         Snapshot {
             pos,
-            state: self.state.clone(),
+            state: self.state.copy_core(),
             workload: self.workload.clone(),
             per_port: self.per_port.clone(),
             conflicts: self.conflicts,
@@ -301,7 +301,7 @@ impl<'c, W: ObservableWorkload + Clone> Cursor<'c, W> {
         let sig_len = snap.workload.signature_len();
         Self {
             config,
-            state: snap.state.clone(),
+            state: snap.state.copy_core(),
             workload: snap.workload.clone(),
             sig_buf: vec![0u64; sig_len],
             per_port: snap.per_port.clone(),
@@ -553,6 +553,31 @@ mod tests {
         assert_eq!(ss.beff, Ratio::integer(1));
         assert!(ss.conflict_free());
         assert_eq!(ss.grants_per_period, ss.period);
+    }
+
+    /// A snapshot's scratch-free copy compares, hashes and steps like a
+    /// full clone: over a contested two-port run, copy and clone taken at
+    /// every cycle agree on the core, the hash and the next cycle's events.
+    #[test]
+    fn core_copy_steps_like_a_clone() {
+        let cfg = SimConfig::single_cpu(Geometry::unsectioned(8, 3).unwrap(), 2)
+            .with_priority(crate::config::PriorityRule::Cyclic);
+        let mut state = SimState::new(&cfg);
+        let mut w = Strides::new(8, &[2, 6]);
+        for _ in 0..40 {
+            step(&cfg, &mut state, &mut w, &mut NoopObserver);
+            let (mut copy, mut clone) = (state.copy_core(), state.clone());
+            assert!(copy.outcomes().is_empty());
+            assert!(copy == clone);
+            assert_eq!(copy.hash(), clone.hash());
+            let (mut wc, mut wk) = (w.clone(), w.clone());
+            let ec = step(&cfg, &mut copy, &mut wc, &mut NoopObserver);
+            let ek = step(&cfg, &mut clone, &mut wk, &mut NoopObserver);
+            assert_eq!(ec, ek);
+            assert_eq!(copy.outcomes(), clone.outcomes());
+            assert!(copy == clone);
+            assert_eq!(copy.now(), clone.now());
+        }
     }
 
     #[test]

@@ -125,10 +125,18 @@ echo "==> verify: differential oracle + theorem conformance (see TESTING.md)"
   || { echo "vecmem verify --exhaustive failed"; cat "$smoke_dir/verify.txt"; exit 1; }
 grep -q "divergences 0  violations 0  not converged 0" "$smoke_dir/verify.txt" \
   || { echo "exhaustive sweep not clean"; cat "$smoke_dir/verify.txt"; exit 1; }
+# The point and theorem counts do not depend on the thread count or the
+# cache: a key or conformance change that silently drops points or checks
+# fails here.
+grep -qx "  points enumerated      597856" "$smoke_dir/verify.txt" \
+  || { echo "exhaustive sweep enumerated a different point count"; cat "$smoke_dir/verify.txt"; exit 1; }
+grep -qx "  theorem checks: Thm1 136  Thm2 40968  Thm3 223168 (skipped 51792)  III-A 5984" \
+  "$smoke_dir/verify.txt" \
+  || { echo "exhaustive sweep ran a different set of theorem checks"; cat "$smoke_dir/verify.txt"; exit 1; }
 ./target/release/vecmem verify --random 200 --seed 42 > "$smoke_dir/verify-random.txt" \
   || { echo "vecmem verify --random failed"; cat "$smoke_dir/verify-random.txt"; exit 1; }
 grep -q "verdict: CLEAN" "$smoke_dir/verify-random.txt" \
   || { echo "random exploration not clean"; cat "$smoke_dir/verify-random.txt"; exit 1; }
-echo "    exhaustive sweep + 200 random cases: zero divergences"
+echo "    exhaustive sweep (597856 points, pinned theorem counts) + 200 random cases: zero divergences"
 
 echo "==> OK"
