@@ -59,18 +59,6 @@ impl LossKind {
             LossKind::Rotation => "rotation",
         }
     }
-
-    /// Parses a wire name produced by [`LossKind::name`].
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "intra" => Some(LossKind::Intra),
-            "inter" => Some(LossKind::Inter),
-            "section" => Some(LossKind::Section),
-            "rotation" => Some(LossKind::Rotation),
-            _ => None,
-        }
-    }
 }
 
 /// One stalled port-cycle, fully attributed.
@@ -246,14 +234,6 @@ mod tests {
     fn attributor_2cpu() -> Attributor {
         let geom = Geometry::unsectioned(8, 4).unwrap();
         Attributor::for_config(&SimConfig::one_port_per_cpu(geom, 2))
-    }
-
-    #[test]
-    fn kind_names_roundtrip() {
-        for kind in LossKind::ALL {
-            assert_eq!(LossKind::from_name(kind.name()), Some(kind));
-        }
-        assert_eq!(LossKind::from_name("nope"), None);
     }
 
     #[test]

@@ -16,24 +16,19 @@
 //! attribution: the refined [`LossKind`] (`loss`) and, when observed, the
 //! winning port (`winner`). Attribution is produced by
 //! [`EventLog::with_attribution`]; without it, `delay` lines are emitted
-//! exactly as in v1. [`Event::from_json_line`] reads both versions — v1
-//! lines simply parse with no attribution.
+//! exactly as in v1.
 //!
 //! Arbitration snapshots (`"t":"arb"`) list the competing `(port, bank)`
 //! pairs and are only recorded when enabled — they dominate log volume.
 
 use crate::attrib::{Attribution, Attributor, LossKind};
-use crate::json::{field_str, field_u64, Json};
+use crate::json::Json;
 use std::io::{self, Write};
 use std::path::Path;
 use vecmem_banksim::{ConflictKind, PortId, Request, SimConfig, SimObserver};
 
 /// Schema tag written in the JSONL header line.
 pub const EVENTS_SCHEMA: &str = "vecmem-obs/events-v2";
-
-/// The previous schema tag; [`Event::from_json_line`] still reads v1
-/// documents (their `delay` lines carry no attribution).
-pub const EVENTS_SCHEMA_V1: &str = "vecmem-obs/events-v1";
 
 /// One recorded simulator event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,8 +65,8 @@ pub enum Event {
         bank: u64,
         /// Conflict type that caused the delay.
         kind: ConflictKind,
-        /// Conflict-ledger attribution (v2; `None` in v1 documents and in
-        /// logs recorded without [`EventLog::with_attribution`]).
+        /// Conflict-ledger attribution (v2; `None` in logs recorded
+        /// without [`EventLog::with_attribution`]).
         attr: Option<DelayAttribution>,
     },
     /// A bank busy/free transition.
@@ -110,15 +105,6 @@ pub fn kind_name(kind: ConflictKind) -> &'static str {
         ConflictKind::Bank => "bank",
         ConflictKind::SimultaneousBank => "simultaneous",
         ConflictKind::Section => "section",
-    }
-}
-
-fn kind_from_name(name: &str) -> Option<ConflictKind> {
-    match name {
-        "bank" => Some(ConflictKind::Bank),
-        "simultaneous" => Some(ConflictKind::SimultaneousBank),
-        "section" => Some(ConflictKind::Section),
-        _ => None,
     }
 }
 
@@ -199,51 +185,6 @@ impl Event {
             ]),
         }
         .render()
-    }
-
-    /// Parses one JSONL line previously produced by [`Event::to_json_line`].
-    /// Returns `None` for header lines, blank lines and unknown types
-    /// (`"arb"` lines are summarised without their request list).
-    #[must_use]
-    pub fn from_json_line(line: &str) -> Option<Event> {
-        let cycle = field_u64(line, "cycle")?;
-        match field_str(line, "t")? {
-            "grant" => Some(Event::Grant {
-                cycle,
-                port: field_u64(line, "port")? as usize,
-                bank: field_u64(line, "bank")?,
-                wait: field_u64(line, "wait")?,
-                hold: field_u64(line, "hold")?,
-            }),
-            "delay" => Some(Event::Delay {
-                cycle,
-                port: field_u64(line, "port")? as usize,
-                bank: field_u64(line, "bank")?,
-                kind: kind_from_name(field_str(line, "kind")?)?,
-                attr: field_str(line, "loss")
-                    .and_then(LossKind::from_name)
-                    .map(|loss| DelayAttribution {
-                        winner: field_u64(line, "winner").map(|w| w as usize),
-                        loss,
-                    }),
-            }),
-            "bank" => Some(Event::BankBusy {
-                cycle,
-                bank: field_u64(line, "bank")?,
-                busy: field_u64(line, "busy")? != 0,
-            }),
-            "cycle" => Some(Event::CycleEnd {
-                cycle,
-                grants: field_u64(line, "grants")?,
-                busy_banks: field_u64(line, "busy_banks")?,
-            }),
-            "arb" => Some(Event::Arbitration {
-                cycle,
-                rotation: field_u64(line, "rotation")?,
-                requests: Vec::new(),
-            }),
-            _ => None,
-        }
     }
 }
 
@@ -470,87 +411,77 @@ impl SimObserver for EventLog {
 mod tests {
     use super::*;
 
+    /// The exact wire form of every event shape. The pinned trace golden
+    /// (`results/trace_events_m16.jsonl`) holds `grant`, `bank` and
+    /// `cycle` lines and unattributed `delay` lines of the `bank` kind
+    /// only; this pins the rest: the `arb` snapshot, the `simultaneous`
+    /// and `section` kinds of an unattributed `delay`, and every loss kind
+    /// of an attributed one, with and without a winner.
     #[test]
-    fn events_roundtrip_through_jsonl() {
-        let originals = vec![
-            Event::Grant {
-                cycle: 3,
-                port: 0,
-                bank: 5,
-                wait: 1,
-                hold: 4,
-            },
-            Event::Delay {
-                cycle: 3,
-                port: 1,
-                bank: 5,
-                kind: ConflictKind::SimultaneousBank,
-                attr: None,
-            },
-            Event::Delay {
-                cycle: 4,
-                port: 0,
-                bank: 5,
-                kind: ConflictKind::Bank,
-                attr: Some(DelayAttribution {
-                    winner: Some(1),
-                    loss: LossKind::Inter,
-                }),
-            },
-            Event::Delay {
-                cycle: 5,
-                port: 2,
-                bank: 7,
-                kind: ConflictKind::Section,
-                attr: Some(DelayAttribution {
-                    winner: None,
-                    loss: LossKind::Section,
-                }),
-            },
-            Event::BankBusy {
-                cycle: 3,
-                bank: 5,
-                busy: true,
-            },
-            Event::BankBusy {
-                cycle: 7,
-                bank: 5,
-                busy: false,
-            },
-            Event::CycleEnd {
-                cycle: 3,
-                grants: 1,
-                busy_banks: 4,
-            },
+    fn json_lines_are_pinned() {
+        let delay = |kind, attr| Event::Delay {
+            cycle: 12,
+            port: 1,
+            bank: 5,
+            kind,
+            attr,
+        };
+        let attributed = |loss, winner| Some(DelayAttribution { winner, loss });
+        let cases = [
+            (
+                Event::Arbitration {
+                    cycle: 9,
+                    rotation: 2,
+                    requests: vec![(0, 5), (2, 5), (1, 12)],
+                },
+                r#"{"t":"arb","cycle":9,"rotation":2,"requests":[[0,5],[2,5],[1,12]]}"#,
+            ),
+            (
+                Event::Arbitration {
+                    cycle: 10,
+                    rotation: 0,
+                    requests: Vec::new(),
+                },
+                r#"{"t":"arb","cycle":10,"rotation":0,"requests":[]}"#,
+            ),
+            (
+                delay(ConflictKind::Bank, None),
+                r#"{"t":"delay","cycle":12,"port":1,"bank":5,"kind":"bank"}"#,
+            ),
+            (
+                delay(ConflictKind::SimultaneousBank, None),
+                r#"{"t":"delay","cycle":12,"port":1,"bank":5,"kind":"simultaneous"}"#,
+            ),
+            (
+                delay(ConflictKind::Section, None),
+                r#"{"t":"delay","cycle":12,"port":1,"bank":5,"kind":"section"}"#,
+            ),
+            (
+                delay(ConflictKind::Bank, attributed(LossKind::Intra, None)),
+                r#"{"t":"delay","cycle":12,"port":1,"bank":5,"kind":"bank","loss":"intra"}"#,
+            ),
+            (
+                delay(ConflictKind::Bank, attributed(LossKind::Inter, Some(0))),
+                r#"{"t":"delay","cycle":12,"port":1,"bank":5,"kind":"bank","loss":"inter","winner":0}"#,
+            ),
+            (
+                delay(
+                    ConflictKind::Section,
+                    attributed(LossKind::Section, Some(2)),
+                ),
+                r#"{"t":"delay","cycle":12,"port":1,"bank":5,"kind":"section","loss":"section","winner":2}"#,
+            ),
+            (
+                delay(
+                    ConflictKind::SimultaneousBank,
+                    attributed(LossKind::Rotation, Some(3)),
+                ),
+                r#"{"t":"delay","cycle":12,"port":1,"bank":5,"kind":"simultaneous","loss":"rotation","winner":3}"#,
+            ),
         ];
-        for original in originals {
-            let line = original.to_json_line();
-            assert_eq!(Event::from_json_line(&line), Some(original), "line: {line}");
+        for (event, line) in cases {
+            assert_eq!(event.to_json_line(), line, "{event:?}");
         }
-    }
-
-    /// Back-compat: `delay` lines from a v1 document (no `loss` field)
-    /// still parse, with no attribution attached, and re-render to valid
-    /// v2 lines that round-trip.
-    #[test]
-    fn v1_delay_lines_still_parse() {
-        let v1_line = r#"{"t":"delay","cycle":3,"port":1,"bank":5,"kind":"simultaneous"}"#;
-        let parsed = Event::from_json_line(v1_line).expect("v1 line parses");
-        assert_eq!(
-            parsed,
-            Event::Delay {
-                cycle: 3,
-                port: 1,
-                bank: 5,
-                kind: ConflictKind::SimultaneousBank,
-                attr: None,
-            }
-        );
-        // A v1 record re-rendered by this version is byte-identical.
-        assert_eq!(parsed.to_json_line(), v1_line);
-        assert_eq!(Event::from_json_line(&parsed.to_json_line()), Some(parsed));
-        // The old schema tag is still exported for tooling that checks it.
-        assert_eq!(EVENTS_SCHEMA_V1, "vecmem-obs/events-v1");
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod span;
 pub mod window;
 
 pub use attrib::{Attribution, Attributor, LossKind};
-pub use events::{DelayAttribution, Event, EventLog, EVENTS_SCHEMA, EVENTS_SCHEMA_V1};
+pub use events::{DelayAttribution, Event, EventLog, EVENTS_SCHEMA};
 pub use export::{csv_field, metrics_to_csv, metrics_to_json, write_metrics, METRICS_SCHEMA};
 pub use json::Json;
 pub use ledger::{ConflictLedger, LedgerEntry, LedgerKey, LossDecomposition};

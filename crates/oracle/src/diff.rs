@@ -20,6 +20,19 @@
 //! through one transient plus one full period of the cyclic steady state
 //! implies agreement forever.
 
+// Hot-path panic policy (TESTING.md, "Hot-path rules").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::integer_division,
+        clippy::disallowed_macros,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use crate::engine::{RefBankModel, RefConfig, RefEngine, RefOutcome, RefPriority, RefStep};
 use vecmem_analytic::StreamSpec;
 use vecmem_banksim::pattern::{PatternSpec, PatternWorkload};
@@ -161,7 +174,7 @@ fn same_events(events: &[PortEvent], steps: &[Option<RefStep>]) -> bool {
 
 /// The kernel's events as one `(bank, outcome)` per port, idle ports as
 /// `(u64::MAX, Granted)`: the engine column of a divergence dump.
-// vecmem-lint: allow-fn(L6, L7) -- divergence report only
+#[expect(clippy::indexing_slicing, reason = "divergence report only")]
 fn engine_view(events: &[PortEvent], ports: usize) -> Vec<(u64, RefOutcome)> {
     let mut view = vec![(u64::MAX, RefOutcome::Granted); ports];
     for ev in events {
@@ -171,7 +184,6 @@ fn engine_view(events: &[PortEvent], ports: usize) -> Vec<(u64, RefOutcome)> {
 }
 
 /// The oracle's steps in the same form: the oracle column of the dump.
-// vecmem-lint: allow-fn(L6) -- divergence report only
 fn oracle_view(steps: &[Option<RefStep>]) -> Vec<(u64, RefOutcome)> {
     steps
         .iter()
@@ -183,7 +195,6 @@ fn oracle_view(steps: &[Option<RefStep>]) -> Vec<(u64, RefOutcome)> {
 /// residues, rotation and, under the DRAM model, open rows. The residues
 /// narrow to the packed byte, so this serves the dump and the sanitizer
 /// only; the lockstep compares through [`same_state`].
-// vecmem-lint: allow-fn(L6, L7) -- divergence report and sanitizer only: builds a fresh state, never on the release lockstep loop
 fn lift_oracle_state(config: &SimConfig, oracle: &RefEngine) -> SimState {
     let residues: Vec<u8> = oracle.bank_residues().map(|r| r as u8).collect();
     let mut state = SimState::pack(config, &residues, &[], oracle.rotation());
@@ -201,7 +212,6 @@ fn lift_oracle_state(config: &SimConfig, oracle: &RefEngine) -> SimState {
     clippy::panic,
     reason = "sanitizer: corruption must abort at the violating cycle"
 )]
-// vecmem-lint: allow-fn(L6, L7) -- sanitize builds only: lifts the oracle every cycle and aborts at the violating one by design
 fn sanitize_oracle(config: &SimConfig, oracle: &RefEngine, cycle: u64) {
     if let Err(violation) = lift_oracle_state(config, oracle).validate() {
         panic!("vecmem sanitize: oracle state at cycle {cycle}: {violation}");
@@ -210,7 +220,10 @@ fn sanitize_oracle(config: &SimConfig, oracle: &RefEngine, cycle: u64) {
 
 /// Renders the full dual state dump at a divergent cycle. Both sides use
 /// the canonical [`SimState::render`] format.
-// vecmem-lint: allow-fn(L6, L7) -- divergence report: only reached after a mismatch, never on the lockstep hot loop
+#[expect(
+    clippy::indexing_slicing,
+    reason = "divergence report: only reached after a mismatch, never on the lockstep hot loop"
+)]
 fn render_dump(
     config: &SimConfig,
     cycle: u64,
@@ -264,8 +277,6 @@ fn render_dump(
 /// event mismatch. Beyond the fresh state and what the naive reference
 /// engine allocates itself, the loop allocates nothing until it renders a
 /// dump.
-// vecmem-lint: alloc-free
-// vecmem-lint: hot-path
 fn run_lockstep<W: Workload>(
     mut oracle: RefEngine,
     config: &SimConfig,

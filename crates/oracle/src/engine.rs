@@ -35,6 +35,19 @@
 //! ([`PatternSpec`], [`IndexPattern`]) are shared with the optimized
 //! stack; every state-keeping decision is made independently.
 
+// Hot-path panic policy (TESTING.md, "Hot-path rules").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::integer_division,
+        clippy::disallowed_macros,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use vecmem_analytic::{Geometry, StreamSpec};
 use vecmem_banksim::pattern::{IndexPattern, PatternSpec};
 
@@ -201,10 +214,13 @@ impl RefPattern {
             }
         };
         let bank = (addr % u128::from(banks)) as u64;
+        #[expect(
+            clippy::integer_division,
+            reason = "banks >= 1 and rows != 0 on this branch"
+        )]
         let row = if rows == 0 {
             0
         } else {
-            // vecmem-lint: allow(L7) -- banks >= 1 and rows != 0 on this branch
             ((addr / u128::from(banks)) % u128::from(rows)) as u64
         };
         (bank, row)
@@ -310,6 +326,10 @@ impl RefEngine {
     /// # Panics
     /// If `patterns.len() != config.port_cpus.len()`.
     #[must_use]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "the documented \"# Panics\" precondition, checked once at construction"
+    )]
     pub fn with_patterns(config: RefConfig, patterns: Vec<RefPattern>) -> Self {
         assert_eq!(
             patterns.len(),
@@ -410,7 +430,6 @@ impl RefEngine {
     }
 
     /// Ports in the order the arbiter serves them this cycle (best first).
-    // vecmem-lint: allow-fn(L6) -- reference engine: clarity over speed is its specification
     fn service_order(&self) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.config.port_cpus.len()).collect();
         order.sort_by_key(|&i| self.rank(i));
@@ -441,7 +460,10 @@ impl RefEngine {
 
     /// Simulates one clock period; `None` marks a port that presented no
     /// request this cycle (idle inside a burst cooldown).
-    // vecmem-lint: allow-fn(L6, L7) -- reference engine: naive Vec-per-cycle lists and direct indexing over validated geometry are its specification
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "reference engine: naive Vec-per-cycle lists and direct indexing over validated geometry are its specification"
+    )]
     pub fn step_ports(&mut self) -> Vec<Option<RefStep>> {
         let geom = self.config.geometry;
         let nc = geom.bank_cycle();

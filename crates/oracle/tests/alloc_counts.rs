@@ -1,11 +1,16 @@
-//! Heap allocation counts of a conformance point's three parts: the
-//! lockstep diff, the cache key and the steady-state solve.
+//! Heap allocation counts of the step kernel and of a conformance point's
+//! three parts: the lockstep diff, the cache key and the steady-state
+//! solve.
 //!
 //! A counting global allocator tallies allocations per thread, so the
-//! test harness's own threads never leak into a measurement. The
-//! lockstep must add no per-cycle allocation to what the naive reference
-//! engine makes by itself; the key and a short-period solve stay within
-//! fixed budgets.
+//! test harness's own threads never leak into a measurement. A warmed-up
+//! [`step`] must not allocate at all, over every pattern family, both
+//! bank models and every port topology: this is the hot path's
+//! allocation rule, checked on the code that actually runs, generic and
+//! trait calls included (TESTING.md, "Hot-path rules"). The lockstep must
+//! add no per-cycle allocation to what the naive reference engine makes
+//! by itself; the key and a short-period solve stay within fixed
+//! budgets.
 #![expect(
     unsafe_code,
     reason = "a counting global allocator implements the unsafe GlobalAlloc trait"
@@ -15,7 +20,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use vecmem_analytic::{Geometry, StreamSpec};
 use vecmem_banksim::steady::measure_steady_state;
-use vecmem_banksim::{PriorityRule, SimConfig};
+use vecmem_banksim::step::step;
+use vecmem_banksim::{
+    BankModel, IndexPattern, NoopObserver, PatternSpec, PatternWorkload, PriorityRule, SimConfig,
+    SimState,
+};
 use vecmem_exec::steady_key;
 
 thread_local! {
@@ -74,6 +83,103 @@ fn spec(start_bank: u64, distance: u64) -> StreamSpec {
     StreamSpec {
         start_bank,
         distance,
+    }
+}
+
+fn stride(start_bank: u64, distance: u64) -> PatternSpec {
+    PatternSpec::Stride {
+        start_bank,
+        distance,
+    }
+}
+
+fn gather(span: u64, index: IndexPattern) -> PatternSpec {
+    PatternSpec::Gather {
+        base: 0,
+        span,
+        index,
+    }
+}
+
+fn burst(start_bank: u64, distance: u64, burst: u64) -> PatternSpec {
+    PatternSpec::Burst {
+        start_bank,
+        distance,
+        burst,
+    }
+}
+
+/// Kernel shapes covering every pattern family (stride, affine and
+/// pseudo-random gather, burst), the uniform and DRAM bank models, a
+/// sectioned geometry, both priority rules, both port topologies and one
+/// to three ports. Each keeps its ports contending, so the arbiter's
+/// delay paths run too.
+fn kernel_shapes() -> Vec<(SimConfig, Vec<PatternSpec>)> {
+    let g13 = Geometry::unsectioned(13, 6).unwrap();
+    let g16 = Geometry::unsectioned(16, 4).unwrap();
+    let xmp = Geometry::cray_xmp();
+    let dram = BankModel::Dram {
+        hit_cycle: 2,
+        rows: 4,
+    };
+    let affine = IndexPattern::Affine { a: 5, c: 3 };
+    let random = IndexPattern::PseudoRandom { seed: 7 };
+    vec![
+        (SimConfig::single_cpu(g16, 1), vec![stride(3, 4)]),
+        (
+            SimConfig::one_port_per_cpu(g13, 2).with_priority(PriorityRule::Cyclic),
+            vec![stride(0, 1), stride(0, 6)],
+        ),
+        (
+            SimConfig::single_cpu(xmp, 3),
+            vec![stride(0, 1), gather(4096, affine), stride(2, 3)],
+        ),
+        (
+            SimConfig::one_port_per_cpu(g16, 2),
+            vec![gather(65_536, random), gather(1000, random)],
+        ),
+        (
+            SimConfig::single_cpu(g16, 2).with_priority(PriorityRule::Cyclic),
+            vec![burst(0, 1, 4), burst(1, 2, 3)],
+        ),
+        (
+            SimConfig::one_port_per_cpu(g16, 2).with_bank_model(dram),
+            vec![stride(0, 0), gather(4096, affine)],
+        ),
+        (
+            SimConfig::one_port_per_cpu(xmp, 3)
+                .with_priority(PriorityRule::Cyclic)
+                .with_bank_model(dram),
+            vec![burst(0, 8, 2), stride(4, 4), gather(4096, random)],
+        ),
+    ]
+}
+
+/// The step kernel allocates nothing once warmed up: every scratch
+/// buffer lives in the [`SimState`] and is reused cycle after cycle. One
+/// `Vec::new()` per cycle anywhere under [`step`] fails this with one
+/// allocation per counted cycle.
+#[test]
+fn warmed_up_step_never_allocates() {
+    const WARM_UP: u64 = 1_000;
+    const COUNTED: u64 = 20_000;
+    for (config, specs) in kernel_shapes() {
+        let mut state = SimState::new(&config);
+        let mut workload = PatternWorkload::from_specs(&config, &specs);
+        let mut run = |cycles| {
+            let mut grants = 0;
+            for _ in 0..cycles {
+                grants += step(&config, &mut state, &mut workload, &mut NoopObserver).grants;
+            }
+            grants
+        };
+        run(WARM_UP);
+        let (n, grants) = allocations(|| run(COUNTED));
+        assert!(grants > 0, "{config:?} {specs:?}: no grants");
+        assert_eq!(
+            n, 0,
+            "{config:?} {specs:?}: {n} allocations over {COUNTED} warmed-up cycles"
+        );
     }
 }
 

@@ -1,7 +1,5 @@
 //! Per-cycle conflict arbitration.
 //!
-//! vecmem-lint: alloc-free
-//!
 //! Implements the conflict taxonomy of paper §II in three phases:
 //!
 //! 1. **bank conflicts** — requests to still-active banks are delayed;
@@ -12,6 +10,19 @@
 //! 3. **simultaneous bank conflicts** — among the per-CPU winners, requests
 //!    from different CPUs (hence different paths) colliding on one inactive
 //!    bank are arbitrated by the same priority rule.
+
+// Hot-path panic policy (TESTING.md, "Hot-path rules").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::integer_division,
+        clippy::disallowed_macros,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use crate::config::{PriorityRule, SimConfig};
 use crate::request::{ConflictKind, PortId, PortOutcome, Request};
@@ -38,8 +49,10 @@ pub fn priority_rank(rule: PriorityRule, rotation: usize, n_ports: usize, port: 
 /// sections only for a same-CPU pair whose rank already decides it, and
 /// phase 3 folds its pairwise test without short-circuiting, so it
 /// compiles to straight-line code.
-// vecmem-lint: hot-path
-// vecmem-lint: allow-fn(L7) -- every index walks `requests`/`outcomes`, which this function sized itself; the step kernel asserted the banks
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every index walks `requests`/`outcomes`, which this function sized itself; the step kernel asserted the banks"
+)]
 pub fn arbitrate_into(
     config: &SimConfig,
     rotation: usize,
@@ -56,6 +69,10 @@ pub fn arbitrate_into(
         PriorityRule::Fixed => 0,
         PriorityRule::Cyclic => rotation % n.max(1),
     };
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug_assert! only: compiled out of release builds"
+    )]
     let rank = |p: PortId| {
         debug_assert!(p.0 < n, "port {} of {n}", p.0);
         let r = p.0 + n - rotation;

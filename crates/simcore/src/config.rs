@@ -1,5 +1,18 @@
 //! Simulator configuration: geometry, port topology and the priority rule.
 
+// Hot-path panic policy (TESTING.md, "Hot-path rules").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::integer_division,
+        clippy::disallowed_macros,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use crate::request::{CpuId, PortId};
 use vecmem_analytic::Geometry;
 
@@ -109,6 +122,10 @@ impl SimConfig {
     /// `rows` is zero: a hit may never cost more than a miss, and at least
     /// one row per bank must exist.
     #[must_use]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "the documented \"# Panics\" precondition, checked once at construction"
+    )]
     pub fn with_bank_model(mut self, bank_model: BankModel) -> Self {
         if let BankModel::Dram { hit_cycle, rows } = bank_model {
             assert!(
@@ -136,7 +153,10 @@ impl SimConfig {
 
     /// CPU of a port.
     #[must_use]
-    // vecmem-lint: allow-fn(L7) -- a PortId is an index into this very table by construction
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a PortId is an index into this very table by construction"
+    )]
     pub fn cpu_of(&self, port: PortId) -> CpuId {
         self.ports[port.0]
     }

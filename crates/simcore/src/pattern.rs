@@ -1,8 +1,6 @@
 //! The access-pattern abstraction: address generation as a first-class,
 //! swappable concern.
 //!
-//! vecmem-lint: alloc-free
-//!
 //! Historically every workload in the repo was the paper's constant-stride
 //! stream, with the address arithmetic hard-coded into the stream types.
 //! This module extracts that concern into the [`AccessPattern`] trait —
@@ -35,6 +33,19 @@
 //! `rows = 0` (the uniform model) the row is `0` and the bank-only
 //! encodings apply.
 
+// Hot-path panic policy (TESTING.md, "Hot-path rules").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::integer_division,
+        clippy::disallowed_macros,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use crate::config::{BankModel, SimConfig};
 use crate::request::{PortId, Request};
 use crate::steady::ObservableWorkload;
@@ -59,6 +70,10 @@ fn request_modulus(banks: u64, rows: u64) -> u64 {
 /// walk `addr(k) = start + k·d` over `m` banks and `rows` rows per bank
 /// (`rows = 0` = no row tracking): the smallest `T` with
 /// `addr(k + T) ≡ addr(k)` modulo bank *and* row.
+#[expect(
+    clippy::integer_division,
+    reason = "modulus = banks·max(rows, 1) >= 1 (validated geometry), so the gcd is at least one"
+)]
 fn arith_state_period(distance: u64, banks: u64, rows: u64) -> u64 {
     let modulus = request_modulus(banks, rows);
     modulus / gcd(distance % modulus, modulus)
@@ -116,7 +131,6 @@ pub trait AccessPattern: Clone {
     /// recomputes from scratch; [`StridePattern`] overrides it so the
     /// per-grant hot path is one add and a conditional subtract instead of
     /// wide-integer arithmetic. Must equal `request_at(k)` exactly.
-    // vecmem-lint: hot-path
     #[inline]
     fn advance(&self, k: u64, _prev: &Request) -> Request {
         self.request_at(k)
@@ -180,10 +194,13 @@ impl AccessPattern for StridePattern {
     fn request_at(&self, k: u64) -> Request {
         let addr = u128::from(self.start) + u128::from(k) * u128::from(self.distance);
         let bank = (addr % u128::from(self.banks)) as u64;
+        #[expect(
+            clippy::integer_division,
+            reason = "banks >= 1 by the validated geometry; rows != 0 on this branch"
+        )]
         let row = if self.rows == 0 {
             0
         } else {
-            // vecmem-lint: allow(L7) -- banks >= 1 by the validated geometry; rows != 0 on this branch
             ((addr / u128::from(self.banks)) % u128::from(self.rows)) as u64
         };
         Request { bank, row }
@@ -218,15 +235,21 @@ impl AccessPattern for StridePattern {
         Some(self.state_period)
     }
 
-    // vecmem-lint: hot-path
-    // vecmem-lint: overflow-policy
+    #[deny(clippy::arithmetic_side_effects)]
     #[inline]
     fn advance(&self, k: u64, prev: &Request) -> Request {
         if self.rows != 0 {
             return self.request_at(k);
         }
-        // vecmem-lint: allow(L9) -- bank < banks and step < banks (both validated), so the sum stays below 2·banks
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "bank < banks and step < banks (both validated), so the sum stays below 2·banks"
+        )]
         let bank = prev.bank + self.step;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "bank >= banks on this branch, so the subtraction cannot wrap"
+        )]
         let bank = if bank >= self.banks {
             bank - self.banks
         } else {
@@ -288,6 +311,10 @@ impl IndexPattern {
     /// Period of the index sequence in `k`, or `None` for the aperiodic
     /// pseudo-random walk.
     #[must_use]
+    #[expect(
+        clippy::integer_division,
+        reason = "the divisor is clamped to at least one"
+    )]
     pub fn period(&self, span: u64) -> Option<u64> {
         match *self {
             Self::Affine { a, .. } => Some(span / gcd(a % span, span).max(1)),
@@ -319,6 +346,10 @@ impl IndexPattern {
     ///   modulus)`, forcing `modulus | span`. So every residue period has
     ///   `d = 0`, i.e. is a multiple of `P`.
     #[must_use]
+    #[expect(
+        clippy::integer_division,
+        reason = "span is a multiple of modulus on this arm, so modulus >= 1 and the gcd is at least one"
+    )]
     pub fn request_period(&self, span: u64, modulus: u64) -> Option<u64> {
         match *self {
             Self::Affine { a, .. } if span.is_multiple_of(modulus) => {
@@ -367,6 +398,10 @@ impl GatherPattern {
     /// # Panics
     /// If `span` is zero.
     #[must_use]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "the documented \"# Panics\" precondition, checked once at construction"
+    )]
     pub fn with_rows(
         geom: &Geometry,
         base: u64,
@@ -392,10 +427,13 @@ impl AccessPattern for GatherPattern {
     fn request_at(&self, k: u64) -> Request {
         let addr = self.base + self.index.index(k, self.span);
         let bank = addr % self.banks;
+        #[expect(
+            clippy::integer_division,
+            reason = "banks >= 1 by the validated geometry; rows != 0 on this branch"
+        )]
         let row = if self.rows == 0 {
             0
         } else {
-            // vecmem-lint: allow(L7) -- banks >= 1 by the validated geometry; rows != 0 on this branch
             (addr / self.banks) % self.rows
         };
         Request { bank, row }
@@ -461,6 +499,10 @@ impl BurstPattern {
     /// # Panics
     /// If `burst` is zero.
     #[must_use]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "the documented \"# Panics\" precondition, checked once at construction"
+    )]
     pub fn with_rows(geom: &Geometry, spec: StreamSpec, burst: u64, rows: u64) -> Self {
         assert!(burst >= 1, "burst must be at least one word per grant");
         let banks = geom.banks();
@@ -480,15 +522,22 @@ impl AccessPattern for BurstPattern {
     fn request_at(&self, k: u64) -> Request {
         let addr = u128::from(self.start) + u128::from(k) * u128::from(self.distance);
         let bank = (addr % u128::from(self.banks)) as u64;
+        #[expect(
+            clippy::integer_division,
+            reason = "banks >= 1 by the validated geometry; rows != 0 on this branch"
+        )]
         let row = if self.rows == 0 {
             0
         } else {
-            // vecmem-lint: allow(L7) -- banks >= 1 by the validated geometry; rows != 0 on this branch
             ((addr / u128::from(self.banks)) % u128::from(self.rows)) as u64
         };
         Request { bank, row }
     }
 
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug_assert! only: compiled out of release builds"
+    )]
     #[inline]
     fn encode_slot(&self, k: u64, cooldown: u64) -> u64 {
         debug_assert!(
@@ -499,6 +548,10 @@ impl AccessPattern for BurstPattern {
         (k % self.state_period) * self.burst + cooldown
     }
 
+    #[expect(
+        clippy::integer_division,
+        reason = "burst >= 1, asserted at construction"
+    )]
     fn decode_slot(&self, slot: u64) -> (u64, u64) {
         (slot / self.burst, slot % self.burst)
     }
@@ -519,7 +572,6 @@ impl AccessPattern for BurstPattern {
         self.burst
     }
 
-    // vecmem-lint: hot-path
     #[inline]
     fn advance(&self, k: u64, prev: &Request) -> Request {
         if self.rows != 0 {
@@ -601,7 +653,6 @@ impl AccessPattern for AnyPattern {
             Self::Burst(p) => p.burst(),
         }
     }
-    // vecmem-lint: hot-path
     #[inline]
     fn advance(&self, k: u64, prev: &Request) -> Request {
         match self {
@@ -774,18 +825,30 @@ impl<P: AccessPattern> PatternWorkload<P> {
 
     /// Elements issued (granted) by port `p` so far.
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "inspection accessor off the step path: `p` must name a port of this workload"
+    )]
     pub fn issued(&self, p: usize) -> u64 {
         self.ports[p].issued
     }
 
     /// Burst-idle periods remaining on port `p`.
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "inspection accessor off the step path: `p` must name a port of this workload"
+    )]
     pub fn cooldown(&self, p: usize) -> u64 {
         self.ports[p].cooldown
     }
 
     /// The pattern driving port `p`.
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "inspection accessor off the step path: `p` must name a port of this workload"
+    )]
     pub fn pattern(&self, p: usize) -> &P {
         &self.ports[p].pattern
     }
@@ -802,7 +865,7 @@ impl PatternWorkload<StridePattern> {
             specs
                 .iter()
                 .map(|&spec| PatternPort::new(StridePattern::new(geom, spec)))
-                .collect(), // vecmem-lint: allow(L2) -- one-time construction
+                .collect(),
         )
     }
 }
@@ -816,7 +879,7 @@ impl PatternWorkload<AnyPattern> {
             specs
                 .iter()
                 .map(|spec| PatternPort::new(spec.build(config)))
-                .collect(), // vecmem-lint: allow(L2) -- one-time construction
+                .collect(),
         )
     }
 }
@@ -833,7 +896,10 @@ impl<P: AccessPattern> Workload for PatternWorkload<P> {
 
     #[inline]
     fn granted(&mut self, port: PortId, _now: u64) {
-        // vecmem-lint: allow(L7) -- port ids come from this workload's own config, always < ports
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "port ids come from this workload's own config, always < ports"
+        )]
         let p = &mut self.ports[port.0];
         p.issued += 1;
         p.current = p.pattern.advance(p.issued, &p.current);

@@ -1,8 +1,6 @@
 //! The packed simulator state: one contiguous buffer holding everything
 //! that evolves from clock period to clock period.
 //!
-//! vecmem-lint: alloc-free
-//!
 //! Paper §III, assumption 1, rests on the memory state being *finite*; this
 //! module makes that state an explicit, compact value instead of a bundle
 //! of per-subsystem fields. A [`SimState`] packs, in a single `u64` buffer:
@@ -55,6 +53,19 @@
 //! core at `now = 0` (see [`SimState::recompute_hash`]) without ever
 //! re-hashing the whole buffer.
 
+// Hot-path panic policy (TESTING.md, "Hot-path rules").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::integer_division,
+        clippy::disallowed_macros,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use crate::config::SimConfig;
 use crate::request::{PortId, PortOutcome, Request};
 use std::fmt::Write as _;
@@ -106,7 +117,7 @@ const ROW_SEED: u64 = 0x2545_f491_4f6c_dd1d;
 const P61: u64 = (1 << 61) - 1;
 
 /// `a + b` in GF(P61), for `a, b < P61`.
-// vecmem-lint: overflow-policy
+#[deny(clippy::arithmetic_side_effects)]
 #[inline]
 fn add61(a: u64, b: u64) -> u64 {
     // Both below 2^61: the sum stays below 2^62.
@@ -119,7 +130,7 @@ fn add61(a: u64, b: u64) -> u64 {
 }
 
 /// `a − b` in GF(P61), for `a, b < P61`.
-// vecmem-lint: overflow-policy
+#[deny(clippy::arithmetic_side_effects)]
 #[inline]
 fn sub61(a: u64, b: u64) -> u64 {
     if a >= b {
@@ -131,7 +142,7 @@ fn sub61(a: u64, b: u64) -> u64 {
 
 /// `a · b` in GF(P61), for `a, b < P61`: the 122-bit product folds as
 /// `lo + hi` because `2^61 ≡ 1`.
-// vecmem-lint: overflow-policy
+#[deny(clippy::arithmetic_side_effects)]
 #[inline]
 fn mul61(a: u64, b: u64) -> u64 {
     let p = u128::from(a).wrapping_mul(u128::from(b));
@@ -146,6 +157,10 @@ const fn coefficient_of(bank: u64) -> u64 {
 
 /// Coefficients of the first 256 banks, so a grant or an expiry costs a
 /// table load instead of a `mix64` on every geometry up to 256 banks.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "bank < table.len() by the loop condition, and const evaluation rejects any out-of-range index at build time"
+)]
 const COEFFICIENTS: [u64; 256] = {
     let mut table = [0; 256];
     let mut bank = 0;
@@ -345,6 +360,10 @@ impl SimState {
     /// # Panics
     /// If the geometry's bank cycle time exceeds [`MAX_BANK_CYCLE`].
     #[must_use]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "the documented \"# Panics\" precondition, checked once at construction"
+    )]
     pub fn with_signature_slots(config: &SimConfig, sig_len: usize) -> Self {
         let bank_cycle = config.geometry.bank_cycle();
         assert!(
@@ -361,7 +380,6 @@ impl SimState {
         let words =
             1 + 2 * banks as usize + wheel as usize + row_words as usize + sig_len + ports as usize;
         let mut state = Self {
-            // vecmem-lint: allow(L2) -- one-time construction; the step kernel never re-allocates
             buf: vec![0u64; words].into_boxed_slice(),
             banks,
             ports,
@@ -377,10 +395,10 @@ impl SimState {
             h_rot: 0,
             h_pos: 0,
             h_row: 0,
-            outcomes: Vec::with_capacity(ports as usize), // vecmem-lint: allow(L2) -- one-time construction
-            pending: Vec::with_capacity(ports as usize), // vecmem-lint: allow(L2) -- one-time construction
-            kinds: Vec::with_capacity(ports as usize), // vecmem-lint: allow(L2) -- one-time construction
-            just_freed: Vec::with_capacity(ports as usize), // vecmem-lint: allow(L2) -- one-time construction
+            outcomes: Vec::with_capacity(ports as usize),
+            pending: Vec::with_capacity(ports as usize),
+            kinds: Vec::with_capacity(ports as usize),
+            just_freed: Vec::with_capacity(ports as usize),
         };
         let hashes = state.full_hash();
         state.h_res = hashes.res;
@@ -418,10 +436,10 @@ impl SimState {
             h_rot: self.h_rot,
             h_pos: self.h_pos,
             h_row: self.h_row,
-            outcomes: Vec::new(), // vecmem-lint: allow(L2) -- an empty Vec does not allocate; step() grows it on first use
-            pending: Vec::new(), // vecmem-lint: allow(L2) -- an empty Vec does not allocate; step() grows it on first use
-            kinds: Vec::new(), // vecmem-lint: allow(L2) -- an empty Vec does not allocate; step() grows it on first use
-            just_freed: Vec::new(), // vecmem-lint: allow(L2) -- an empty Vec does not allocate; advance_now() grows it on first use
+            outcomes: Vec::new(),
+            pending: Vec::new(),
+            kinds: Vec::new(),
+            just_freed: Vec::new(),
         }
     }
 
@@ -450,6 +468,10 @@ impl SimState {
     /// # Panics
     /// If `residues` does not have one entry per bank or `positions` one
     /// entry per signature slot.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "the size asserts are the documented contract; a mismatch is a harness bug"
+    )]
     pub fn repack(&mut self, residues: &[u8], positions: &[u64], rotation: usize) {
         assert_eq!(residues.len(), self.banks as usize, "one residue per bank");
         assert_eq!(
@@ -498,8 +520,11 @@ impl SimState {
     /// busy→free transition. The step kernel calls it last in every cycle;
     /// a lockstep harness calls it to keep a [`Self::repack`]ed copy on its
     /// own clock.
-    // vecmem-lint: overflow-policy
-    // vecmem-lint: allow-fn(L7) -- buf indices derive from the validated geometry that sized the buffer, and wheel links hold in-range banks by construction
+    #[deny(clippy::arithmetic_side_effects)]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "buf indices derive from the validated geometry that sized the buffer, and wheel links hold in-range banks by construction"
+    )]
     pub fn advance_now(&mut self) {
         self.just_freed.clear();
         self.h_res = sub61(self.h_res, self.g_busy);
@@ -516,12 +541,18 @@ impl SimState {
 
     /// Current cyclic-priority rotation offset.
     #[must_use]
-    // vecmem-lint: allow-fn(L7) -- buf index derives from the validated geometry that sized the buffer
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "buf index derives from the validated geometry that sized the buffer"
+    )]
     pub fn rotation(&self) -> usize {
         self.buf[0] as usize
     }
 
-    // vecmem-lint: allow-fn(L7) -- buf index derives from the validated geometry that sized the buffer
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "buf index derives from the validated geometry that sized the buffer"
+    )]
     pub(crate) fn set_rotation(&mut self, rotation: usize) {
         let old = self.buf[0];
         let new = rotation as u64;
@@ -531,33 +562,42 @@ impl SimState {
         }
     }
 
-    // vecmem-lint: overflow-policy
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "bank < banks <= 2^32 (validated geometry); the index cannot overflow"
+    )]
     #[inline]
     fn free_index(bank: u64) -> usize {
-        // vecmem-lint: allow(L9) -- bank < banks <= 2^32 (validated geometry); the index cannot overflow
         bank as usize + 1
     }
 
     /// Buffer index of the wheel slot a free time `t` is queued in.
-    // vecmem-lint: overflow-policy
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "wheel >= 1; 1 + 2·banks + wheel words fit the buffer (validated geometry)"
+    )]
     #[inline]
     fn head_index(&self, t: u64) -> usize {
         let slot = (t & u64::from(self.wheel - 1)) as usize;
-        // vecmem-lint: allow(L9) -- 1 + 2·banks + wheel words fit the buffer (validated geometry)
         1 + self.banks as usize + slot
     }
 
     /// Buffer index of `bank`'s wheel link.
-    // vecmem-lint: overflow-policy
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "1 + 2·banks + wheel words fit the buffer (validated geometry)"
+    )]
     #[inline]
     fn next_index(&self, bank: u64) -> usize {
-        // vecmem-lint: allow(L9) -- 1 + 2·banks + wheel words fit the buffer (validated geometry)
         1 + self.banks as usize + self.wheel as usize + bank as usize
     }
 
     /// Absolute clock period at which `bank` becomes free.
     #[inline]
-    // vecmem-lint: allow-fn(L7) -- buf index derives from the validated geometry that sized the buffer
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "buf index derives from the validated geometry that sized the buffer"
+    )]
     fn free_at(&self, bank: u64) -> u64 {
         self.buf[Self::free_index(bank)]
     }
@@ -578,8 +618,15 @@ impl SimState {
 
     /// Marks the free `bank` busy for `hold` clock periods from the
     /// current one (a grant): one wheel push and two O(1) hash updates.
-    // vecmem-lint: overflow-policy
-    // vecmem-lint: allow-fn(L7) -- buf index derives from the validated geometry that sized the buffer
+    #[deny(clippy::arithmetic_side_effects)]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "buf index derives from the validated geometry that sized the buffer"
+    )]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug_assert! only: compiled out of release builds"
+    )]
     #[inline]
     pub(crate) fn occupy(&mut self, bank: u64, hold: u64) {
         debug_assert!(!self.is_busy(bank), "bank {bank} granted while busy");
@@ -593,8 +640,11 @@ impl SimState {
     }
 
     /// Pushes `bank` onto the wheel slot of `free_at`.
-    // vecmem-lint: overflow-policy
-    // vecmem-lint: allow-fn(L7) -- buf index derives from the validated geometry that sized the buffer
+    #[deny(clippy::arithmetic_side_effects)]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "buf index derives from the validated geometry that sized the buffer"
+    )]
     #[inline]
     fn link(&mut self, bank: u64, free_at: u64) {
         let head = self.head_index(free_at);
@@ -605,7 +655,10 @@ impl SimState {
 
     /// Removes `bank` from the wheel slot of its free time, if queued
     /// there. Walks the slot's list: off the step kernel's path.
-    // vecmem-lint: allow-fn(L7) -- buf index derives from the validated geometry that sized the buffer
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "buf index derives from the validated geometry that sized the buffer"
+    )]
     fn unlink(&mut self, bank: u64) {
         let target = bank.wrapping_add(1);
         let mut at = self.head_index(self.free_at(bank));
@@ -631,6 +684,10 @@ impl SimState {
             return;
         }
         let g = coefficient(bank);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "buf index derives from the validated geometry that sized the buffer"
+        )]
         if old > 0 {
             self.unlink(bank);
             self.g_busy = sub61(self.g_busy, g);
@@ -643,7 +700,10 @@ impl SimState {
     }
 
     /// Every bank's residue at the current clock period, in bank order.
-    // vecmem-lint: allow-fn(L7) -- the free-time region spans words 1..=banks of the buffer sized from the validated geometry
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the free-time region spans words 1..=banks of the buffer sized from the validated geometry"
+    )]
     pub fn residues(&self) -> impl Iterator<Item = u64> + '_ {
         let now = self.now;
         self.buf[1..=self.banks as usize]
@@ -654,7 +714,7 @@ impl SimState {
     /// All residues as one byte per bank (the legacy signature format).
     #[must_use]
     pub fn residues_vec(&self) -> Vec<u8> {
-        self.residues().map(|r| r as u8).collect() // vecmem-lint: allow(L2) -- legacy signature/diagnostic path, not called by step()
+        self.residues().map(|r| r as u8).collect()
     }
 
     /// Number of banks busy at the current clock period.
@@ -679,7 +739,10 @@ impl SimState {
     /// bank is cold (or the uniform model is active, which tracks no rows).
     #[must_use]
     #[inline]
-    // vecmem-lint: allow-fn(L7) -- buf index derives from the validated geometry that sized the buffer
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "buf index derives from the validated geometry that sized the buffer"
+    )]
     pub fn open_row(&self, bank: u64) -> Option<u64> {
         if self.row_words == 0 {
             return None;
@@ -690,12 +753,22 @@ impl SimState {
 
     /// Opens `row` in `bank`'s row buffer, maintaining the incremental
     /// hash. Only meaningful under the DRAM bank model.
-    // vecmem-lint: overflow-policy
-    // vecmem-lint: allow-fn(L7) -- buf index derives from the validated geometry that sized the buffer
+    #[deny(clippy::arithmetic_side_effects)]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "buf index derives from the validated geometry that sized the buffer"
+    )]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug_assert! only: compiled out of release builds"
+    )]
     #[inline]
     pub(crate) fn set_open_row(&mut self, bank: u64, row: u64) {
         debug_assert!(self.row_words > 0, "uniform model has no open rows");
-        // vecmem-lint: allow(L9) -- row_base + bank is bounded by the buffer length (validated geometry)
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "row_base + bank is bounded by the buffer length (validated geometry)"
+        )]
         let i = self.row_base() + bank as usize;
         let old = self.buf[i];
         // Packs `row + 1` so that 0 means "closed". A row of u64::MAX
@@ -715,6 +788,14 @@ impl SimState {
     /// # Panics
     /// If `open` does not have one entry per bank, or the state was built
     /// for the uniform model (which has no open-row words).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "the size asserts are the documented contract; a mismatch is a harness bug"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the asserts pin the row region to one word per bank of the buffer sized from the validated geometry"
+    )]
     pub fn sync_open_rows(&mut self, open: &[Option<u64>]) {
         assert_eq!(open.len(), self.banks as usize, "one open row per bank");
         assert!(
@@ -740,13 +821,19 @@ impl SimState {
 
     /// Workload position slot `slot`.
     #[must_use]
-    // vecmem-lint: allow-fn(L7) -- buf index derives from the validated geometry that sized the buffer
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "buf index derives from the validated geometry that sized the buffer"
+    )]
     pub fn position(&self, slot: usize) -> u64 {
         self.buf[self.pos_base() + slot]
     }
 
     /// Sets a workload position slot, maintaining the incremental hash.
-    // vecmem-lint: allow-fn(L7) -- buf index derives from the validated geometry that sized the buffer
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "buf index derives from the validated geometry that sized the buffer"
+    )]
     pub fn set_position(&mut self, slot: usize, value: u64) {
         let i = self.pos_base() + slot;
         let old = self.buf[i];
@@ -762,7 +849,10 @@ impl SimState {
     ///
     /// # Panics
     /// If `signature` does not have one entry per slot.
-    // vecmem-lint: allow-fn(L7) -- the size assert is the documented contract; a mismatch is a harness bug
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "the size assert is the documented contract; a mismatch is a harness bug"
+    )]
     pub fn sync_signature(&mut self, signature: &[u64]) {
         assert_eq!(signature.len(), self.sig_len as usize, "signature size");
         for (slot, &v) in signature.iter().enumerate() {
@@ -772,18 +862,27 @@ impl SimState {
 
     /// Clock periods port `port`'s head request has waited so far.
     #[must_use]
-    // vecmem-lint: allow-fn(L7) -- buf index derives from the validated geometry that sized the buffer
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "buf index derives from the validated geometry that sized the buffer"
+    )]
     pub fn wait(&self, port: PortId) -> u64 {
         self.buf[self.wait_base() + port.0]
     }
 
-    // vecmem-lint: allow-fn(L7) -- buf index derives from the validated geometry that sized the buffer
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "buf index derives from the validated geometry that sized the buffer"
+    )]
     pub(crate) fn bump_wait(&mut self, port: PortId) {
         let i = self.wait_base() + port.0;
         self.buf[i] += 1;
     }
 
-    // vecmem-lint: allow-fn(L7) -- buf index derives from the validated geometry that sized the buffer
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "buf index derives from the validated geometry that sized the buffer"
+    )]
     pub(crate) fn reset_wait(&mut self, port: PortId) {
         let i = self.wait_base() + port.0;
         self.buf[i] = 0;
@@ -796,7 +895,10 @@ impl SimState {
         self.h_res ^ self.h_rot ^ self.h_pos ^ self.h_row
     }
 
-    // vecmem-lint: allow-fn(L7) -- buf index derives from the validated geometry that sized the buffer
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "buf index derives from the validated geometry that sized the buffer"
+    )]
     fn full_hash(&self) -> Hashes {
         let mut res = 0;
         let mut g_busy = 0;
@@ -971,7 +1073,7 @@ impl SimState {
     /// position slots.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut s = String::new(); // vecmem-lint: allow(L2) -- divergence reporting only
+        let mut s = String::new();
         let _ = write!(
             s,
             "rotation={} residues={:?}",
@@ -981,13 +1083,13 @@ impl SimState {
         if self.row_words > 0 {
             let rows: Vec<Option<u64>> = (0..u64::from(self.banks))
                 .map(|b| self.open_row(b))
-                .collect(); // vecmem-lint: allow(L2) -- divergence reporting only
+                .collect();
             let _ = write!(s, " open_rows={rows:?}");
         }
         if self.sig_len > 0 {
             let positions: Vec<u64> = (0..self.sig_len as usize)
                 .map(|i| self.position(i))
-                .collect(); // vecmem-lint: allow(L2) -- divergence reporting only
+                .collect();
             let _ = write!(s, " positions={positions:?}");
         }
         s
@@ -1014,6 +1116,10 @@ impl Hashes {
 /// the free times of idle banks are deliberately excluded — they do not
 /// influence future behaviour.
 impl PartialEq for SimState {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every index and range derives from each state's own dimensions, which sized its buffer"
+    )]
     fn eq(&self, other: &Self) -> bool {
         if self.banks != other.banks
             || self.ports != other.ports

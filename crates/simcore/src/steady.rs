@@ -43,6 +43,19 @@
 //! kept a hash map entry (state key + per-port grant vector) for *every*
 //! simulated cycle.
 
+// Hot-path panic policy (TESTING.md, "Hot-path rules").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::integer_division,
+        clippy::disallowed_macros,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use crate::config::SimConfig;
 use crate::observe::NoopObserver;
 use crate::request::PortOutcome;
@@ -274,7 +287,10 @@ impl<'c, W: ObservableWorkload + Clone> Cursor<'c, W> {
         self.sync();
         for ev in &self.state.outcomes {
             match ev.outcome {
-                // vecmem-lint: allow(L7) -- port ids come from the kernel's own config, always < ports
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "port ids come from the kernel's own config, always < ports"
+                )]
                 PortOutcome::Granted => self.per_port[ev.port.0] += 1,
                 PortOutcome::Delayed(kind) => self.conflicts.record(kind),
             }
@@ -349,6 +365,10 @@ pub fn measure_steady_state_workload<W: ObservableWorkload + Clone>(
     let mut rungs: Vec<Snapshot<W>> = Vec::new();
     let mut pos: u64 = 0;
     let mut next_snap: u64 = 1;
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "snaps and snap_hashes grow in lockstep, so an index into one indexes the other"
+    )]
     let (lambda, matched) = loop {
         if pos >= max_cycles {
             return Err(not_converged);
@@ -379,6 +399,10 @@ pub fn measure_steady_state_workload<W: ObservableWorkload + Clone>(
     // One full period of window statistics, by subtraction: period sums
     // are phase-independent, so the window [matched.pos, pos) is as good
     // as [μ, μ+λ).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "matched is the index of the snapshot the detector matched"
+    )]
     let anchor = &snaps[matched];
     let per_port_grants: Vec<u64> = hare
         .per_port
@@ -424,6 +448,10 @@ fn transient<W: ObservableWorkload + Clone>(
     let Some(before) = matched.checked_sub(1) else {
         return 0;
     };
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "matched indexes snaps (the detector's match) and before < matched"
+    )]
     let (prev, anchor) = (&snaps[before], &snaps[matched]);
     let mut mu = prev.pos + 1;
     if mu == anchor.pos {

@@ -1,7 +1,5 @@
 //! The one step kernel: simulate a single clock period.
 //!
-//! vecmem-lint: alloc-free
-//!
 //! Everything that advances the memory model by one cycle — the engine,
 //! the steady-state detector, the differential oracle — funnels through
 //! [`step`]. The kernel owns the canonical event order of a clock period:
@@ -36,7 +34,25 @@
 //!     bank count.
 //!
 //! The kernel is allocation-free: scratch vectors live in the
-//! [`SimState`] and are reused cycle after cycle.
+//! [`SimState`] and are reused cycle after cycle
+//! (`crates/oracle/tests/alloc_counts.rs` counts every allocation of
+//! warmed-up steps and requires none).
+
+// Hot-path panic policy (TESTING.md, "Hot-path rules"): every index,
+// integer division and `assert!`-family macro outside tests names the
+// invariant that rules its panic out in an `#[expect]`; `unreachable!`,
+// `todo!` and `unimplemented!` are denied like the crate-wide `panic!`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::integer_division,
+        clippy::disallowed_macros,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use crate::arbiter::arbitrate_into;
 use crate::config::{PriorityRule, SimConfig};
@@ -68,7 +84,6 @@ pub struct CycleEvents {
 ///
 /// # Panics
 /// If the workload presents a request for a bank outside the geometry.
-// vecmem-lint: hot-path
 pub fn step<W: Workload + ?Sized, O: SimObserver>(
     config: &SimConfig,
     state: &mut SimState,
@@ -90,10 +105,13 @@ pub fn step<W: Workload + ?Sized, O: SimObserver>(
     // 2. Collect pending requests, ascending port order.
     let mut pending = std::mem::take(&mut state.pending);
     pending.clear();
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "the documented \"# Panics\" precondition: an out-of-geometry bank is a workload bug"
+    )]
     for p in 0..config.num_ports() {
         let port = PortId(p);
         if let Some(req) = workload.pending(port, now) {
-            // vecmem-lint: allow(L7) -- the documented "# Panics" precondition: an out-of-geometry bank is a workload bug
             assert!(
                 req.bank < banks,
                 "workload requested bank {} of {banks}",
@@ -120,7 +138,10 @@ pub fn step<W: Workload + ?Sized, O: SimObserver>(
     let mut conflicts = ConflictCounts::default();
     let mut contested = false;
     for (i, &(port, req)) in pending.iter().enumerate() {
-        // vecmem-lint: allow(L7) -- kinds was sized from pending by arbitrate_into this same cycle
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "kinds was sized from pending by arbitrate_into this same cycle"
+        )]
         if let PortOutcome::Delayed(kind) = kinds[i] {
             conflicts.record(kind);
             contested |= kind != ConflictKind::Bank;
@@ -136,10 +157,13 @@ pub fn step<W: Workload + ?Sized, O: SimObserver>(
     let mut outcomes = std::mem::take(&mut state.outcomes);
     outcomes.clear();
     for (i, &(port, req)) in pending.iter().enumerate() {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "kinds was sized from pending by arbitrate_into this same cycle"
+        )]
         outcomes.push(PortEvent {
             port,
             request: req,
-            // vecmem-lint: allow(L7) -- kinds was sized from pending by arbitrate_into this same cycle
             outcome: kinds[i],
             wait: state.wait(port),
         });
@@ -152,10 +176,17 @@ pub fn step<W: Workload + ?Sized, O: SimObserver>(
     let mut grants = 0u32;
     let miss_hold = config.geometry.bank_cycle();
     for (i, &(port, req)) in pending.iter().enumerate() {
-        // vecmem-lint: allow(L7) -- kinds was sized from pending by arbitrate_into this same cycle
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "kinds was sized from pending by arbitrate_into this same cycle"
+        )]
         if kinds[i] == PortOutcome::Granted {
             grants += 1;
             let wait = state.wait(port);
+            #[expect(
+                clippy::disallowed_macros,
+                reason = "debug_assert! only: compiled out of release builds"
+            )]
             let hold = match config.bank_model {
                 crate::config::BankModel::Uniform => miss_hold,
                 crate::config::BankModel::Dram { hit_cycle, rows } => {
@@ -210,7 +241,6 @@ pub fn step<W: Workload + ?Sized, O: SimObserver>(
             reason = "the sanitizer's whole job is to abort loudly at the violating cycle"
         )]
         if let Err(violation) = state.validate() {
-            // vecmem-lint: allow(L7) -- the sanitizer aborts at the violating cycle by design
             panic!("vecmem sanitize: cycle {now}: {violation}");
         }
     }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, full-workspace clippy (which also carries the
-# determinism and panic-policy rules), the vecmem-lint invariant gate, the
-# tier-1 verification command from ROADMAP.md, the benchmark's correctness
-# checks, and golden diffs of the reproduction.
+# determinism, panic-policy and hot-path rules), the tier-1 verification
+# command from ROADMAP.md (which includes the hot path's zero-allocation
+# test), the benchmark's correctness checks, and golden diffs of the
+# reproduction.
 # Run from anywhere inside the repository; exits non-zero on the first
 # failure.
 set -euo pipefail
@@ -18,31 +19,21 @@ echo "==> cargo clippy -D warnings (workspace + benchmark)"
 # The workspace lint table (root Cargo.toml), crates/clippy.toml and each
 # library crate's `lib.rs` attribute turn wall-clock, thread-identity and
 # hash-iteration reads, library `unwrap`/`expect`/`panic!`, wildcard arms
-# in the result crates and reasonless `#[allow]`s into errors here. Known
-# debt carries `#[expect(…, reason = "…")]`; fixing it fails as an
-# unfulfilled expectation until the attribute goes.
+# in the result crates and reasonless `#[allow]`s into errors here. So do
+# the hot-path rules: indexing, integer division and `assert!` in the step
+# kernel's and the lockstep oracle's modules, and unchecked arithmetic in
+# the packed-state helpers (TESTING.md, "Hot-path rules"). Known debt and
+# argued exceptions carry `#[expect(…, reason = "…")]`; fixing them fails
+# as an unfulfilled expectation until the attribute goes.
 cargo clippy --workspace --all-targets --all-features -- -D warnings
 cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
-
-echo "==> vecmem-lint: workspace invariant gate (+ its fixture suite)"
-# The fixture suite covers the rules clippy cannot express end to end: L2
-# alloc-free regions, the L6/L7 call-graph cones and the L9 overflow
-# policy. Its workspace test lints this tree and parses the findings-v1
-# document: schema tag, `findings` and `notes` arrays, no finding.
-cargo test -q -p vecmem-lint
-# Gate run: fails on any finding, emits the machine-readable findings
-# artifact and enforces the linter's own runtime budget (the analysis must
-# stay under 2 s so this script stays cheap to run on every change).
-mkdir -p target/lint
-cargo run -q --release -p vecmem-lint -- --workspace \
-  --json-out target/lint/findings.json --budget-ms 2000
-echo "    findings artifact: target/lint/findings.json"
 
 echo "==> tier-1: cargo build --release && cargo test -q --workspace"
 cargo build --release
 # `--workspace`: a bare `cargo test` builds only the root package, so the
 # crates' own unit tests (arbiter, rng, SimState, detector) would gate
-# nothing.
+# nothing. It includes crates/oracle/tests/alloc_counts.rs, which fails if
+# a warmed-up step() or lockstep cycle allocates.
 cargo test -q --workspace
 # The seeded-fault arbiter variants must keep compiling and passing.
 cargo test -q -p vecmem-oracle --features bug_injection
@@ -72,14 +63,27 @@ for fig in 02 03 04 05 06 07 08 09; do
     || { echo "fig$fig drifted from results/fig$fig.txt"; exit 1; }
 done
 echo "    fig02-fig09 match the golden traces"
-# Mapped skew walks and finite/delayed strides: the two pattern paths the
-# figure traces never reach.
-for table in table_skewing table_matrix table_transient; do
+# Mapped skew walks and finite/delayed strides (the two pattern paths the
+# figure traces never reach), then the kernel, multitask, scaling and
+# spectrum tables.
+for table in table_skewing table_matrix table_transient table_kernels \
+  table_multitask table_scaling table_spectrum; do
   ./target/release/"$table" > "$smoke_dir/$table.txt"
   diff -u "results/$table.txt" "$smoke_dir/$table.txt" \
     || { echo "$table drifted from results/$table.txt"; exit 1; }
 done
-echo "    table_skewing, table_matrix, table_transient match their goldens"
+# Two goldens were generated with arguments: the latency table at m = 16
+# (the binary defaults to 8) and the theorem table at m = 13, n_c = 4.
+./target/release/table_latency 16 > "$smoke_dir/table_latency.txt"
+diff -u results/table_latency.txt "$smoke_dir/table_latency.txt" \
+  || { echo "table_latency 16 drifted from results/table_latency.txt"; exit 1; }
+./target/release/table_theorems 13 4 > "$smoke_dir/table_theorems_m13_nc4.txt" \
+  2> "$smoke_dir/table_theorems_m13_nc4.log"
+diff -u results/table_theorems_m13_nc4.txt "$smoke_dir/table_theorems_m13_nc4.txt" \
+  || { echo "table_theorems 13 4 drifted from results/table_theorems_m13_nc4.txt"; exit 1; }
+# results/table_random.txt is not diffed: it is stale against its generator
+# in the third decimal (ROADMAP item 1).
+echo "    nine results/ tables match their goldens"
 ./target/release/fig10 3 > "$smoke_dir/fig10.txt"
 grep -q "INC" "$smoke_dir/fig10.txt" || { echo "fig10 smoke output empty"; exit 1; }
 ./target/release/table_theorems 8 2 > "$smoke_dir/theorems.txt" 2> "$smoke_dir/theorems.log"
