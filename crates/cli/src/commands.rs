@@ -634,6 +634,9 @@ pub fn cmd_gather(opts: &Options) -> Result<String, Failure> {
     let n = opts.u64_or("n", 4096).map_err(err)?;
     let seed = opts.u64_or("seed", 1).map_err(err)?;
     let span = opts.u64_or("span", 1 << 20).map_err(err)?;
+    if span == 0 {
+        return Err(Failure::Usage("--span must be at least 1".to_string()));
+    }
     let random = run_gather(&geom, IndexPattern::PseudoRandom { seed }, span, n);
     let strided = run_gather(&geom, IndexPattern::Affine { a: 1, c: 0 }, span, n);
     Ok(format!(
@@ -1295,6 +1298,18 @@ mod tests {
         match cmd(&opts(&argv, FLAGS)) {
             Err(e @ Failure::Usage(_)) => assert!(e.to_string().contains("--nc"), "{e}"),
             other => panic!("--nc 300 not rejected as usage: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn gather_rejects_zero_span() {
+        let result = cmd_gather(&opts(&["--banks", "16", "--nc", "4", "--span", "0"], FLAGS));
+        match result {
+            Err(e @ Failure::Usage(_)) => {
+                assert_eq!(e.to_string(), "--span must be at least 1");
+                assert_eq!(e.exit_code(), 2);
+            }
+            other => panic!("--span 0 not rejected as usage: {other:?}"),
         }
     }
 

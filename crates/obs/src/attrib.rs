@@ -160,8 +160,8 @@ impl Attributor {
                     (winner, kind)
                 }
                 // Cross-CPU collision on one inactive bank: the winner is
-                // the port granted that bank this very cycle (phase 3
-                // always grants the top-ranked survivor, so it exists).
+                // the port granted that bank this very cycle (the arbiter
+                // always grants the best-ranked survivor, so it exists).
                 ConflictKind::SimultaneousBank => {
                     let winner = self
                         .grants

@@ -110,32 +110,6 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Extracts the numeric value of `"key":<digits>` from a compact JSON line.
-///
-/// Only suitable for the flat single-line objects this crate itself emits —
-/// it is a field scanner, not a general parser.
-#[must_use]
-pub fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts the string value of `"key":"…"` from a compact JSON line emitted
-/// by this crate (no escape handling — our field values never need it).
-#[must_use]
-pub fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":\"");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let end = rest.find('"')?;
-    Some(&rest[..end])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,16 +133,6 @@ mod tests {
         assert_eq!(Json::str("a\"b\\c\nd").render(), r#""a\"b\\c\nd""#);
         assert_eq!(Json::F64(f64::NAN).render(), "null");
         assert_eq!(Json::F64(f64::INFINITY).render(), "null");
-    }
-
-    #[test]
-    fn field_scanners_roundtrip() {
-        let line = r#"{"t":"grant","cycle":17,"port":2,"bank":11}"#;
-        assert_eq!(field_str(line, "t"), Some("grant"));
-        assert_eq!(field_u64(line, "cycle"), Some(17));
-        assert_eq!(field_u64(line, "bank"), Some(11));
-        assert_eq!(field_u64(line, "missing"), None);
-        assert_eq!(field_str(line, "cycle"), None);
     }
 
     #[test]

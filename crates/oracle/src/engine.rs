@@ -19,11 +19,12 @@
 //!   inactive bank already claimed by another CPU this cycle is a
 //!   *simultaneous bank conflict* (paper §II's taxonomy).
 //!
-//! The greedy walk is equivalent to the optimized engine's three-phase
-//! arbitration because the walk visits ports best-rank first: every path
-//! and every bank is always claimed by the best-ranked eligible port, and
-//! the busy-bank check precedes the path check exactly as phase 1 precedes
-//! phase 2.
+//! The optimized arbiter also decides in rank order, but from the
+//! outcomes of the better-ranked requests; this walk keeps explicit sets
+//! of claimed paths and banks instead. The two agree because both visit
+//! ports best-rank first: every path and every bank is claimed by the
+//! best-ranked eligible port, and the busy-bank check precedes the path
+//! check.
 //!
 //! Generalized access patterns are recomputed naively too: each port holds
 //! a [`RefPattern`] and the engine re-derives the `k`-th bank (and row)

@@ -1,15 +1,23 @@
 //! Per-cycle conflict arbitration.
 //!
-//! Implements the conflict taxonomy of paper §II in three phases:
+//! Implements the conflict taxonomy of paper §II in one pass over the
+//! requests in priority-rank order. Each request is decided against the
+//! higher-priority requests already decided, by the first rule it meets:
 //!
-//! 1. **bank conflicts** — requests to still-active banks are delayed;
-//! 2. **section conflicts** — among a CPU's remaining requests, only one per
-//!    section can use that CPU's access path; the priority rule picks the
-//!    winner (this also covers two same-CPU ports colliding on one inactive
-//!    bank, which the paper treats as a section conflict);
-//! 3. **simultaneous bank conflicts** — among the per-CPU winners, requests
-//!    from different CPUs (hence different paths) colliding on one inactive
-//!    bank are arbitrated by the same priority rule.
+//! 1. **bank conflict** — its bank is still active;
+//! 2. **section conflict** — a better-ranked request of the same CPU, not
+//!    itself delayed by a bank conflict, needs the same section: one
+//!    access path per section per CPU (this also covers two same-CPU
+//!    ports colliding on one inactive bank, which the paper treats as a
+//!    section conflict);
+//! 3. **simultaneous bank conflict** — a better-ranked request that
+//!    survived rules 1–2 (granted, or itself delayed by rule 3) uses the
+//!    same bank: requests from different CPUs, hence different paths,
+//!    collide on one inactive bank;
+//!
+//! and is granted otherwise. Rank order settles each rule before the
+//! next can look at it, so the pass gives the same outcomes as applying
+//! the three rules as separate phases over all requests.
 
 // Hot-path panic policy (TESTING.md, "Hot-path rules").
 #![cfg_attr(
@@ -38,20 +46,29 @@ pub fn priority_rank(rule: PriorityRule, rotation: usize, n_ports: usize, port: 
 }
 
 /// Arbitrates one clock period without allocating: one outcome per request
-/// is pushed into `outcomes` (which is cleared first), in input order.
+/// is written into `outcomes` (which is cleared first), in input order.
 ///
 /// `bank_busy(bank)` reports whether a bank is still active; `requests`
-/// holds the pending request of every active port this cycle, each port
-/// below `config.num_ports()`. The port count is small (one to a few per
-/// CPU), so the phase-2/3 group scans are plain O(p²) passes over the
-/// request slice — no sorting, no temporary group tables. The passes do
-/// not divide: the rotation is reduced once per call, phase 2 looks up
-/// sections only for a same-CPU pair whose rank already decides it, and
-/// phase 3 folds its pairwise test without short-circuiting, so it
-/// compiles to straight-line code.
+/// holds the pending request of every active port this cycle. Two
+/// preconditions, both guaranteed by the step kernel and checked by
+/// `debug_assert!`:
+///
+/// * ports are distinct, below `config.num_ports()` and in ascending
+///   order, so rank order is `requests` rotated at the first port at or
+///   after the rotation (found by binary search);
+/// * every bank is below the geometry's bank count `m`, so on an
+///   unsectioned geometry (`s = m`) section equality is bank equality.
+///
+/// The port count is small (one to a few per CPU), so each request scans
+/// the already decided ones: O(p²/2) compares, no sorting, no group
+/// tables. Only a same-CPU pair on a sectioned geometry looks up sections.
 #[expect(
     clippy::indexing_slicing,
-    reason = "every index walks `requests`/`outcomes`, which this function sized itself; the step kernel asserted the banks"
+    reason = "every index is below `requests.len()`, and `outcomes` was resized to that length"
+)]
+#[expect(
+    clippy::disallowed_macros,
+    reason = "debug_assert! only: compiled out of release builds"
 )]
 pub fn arbitrate_into(
     config: &SimConfig,
@@ -61,82 +78,61 @@ pub fn arbitrate_into(
     outcomes: &mut Vec<PortOutcome>,
 ) {
     let n = config.num_ports();
-    // `priority_rank` with the rotation reduced once (fixed priority is
-    // rotation 0): for a port below `n` and a rotation below `n`,
-    // `port + n - rotation` lies in `1..2n`, so one conditional subtract
-    // replaces the modulo.
+    let geometry = &config.geometry;
+    debug_assert!(
+        requests.windows(2).all(|w| w[0].0 .0 < w[1].0 .0)
+            && requests.last().is_none_or(|&(p, _)| p.0 < n),
+        "ports must be distinct, ascending and below {n}"
+    );
+    debug_assert!(
+        requests.iter().all(|&(_, r)| r.bank < geometry.banks()),
+        "banks must be below {}",
+        geometry.banks()
+    );
+    // Rank order starts at the first port at or after the rotation (fixed
+    // priority is rotation 0) and wraps around.
     let rotation = match config.priority {
         PriorityRule::Fixed => 0,
         PriorityRule::Cyclic => rotation % n.max(1),
     };
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "debug_assert! only: compiled out of release builds"
-    )]
-    let rank = |p: PortId| {
-        debug_assert!(p.0 < n, "port {} of {n}", p.0);
-        let r = p.0 + n - rotation;
-        if r >= n {
-            r - n
+    let len = requests.len();
+    let first = requests.partition_point(|&(p, _)| p.0 < rotation);
+    let in_rank = |k: usize| {
+        if k < len - first {
+            first + k
         } else {
-            r
+            k - (len - first)
         }
     };
+    let sectioned = geometry.sections() != geometry.banks();
 
-    // Phase 1: bank conflicts. Everything else is tentatively granted.
     outcomes.clear();
-    for &(_, req) in requests {
-        outcomes.push(if bank_busy(req.bank) {
-            PortOutcome::Delayed(ConflictKind::Bank)
-        } else {
-            PortOutcome::Granted
-        });
-    }
-
-    // Phase 2: section conflicts within each CPU. A tentative grant loses
-    // to any phase-1 survivor of the same (cpu, section) group with a
-    // better rank. Requests already marked `Delayed(Section)` by this pass
-    // still count as phase-1 survivors for later comparisons, so the scan
-    // order does not matter.
-    let geometry = &config.geometry;
-    for i in 0..requests.len() {
-        if outcomes[i] != PortOutcome::Granted {
+    outcomes.resize(len, PortOutcome::Granted);
+    for k in 0..len {
+        let i = in_rank(k);
+        let (port, req) = requests[i];
+        if bank_busy(req.bank) {
+            outcomes[i] = PortOutcome::Delayed(ConflictKind::Bank);
             continue;
         }
-        let (port, req) = requests[i];
         let cpu = config.cpu_of(port);
-        let rank_i = rank(port);
-        let loses = requests.iter().enumerate().any(|(j, &(p, r))| {
-            j != i
-                && outcomes[j] != PortOutcome::Delayed(ConflictKind::Bank)
-                && config.cpu_of(p) == cpu
-                && rank(p) < rank_i
-                && geometry.section_of(r.bank) == geometry.section_of(req.bank)
-        });
-        if loses {
+        let (mut section, mut simultaneous) = (false, false);
+        for j in (0..k).map(in_rank) {
+            let (p, r) = requests[j];
+            let survivor = match outcomes[j] {
+                PortOutcome::Delayed(ConflictKind::Bank) => continue,
+                PortOutcome::Delayed(ConflictKind::Section) => false,
+                PortOutcome::Granted | PortOutcome::Delayed(ConflictKind::SimultaneousBank) => true,
+            };
+            let same_bank = r.bank == req.bank;
+            section |= config.cpu_of(p) == cpu
+                && (same_bank
+                    || sectioned && geometry.section_of(r.bank) == geometry.section_of(req.bank));
+            simultaneous |= survivor && same_bank;
+        }
+        if section {
             outcomes[i] = PortOutcome::Delayed(ConflictKind::Section);
-        }
-    }
-
-    // Phase 3: simultaneous bank conflicts across CPUs. A remaining grant
-    // loses to any phase-2 survivor (granted, or already demoted to
-    // `Delayed(SimultaneousBank)` by this pass) on the same bank with a
-    // better rank.
-    for i in 0..requests.len() {
-        if outcomes[i] != PortOutcome::Granted {
-            continue;
-        }
-        let (port, req) = requests[i];
-        let rank_i = rank(port);
-        let mut loses = false;
-        for (j, &(p, r)) in requests.iter().enumerate() {
-            let survivor = matches!(
-                outcomes[j],
-                PortOutcome::Granted | PortOutcome::Delayed(ConflictKind::SimultaneousBank)
-            );
-            loses |= (j != i) & survivor & (r.bank == req.bank) & (rank(p) < rank_i);
-        }
-        if loses {
+        } else if simultaneous {
             outcomes[i] = PortOutcome::Delayed(ConflictKind::SimultaneousBank);
         }
     }
@@ -274,6 +270,39 @@ mod tests {
         assert_eq!(buf, vec![PortOutcome::Delayed(ConflictKind::Bank)]);
     }
 
+    #[test]
+    fn cyclic_rank_order_wraps_around() {
+        // Ports 0 and 2 on CPU 0, port 1 on CPU 1; m = 8, s = 2 (section
+        // = bank mod 2). Rotation 2 ranks the ports 2, 0, 1: port 2 takes
+        // bank 5 and CPU 0's path to section 1, so port 0 (bank 3, same
+        // section, same CPU) loses the path and port 1 (bank 5, other
+        // CPU) loses the bank.
+        let c = SimConfig {
+            ports: vec![CpuId(0), CpuId(1), CpuId(0)],
+            ..SimConfig::single_cpu(Geometry::new(8, 2, 2).unwrap(), 3)
+                .with_priority(PriorityRule::Cyclic)
+        };
+        let requests = [req(0, 3), req(1, 5), req(2, 5)];
+        let expected = vec![
+            PortOutcome::Delayed(ConflictKind::Section),
+            PortOutcome::Delayed(ConflictKind::SimultaneousBank),
+            PortOutcome::Granted,
+        ];
+        assert_eq!(arbitrated(&c, 2, never_busy, &requests), expected);
+        let mut reference = Vec::new();
+        arbitrate_reference(&c, 2, never_busy, &requests, &mut reference);
+        assert_eq!(reference, expected);
+        // Rotation 0 ranks them 0, 1, 2: now port 2 loses CPU 0's path.
+        assert_eq!(
+            arbitrated(&c, 0, never_busy, &requests),
+            vec![
+                PortOutcome::Granted,
+                PortOutcome::Granted,
+                PortOutcome::Delayed(ConflictKind::Section),
+            ]
+        );
+    }
+
     /// The three-phase arbiter as it stood before the passes stopped
     /// dividing, kept verbatim as the equivalence reference.
     fn arbitrate_reference(
@@ -363,7 +392,7 @@ mod tests {
         #[test]
         fn arbitrate_into_matches_reference(
             geometry in select(equivalence_geometries()),
-            n in 1usize..=6,
+            n in 1usize..=8,
             cpus in 1u64..=3,
             priority in select(vec![PriorityRule::Fixed, PriorityRule::Cyclic]),
             rotation in 0usize..12,

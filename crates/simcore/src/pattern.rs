@@ -293,6 +293,9 @@ pub enum IndexPattern {
 
 impl IndexPattern {
     /// The k-th index in `0..span`.
+    ///
+    /// # Panics
+    /// If `span` is zero.
     #[must_use]
     pub fn index(&self, k: u64, span: u64) -> u64 {
         match *self {
@@ -310,6 +313,9 @@ impl IndexPattern {
 
     /// Period of the index sequence in `k`, or `None` for the aperiodic
     /// pseudo-random walk.
+    ///
+    /// # Panics
+    /// If `span` is zero on an affine pattern.
     #[must_use]
     #[expect(
         clippy::integer_division,
@@ -345,6 +351,11 @@ impl IndexPattern {
     ///   `T` to be a residue period both steps would have to be `≡ 0 (mod
     ///   modulus)`, forcing `modulus | span`. So every residue period has
     ///   `d = 0`, i.e. is a multiple of `P`.
+    ///
+    /// # Panics
+    /// If `span` and `modulus` are both zero on an affine pattern. A zero
+    /// span with a nonzero modulus returns a period, but no index exists
+    /// to follow it: [`index`](Self::index) panics there.
     #[must_use]
     #[expect(
         clippy::integer_division,
@@ -824,6 +835,9 @@ impl<P: AccessPattern> PatternWorkload<P> {
     }
 
     /// Elements issued (granted) by port `p` so far.
+    ///
+    /// # Panics
+    /// If `p` is not a port of this workload.
     #[must_use]
     #[expect(
         clippy::indexing_slicing,
@@ -834,6 +848,9 @@ impl<P: AccessPattern> PatternWorkload<P> {
     }
 
     /// Burst-idle periods remaining on port `p`.
+    ///
+    /// # Panics
+    /// If `p` is not a port of this workload.
     #[must_use]
     #[expect(
         clippy::indexing_slicing,
@@ -844,6 +861,9 @@ impl<P: AccessPattern> PatternWorkload<P> {
     }
 
     /// The pattern driving port `p`.
+    ///
+    /// # Panics
+    /// If `p` is not a port of this workload.
     #[must_use]
     #[expect(
         clippy::indexing_slicing,
@@ -931,6 +951,10 @@ impl<P: AccessPattern> ObservableWorkload for PatternWorkload<P> {
                 p.pattern.encode_slot_at(p.issued, p.cooldown, &p.current)
             };
         }
+    }
+
+    fn grants(&self, port: usize) -> u64 {
+        self.ports.get(port).map_or(0, |p| p.issued)
     }
 
     fn signature_bound(&self) -> Option<u64> {
@@ -1072,6 +1096,22 @@ mod tests {
             IndexPattern::PseudoRandom { seed: 1 }.request_period(64, 8),
             None
         );
+    }
+
+    /// The documented panics of a zero span, and the one call that does
+    /// not panic there.
+    #[test]
+    fn zero_span_panics_where_documented() {
+        use std::panic::catch_unwind;
+        let affine = IndexPattern::Affine { a: 3, c: 1 };
+        let random = IndexPattern::PseudoRandom { seed: 5 };
+        assert!(catch_unwind(|| affine.index(4, 0)).is_err());
+        assert!(catch_unwind(|| random.index(4, 0)).is_err());
+        assert!(catch_unwind(|| affine.period(0)).is_err());
+        assert_eq!(random.period(0), None);
+        assert!(catch_unwind(|| affine.request_period(0, 0)).is_err());
+        assert_eq!(affine.request_period(0, 16), Some(16));
+        assert_eq!(affine.request_period(12, 0), Some(4));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! directly to lost bandwidth.)
 
 use crate::request::{ConflictKind, PortId};
-use std::ops::Sub;
+use std::ops::{Add, Sub};
 
 /// Conflict counters, one per [`ConflictKind`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,6 +45,20 @@ impl ConflictCounts {
             ConflictKind::Bank => self.bank,
             ConflictKind::SimultaneousBank => self.simultaneous,
             ConflictKind::Section => self.section,
+        }
+    }
+}
+
+/// Accumulation: the steady-state cursor folds each cycle's
+/// [`CycleEvents::conflicts`](crate::step::CycleEvents::conflicts) into
+/// its running totals.
+impl Add for ConflictCounts {
+    type Output = ConflictCounts;
+    fn add(self, rhs: Self) -> Self {
+        Self {
+            bank: self.bank + rhs.bank,
+            simultaneous: self.simultaneous + rhs.simultaneous,
+            section: self.section + rhs.section,
         }
     }
 }
@@ -225,6 +239,7 @@ mod tests {
                 section: 2
             }
         );
+        assert_eq!((a - b) + b, a);
     }
 
     #[test]

@@ -20,10 +20,13 @@
 //!   `k ≥ 2`, the same snapshot would already have matched `λ` steps
 //!   earlier. This finds `λ` in `μ' + λ` steps, where `μ'` is the first
 //!   power of two ≥ the transient length `μ`;
-//! * every cursor carries cumulative per-port grant and conflict
-//!   counters, so the difference between the cursor and the matched
-//!   snapshot is one full period of window statistics — period sums are
-//!   phase-independent, so no replay pass is needed;
+//! * every cursor carries cumulative counters: conflicts summed from the
+//!   [`CycleEvents`](crate::step::CycleEvents) each step returns, and
+//!   per-port grants in the workload's own issue counts
+//!   ([`ObservableWorkload::grants`]). So the difference between the
+//!   cursor and the matched snapshot is one full period of window
+//!   statistics — period sums are phase-independent, so no replay pass is
+//!   needed, and no step re-reads the per-port outcomes;
 //! * the matched snapshot is the first one on the cycle, so the transient
 //!   `μ` lies between the snapshot before it and the matched one, and the
 //!   exact `μ` comes from walking two cursors `λ` apart from that earlier
@@ -58,7 +61,6 @@
 
 use crate::config::SimConfig;
 use crate::observe::NoopObserver;
-use crate::request::PortOutcome;
 use crate::state::SimState;
 use crate::stats::ConflictCounts;
 use crate::step::step;
@@ -133,6 +135,11 @@ pub trait ObservableWorkload: Workload {
     /// [`signature_len`](Self::signature_len) slots.
     fn write_signature(&self, out: &mut [u64]);
 
+    /// Grants port `port` has received so far; `0` for a port the workload
+    /// does not drive. The count never decreases, so the grants within a
+    /// window are the difference of its ends.
+    fn grants(&self, port: usize) -> u64;
+
     /// Compact encoding of the workload state, as an owned vector.
     fn state_signature(&self) -> Vec<u64> {
         let mut out = vec![0u64; self.signature_len()];
@@ -185,6 +192,9 @@ impl<W: ObservableWorkload + ?Sized> ObservableWorkload for &mut W {
     fn write_signature(&self, out: &mut [u64]) {
         (**self).write_signature(out);
     }
+    fn grants(&self, port: usize) -> u64 {
+        (**self).grants(port)
+    }
     fn signature_bound(&self) -> Option<u64> {
         (**self).signature_bound()
     }
@@ -211,15 +221,14 @@ impl<W: Workload + ?Sized> Workload for &mut W {
 /// One deterministic replayable trajectory: a state plus the workload
 /// driving it, with the workload's signature mirrored into the state's
 /// position slots after every step so the state core alone decides
-/// recurrence. The cursor also carries cumulative per-port grant and
-/// conflict counters so any two points on the same trajectory define a
-/// window of statistics by subtraction.
+/// recurrence. The cursor also carries a cumulative conflict counter, and
+/// the workload its per-port grant counts, so any two points on the same
+/// trajectory define a window of statistics by subtraction.
 struct Cursor<'c, W> {
     config: &'c SimConfig,
     state: SimState,
     workload: W,
     sig_buf: Vec<u64>,
-    per_port: Vec<u64>,
     conflicts: ConflictCounts,
 }
 
@@ -236,12 +245,12 @@ const RUNG_SPACING: u64 = 64;
 const RUNGS_PER_LEVEL: u64 = 4;
 
 /// A saved cursor position: the trajectory step count (post-warmup), the
-/// state, the workload, and the cumulative counters at that point.
+/// state, the workload (with its grant counts), and the cumulative
+/// conflicts at that point.
 struct Snapshot<W> {
     pos: u64,
     state: SimState,
     workload: W,
-    per_port: Vec<u64>,
     conflicts: ConflictCounts,
 }
 
@@ -253,7 +262,6 @@ impl<'c, W: ObservableWorkload + Clone> Cursor<'c, W> {
             state: SimState::with_signature_slots(config, sig_len),
             workload,
             sig_buf: vec![0u64; sig_len],
-            per_port: vec![0u64; config.num_ports()],
             conflicts: ConflictCounts::default(),
         };
         let bound = cursor.workload.signature_bound();
@@ -278,23 +286,14 @@ impl<'c, W: ObservableWorkload + Clone> Cursor<'c, W> {
     }
 
     fn advance(&mut self) {
-        step(
+        let events = step(
             self.config,
             &mut self.state,
             &mut self.workload,
             &mut NoopObserver,
         );
         self.sync();
-        for ev in &self.state.outcomes {
-            match ev.outcome {
-                #[expect(
-                    clippy::indexing_slicing,
-                    reason = "port ids come from the kernel's own config, always < ports"
-                )]
-                PortOutcome::Granted => self.per_port[ev.port.0] += 1,
-                PortOutcome::Delayed(kind) => self.conflicts.record(kind),
-            }
-        }
+        self.conflicts = self.conflicts + events.conflicts;
     }
 
     fn advance_by(&mut self, cycles: u64) {
@@ -308,7 +307,6 @@ impl<'c, W: ObservableWorkload + Clone> Cursor<'c, W> {
             pos,
             state: self.state.copy_core(),
             workload: self.workload.clone(),
-            per_port: self.per_port.clone(),
             conflicts: self.conflicts,
         }
     }
@@ -320,9 +318,16 @@ impl<'c, W: ObservableWorkload + Clone> Cursor<'c, W> {
             state: snap.state.copy_core(),
             workload: snap.workload.clone(),
             sig_buf: vec![0u64; sig_len],
-            per_port: snap.per_port.clone(),
             conflicts: snap.conflicts,
         }
+    }
+
+    /// Grants per port between `earlier` and this cursor, on one
+    /// trajectory.
+    fn grants_since(&self, earlier: &W) -> Vec<u64> {
+        (0..self.config.num_ports())
+            .map(|p| self.workload.grants(p) - earlier.grants(p))
+            .collect()
     }
 }
 
@@ -404,12 +409,7 @@ pub fn measure_steady_state_workload<W: ObservableWorkload + Clone>(
         reason = "matched is the index of the snapshot the detector matched"
     )]
     let anchor = &snaps[matched];
-    let per_port_grants: Vec<u64> = hare
-        .per_port
-        .iter()
-        .zip(&anchor.per_port)
-        .map(|(&a, &b)| a - b)
-        .collect();
+    let per_port_grants = hare.grants_since(&anchor.workload);
     let conflicts = hare.conflicts - anchor.conflicts;
 
     let mu = transient(config, &snaps, &rungs, matched, lambda);
@@ -501,15 +501,10 @@ fn measure_windowed<W: ObservableWorkload + Clone>(
     }
     let mut cursor = Cursor::new(config, workload.clone());
     cursor.advance_by(warmup);
-    let base_per_port = cursor.per_port.clone();
+    let base = cursor.workload.clone();
     let base_conflicts = cursor.conflicts;
     cursor.advance_by(window);
-    let per_port_grants: Vec<u64> = cursor
-        .per_port
-        .iter()
-        .zip(&base_per_port)
-        .map(|(&a, &b)| a - b)
-        .collect();
+    let per_port_grants = cursor.grants_since(&base);
     let grants_per_period: u64 = per_port_grants.iter().sum();
     Ok(SteadyState {
         beff: Ratio::new(grants_per_period, window),
@@ -528,11 +523,15 @@ fn measure_windowed<W: ObservableWorkload + Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{PortId, Request};
+    use crate::config::{BankModel, PriorityRule};
+    use crate::pattern::{IndexPattern, PatternPort, PatternSpec, PatternWorkload};
+    use crate::request::{CpuId, PortId, PortOutcome, Request};
     use std::cell::Cell;
     use std::collections::HashMap;
     use std::rc::Rc;
-    use vecmem_analytic::Geometry;
+    use vecmem_analytic::{Geometry, SectionMapping};
+    use vecmem_prop::prelude::*;
+    use vecmem_prop::{select, TestRng};
 
     /// Port p cycles through banks `p, p + d, p + 2d, …` (mod m).
     #[derive(Clone)]
@@ -540,6 +539,7 @@ mod tests {
         m: u64,
         d: Vec<u64>,
         pos: Vec<u64>,
+        grants: Vec<u64>,
     }
 
     impl Strides {
@@ -548,6 +548,7 @@ mod tests {
                 m,
                 d: d.to_vec(),
                 pos: (0..d.len() as u64).collect(),
+                grants: vec![0; d.len()],
             }
         }
     }
@@ -558,6 +559,7 @@ mod tests {
         }
         fn granted(&mut self, port: PortId, _now: u64) {
             self.pos[port.0] = (self.pos[port.0] + self.d[port.0]) % self.m;
+            self.grants[port.0] += 1;
         }
         fn is_finished(&self) -> bool {
             false
@@ -570,6 +572,9 @@ mod tests {
         }
         fn write_signature(&self, out: &mut [u64]) {
             out.copy_from_slice(&self.pos);
+        }
+        fn grants(&self, port: usize) -> u64 {
+            self.grants.get(port).copied().unwrap_or(0)
         }
     }
 
@@ -671,6 +676,9 @@ mod tests {
         }
         fn write_signature(&self, out: &mut [u64]) {
             self.inner.write_signature(out);
+        }
+        fn grants(&self, port: usize) -> u64 {
+            self.inner.grants(port)
         }
     }
 
@@ -774,5 +782,100 @@ mod tests {
             longest_lambda > 64 * RUNG_SPACING,
             "longest period {longest_lambda}"
         );
+    }
+
+    /// One random port spec: a stride, an affine or pseudo-random gather,
+    /// or a burst, with distances past the bank count.
+    fn random_spec(rng: &mut TestRng, m: u64) -> PatternSpec {
+        match rng.bounded(4) {
+            0 => PatternSpec::Stride {
+                start_bank: rng.bounded(m),
+                distance: rng.bounded(2 * m),
+            },
+            1 => PatternSpec::Gather {
+                base: rng.bounded(4 * m),
+                span: 1 + rng.bounded(3 * m),
+                index: IndexPattern::Affine {
+                    a: rng.bounded(2 * m),
+                    c: rng.bounded(m),
+                },
+            },
+            2 => PatternSpec::Gather {
+                base: rng.bounded(m),
+                span: 1 + rng.bounded(1 << 12),
+                index: IndexPattern::PseudoRandom {
+                    seed: rng.next_u64(),
+                },
+            },
+            _ => PatternSpec::Burst {
+                start_bank: rng.bounded(m),
+                distance: rng.bounded(2 * m),
+                burst: 1 + rng.bounded(4),
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn cursor_signature_tracks_the_workload(
+            geometry in select(vec![
+                Geometry::unsectioned(8, 3).unwrap(),
+                Geometry::unsectioned(13, 4).unwrap(),
+                Geometry::with_mapping(16, 4, 4, SectionMapping::Consecutive).unwrap(),
+            ]),
+            dram in select(vec![false, true]),
+            priority in select(vec![PriorityRule::Fixed, PriorityRule::Cyclic]),
+            seed in 0u64..=u64::MAX,
+        ) {
+            // One to four ports on one or two CPUs; each port may be
+            // finite and may start late. After every cursor step the
+            // position slots must hold a fresh signature, and the
+            // workload's grant counts and the summed conflicts must match
+            // a walk over the step's per-port outcomes.
+            let mut rng = TestRng::seed_from_u64(seed);
+            let n = 1 + rng.bounded(4) as usize;
+            let m = geometry.banks();
+            let mut config = SimConfig {
+                ports: (0..n).map(|_| CpuId(rng.bounded(2) as usize)).collect(),
+                ..SimConfig::single_cpu(geometry, n).with_priority(priority)
+            };
+            if dram {
+                config = config.with_bank_model(BankModel::Dram {
+                    hit_cycle: 1 + rng.bounded(geometry.bank_cycle()),
+                    rows: 1 + rng.bounded(4),
+                });
+            }
+            let ports = (0..n)
+                .map(|_| {
+                    let mut port = PatternPort::new(random_spec(&mut rng, m).build(&config));
+                    if rng.bounded(3) == 0 {
+                        port = port.with_length(rng.bounded(24));
+                    }
+                    if rng.bounded(3) == 0 {
+                        port = port.starting_at(rng.bounded(12));
+                    }
+                    port
+                })
+                .collect();
+            let mut cursor = Cursor::new(&config, PatternWorkload::new(ports));
+            let mut grants = vec![0u64; n];
+            let mut conflicts = ConflictCounts::default();
+            for cycle in 0..160 {
+                cursor.advance();
+                for ev in cursor.state.outcomes() {
+                    match ev.outcome {
+                        PortOutcome::Granted => grants[ev.port.0] += 1,
+                        PortOutcome::Delayed(kind) => conflicts.record(kind),
+                    }
+                }
+                let slots: Vec<u64> = (0..n).map(|i| cursor.state.position(i)).collect();
+                prop_assert_eq!(slots, cursor.workload.state_signature(), "cycle {}", cycle);
+                prop_assert_eq!(cursor.state.hash(), cursor.state.recompute_hash());
+                let counted: Vec<u64> = (0..n).map(|p| cursor.workload.grants(p)).collect();
+                prop_assert_eq!(&counted, &grants, "cycle {}", cycle);
+                prop_assert_eq!(cursor.conflicts, conflicts, "cycle {}", cycle);
+            }
+        }
     }
 }
