@@ -195,34 +195,36 @@ fn pair_streams(opts: &Options, geom: &Geometry) -> Result<[StreamSpec; 2], Stri
 /// Bank-model options: `--bank-model {uniform|dram}` with `--dram-hit N`
 /// (open-row hit hold, default 1) and `--dram-rows N` (rows tracked per
 /// bank, default 16).
-fn bank_model(opts: &Options, geom: &Geometry) -> Result<BankModel, String> {
+fn bank_model(opts: &Options, geom: &Geometry) -> Result<BankModel, Failure> {
     match opts.string("bank-model").unwrap_or("uniform") {
         "uniform" => Ok(BankModel::Uniform),
         "dram" => {
             let hit_cycle = opts.u64_or("dram-hit", 1).map_err(err)?;
             let rows = opts.u64_or("dram-rows", 16).map_err(err)?;
             if hit_cycle == 0 || hit_cycle > geom.bank_cycle() {
-                return Err(format!(
+                return Err(Failure::Usage(format!(
                     "--dram-hit must be in 1..={} (the geometry's n_c)",
                     geom.bank_cycle()
-                ));
+                )));
             }
             if rows == 0 {
-                return Err("--dram-rows must be at least 1".to_string());
+                return Err(Failure::Usage("--dram-rows must be at least 1".to_string()));
             }
             Ok(BankModel::Dram { hit_cycle, rows })
         }
-        other => Err(format!("unknown bank model '{other}' (have uniform, dram)")),
+        other => Err(Failure::Usage(format!(
+            "unknown bank model '{other}' (have uniform, dram)"
+        ))),
     }
 }
 
 /// Per-grant burst length implied by the pattern options (1 unless
 /// `--pattern burst`).
-fn pattern_burst(opts: &Options) -> Result<u64, String> {
+fn pattern_burst(opts: &Options) -> Result<u64, Failure> {
     if opts.string("pattern") == Some("burst") {
         let burst = opts.u64_or("burst", 4).map_err(err)?;
         if burst == 0 {
-            return Err("--burst must be at least 1".to_string());
+            return Err(Failure::Usage("--burst must be at least 1".to_string()));
         }
         Ok(burst)
     } else {
@@ -239,7 +241,7 @@ fn pattern_burst(opts: &Options) -> Result<u64, String> {
 ///   both ports);
 /// * `burst` drives the `--d1/--d2` strides with `--burst` words per
 ///   grant.
-fn pattern_specs(opts: &Options, geom: &Geometry) -> Result<Vec<PatternSpec>, String> {
+fn pattern_specs(opts: &Options, geom: &Geometry) -> Result<Vec<PatternSpec>, Failure> {
     let [s1, s2] = pair_streams(opts, geom)?;
     match opts.string("pattern").unwrap_or("stride") {
         "stride" => Ok([s1, s2]
@@ -252,7 +254,7 @@ fn pattern_specs(opts: &Options, geom: &Geometry) -> Result<Vec<PatternSpec>, St
         "gather" => {
             let span = opts.u64_or("span", 1 << 20).map_err(err)?;
             if span == 0 {
-                return Err("--span must be at least 1".to_string());
+                return Err(Failure::Usage("--span must be at least 1".to_string()));
             }
             let index = |port: u64| -> Result<IndexPattern, String> {
                 if let Some(a) = opts.string("affine") {
@@ -289,9 +291,9 @@ fn pattern_specs(opts: &Options, geom: &Geometry) -> Result<Vec<PatternSpec>, St
                 })
                 .collect())
         }
-        other => Err(format!(
+        other => Err(Failure::Usage(format!(
             "unknown pattern '{other}' (have stride, gather, burst)"
-        )),
+        ))),
     }
 }
 
@@ -702,7 +704,9 @@ pub fn cmd_skew(opts: &Options) -> Result<String, Failure> {
         return skew_gather(opts, geom, &schemes);
     }
     if let Some(other) = opts.string("pattern").filter(|p| *p != "stride") {
-        return Err(format!("unknown pattern '{other}' for skew (have stride, gather)").into());
+        return Err(Failure::Usage(format!(
+            "unknown pattern '{other}' for skew (have stride, gather)"
+        )));
     }
     let mut out = String::new();
     for scheme in &schemes {
@@ -737,7 +741,7 @@ fn skew_gather(
 ) -> Result<String, Failure> {
     let span = opts.u64_or("span", 1 << 20).map_err(err)?;
     if span == 0 {
-        return Err("--span must be at least 1".to_string().into());
+        return Err(Failure::Usage("--span must be at least 1".to_string()));
     }
     let index = if let Some(a) = opts.string("affine") {
         let a: u64 = a
@@ -1310,6 +1314,49 @@ mod tests {
                 assert_eq!(e.exit_code(), 2);
             }
             other => panic!("--span 0 not rejected as usage: {other:?}"),
+        }
+    }
+
+    /// A rejected option value is a usage error (exit 2) naming the
+    /// option, whichever verb's option parser rejects it.
+    #[test]
+    fn rejected_values_are_usage_errors() {
+        type Cmd = fn(&Options) -> Result<String, Failure>;
+        let cases: [(&[&str], Cmd, &str); 5] = [
+            (
+                &["--pattern", "gather", "--span", "0"],
+                cmd_steady,
+                "--span must be at least 1",
+            ),
+            (
+                &["--pattern", "gather", "--span", "0"],
+                cmd_skew,
+                "--span must be at least 1",
+            ),
+            (
+                &["--pattern", "burst", "--burst", "0"],
+                cmd_steady,
+                "--burst must be at least 1",
+            ),
+            (
+                &["--bank-model", "dram", "--dram-hit", "0"],
+                cmd_steady,
+                "--dram-hit must be in 1..=4 (the geometry's n_c)",
+            ),
+            (
+                &["--bank-model", "dram", "--dram-rows", "0"],
+                cmd_steady,
+                "--dram-rows must be at least 1",
+            ),
+        ];
+        for (args, cmd, message) in cases {
+            match cmd(&opts(args, FLAGS)) {
+                Err(e @ Failure::Usage(_)) => {
+                    assert_eq!(e.to_string(), message);
+                    assert_eq!(e.exit_code(), 2);
+                }
+                other => panic!("{args:?} not rejected as usage: {other:?}"),
+            }
         }
     }
 

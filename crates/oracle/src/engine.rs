@@ -19,6 +19,12 @@
 //!   inactive bank already claimed by another CPU this cycle is a
 //!   *simultaneous bank conflict* (paper §II's taxonomy).
 //!
+//! The engine is naive in its logic, not in how it allocates. Its
+//! per-cycle lists (the service order, the claimed paths and banks, the
+//! per-port steps) are owned by the engine and emptied at the start of
+//! every cycle, so a warmed-up cycle allocates nothing. All stepping goes
+//! through [`RefEngine::advance`]; `step`, `step_ports` and `run` wrap it.
+//!
 //! The optimized arbiter also decides in rank order, but from the
 //! outcomes of the better-ranked requests; this walk keeps explicit sets
 //! of claimed paths and banks instead. The two agree because both visit
@@ -291,8 +297,28 @@ pub struct RefEngine {
     grants: Vec<u64>,
     /// Delayed port-cycles per port: `[bank, section, simultaneous]`.
     delays: Vec<[u64; 3]>,
+    /// The last cycle's per-port steps (`None` = idle port).
+    steps: Vec<Option<RefStep>>,
+    /// Per-cycle lists, cleared at the start of every cycle.
+    scratch: CycleLists,
     #[cfg(feature = "bug_injection")]
     bug: Option<InjectedBug>,
+}
+
+/// The literal lists one cycle's arbitration builds, kept across cycles
+/// only so their storage is reused: every cycle starts from empty lists.
+#[derive(Debug, Clone, Default)]
+struct CycleLists {
+    /// Ports in the order the arbiter serves them (best rank first).
+    order: Vec<usize>,
+    /// Access paths `(cpu, section)` claimed so far this cycle.
+    paths_used: Vec<(usize, u64)>,
+    /// Inactive banks claimed so far this cycle, with each claim's hold
+    /// time.
+    banks_claimed: Vec<(u64, u64)>,
+    /// Banks whose countdown reached zero at the start of this cycle.
+    #[cfg(feature = "bug_injection")]
+    freed_now: Vec<bool>,
 }
 
 impl RefEngine {
@@ -349,6 +375,8 @@ impl RefEngine {
             cycle: 0,
             grants: vec![0; ports],
             delays: vec![[0; 3]; ports],
+            steps: vec![None; ports],
+            scratch: CycleLists::default(),
             config,
             #[cfg(feature = "bug_injection")]
             bug: None,
@@ -430,15 +458,26 @@ impl RefEngine {
         }
     }
 
-    /// Ports in the order the arbiter serves them this cycle (best first).
-    fn service_order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.config.port_cpus.len()).collect();
-        order.sort_by_key(|&i| self.rank(i));
+    /// Fills `order` with the ports in the order the arbiter serves them
+    /// this cycle (best first).
+    fn service_order(&self, order: &mut Vec<usize>) {
+        order.clear();
+        order.extend(0..self.config.port_cpus.len());
+        // The ranks are a permutation of the ports, so an unstable sort
+        // gives the one possible order (and never allocates).
+        order.sort_unstable_by_key(|&i| self.rank(i));
         #[cfg(feature = "bug_injection")]
         if self.bug == Some(InjectedBug::InvertedPriority) {
             order.reverse();
         }
-        order
+    }
+
+    /// The steps of the last simulated cycle, one per port: `None` marks a
+    /// port that presented no request (idle inside a burst cooldown, or no
+    /// cycle simulated yet).
+    #[must_use]
+    pub fn last_steps(&self) -> &[Option<RefStep>] {
+        &self.steps
     }
 
     /// Simulates one clock period; returns each port's request and outcome.
@@ -453,19 +492,29 @@ impl RefEngine {
         reason = "documented under `# Panics`: burst workloads use `step_ports`"
     )]
     pub fn step(&mut self) -> Vec<RefStep> {
-        self.step_ports()
-            .into_iter()
+        self.advance();
+        self.steps
+            .iter()
             .map(|s| s.expect("every port served"))
             .collect()
     }
 
     /// Simulates one clock period; `None` marks a port that presented no
     /// request this cycle (idle inside a burst cooldown).
+    pub fn step_ports(&mut self) -> Vec<Option<RefStep>> {
+        self.advance();
+        self.steps.clone()
+    }
+
+    /// Simulates one clock period, leaving each port's request and outcome
+    /// in [`last_steps`](Self::last_steps). The per-cycle lists are the
+    /// engine's own, emptied at the start of the cycle, so a warmed-up
+    /// engine steps without allocating.
     #[expect(
         clippy::indexing_slicing,
-        reason = "reference engine: naive Vec-per-cycle lists and direct indexing over validated geometry are its specification"
+        reason = "reference engine: direct indexing over validated geometry and per-port vectors is its specification"
     )]
-    pub fn step_ports(&mut self) -> Vec<Option<RefStep>> {
+    pub fn advance(&mut self) {
         let geom = self.config.geometry;
         let nc = geom.bank_cycle();
         let ports = self.config.port_cpus.len();
@@ -473,25 +522,30 @@ impl RefEngine {
             RefBankModel::Uniform => 0,
             RefBankModel::Dram { rows, .. } => rows,
         };
+        let mut lists = std::mem::take(&mut self.scratch);
 
         // Banks age at the start of the cycle: a bank granted at cycle `t`
         // holds `n_c`, so it rejects requests at `t+1 .. t+n_c-1` and is
         // free again at `t + n_c`.
         #[cfg(feature = "bug_injection")]
-        let freed_now: Vec<bool> = self.busy.iter().map(|&b| b == 1).collect();
+        {
+            lists.freed_now.clear();
+            lists.freed_now.extend(self.busy.iter().map(|&b| b == 1));
+        }
         for b in &mut self.busy {
             *b = b.saturating_sub(1);
         }
 
-        let mut steps: Vec<Option<RefStep>> = vec![None; ports];
+        self.steps.fill(None);
         // Access paths (cpu, section) and inactive banks claimed so far
         // this cycle — with each claim's hold time — in the literal list
         // form the paper's rules suggest.
-        let mut paths_used: Vec<(usize, u64)> = Vec::with_capacity(ports);
-        let mut banks_claimed: Vec<(u64, u64)> = Vec::with_capacity(ports);
+        lists.paths_used.clear();
+        lists.banks_claimed.clear();
         let mut contested = false;
 
-        for port in self.service_order() {
+        self.service_order(&mut lists.order);
+        for &port in &lists.order {
             // A port inside a burst cooldown presents nothing this cycle.
             if self.cycle < self.next_req_cycle[port] {
                 continue;
@@ -502,11 +556,11 @@ impl RefEngine {
             let outcome = if self.busy[bank as usize] > 0 {
                 self.delays[port][0] += 1;
                 RefOutcome::BankConflict
-            } else if paths_used.contains(&(cpu, section)) {
+            } else if lists.paths_used.contains(&(cpu, section)) {
                 self.delays[port][1] += 1;
                 contested = true;
                 RefOutcome::SectionConflict
-            } else if banks_claimed.iter().any(|&(b, _)| b == bank) {
+            } else if lists.banks_claimed.iter().any(|&(b, _)| b == bank) {
                 self.delays[port][2] += 1;
                 contested = true;
                 RefOutcome::SimultaneousBankConflict
@@ -526,27 +580,28 @@ impl RefEngine {
                         }
                     }
                 };
-                paths_used.push((cpu, section));
-                banks_claimed.push((bank, hold));
+                lists.paths_used.push((cpu, section));
+                lists.banks_claimed.push((bank, hold));
                 self.grants[port] += 1;
                 self.issued[port] += 1;
                 self.next_req_cycle[port] = self.cycle + self.patterns[port].burst();
                 RefOutcome::Granted
             };
-            steps[port] = Some(RefStep { bank, outcome });
+            self.steps[port] = Some(RefStep { bank, outcome });
         }
 
         // Granted banks start their busy interval only after the whole
         // cycle is arbitrated: the busy check above must see the state at
         // the start of the cycle, while same-cycle collisions on an
         // inactive bank are section / simultaneous-bank conflicts.
-        for &(bank, hold) in &banks_claimed {
+        for &(bank, hold) in &lists.banks_claimed {
             self.busy[bank as usize] = hold;
             #[cfg(feature = "bug_injection")]
-            if self.bug == Some(InjectedBug::ResidueOverflow) && freed_now[bank as usize] {
+            if self.bug == Some(InjectedBug::ResidueOverflow) && lists.freed_now[bank as usize] {
                 self.busy[bank as usize] = nc + 2;
             }
         }
+        self.scratch = lists;
 
         if self.config.priority == RefPriority::Cyclic && contested {
             let advance = {
@@ -564,7 +619,6 @@ impl RefEngine {
             }
         }
         self.cycle += 1;
-        steps
     }
 
     /// Runs `cycles` clock periods; returns total grants over the run (the
@@ -572,7 +626,7 @@ impl RefEngine {
     pub fn run(&mut self, cycles: u64) -> u64 {
         let before = self.total_grants();
         for _ in 0..cycles {
-            self.step_ports();
+            self.advance();
         }
         self.total_grants() - before
     }

@@ -7,10 +7,9 @@
 //! [`step`] must not allocate at all, over every pattern family, both
 //! bank models and every port topology: this is the hot path's
 //! allocation rule, checked on the code that actually runs, generic and
-//! trait calls included (TESTING.md, "Hot-path rules"). The lockstep must
-//! add no per-cycle allocation to what the naive reference engine makes
-//! by itself; the key and a short-period solve stay within fixed
-//! budgets.
+//! trait calls included (TESTING.md, "Hot-path rules"). A warmed-up
+//! lockstep cycle, on both engines, must not allocate either; the key and
+//! a short-period solve stay within fixed budgets.
 #![expect(
     unsafe_code,
     reason = "a counting global allocator implements the unsafe GlobalAlloc trait"
@@ -203,28 +202,75 @@ fn points() -> Vec<(SimConfig, Vec<StreamSpec>)> {
     ]
 }
 
-/// Doubling the lockstep horizon costs exactly the reference engine's own
-/// allocations over the extra cycles: the harness and the optimized
-/// kernel allocate nothing per cycle. (Under `sanitize` the harness lifts
-/// the oracle into a fresh packed state every cycle by design.)
+/// Lockstep shapes for the generalized-pattern entry point: an affine and
+/// a pseudo-random gather, bursts under the rotating rule, and the DRAM
+/// bank model on a sectioned geometry.
+#[cfg(not(feature = "sanitize"))]
+fn pattern_points() -> Vec<(SimConfig, Vec<PatternSpec>)> {
+    let g16 = Geometry::unsectioned(16, 4).unwrap();
+    let dram = BankModel::Dram {
+        hit_cycle: 2,
+        rows: 4,
+    };
+    vec![
+        (
+            SimConfig::one_port_per_cpu(g16, 2),
+            vec![
+                gather(4096, IndexPattern::Affine { a: 5, c: 3 }),
+                gather(65_536, IndexPattern::PseudoRandom { seed: 7 }),
+            ],
+        ),
+        (
+            SimConfig::single_cpu(g16, 2).with_priority(PriorityRule::Cyclic),
+            vec![burst(0, 1, 4), burst(1, 2, 3)],
+        ),
+        (
+            SimConfig::one_port_per_cpu(Geometry::cray_xmp(), 2).with_bank_model(dram),
+            vec![stride(0, 0), stride(4, 4)],
+        ),
+    ]
+}
+
+/// A warmed-up lockstep cycle allocates nothing, on either side:
+/// `run_pair`, `run_pair_patterns` and `RefEngine::run` make exactly as
+/// many allocations over 2N cycles as over N. (Under `sanitize` the
+/// harness lifts the oracle into a fresh packed state every cycle by
+/// design.)
 #[cfg(not(feature = "sanitize"))]
 #[test]
 fn lockstep_adds_no_per_cycle_allocation() {
-    use vecmem_oracle::{mirror_config, run_pair, RefEngine};
+    use vecmem_oracle::diff::run_pair_patterns;
+    use vecmem_oracle::{mirror_config, run_pair, DiffOutcome, RefEngine};
     const N: u64 = 300;
+    let matched = |outcome: DiffOutcome| matches!(outcome, DiffOutcome::Match { .. });
     for (config, streams) in points() {
-        let pair = |cycles| allocations(|| run_pair(&config, &streams, cycles)).0;
+        let pair = |cycles| {
+            let (n, outcome) = allocations(|| run_pair(&config, &streams, cycles));
+            assert!(matched(outcome), "{config:?} {streams:?}: diverged");
+            n
+        };
         let reference = |cycles| {
             let mut oracle = RefEngine::new(mirror_config(&config), &streams);
             allocations(|| oracle.run(cycles)).0
         };
         let (pair_n, pair_2n) = (pair(N), pair(2 * N));
         let (ref_n, ref_2n) = (reference(N), reference(2 * N));
-        assert!(ref_2n > ref_n, "the reference engine allocates per cycle");
         assert_eq!(
-            pair_2n - pair_n,
-            ref_2n - ref_n,
+            (pair_2n, ref_2n),
+            (pair_n, ref_n),
             "{config:?} {streams:?}: lockstep {pair_n} -> {pair_2n}, reference {ref_n} -> {ref_2n}"
+        );
+    }
+    for (config, specs) in pattern_points() {
+        let pair = |cycles| {
+            let (n, outcome) = allocations(|| run_pair_patterns(&config, &specs, cycles));
+            assert!(matched(outcome), "{config:?} {specs:?}: diverged");
+            n
+        };
+        let (pair_n, pair_2n) = (pair(N), pair(2 * N));
+        assert_eq!(
+            pair_2n, pair_n,
+            "{config:?} {specs:?}: lockstep {pair_n} -> {pair_2n}"
         );
     }
 }
@@ -245,11 +291,14 @@ fn steady_key_allocates_at_most_twice() {
 /// A short-period solve (λ < 64, so the search leaves no rung) stays
 /// within the allocation budget of the scratch-free snapshots: each
 /// snapshot copies the state buffer and the workload, whose issue counts
-/// are the per-port grant counters. The points take 35 to 42
-/// allocations; snapshots that also cloned a per-port grant vector took
-/// 42 to 51, and ones that cloned the per-cycle scratch too took 52 to
-/// 69.
-const SOLVE_ALLOCATIONS: u64 = 42;
+/// are the per-port grant counters; the snapshot list is sized once; and
+/// the transient walk takes over the snapshots it starts from and the
+/// searching cursor's buffers instead of copying them. The points take
+/// 24 to 29 allocations; copying the walk's snapshots and growing the
+/// snapshot list took 35 to 42, snapshots that also cloned a per-port
+/// grant vector 42 to 51, and ones that cloned the per-cycle scratch too
+/// 52 to 69.
+const SOLVE_ALLOCATIONS: u64 = 29;
 
 #[test]
 fn short_period_solve_stays_within_budget() {

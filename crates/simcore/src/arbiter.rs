@@ -35,16 +35,6 @@
 use crate::config::{PriorityRule, SimConfig};
 use crate::request::{ConflictKind, PortId, PortOutcome, Request};
 
-/// Priority rank of a port under `rule` with the given rotation offset;
-/// lower rank wins.
-#[must_use]
-pub fn priority_rank(rule: PriorityRule, rotation: usize, n_ports: usize, port: PortId) -> usize {
-    match rule {
-        PriorityRule::Fixed => port.0,
-        PriorityRule::Cyclic => (port.0 + n_ports - rotation % n_ports) % n_ports,
-    }
-}
-
 /// Arbitrates one clock period without allocating: one outcome per request
 /// is written into `outcomes` (which is cleared first), in input order.
 ///
@@ -301,6 +291,15 @@ mod tests {
                 PortOutcome::Delayed(ConflictKind::Section),
             ]
         );
+    }
+
+    /// Priority rank of a port under `rule` with the given rotation
+    /// offset; lower rank wins. The reference arbiter's ranking.
+    fn priority_rank(rule: PriorityRule, rotation: usize, n_ports: usize, port: PortId) -> usize {
+        match rule {
+            PriorityRule::Fixed => port.0,
+            PriorityRule::Cyclic => (port.0 + n_ports - rotation % n_ports) % n_ports,
+        }
     }
 
     /// The three-phase arbiter as it stood before the passes stopped

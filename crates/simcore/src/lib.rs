@@ -62,7 +62,7 @@ pub mod steady;
 pub mod step;
 pub mod workload;
 
-pub use arbiter::{arbitrate_into, priority_rank};
+pub use arbiter::arbitrate_into;
 pub use config::{BankModel, PriorityRule, SimConfig};
 pub use observe::{NoopObserver, SimObserver, Tee};
 pub use pattern::{

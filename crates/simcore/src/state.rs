@@ -443,6 +443,22 @@ impl SimState {
         }
     }
 
+    /// Replaces this state's core with `core`, a
+    /// [`copy_core`](Self::copy_core) result, while keeping this state's
+    /// per-cycle scratch, emptied: the restored state steps without growing
+    /// fresh scratch buffers.
+    pub(crate) fn restore_core(&mut self, core: Self) {
+        let old = std::mem::replace(self, core);
+        self.outcomes = old.outcomes;
+        self.pending = old.pending;
+        self.kinds = old.kinds;
+        self.just_freed = old.just_freed;
+        self.outcomes.clear();
+        self.pending.clear();
+        self.kinds.clear();
+        self.just_freed.clear();
+    }
+
     /// Packs an externally held state (used by the differential oracle to
     /// lift the reference engine's state into the canonical form, so both
     /// sides of a divergence dump share one format and the sanitizer can

@@ -247,6 +247,7 @@ const RUNGS_PER_LEVEL: u64 = 4;
 /// A saved cursor position: the trajectory step count (post-warmup), the
 /// state, the workload (with its grant counts), and the cumulative
 /// conflicts at that point.
+#[derive(Clone)]
 struct Snapshot<W> {
     pos: u64,
     state: SimState,
@@ -311,15 +312,24 @@ impl<'c, W: ObservableWorkload + Clone> Cursor<'c, W> {
         }
     }
 
-    fn restore(config: &'c SimConfig, snap: &Snapshot<W>) -> Self {
+    /// A cursor resuming the trajectory at `snap`, which it consumes.
+    fn resume(config: &'c SimConfig, snap: Snapshot<W>) -> Self {
         let sig_len = snap.workload.signature_len();
         Self {
             config,
-            state: snap.state.copy_core(),
-            workload: snap.workload.clone(),
+            state: snap.state,
+            workload: snap.workload,
             sig_buf: vec![0u64; sig_len],
             conflicts: snap.conflicts,
         }
+    }
+
+    /// Moves this cursor to `snap`, which it consumes, keeping its own
+    /// per-cycle scratch and signature buffer.
+    fn jump_to(&mut self, snap: Snapshot<W>) {
+        self.state.restore_core(snap.state);
+        self.workload = snap.workload;
+        self.conflicts = snap.conflicts;
     }
 
     /// Grants per port between `earlier` and this cursor, on one
@@ -365,8 +375,12 @@ pub fn measure_steady_state_workload<W: ObservableWorkload + Clone>(
     // from by the transient walk.
     let mut hare = Cursor::new(config, workload.clone());
     hare.advance_by(warmup);
-    let mut snaps: Vec<Snapshot<W>> = vec![hare.snapshot(0)];
-    let mut snap_hashes: Vec<u64> = vec![hare.state.hash()];
+    // One snapshot at 0 and one at each power of two up to `max_cycles`.
+    let snap_capacity = (u64::BITS - max_cycles.leading_zeros()) as usize + 1;
+    let mut snaps: Vec<Snapshot<W>> = Vec::with_capacity(snap_capacity);
+    let mut snap_hashes: Vec<u64> = Vec::with_capacity(snap_capacity);
+    snaps.push(hare.snapshot(0));
+    snap_hashes.push(hare.state.hash());
     let mut rungs: Vec<Snapshot<W>> = Vec::new();
     let mut pos: u64 = 0;
     let mut next_snap: u64 = 1;
@@ -381,15 +395,19 @@ pub fn measure_steady_state_workload<W: ObservableWorkload + Clone>(
         hare.advance();
         pos += 1;
         let h = hare.state.hash();
-        let mut found = None;
-        for (i, &sh) in snap_hashes.iter().enumerate() {
-            if sh == h && snaps[i].state == hare.state {
-                found = Some(i);
-                break;
+        // Nearly every step misses: ask branch-free whether any hash
+        // matches, and look for the matching snapshot only on a hit.
+        if snap_hashes.iter().fold(false, |hit, &sh| hit | (sh == h)) {
+            let mut found = None;
+            for (i, &sh) in snap_hashes.iter().enumerate() {
+                if sh == h && snaps[i].state == hare.state {
+                    found = Some(i);
+                    break;
+                }
             }
-        }
-        if let Some(i) = found {
-            break (pos - snaps[i].pos, i);
+            if let Some(i) = found {
+                break (pos - snaps[i].pos, i);
+            }
         }
         if pos == next_snap {
             snaps.push(hare.snapshot(pos));
@@ -412,7 +430,7 @@ pub fn measure_steady_state_workload<W: ObservableWorkload + Clone>(
     let per_port_grants = hare.grants_since(&anchor.workload);
     let conflicts = hare.conflicts - anchor.conflicts;
 
-    let mu = transient(config, &snaps, &rungs, matched, lambda);
+    let mu = transient(hare, snaps, rungs, matched, lambda);
     let grants_per_period: u64 = per_port_grants.iter().sum();
     Ok(SteadyState {
         beff: Ratio::new(grants_per_period, lambda),
@@ -438,10 +456,15 @@ pub fn measure_steady_state_workload<W: ObservableWorkload + Clone>(
 /// the leading one from the latest rung or snapshot at or before `prev.pos
 /// + lambda`, meet exactly at μ; reaching `anchor.pos` without meeting
 /// means μ is `anchor.pos`.
+///
+/// The search is over, so the walk consumes what it leaves: the cursors
+/// take over the snapshots they start from instead of copying them, and
+/// the finished searching cursor, passed as `ahead`, becomes the leading
+/// one with its buffers.
 fn transient<W: ObservableWorkload + Clone>(
-    config: &SimConfig,
-    snaps: &[Snapshot<W>],
-    rungs: &[Snapshot<W>],
+    mut ahead: Cursor<'_, W>,
+    mut snaps: Vec<Snapshot<W>>,
+    rungs: Vec<Snapshot<W>>,
     matched: usize,
     lambda: u64,
 ) -> u64 {
@@ -452,22 +475,25 @@ fn transient<W: ObservableWorkload + Clone>(
         clippy::indexing_slicing,
         reason = "matched indexes snaps (the detector's match) and before < matched"
     )]
-    let (prev, anchor) = (&snaps[before], &snaps[matched]);
+    let anchor_pos = snaps[matched].pos;
+    // `before < matched < snaps.len()`, so this removes a snapshot.
+    let prev = snaps.swap_remove(before);
     let mut mu = prev.pos + 1;
-    if mu == anchor.pos {
+    if mu == anchor_pos {
         return mu;
     }
     let target = prev.pos + lambda;
     let near = snaps
-        .iter()
+        .into_iter()
         .chain(rungs)
-        .filter(|s| s.pos <= target)
+        .filter(|s| (prev.pos..=target).contains(&s.pos))
         .max_by_key(|s| s.pos)
-        .unwrap_or(prev);
-    let mut ahead = Cursor::restore(config, near);
-    ahead.advance_by(target - near.pos);
-    let mut behind = Cursor::restore(config, prev);
-    while mu < anchor.pos {
+        .unwrap_or_else(|| prev.clone());
+    let near_pos = near.pos;
+    ahead.jump_to(near);
+    ahead.advance_by(target - near_pos);
+    let mut behind = Cursor::resume(ahead.config, prev);
+    while mu < anchor_pos {
         ahead.advance();
         behind.advance();
         if ahead.state.hash() == behind.state.hash() && ahead.state == behind.state {

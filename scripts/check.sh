@@ -2,8 +2,8 @@
 # Local CI gate: formatting, full-workspace clippy (which also carries the
 # determinism, panic-policy and hot-path rules), the tier-1 verification
 # command from ROADMAP.md (which includes the hot path's zero-allocation
-# test), the benchmark's correctness checks, and golden diffs of the
-# reproduction.
+# test), the benchmark's correctness checks, golden diffs of the
+# reproduction, and the CLI's exit code for rejected option values.
 # Run from anywhere inside the repository; exits non-zero on the first
 # failure.
 set -euo pipefail
@@ -123,6 +123,25 @@ echo "==> event-log smoke: observer events of the pinned m=16 trace"
 diff -u "results/trace_events_m16.jsonl" "$smoke_dir/trace_events.jsonl" \
   || { echo "vecmem trace events drifted from results/trace_events_m16.jsonl"; exit 1; }
 echo "    vecmem trace event log matches results/trace_events_m16.jsonl"
+
+echo "==> exit codes: a rejected option value is a usage error (exit 2)"
+# The CLI unit tests call the commands directly; these go through the real
+# binary's exit-code mapping, where 1 would be a run failure and 101 a
+# panic.
+for args in \
+  "steady --pattern gather --span 0" \
+  "skew --pattern gather --span 0" \
+  "gather --span 0" \
+  "steady --pattern burst --burst 0" \
+  "steady --bank-model dram --dram-hit 0" \
+  "steady --bank-model dram --dram-rows 0"; do
+  code=0
+  # $args is split into words on purpose.
+  ./target/release/vecmem $args > /dev/null 2> "$smoke_dir/usage.err" || code=$?
+  [ "$code" -eq 2 ] \
+    || { echo "vecmem $args exited $code, not 2"; cat "$smoke_dir/usage.err"; exit 1; }
+done
+echo "    six rejected option values exit 2"
 
 echo "==> verify: differential oracle + theorem conformance (see TESTING.md)"
 ./target/release/vecmem verify --exhaustive > "$smoke_dir/verify.txt" \
