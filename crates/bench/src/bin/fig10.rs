@@ -12,7 +12,7 @@ fn main() {
     if csv {
         print!("{}", vecmem_bench::csv::fig10_csv(&fig));
     } else {
-        println!("{}", vecmem_bench::fig10::render(&fig));
+        print!("{}", vecmem_bench::artifacts::fig10_text(&fig));
     }
     if let Some(pos) = args.iter().position(|a| a == "--obs") {
         let dir = args

@@ -1,17 +1,11 @@
-//! One-command reproduction: regenerates every figure and table of the
-//! paper into text files under a results directory.
+//! One-command reproduction: writes every registered `results/` artifact
+//! (see `vecmem_bench::artifacts`) into a results directory.
 //!
 //! ```text
 //! cargo run --release -p vecmem-bench --bin reproduce_all [-- OUTDIR]
 //! ```
 use std::fs;
 use std::path::Path;
-
-fn write(dir: &Path, name: &str, contents: &str) {
-    let path = dir.join(name);
-    fs::write(&path, contents).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    println!("  wrote {}", path.display());
-}
 
 fn main() {
     let outdir = std::env::args()
@@ -20,58 +14,11 @@ fn main() {
     let dir = Path::new(&outdir);
     fs::create_dir_all(dir).expect("create results dir");
 
-    println!("Figures 2-9 (traces + exact steady states):");
-    let figures = vecmem_bench::figures::all_figures();
-    for run in vecmem_bench::figures::run_all(&figures, 36) {
-        write(
-            dir,
-            &format!("fig{:0>2}.txt", run.figure.id),
-            &vecmem_bench::figures::report(&run),
-        );
+    for &(name, render) in vecmem_bench::artifacts::ARTIFACTS {
+        let path = dir.join(name);
+        fs::write(&path, render()).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        println!("  wrote {}", path.display());
     }
-
-    println!("Fig. 10 (triad, five series):");
-    let fig10 = vecmem_bench::fig10::run(16);
-    write(dir, "fig10.txt", &vecmem_bench::fig10::render(&fig10));
-    write(dir, "fig10.csv", &vecmem_bench::csv::fig10_csv(&fig10));
-
-    println!("Theorem sweep (m = 16, n_c = 4):");
-    let (rows, report) = vecmem_bench::tables::theorem_table_report(16, 4);
-    println!(
-        "  {} scenarios, cache hit rate {:.1}%",
-        report.scenarios,
-        report.cache.hit_rate() * 100.0
-    );
-    write(
-        dir,
-        "table_theorems_m16_nc4.txt",
-        &vecmem_bench::tables::render_theorem_table(16, 4, &rows),
-    );
-    write(
-        dir,
-        "table_theorems_m16_nc4.csv",
-        &vecmem_bench::csv::theorems_csv(&rows),
-    );
-
-    println!("Ablations:");
-    let priority = vecmem_bench::tables::priority_ablation();
-    write(
-        dir,
-        "table_priority.csv",
-        &vecmem_bench::csv::priority_csv(&priority),
-    );
-    let mapping = vecmem_bench::tables::mapping_ablation();
-    write(
-        dir,
-        "table_sections.csv",
-        &vecmem_bench::csv::mapping_csv(&mapping),
-    );
-    let random = vecmem_bench::tables::random_vs_vector_table(16, 4, 8);
-    write(
-        dir,
-        "table_random.csv",
-        &vecmem_bench::csv::random_csv(&random),
-    );
 
     #[cfg(feature = "obs")]
     {

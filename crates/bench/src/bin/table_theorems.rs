@@ -21,11 +21,9 @@ fn main() {
     if csv {
         print!("{}", vecmem_bench::csv::theorems_csv(&rows));
     } else {
-        println!(
+        print!(
             "{}",
-            vecmem_bench::tables::render_theorem_table(m, nc, &rows)
+            vecmem_bench::artifacts::theorem_table_text(m, nc, &rows)
         );
-        let bad = rows.iter().filter(|r| !r.ok).count();
-        println!("{} rows, {} mismatches", rows.len(), bad);
     }
 }

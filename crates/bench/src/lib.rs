@@ -3,16 +3,15 @@
 //! Benchmark harness regenerating every figure of Oed & Lange (1985) and
 //! the reproduction's theorem-validation/ablation tables.
 //!
-//! Harness binaries (each prints the corresponding rows/series):
+//! [`artifacts::ARTIFACTS`] lists every committed `results/` file the
+//! crate produces, with the function that renders its exact bytes. Three
+//! binaries read it:
 //!
-//! | binary | artefact |
-//! |--------|----------|
-//! | `fig02` … `fig09` | trace figures 2–9 with paper-vs-simulated `b_eff` |
-//! | `fig10` | the five triad series of Fig. 10 |
-//! | `table_theorems` | Theorems 2–7 sweep, analytic vs simulated |
-//! | `table_priority` | ablation A1: fixed vs cyclic priority |
-//! | `table_sections` | ablation A2: cyclic vs consecutive section mapping |
-//! | `table_skewing` | ablation A3: skewing schemes vs plain interleaving |
+//! | binary | output |
+//! |--------|--------|
+//! | `reproduce_all [OUTDIR]` | every registered artifact, as `OUTDIR/<name>` |
+//! | `fig10 [MAX_INC] [--csv] [--obs DIR]` | the five triad series of Fig. 10 |
+//! | `table_theorems [M] [NC] [--csv]` | Theorems 2–7 sweep, analytic vs simulated |
 //!
 //! This crate times nothing. The out-of-workspace `benchmark/` package
 //! (`vecmem-benchmark`) measures the solver, and it calls [`figures`],
@@ -28,6 +27,7 @@
     warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
+pub mod artifacts;
 pub mod csv;
 pub mod fig10;
 pub mod figures;

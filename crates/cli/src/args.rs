@@ -61,27 +61,6 @@ impl Options {
         }
     }
 
-    /// A required `u64` option.
-    #[allow(dead_code, reason = "part of the parser API, exercised in tests")]
-    pub fn u64_required(&self, name: &str) -> Result<u64, ParseError> {
-        let v = self
-            .values
-            .get(name)
-            .ok_or_else(|| ParseError(format!("missing required option --{name}")))?;
-        v.parse()
-            .map_err(|_| ParseError(format!("--{name}: '{v}' is not an integer")))
-    }
-
-    /// An `f64` option with a default.
-    pub fn f64_or(&self, name: &str, default: f64) -> Result<f64, ParseError> {
-        match self.values.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| ParseError(format!("--{name}: '{v}' is not a number"))),
-        }
-    }
-
     /// A string option.
     pub fn string(&self, name: &str) -> Option<&str> {
         self.values.get(name).map(String::as_str)
@@ -117,20 +96,9 @@ mod tests {
     }
 
     #[test]
-    fn defaults_and_required() {
+    fn defaults() {
         let o = parse(&["--d1", "3"], &[]);
         assert_eq!(o.u64_or("d2", 7).unwrap(), 7);
-        assert_eq!(o.u64_required("d1").unwrap(), 3);
-        assert!(o.u64_required("d2").is_err());
-    }
-
-    #[test]
-    fn float_options() {
-        let o = parse(&["--obs-epsilon", "1e-6"], &[]);
-        assert_eq!(o.f64_or("obs-epsilon", 0.5).unwrap(), 1e-6);
-        assert_eq!(o.f64_or("other", 0.5).unwrap(), 0.5);
-        let bad = parse(&["--obs-epsilon", "tiny"], &[]);
-        assert!(bad.f64_or("obs-epsilon", 0.5).is_err());
     }
 
     #[test]

@@ -80,8 +80,10 @@ fn geometry(opts: &Options) -> Result<Geometry, Failure> {
     Geometry::with_mapping(banks, sections, nc, mapping).map_err(|e| Failure::Run(e.to_string()))
 }
 
-fn err(e: ParseError) -> String {
-    e.to_string()
+/// An option value that does not parse is a usage error, like a value the
+/// simulator rejects.
+fn err(e: ParseError) -> Failure {
+    Failure::Usage(e.to_string())
 }
 
 fn priority(opts: &Options) -> PriorityRule {
@@ -103,30 +105,28 @@ fn pair_config(opts: &Options, geom: Geometry) -> SimConfig {
 
 /// Telemetry options shared by the simulating commands:
 /// `--metrics-out PATH` (JSON, or CSV when the path ends in `.csv`),
-/// `--events-out PATH` (JSONL event log), `--obs-window N` (cycles per
-/// `b_eff(t)` window) and `--obs-epsilon X` (steady-state tolerance).
+/// `--events-out PATH` (JSONL event log) and `--obs-window N` (cycles per
+/// `b_eff(t)` window).
 struct ObsRequest {
     metrics_out: Option<String>,
     events_out: Option<String>,
     window: u64,
-    epsilon: f64,
 }
 
 impl ObsRequest {
-    fn from_opts(opts: &Options) -> Result<Self, String> {
+    fn from_opts(opts: &Options) -> Result<Self, Failure> {
         let window = opts
             .u64_or("obs-window", vecmem_obs::DEFAULT_WINDOW)
             .map_err(err)?;
         if window == 0 {
-            return Err("--obs-window must be at least 1".to_string());
+            return Err(Failure::Usage(
+                "--obs-window must be at least 1".to_string(),
+            ));
         }
         Ok(Self {
             metrics_out: opts.string("metrics-out").map(ToString::to_string),
             events_out: opts.string("events-out").map(ToString::to_string),
             window,
-            epsilon: opts
-                .f64_or("obs-epsilon", vecmem_obs::DEFAULT_EPSILON)
-                .map_err(err)?,
         })
     }
 
@@ -136,8 +136,7 @@ impl ObsRequest {
     }
 
     fn observers(&self, banks: u64, ports: usize) -> (MetricsRegistry, EventLog) {
-        let metrics =
-            MetricsRegistry::with_window(banks, ports, self.window).with_epsilon(self.epsilon);
+        let metrics = MetricsRegistry::with_window(banks, ports, self.window);
         let events = EventLog::new(banks, ports as u64);
         (metrics, events)
     }
@@ -159,23 +158,11 @@ impl ObsRequest {
                 events.events().len()
             ));
         }
-        if let Some(steady) = metrics.steady_state() {
-            out.push_str(&format!(
-                "b_eff(t): steady at {:.4} after {} cycles ({} windows of {})\n",
-                steady.beff, steady.entered_at_cycle, steady.windows, self.window
-            ));
-        } else {
-            out.push_str(&format!(
-                "b_eff(t): no steady window suffix yet ({} windows of {})\n",
-                metrics.beff_series().len(),
-                self.window
-            ));
-        }
         Ok(out)
     }
 }
 
-fn pair_streams(opts: &Options, geom: &Geometry) -> Result<[StreamSpec; 2], String> {
+fn pair_streams(opts: &Options, geom: &Geometry) -> Result<[StreamSpec; 2], Failure> {
     let d1 = opts.u64_or("d1", 1).map_err(err)? % geom.banks();
     let d2 = opts.u64_or("d2", 1).map_err(err)? % geom.banks();
     let b1 = opts.u64_or("b1", 0).map_err(err)? % geom.banks();
@@ -256,11 +243,11 @@ fn pattern_specs(opts: &Options, geom: &Geometry) -> Result<Vec<PatternSpec>, Fa
             if span == 0 {
                 return Err(Failure::Usage("--span must be at least 1".to_string()));
             }
-            let index = |port: u64| -> Result<IndexPattern, String> {
+            let index = |port: u64| -> Result<IndexPattern, Failure> {
                 if let Some(a) = opts.string("affine") {
-                    let a: u64 = a
-                        .parse()
-                        .map_err(|_| "--affine takes an integer multiplier".to_string())?;
+                    let a: u64 = a.parse().map_err(|_| {
+                        Failure::Usage("--affine takes an integer multiplier".to_string())
+                    })?;
                     Ok(IndexPattern::Affine { a, c: port })
                 } else {
                     let seed = opts.u64_or("seed", 1).map_err(err)?;
@@ -557,7 +544,7 @@ pub fn cmd_plan(opts: &Options) -> Result<String, Failure> {
     if let Some(dim) = opts.string("pad") {
         let dim: u64 = dim
             .parse()
-            .map_err(|_| "--pad takes an integer".to_string())?;
+            .map_err(|_| Failure::Usage("--pad takes an integer".to_string()))?;
         out.push_str(&format!(
             "pad dimension {dim} -> {} (relatively prime to {} banks)\n",
             pad_dimension(&geom, dim),
@@ -590,7 +577,11 @@ pub fn cmd_loop(opts: &Options) -> Result<String, Failure> {
         .string("dims")
         .unwrap_or("64,64")
         .split(',')
-        .map(|d| d.trim().parse().map_err(|_| format!("bad dimension '{d}'")))
+        .map(|d| {
+            d.trim()
+                .parse()
+                .map_err(|_| Failure::Usage(format!("bad dimension '{d}'")))
+        })
         .collect::<Result<_, _>>()?;
     let array = FortranArray::new("A", dims.clone(), 0);
     let inc = opts.u64_or("inc", 1).map_err(err)?;
@@ -746,7 +737,7 @@ fn skew_gather(
     let index = if let Some(a) = opts.string("affine") {
         let a: u64 = a
             .parse()
-            .map_err(|_| "--affine takes an integer multiplier".to_string())?;
+            .map_err(|_| Failure::Usage("--affine takes an integer multiplier".to_string()))?;
         IndexPattern::Affine { a, c: 0 }
     } else {
         IndexPattern::PseudoRandom {
@@ -1322,7 +1313,7 @@ mod tests {
     #[test]
     fn rejected_values_are_usage_errors() {
         type Cmd = fn(&Options) -> Result<String, Failure>;
-        let cases: [(&[&str], Cmd, &str); 5] = [
+        let cases: [(&[&str], Cmd, &str); 12] = [
             (
                 &["--pattern", "gather", "--span", "0"],
                 cmd_steady,
@@ -1348,6 +1339,34 @@ mod tests {
                 cmd_steady,
                 "--dram-rows must be at least 1",
             ),
+            // Values that do not parse at all.
+            (
+                &["--pattern", "burst", "--burst", "abc"],
+                cmd_steady,
+                "--burst: 'abc' is not an integer",
+            ),
+            (
+                &["--banks", "many"],
+                cmd_steady,
+                "--banks: 'many' is not an integer",
+            ),
+            (
+                &["--obs-window", "x"],
+                cmd_trace,
+                "--obs-window: 'x' is not an integer",
+            ),
+            (
+                &["--obs-window", "0", "--metrics-out", "x.json"],
+                cmd_trace,
+                "--obs-window must be at least 1",
+            ),
+            (
+                &["--pattern", "gather", "--affine", "q"],
+                cmd_steady,
+                "--affine takes an integer multiplier",
+            ),
+            (&["--pad", "q"], cmd_plan, "--pad takes an integer"),
+            (&["--dims", "4,x"], cmd_loop, "bad dimension 'x'"),
         ];
         for (args, cmd, message) in cases {
             match cmd(&opts(args, FLAGS)) {
@@ -1534,31 +1553,13 @@ mod tests {
         let out = cmd_trace(&o).unwrap();
         assert!(out.contains("metrics ->"), "{out}");
         assert!(out.contains("events ->"), "{out}");
-        assert!(out.contains("b_eff(t):"), "{out}");
+        assert!(!out.contains("b_eff(t):"), "{out}");
         let json = std::fs::read_to_string(&metrics).unwrap();
-        assert!(json.contains("vecmem-obs/metrics-v1"));
+        assert!(json.contains("vecmem-obs/metrics-v2"));
         let jsonl = std::fs::read_to_string(&events).unwrap();
         assert!(jsonl.starts_with("{\"schema\":\"vecmem-obs/events-v2\""));
         assert!(jsonl.contains("\"t\":\"grant\""));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn trace_rejects_zero_window() {
-        let o = opts(
-            &[
-                "--banks",
-                "8",
-                "--nc",
-                "2",
-                "--obs-window",
-                "0",
-                "--metrics-out",
-                "x.json",
-            ],
-            FLAGS,
-        );
-        assert!(cmd_trace(&o).is_err());
     }
 
     #[test]

@@ -81,7 +81,6 @@ TELEMETRY (trace, triad; steady exports sweep-execution counters):
   --metrics-out P    write a metrics snapshot (JSON; CSV when P ends in .csv)
   --events-out P     write the cycle-level event log (JSONL)
   --obs-window N     cycles per b_eff(t) window (default 64)
-  --obs-epsilon X    steady-state tolerance on window deltas (default 1e-9)
 
 EXAMPLES:
   vecmem predict --banks 12 --nc 3 --d1 1 --d2 7

@@ -8,8 +8,9 @@ use std::io;
 use std::path::Path;
 use vecmem_banksim::WAIT_BUCKETS;
 
-/// Schema tag embedded in JSON metrics snapshots.
-pub const METRICS_SCHEMA: &str = "vecmem-obs/metrics-v1";
+/// Schema tag embedded in JSON metrics snapshots. Version 2 dropped
+/// version 1's `steady` and `epsilon` fields.
+pub const METRICS_SCHEMA: &str = "vecmem-obs/metrics-v2";
 
 /// Renders a snapshot as a versioned JSON document.
 #[must_use]
@@ -47,14 +48,6 @@ pub fn metrics_to_json(snapshot: &MetricsSnapshot) -> String {
             ])
         })
         .collect();
-    let steady = match &snapshot.steady {
-        Some(s) => Json::obj([
-            ("entered_at_cycle", Json::U64(s.entered_at_cycle)),
-            ("beff", Json::F64(s.beff)),
-            ("windows", Json::U64(s.windows as u64)),
-        ]),
-        None => Json::Null,
-    };
     Json::obj([
         ("schema", Json::str(METRICS_SCHEMA)),
         ("cycles", Json::U64(snapshot.cycles)),
@@ -77,8 +70,6 @@ pub fn metrics_to_json(snapshot: &MetricsSnapshot) -> String {
         ),
         ("window", Json::U64(snapshot.window)),
         ("beff_series", Json::Array(series)),
-        ("steady", steady),
-        ("epsilon", Json::F64(snapshot.epsilon)),
         (
             "counters",
             Json::obj(
@@ -141,10 +132,6 @@ pub fn metrics_to_csv(snapshot: &MetricsSnapshot) -> String {
     }
     for w in &snapshot.beff_series {
         let _ = writeln!(out, "beff_window,{},{:?}", w.end_cycle, w.beff);
-    }
-    if let Some(s) = &snapshot.steady {
-        push_u(&mut out, "steady_entered_at_cycle", 0, s.entered_at_cycle);
-        let _ = writeln!(out, "steady_beff,0,{:?}", s.beff);
     }
     // Named counters/gauges keep the three-field shape. Their names are
     // caller-supplied strings, so they are RFC-4180 quoted on the way out
@@ -225,7 +212,6 @@ mod tests {
         assert!(text.contains("\"cycles\":4"));
         assert!(text.contains("\"beff\":1.0"));
         assert!(text.contains("\"beff_series\":[{"));
-        assert!(text.contains("\"steady\":{"));
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //!
 //! * [`metrics`] — a [`MetricsRegistry`] observer aggregating per-bank
 //!   utilization gauges, per-port grant/conflict counters, wait-time
-//!   histograms and a rolling-window `b_eff(t)` series with steady-state
-//!   detection;
+//!   histograms and a rolling-window `b_eff(t)` series;
 //! * [`events`] — an [`EventLog`] observer recording the cycle-level event
 //!   stream and exporting it as versioned JSONL;
 //! * [`attrib`] / [`ledger`] — conflict attribution: an [`Attributor`]
@@ -19,7 +18,7 @@
 //!   time (cycle ticks), exported as Chrome trace-event JSON or
 //!   `vecmem-obs/spans-v1` JSONL;
 //! * [`export`] — JSON / long-format-CSV snapshot writers
-//!   (`vecmem-obs/metrics-v1`);
+//!   (`vecmem-obs/metrics-v2`);
 //! * [`json`] — the hand-rolled JSON writer the exporters share (the
 //!   container has no serialization crates).
 //!
@@ -70,6 +69,6 @@ pub use events::{DelayAttribution, Event, EventLog, EVENTS_SCHEMA};
 pub use export::{csv_field, metrics_to_csv, metrics_to_json, write_metrics, METRICS_SCHEMA};
 pub use json::Json;
 pub use ledger::{ConflictLedger, LedgerEntry, LedgerKey, LossDecomposition};
-pub use metrics::{MetricsRegistry, MetricsSnapshot, PortMetrics, DEFAULT_EPSILON, DEFAULT_WINDOW};
+pub use metrics::{MetricsRegistry, MetricsSnapshot, PortMetrics, DEFAULT_WINDOW};
 pub use span::{Span, SpanSink, SPANS_SCHEMA};
-pub use window::{BeffWindow, SteadyEntry, WindowPoint};
+pub use window::{BeffWindow, WindowPoint};

@@ -2,15 +2,12 @@
 //! wait-time histograms and the rolling `b_eff(t)` series, all built from
 //! the observer hooks alone (no access to the engine's internal state).
 
-use crate::window::{BeffWindow, SteadyEntry, WindowPoint};
+use crate::window::{BeffWindow, WindowPoint};
 use std::collections::BTreeMap;
 use vecmem_banksim::{ConflictCounts, ConflictKind, PortId, SimObserver, WAIT_BUCKETS};
 
 /// Default rolling-window length (cycles) for the `b_eff(t)` series.
 pub const DEFAULT_WINDOW: u64 = 64;
-
-/// Default steady-state tolerance on consecutive window values.
-pub const DEFAULT_EPSILON: f64 = 1e-9;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct BankGauge {
@@ -44,14 +41,13 @@ pub struct MetricsRegistry {
     cycles: u64,
     total_grants: u64,
     window: BeffWindow,
-    epsilon: f64,
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
 }
 
 impl MetricsRegistry {
     /// A registry for `banks` banks and `ports` ports with the default
-    /// window length and steady-state tolerance.
+    /// window length.
     #[must_use]
     pub fn new(banks: u64, ports: usize) -> Self {
         Self::with_window(banks, ports, DEFAULT_WINDOW)
@@ -66,17 +62,9 @@ impl MetricsRegistry {
             cycles: 0,
             total_grants: 0,
             window: BeffWindow::new(window),
-            epsilon: DEFAULT_EPSILON,
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
         }
-    }
-
-    /// Sets the steady-state tolerance used by [`Self::steady_state`].
-    #[must_use]
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        self.epsilon = epsilon;
-        self
     }
 
     /// Elapsed clock periods.
@@ -136,13 +124,6 @@ impl MetricsRegistry {
     #[must_use]
     pub fn beff_series(&self) -> &[WindowPoint] {
         self.window.series()
-    }
-
-    /// Steady-state verdict over the window series (see
-    /// [`BeffWindow::steady_state`]).
-    #[must_use]
-    pub fn steady_state(&self) -> Option<SteadyEntry> {
-        self.window.steady_state(self.epsilon)
     }
 
     /// Adds `delta` to the named free-form counter (created at 0). Used by
@@ -209,8 +190,6 @@ impl MetricsRegistry {
                 .collect(),
             window: self.window.window(),
             beff_series: self.window.series().to_vec(),
-            steady: self.steady_state(),
-            epsilon: self.epsilon,
             counters: self.counters.clone(),
             gauges: self.gauges.clone(),
         }
@@ -272,10 +251,6 @@ pub struct MetricsSnapshot {
     pub window: u64,
     /// Completed `b_eff(t)` windows.
     pub beff_series: Vec<WindowPoint>,
-    /// Steady-state verdict, if the series settled.
-    pub steady: Option<SteadyEntry>,
-    /// Tolerance used for the verdict.
-    pub epsilon: f64,
     /// Named free-form counters (e.g. sweep-execution telemetry).
     pub counters: BTreeMap<String, u64>,
     /// Named free-form gauges.
@@ -382,7 +357,7 @@ mod tests {
 
     #[test]
     fn snapshot_captures_everything() {
-        let mut m = MetricsRegistry::with_window(2, 1, 1).with_epsilon(0.5);
+        let mut m = MetricsRegistry::with_window(2, 1, 1);
         for cycle in 0..4 {
             m.on_grant(cycle, PortId(0), cycle % 2, 0, 1);
             m.on_cycle_end(cycle, 1, 1);
@@ -392,8 +367,9 @@ mod tests {
         assert_eq!(snap.total_grants, 4);
         assert_eq!(snap.bank_grants, vec![2, 2]);
         assert_eq!(snap.beff_series.len(), 4);
-        let steady = snap.steady.expect("constant series is steady");
-        assert_eq!(steady.entered_at_cycle, 0);
-        assert!((steady.beff - 1.0).abs() < 1e-12);
+        assert!(snap
+            .beff_series
+            .iter()
+            .all(|w| (w.beff - 1.0).abs() < 1e-12));
     }
 }

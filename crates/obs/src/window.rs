@@ -1,13 +1,9 @@
-//! Rolling-window effective-bandwidth series `b_eff(t)` and steady-state
-//! entry detection.
+//! Rolling-window effective-bandwidth series `b_eff(t)`.
 //!
 //! The registry feeds per-cycle grant counts into a [`BeffWindow`]; every
 //! `window` cycles the mean grants-per-cycle of that window is appended to
-//! the series. Steady state is declared over the longest suffix of the
-//! series whose successive window values differ by less than `epsilon` —
-//! the cycle where that suffix starts is the measured transient length,
-//! mirroring the paper's observation that the triad settles into a periodic
-//! pattern after a start-up transient (§IV, Fig. 10).
+//! the series. The series shows a run's start-up ramp; the exact transient
+//! and period come from the steady-state solver, not from this series.
 
 /// One point of the `b_eff(t)` series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -18,17 +14,6 @@ pub struct WindowPoint {
     pub end_cycle: u64,
     /// Mean grants per clock period inside the window.
     pub beff: f64,
-}
-
-/// Steady-state verdict derived from the window series.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SteadyEntry {
-    /// Cycle at which the steady suffix begins (= transient length).
-    pub entered_at_cycle: u64,
-    /// Mean `b_eff` over the steady suffix.
-    pub beff: f64,
-    /// Number of windows in the steady suffix.
-    pub windows: usize,
 }
 
 /// Accumulates per-cycle grant counts into fixed-size windows.
@@ -84,36 +69,6 @@ impl BeffWindow {
     pub fn series(&self) -> &[WindowPoint] {
         &self.series
     }
-
-    /// Detects steady state: the longest suffix of the series in which each
-    /// consecutive pair of window values differs by less than `epsilon`.
-    /// Requires at least two windows in the suffix; returns `None` while the
-    /// run is still entirely transient (or too short to tell).
-    #[must_use]
-    pub fn steady_state(&self, epsilon: f64) -> Option<SteadyEntry> {
-        if self.series.len() < 2 {
-            return None;
-        }
-        let mut start = self.series.len() - 1;
-        while start > 0 {
-            let delta = (self.series[start].beff - self.series[start - 1].beff).abs();
-            if delta < epsilon {
-                start -= 1;
-            } else {
-                break;
-            }
-        }
-        let suffix = &self.series[start..];
-        if suffix.len() < 2 {
-            return None;
-        }
-        let mean = suffix.iter().map(|p| p.beff).sum::<f64>() / suffix.len() as f64;
-        Some(SteadyEntry {
-            entered_at_cycle: suffix[0].start_cycle,
-            beff: mean,
-            windows: suffix.len(),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -150,39 +105,5 @@ mod tests {
                 beff: 1.0
             }
         );
-    }
-
-    #[test]
-    fn steady_state_finds_transient_boundary() {
-        let mut w = BeffWindow::new(10);
-        // Ramp (transient), then flat at 2 grants/cycle.
-        feed(&mut w, &[(0, 10), (1, 10), (2, 10), (2, 10), (2, 10)]);
-        let steady = w.steady_state(1e-9).expect("flat suffix present");
-        assert_eq!(steady.entered_at_cycle, 20);
-        assert_eq!(steady.windows, 3);
-        assert!((steady.beff - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn no_steady_state_while_ramping() {
-        let mut w = BeffWindow::new(5);
-        feed(&mut w, &[(0, 5), (2, 5), (4, 5)]);
-        assert_eq!(w.steady_state(1e-9), None);
-        // A single window can never qualify either.
-        let mut single = BeffWindow::new(5);
-        feed(&mut single, &[(1, 5)]);
-        assert_eq!(single.steady_state(1.0), None);
-    }
-
-    #[test]
-    fn epsilon_controls_tolerance() {
-        let mut w = BeffWindow::new(2);
-        feed(&mut w, &[(1, 2), (2, 2), (1, 2), (2, 2)]);
-        // Deltas of 0.5 (in grants/cycle units, window mean alternates 1,2).
-        assert_eq!(w.steady_state(0.5), None);
-        let loose = w.steady_state(1.5).expect("tolerant epsilon accepts all");
-        assert_eq!(loose.entered_at_cycle, 0);
-        assert_eq!(loose.windows, 4);
-        assert!((loose.beff - 1.5).abs() < 1e-12);
     }
 }

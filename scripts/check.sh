@@ -2,8 +2,9 @@
 # Local CI gate: formatting, full-workspace clippy (which also carries the
 # determinism, panic-policy and hot-path rules), the tier-1 verification
 # command from ROADMAP.md (which includes the hot path's zero-allocation
-# test), the benchmark's correctness checks, golden diffs of the
-# reproduction, and the CLI's exit code for rejected option values.
+# test and tests/goldens.rs, the byte-for-byte diff of every results/
+# artifact the bench crate registers), the benchmark's correctness checks,
+# the CLI's golden smokes, and its exit code for rejected option values.
 # Run from anywhere inside the repository; exits non-zero on the first
 # failure.
 set -euo pipefail
@@ -51,39 +52,14 @@ echo "==> benchmark: vecmem-benchmark correctness checks (smoke sizes)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 echo "    benchmark smoke: every workload passes its correctness checks"
 
-echo "==> smoke: figure/table binaries (small geometries, golden diffs)"
-# The tier-1 `cargo build --release` builds only the root package; the
-# smokes below run the figure/table binaries and the `vecmem` CLI.
+echo "==> smoke: fig10 and table_theorems at non-golden sizes"
+# tests/goldens.rs (tier-1) diffs every registered results/ artifact byte
+# for byte. The smokes below run the two parameterised bench binaries at
+# other sizes, then the `vecmem` CLI; `cargo build --release` builds
+# neither.
 cargo build -q --release -p vecmem-bench -p vecmem-cli
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
-for fig in 02 03 04 05 06 07 08 09; do
-  ./target/release/"fig$fig" > "$smoke_dir/fig$fig.txt"
-  diff -u "results/fig$fig.txt" "$smoke_dir/fig$fig.txt" \
-    || { echo "fig$fig drifted from results/fig$fig.txt"; exit 1; }
-done
-echo "    fig02-fig09 match the golden traces"
-# Mapped skew walks and finite/delayed strides (the two pattern paths the
-# figure traces never reach), then the kernel, multitask, scaling and
-# spectrum tables.
-for table in table_skewing table_matrix table_transient table_kernels \
-  table_multitask table_scaling table_spectrum; do
-  ./target/release/"$table" > "$smoke_dir/$table.txt"
-  diff -u "results/$table.txt" "$smoke_dir/$table.txt" \
-    || { echo "$table drifted from results/$table.txt"; exit 1; }
-done
-# Two goldens were generated with arguments: the latency table at m = 16
-# (the binary defaults to 8) and the theorem table at m = 13, n_c = 4.
-./target/release/table_latency 16 > "$smoke_dir/table_latency.txt"
-diff -u results/table_latency.txt "$smoke_dir/table_latency.txt" \
-  || { echo "table_latency 16 drifted from results/table_latency.txt"; exit 1; }
-./target/release/table_theorems 13 4 > "$smoke_dir/table_theorems_m13_nc4.txt" \
-  2> "$smoke_dir/table_theorems_m13_nc4.log"
-diff -u results/table_theorems_m13_nc4.txt "$smoke_dir/table_theorems_m13_nc4.txt" \
-  || { echo "table_theorems 13 4 drifted from results/table_theorems_m13_nc4.txt"; exit 1; }
-# results/table_random.txt is not diffed: it is stale against its generator
-# in the third decimal (ROADMAP item 1).
-echo "    nine results/ tables match their goldens"
 ./target/release/fig10 3 > "$smoke_dir/fig10.txt"
 grep -q "INC" "$smoke_dir/fig10.txt" || { echo "fig10 smoke output empty"; exit 1; }
 ./target/release/table_theorems 8 2 > "$smoke_dir/theorems.txt" 2> "$smoke_dir/theorems.log"
@@ -124,7 +100,7 @@ diff -u "results/trace_events_m16.jsonl" "$smoke_dir/trace_events.jsonl" \
   || { echo "vecmem trace events drifted from results/trace_events_m16.jsonl"; exit 1; }
 echo "    vecmem trace event log matches results/trace_events_m16.jsonl"
 
-echo "==> exit codes: a rejected option value is a usage error (exit 2)"
+echo "==> exit codes: a rejected or unparseable option value is a usage error (exit 2)"
 # The CLI unit tests call the commands directly; these go through the real
 # binary's exit-code mapping, where 1 would be a run failure and 101 a
 # panic.
@@ -134,14 +110,16 @@ for args in \
   "gather --span 0" \
   "steady --pattern burst --burst 0" \
   "steady --bank-model dram --dram-hit 0" \
-  "steady --bank-model dram --dram-rows 0"; do
+  "steady --bank-model dram --dram-rows 0" \
+  "steady --pattern burst --burst abc" \
+  "steady --banks many"; do
   code=0
   # $args is split into words on purpose.
   ./target/release/vecmem $args > /dev/null 2> "$smoke_dir/usage.err" || code=$?
   [ "$code" -eq 2 ] \
     || { echo "vecmem $args exited $code, not 2"; cat "$smoke_dir/usage.err"; exit 1; }
 done
-echo "    six rejected option values exit 2"
+echo "    eight rejected option values exit 2"
 
 echo "==> verify: differential oracle + theorem conformance (see TESTING.md)"
 ./target/release/vecmem verify --exhaustive > "$smoke_dir/verify.txt" \
