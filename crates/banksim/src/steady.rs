@@ -16,7 +16,8 @@ use vecmem_analytic::{Geometry, StreamSpec};
 use vecmem_simcore::pattern::{PatternPort, PatternSpec, PatternWorkload, StridePattern};
 
 pub use vecmem_simcore::steady::{
-    measure_steady_state_workload, ObservableWorkload, SteadyState, SteadyStateError,
+    measure_steady_state_with, measure_steady_state_workload, ObservableWorkload, SteadyState,
+    SteadyStateError,
 };
 
 /// Runs infinite streams until the simulator state recurs and returns the

@@ -11,6 +11,7 @@ use crate::fig10::{self, Fig10};
 use crate::figures::{self, Figure};
 use crate::support::{converged, paper};
 use crate::tables::{self, TheoremRow};
+use std::sync::OnceLock;
 use vecmem_analytic::spectrum::distance_spectrum;
 use vecmem_analytic::{Geometry, StreamSpec};
 use vecmem_banksim::{
@@ -40,13 +41,13 @@ pub const ARTIFACTS: &[Artifact] = &[
         figures_text(&[figures::fig8a(), figures::fig8b()])
     }),
     ("fig09.txt", || figures_text(&[figures::fig9()])),
-    ("fig10.txt", || fig10_text(&fig10::run(16))),
-    ("fig10.csv", || csv::fig10_csv(&fig10::run(16))),
+    ("fig10.txt", || fig10_text(fig10_golden())),
+    ("fig10.csv", || csv::fig10_csv(fig10_golden())),
     ("table_theorems_m16_nc4.txt", || {
-        theorem_table_text(16, 4, &tables::theorem_table(16, 4))
+        theorem_table_text(16, 4, theorems_m16_nc4())
     }),
     ("table_theorems_m16_nc4.csv", || {
-        csv::theorems_csv(&tables::theorem_table(16, 4))
+        csv::theorems_csv(theorems_m16_nc4())
     }),
     ("table_theorems_m13_nc4.txt", || {
         theorem_table_text(13, 4, &tables::theorem_table(13, 4))
@@ -63,6 +64,20 @@ pub const ARTIFACTS: &[Artifact] = &[
     ("table_spectrum.txt", table_spectrum),
     ("table_transient.txt", table_transient),
 ];
+
+/// Fig. 10 at its golden size, computed once per process for the two
+/// files that render it.
+fn fig10_golden() -> &'static Fig10 {
+    static FIG10: OnceLock<Fig10> = OnceLock::new();
+    FIG10.get_or_init(|| fig10::run(16))
+}
+
+/// The theorem table at `m = 16, n_c = 4`, computed once per process for
+/// the two files that render it.
+fn theorems_m16_nc4() -> &'static [TheoremRow] {
+    static ROWS: OnceLock<Vec<TheoremRow>> = OnceLock::new();
+    ROWS.get_or_init(|| tables::theorem_table(16, 4))
+}
 
 /// Trace figures with their exact steady states, one report per figure
 /// (Fig. 8's two panels share a file).

@@ -40,31 +40,62 @@ use crate::stream::StreamSpec;
 #[must_use]
 pub fn canonical_streams(geom: &Geometry, streams: &[StreamSpec]) -> Vec<StreamSpec> {
     let m = geom.banks();
-    let k = least_image_multiplier(m, streams, (2..m).filter(|&k| coprime(k, m)));
-    streams.iter().map(|s| scale_stream(s, k, m)).collect()
+    least_image(m, streams, (2..m).filter(|&k| coprime(k, m)))
 }
 
-/// `s` with both bank addresses multiplied by `k`, modulo `m`.
-fn scale_stream(s: &StreamSpec, k: u64, m: u64) -> StreamSpec {
-    let scale = |x: u64| (u128::from(k) * u128::from(x % m) % u128::from(m)) as u64;
-    StreamSpec {
-        distance: scale(s.distance),
-        start_bank: scale(s.start_bank),
+/// The lexicographically smallest image of `streams` under `b ↦ k·b (mod
+/// m)` for `k = 1` or one of `units`, each below `m`; the first one wins a
+/// tie. `k·x mod m` is taken in `u64` whenever `m ≤ 2^32`, where `k, x <
+/// m` keeps the product below `2^64`, and in `u128` only above that.
+fn least_image(
+    m: u64,
+    streams: &[StreamSpec],
+    units: impl Iterator<Item = u64>,
+) -> Vec<StreamSpec> {
+    if m <= 1 << 32 {
+        least_image_by(streams, units, |k, x| k * (x % m) % m)
+    } else {
+        least_image_by(streams, units, |k, x| {
+            (u128::from(k) * u128::from(x % m) % u128::from(m)) as u64
+        })
     }
 }
 
-/// The multiplier, `1` or one of `units`, whose image of `streams` is the
-/// lexicographically smallest flattened `(distance, start_bank)` sequence;
-/// the first one wins a tie. Images are compared lazily, element by
-/// element, so no candidate is materialised.
-fn least_image_multiplier(m: u64, streams: &[StreamSpec], units: impl Iterator<Item = u64>) -> u64 {
-    let image = |k: u64| {
-        streams.iter().flat_map(move |s| {
-            let s = scale_stream(s, k, m);
-            [s.distance, s.start_bank]
-        })
+/// [`least_image`] with `scale(k, x) = k·x mod m`. The best image so far
+/// lives in the result; each candidate is compared against it element by
+/// element, stops at the first difference, and is written over it only
+/// when it wins.
+fn least_image_by(
+    streams: &[StreamSpec],
+    units: impl Iterator<Item = u64>,
+    scale: impl Fn(u64, u64) -> u64,
+) -> Vec<StreamSpec> {
+    let image = |k: u64, s: &StreamSpec| StreamSpec {
+        distance: scale(k, s.distance),
+        start_bank: scale(k, s.start_bank),
     };
-    units.fold(1, |best, k| if image(k).lt(image(best)) { k } else { best })
+    let mut best: Vec<StreamSpec> = streams.iter().map(|s| image(1, s)).collect();
+    for k in units {
+        let precedes = || {
+            for (s, b) in streams.iter().zip(&best) {
+                let d = scale(k, s.distance);
+                if d != b.distance {
+                    return d < b.distance;
+                }
+                let start = scale(k, s.start_bank);
+                if start != b.start_bank {
+                    return start < b.start_bank;
+                }
+            }
+            false
+        };
+        if precedes() {
+            for (b, s) in best.iter_mut().zip(streams) {
+                *b = image(k, s);
+            }
+        }
+    }
+    best
 }
 
 /// A distance pair brought into the canonical form required by the barrier
@@ -325,9 +356,9 @@ mod tests {
     }
 
     /// The allocating canonicalisation `canonical_streams` replaced: the
-    /// full image and its order key are built for every candidate unit.
-    /// Takes the candidate units explicitly, like
-    /// `least_image_multiplier`, so large moduli can be sampled.
+    /// full image and its order key are built for every candidate unit,
+    /// in `u128`. Takes the candidate units explicitly, like
+    /// `least_image`, so large moduli can be sampled.
     fn canonical_reference(
         m: u64,
         streams: &[StreamSpec],
@@ -405,36 +436,68 @@ mod tests {
             }
         }
         let mut next = splitmix(3);
-        for _ in 0..2_000 {
-            let m = 1 + next() % 16;
-            let streams: Vec<StreamSpec> = (0..3)
-                .map(|_| spec(next() % (2 * m), next() % (2 * m)))
-                .collect();
-            assert_matches_reference(m, &streams);
+        for ports in [3, 4] {
+            for _ in 0..2_000 {
+                let m = 1 + next() % 16;
+                let streams: Vec<StreamSpec> = (0..ports)
+                    .map(|_| spec(next() % (2 * m), next() % (2 * m)))
+                    .collect();
+                assert_matches_reference(m, &streams);
+            }
         }
     }
 
-    /// Moduli above 2^32, where `k·x` overflows `u64`: the lazy search and
-    /// the reference agree over the same sampled units, the smallest and
-    /// the largest few thousand below `m`.
-    #[test]
-    fn least_image_agrees_with_the_reference_above_two_to_the_32() {
-        let mut next = splitmix(32);
-        for m in [(1u64 << 32) + 15, (1 << 40) - 87, u64::MAX - 58, u64::MAX] {
+    /// `least_image` and the reference agree over the same sampled
+    /// units of `m`, the smallest and the largest few thousand below it,
+    /// on sets of three and four streams: half with start banks from the
+    /// full `u64` range and distances within 2^20 of `m`, half with both
+    /// within 16 of `m`, where `k·x` for a unit as near needs the most
+    /// bits.
+    fn assert_least_image_matches_reference(moduli: &[u64], seed: u64) {
+        let mut next = splitmix(seed);
+        for &m in moduli {
             let units = || {
                 (2..2_000)
                     .chain(m - 2_000..m)
                     .filter(move |&k| coprime(k, m))
             };
-            for _ in 0..16 {
-                let streams: Vec<StreamSpec> = (0..3)
-                    .map(|_| spec(next(), m - 1 - next() % (1 << 20)))
-                    .collect();
-                let k = least_image_multiplier(m, &streams, units());
-                let lazy: Vec<StreamSpec> = streams.iter().map(|s| scale_stream(s, k, m)).collect();
-                assert_eq!(lazy, canonical_reference(m, &streams, units()), "m={m}");
+            for ports in [3, 4] {
+                for i in 0..32 {
+                    let streams: Vec<StreamSpec> = (0..ports)
+                        .map(|_| {
+                            if i < 16 {
+                                spec(next(), m - 1 - next() % (1 << 20))
+                            } else {
+                                spec(m - 1 - next() % 16, m - 1 - next() % 16)
+                            }
+                        })
+                        .collect();
+                    assert_eq!(
+                        least_image(m, &streams, units()),
+                        canonical_reference(m, &streams, units()),
+                        "m={m} streams={streams:?}"
+                    );
+                }
             }
         }
+    }
+
+    /// Moduli above 2^32, where `k·x` overflows `u64` and the search keeps
+    /// `u128`.
+    #[test]
+    fn least_image_agrees_with_the_reference_above_two_to_the_32() {
+        assert_least_image_matches_reference(
+            &[(1u64 << 32) + 15, (1 << 40) - 87, u64::MAX - 58, u64::MAX],
+            32,
+        );
+    }
+
+    /// Moduli at the switch between the `u64` and the `u128` product: the
+    /// largest below 2^32, 2^32 itself (the largest `m` taken in `u64`,
+    /// where `(m − 1)²` just fits) and one above.
+    #[test]
+    fn least_image_agrees_with_the_reference_at_the_u64_boundary() {
+        assert_least_image_matches_reference(&[(1u64 << 32) - 5, 1 << 32, (1 << 32) + 15], 64);
     }
 
     #[test]

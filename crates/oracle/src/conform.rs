@@ -7,7 +7,10 @@
 //! the representative's result instead of re-simulating). Each distinct
 //! scenario is:
 //!
-//! * diffed cycle-by-cycle against the naive [`RefEngine`] over one
+//! * solved for its steady state once, with the naive [`RefEngine`]
+//!   diffed cycle by cycle against that same kernel trajectory
+//!   ([`solve_in_lockstep`]) over the whole search plus
+//!   [`LOCKSTEP_TAIL`](crate::diff::LOCKSTEP_TAIL) cycles: at least one
 //!   transient plus one full steady period (which, for deterministic
 //!   engines, implies agreement forever);
 //! * checked against the paper: Thm 1 (`r = m/gcd(m, d)`), §III-A
@@ -22,11 +25,10 @@
 //! distance triples from aligned start banks, again over both topologies
 //! and priority rules.
 
-use crate::diff::{run_pair, DiffOutcome};
+use crate::diff::{run_pair, solve_in_lockstep, DiffOutcome};
 use vecmem_analytic::numtheory::gcd3;
 use vecmem_analytic::pair::{conflict_free_condition, disjoint_sets_achievable};
 use vecmem_analytic::{Geometry, Ratio, StreamSpec};
-use vecmem_banksim::steady::measure_steady_state;
 use vecmem_banksim::{PriorityRule, SimConfig};
 use vecmem_exec::{steady_key, ResultCache, Runner, Scenario, SteadyKey};
 use vecmem_obs::{Json, MetricsRegistry, Span, SpanSink};
@@ -137,9 +139,12 @@ impl SweepReport {
     }
 }
 
-/// One conformance point: steady-state measurement by the optimized engine
-/// plus a lockstep diff against the reference engine over one transient +
-/// one period.
+/// One conformance point: steady-state measurement by the optimized engine,
+/// with a lockstep diff against the reference engine riding the same
+/// search ([`solve_in_lockstep`]). The diff covers every cycle the search
+/// stepped plus [`LOCKSTEP_TAIL`](crate::diff::LOCKSTEP_TAIL), so at least
+/// one transient, one period and that tail; a search that does not
+/// converge is still diffed over its whole budget.
 ///
 /// The output carries only isomorphism-invariant facts (bandwidth,
 /// conflict-freedom, divergence cycle), so key-equal scenarios may share
@@ -175,18 +180,14 @@ impl Scenario for ConformScenario {
     }
 
     fn execute(&self) -> ConformOutcome {
-        let steady = measure_steady_state(&self.config, &self.streams, self.steady_budget);
-        let (beff, conflict_free, horizon) = match &steady {
-            // Agreement over transient + period + slack pins the full
-            // cyclic behaviour of both deterministic engines.
-            Ok(ss) => (
-                Some(ss.beff),
-                ss.conflict_free(),
-                ss.transient + ss.period + 8,
-            ),
-            Err(_) => (None, false, 1024),
+        // Agreement over transient + period + slack pins the full cyclic
+        // behaviour of both deterministic engines.
+        let (steady, diff) = solve_in_lockstep(&self.config, &self.streams, self.steady_budget);
+        let (beff, conflict_free) = match &steady {
+            Ok(ss) => (Some(ss.beff), ss.conflict_free()),
+            Err(_) => (None, false),
         };
-        let divergence = match run_pair(&self.config, &self.streams, horizon) {
+        let divergence = match diff {
             DiffOutcome::Match { .. } => None,
             DiffOutcome::Diverged(d) => Some((d.cycle, d.report)),
         };
@@ -450,6 +451,61 @@ pub fn export_sweep_metrics(registry: &mut MetricsRegistry, report: &SweepReport
     registry.set_gauge(SWEEP_HIT_RATE, report.hit_rate());
 }
 
+/// The sweep's points at one geometry, one chunk per topology and
+/// priority rule, built as they are consumed: every lone stream (topology
+/// is irrelevant for p = 1), then with `max_ports >= 2` every pair `(d1,
+/// d2, b2)` with `b1 = 0`, then with `max_ports >= 3` every distance
+/// triple from aligned start banks.
+fn chunks(
+    geom: Geometry,
+    max_ports: usize,
+    budget: u64,
+) -> impl Iterator<Item = (Topology, PriorityRule, Vec<ConformScenario>)> {
+    let m = geom.banks();
+    let point = move |config: &SimConfig, streams: &[(u64, u64)]| ConformScenario {
+        config: config.clone(),
+        streams: streams
+            .iter()
+            .map(|&(start_bank, distance)| StreamSpec {
+                start_bank,
+                distance,
+            })
+            .collect(),
+        steady_budget: budget,
+    };
+    let lone = std::iter::once_with(move || {
+        let config = SimConfig::single_cpu(geom, 1);
+        let chunk = (0..m)
+            .flat_map(|d| (0..m).map(move |b| (d, b)))
+            .map(|(d, b)| point(&config, &[(b, d)]))
+            .collect();
+        (Topology::Same, PriorityRule::Fixed, chunk)
+    });
+    let multi = (2..=max_ports.min(3)).flat_map(move |ports| {
+        [Topology::Cross, Topology::Same]
+            .into_iter()
+            .flat_map(|topo| [PriorityRule::Fixed, PriorityRule::Cyclic].map(|prio| (topo, prio)))
+            .map(move |(topo, prio)| {
+                let config = topo.config(geom, ports, prio);
+                let mut chunk = Vec::with_capacity((m * m * m) as usize);
+                // Pairs: (d1, d2, b2) = (x, y, z); triples: (d1, d2, d3).
+                for x in 0..m {
+                    for y in 0..m {
+                        for z in 0..m {
+                            chunk.push(if ports == 2 {
+                                point(&config, &[(0, x), (z, y)])
+                            } else {
+                                point(&config, &[(0, x), (0, y), (0, z)])
+                            });
+                        }
+                    }
+                }
+                (topo, prio, chunk)
+            })
+    });
+    lone.chain(multi)
+}
+
 /// Runs the exhaustive conformance sweep.
 ///
 /// All scenario points go through `runner` and share one isomorphism-keyed
@@ -523,87 +579,8 @@ pub fn sweep_observed(
                     absorb_chunk(&mut report, &geom, topo, prio, &scenarios, &outcomes);
                 };
 
-            // Tier 1: every lone stream (topology is irrelevant for p = 1).
-            let mut tier1 = Vec::new();
-            for d in 0..m {
-                for b in 0..m {
-                    tier1.push(ConformScenario {
-                        config: SimConfig::single_cpu(geom, 1),
-                        streams: vec![StreamSpec {
-                            start_bank: b,
-                            distance: d,
-                        }],
-                        steady_budget: budget,
-                    });
-                }
-            }
-            run_chunk(Topology::Same, PriorityRule::Fixed, tier1);
-
-            // Tier 2: every pair (d1, d2, b2) with b1 = 0, per topology and
-            // priority rule.
-            if bounds.max_ports >= 2 {
-                for topo in [Topology::Cross, Topology::Same] {
-                    for prio in [PriorityRule::Fixed, PriorityRule::Cyclic] {
-                        let config = topo.config(geom, 2, prio);
-                        let mut chunk = Vec::with_capacity((m * m * m) as usize);
-                        for d1 in 0..m {
-                            for d2 in 0..m {
-                                for b2 in 0..m {
-                                    chunk.push(ConformScenario {
-                                        config: config.clone(),
-                                        streams: vec![
-                                            StreamSpec {
-                                                start_bank: 0,
-                                                distance: d1,
-                                            },
-                                            StreamSpec {
-                                                start_bank: b2,
-                                                distance: d2,
-                                            },
-                                        ],
-                                        steady_budget: budget,
-                                    });
-                                }
-                            }
-                        }
-                        run_chunk(topo, prio, chunk);
-                    }
-                }
-            }
-
-            // Tier 3: every distance triple from aligned start banks.
-            if bounds.max_ports >= 3 {
-                for topo in [Topology::Cross, Topology::Same] {
-                    for prio in [PriorityRule::Fixed, PriorityRule::Cyclic] {
-                        let config = topo.config(geom, 3, prio);
-                        let mut chunk = Vec::with_capacity((m * m * m) as usize);
-                        for d1 in 0..m {
-                            for d2 in 0..m {
-                                for d3 in 0..m {
-                                    chunk.push(ConformScenario {
-                                        config: config.clone(),
-                                        streams: vec![
-                                            StreamSpec {
-                                                start_bank: 0,
-                                                distance: d1,
-                                            },
-                                            StreamSpec {
-                                                start_bank: 0,
-                                                distance: d2,
-                                            },
-                                            StreamSpec {
-                                                start_bank: 0,
-                                                distance: d3,
-                                            },
-                                        ],
-                                        steady_budget: budget,
-                                    });
-                                }
-                            }
-                        }
-                        run_chunk(topo, prio, chunk);
-                    }
-                }
+            for (topo, prio, chunk) in chunks(geom, bounds.max_ports, budget) {
+                run_chunk(topo, prio, chunk);
             }
         }
         if let Some(s) = sink.as_deref_mut() {
@@ -643,6 +620,44 @@ mod tests {
                 geom.return_number(d)
             );
         }
+    }
+
+    /// Every point of a smaller sweep, solved by the fused search and by
+    /// the plain solver: the steady states agree field for field, and the
+    /// lockstep riding the search matched over at least one transient,
+    /// one period and the tail.
+    #[test]
+    fn fused_search_solves_like_the_plain_solver() {
+        use crate::diff::{solve_in_lockstep, LOCKSTEP_TAIL};
+        use vecmem_banksim::steady::measure_steady_state;
+        let bounds = SweepBounds {
+            max_banks: 8,
+            max_nc: 3,
+            max_ports: 3,
+            ..SweepBounds::default()
+        };
+        let mut points = 0;
+        for m in 1..=bounds.max_banks {
+            for nc in 1..=bounds.max_nc {
+                let geom = Geometry::unsectioned(m, nc).unwrap();
+                for (_, _, chunk) in chunks(geom, bounds.max_ports, bounds.steady_budget) {
+                    for scn in chunk {
+                        let (config, streams) = (&scn.config, &scn.streams);
+                        let (fused, diff) = solve_in_lockstep(config, streams, scn.steady_budget);
+                        let plain =
+                            measure_steady_state(config, streams, scn.steady_budget).unwrap();
+                        assert_eq!(fused.as_ref(), Ok(&plain), "{config:?} {streams:?}");
+                        let horizon = plain.transient + plain.period + LOCKSTEP_TAIL;
+                        assert!(
+                            matches!(diff, DiffOutcome::Match { cycles, .. } if cycles >= horizon),
+                            "{config:?} {streams:?}: {diff:?} short of {horizon} cycles"
+                        );
+                        points += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(points, 31_716);
     }
 
     #[test]

@@ -8,12 +8,20 @@
 //! countdown (in `u64`, so a corrupt countdown cannot wrap into a false
 //! match) and, under the DRAM bank model, the open rows. The comparison
 //! reads the optimized side's [`SimState`] in place. Only two paths lift
-//! the oracle into a canonical packed [`SimState`] (via [`SimState::pack`]):
-//! the divergence report, so both sides share one dump format
-//! ([`SimState::render`]), and the `sanitize` feature, which validates the
-//! lifted state every cycle. The first mismatch aborts the run with a
-//! [`Divergence`] carrying the rendered dual dump; agreement over the full
-//! horizon returns [`DiffOutcome::Match`].
+//! a state into a canonical packed [`SimState`] (via [`SimState::pack`]):
+//! the divergence report, which lifts both sides so they share one dump
+//! format ([`SimState::render`]), and the `sanitize` feature, which
+//! validates the lifted oracle every cycle. The first mismatch ends the
+//! comparison with a [`Divergence`] carrying the rendered dual dump;
+//! agreement over the full horizon returns [`DiffOutcome::Match`].
+//!
+//! The kernel side comes from one of two drivers, which share the
+//! per-cycle comparison: [`run_pair`] steps a fresh state for a fixed
+//! number of cycles, and [`solve_in_lockstep`] rides the steady-state
+//! search itself ([`measure_steady_state_with`]), so one kernel trajectory
+//! both finds the cyclic state and is checked against the oracle. The
+//! latter compares cycles `[0, pos +` [`LOCKSTEP_TAIL`]`)`, where `pos ≥ μ + λ`
+//! is the step at which the search found its recurrence.
 //!
 //! Because both simulators are deterministic and the compared residues +
 //! stream positions + rotation form the complete dynamic state, agreement
@@ -36,6 +44,9 @@
 use crate::engine::{RefBankModel, RefConfig, RefEngine, RefOutcome, RefPriority, RefStep};
 use vecmem_analytic::StreamSpec;
 use vecmem_banksim::pattern::{PatternSpec, PatternWorkload};
+use vecmem_banksim::steady::{
+    measure_steady_state_with, ObservableWorkload, SteadyState, SteadyStateError,
+};
 use vecmem_banksim::step::step;
 use vecmem_banksim::workload::Workload;
 use vecmem_banksim::{
@@ -191,17 +202,42 @@ fn oracle_view(steps: &[Option<RefStep>]) -> Vec<(u64, RefOutcome)> {
         .collect()
 }
 
-/// Lifts the reference engine's state into the canonical packed form:
-/// residues, rotation and, under the DRAM model, open rows. The residues
-/// narrow to the packed byte, so this serves the dump and the sanitizer
-/// only; the lockstep compares through [`same_state`].
-fn lift_oracle_state(config: &SimConfig, oracle: &RefEngine) -> SimState {
-    let residues: Vec<u8> = oracle.bank_residues().map(|r| r as u8).collect();
-    let mut state = SimState::pack(config, &residues, &[], oracle.rotation());
+/// Packs residues, a rotation and, under the DRAM model, open rows into a
+/// fresh state without position slots: the form both columns of a dump
+/// render in. The residues narrow to the packed byte, so this serves the
+/// dump and the sanitizer only; the lockstep compares through
+/// [`same_state`].
+fn lift_state(
+    config: &SimConfig,
+    residues: impl Iterator<Item = u64>,
+    rotation: usize,
+    open_rows: &[Option<u64>],
+) -> SimState {
+    let residues: Vec<u8> = residues.map(|r| r as u8).collect();
+    let mut state = SimState::pack(config, &residues, &[], rotation);
     if matches!(config.bank_model, BankModel::Dram { .. }) {
-        state.sync_open_rows(oracle.open_rows());
+        state.sync_open_rows(open_rows);
     }
     state
+}
+
+/// The reference engine's state in the canonical packed form.
+fn lift_oracle_state(config: &SimConfig, oracle: &RefEngine) -> SimState {
+    lift_state(
+        config,
+        oracle.bank_residues(),
+        oracle.rotation(),
+        oracle.open_rows(),
+    )
+}
+
+/// The kernel's state in the same form, its position slots dropped, so a
+/// dump reads the same whichever driver stepped the kernel.
+fn lift_engine_state(config: &SimConfig, state: &SimState) -> SimState {
+    let open_rows: Vec<Option<u64>> = (0..config.geometry.banks())
+        .map(|bank| state.open_row(bank))
+        .collect();
+    lift_state(config, state.residues(), state.rotation(), &open_rows)
 }
 
 /// Sanitizer: the lifted oracle state must satisfy every [`SimState`]
@@ -267,48 +303,157 @@ fn render_dump(
     s
 }
 
-/// Steps a pre-built reference engine against a fresh optimized state in
-/// lockstep for `cycles` clock periods, over any shared workload. The
-/// optimized side is the bare [`step`] kernel the steady-state solver
-/// runs.
+/// The oracle side of a lockstep run and its tally: the reference engine,
+/// the cycles compared so far, their grants, and the first divergence.
+/// Whichever driver steps the kernel hands its state to [`Self::check`]
+/// after every cycle.
 ///
 /// Ports idle on one side must be idle on the other: [`same_events`]
 /// compares idle ports too, so a cooldown disagreement surfaces as an
-/// event mismatch. The optimized side steps in a fresh state and the
-/// oracle in its own reused per-cycle lists, so once both have warmed up
-/// the loop allocates nothing until it renders a dump.
-fn run_lockstep<W: Workload>(
-    mut oracle: RefEngine,
-    config: &SimConfig,
-    mut workload: W,
-    cycles: u64,
-) -> DiffOutcome {
-    let mut state = SimState::new(config);
-    let dram = matches!(config.bank_model, BankModel::Dram { .. });
-    let mut grants = 0u64;
-    for cycle in 0..cycles {
-        step(config, &mut state, &mut workload, &mut NoopObserver);
-        oracle.advance();
+/// event mismatch. The oracle steps in its own reused per-cycle lists, so
+/// once it has warmed up a check allocates nothing until it renders a
+/// dump.
+struct Lockstep<'c> {
+    config: &'c SimConfig,
+    oracle: RefEngine,
+    dram: bool,
+    cycle: u64,
+    grants: u64,
+    divergence: Option<Divergence>,
+}
+
+impl<'c> Lockstep<'c> {
+    fn new(oracle: RefEngine, config: &'c SimConfig) -> Self {
+        Self {
+            config,
+            oracle,
+            dram: matches!(config.bank_model, BankModel::Dram { .. }),
+            cycle: 0,
+            grants: 0,
+            divergence: None,
+        }
+    }
+
+    /// Steps the oracle one cycle and compares it with `state`, the
+    /// kernel's state after the same cycle. Returns `false` once the
+    /// engines have diverged; later calls then do nothing, so the report
+    /// keeps the first divergent cycle.
+    fn check(&mut self, state: &SimState) -> bool {
+        if self.divergence.is_some() {
+            return false;
+        }
+        let (config, cycle) = (self.config, self.cycle);
+        self.oracle.advance();
         #[cfg(feature = "sanitize")]
-        sanitize_oracle(config, &oracle, cycle);
-        let oracle_steps = oracle.last_steps();
-        if !same_events(state.outcomes(), oracle_steps) || !same_state(&state, &oracle, dram) {
+        sanitize_oracle(config, &self.oracle, cycle);
+        let oracle_steps = self.oracle.last_steps();
+        if !same_events(state.outcomes(), oracle_steps)
+            || !same_state(state, &self.oracle, self.dram)
+        {
             let report = render_dump(
                 config,
                 cycle,
                 &engine_view(state.outcomes(), config.num_ports()),
                 &oracle_view(oracle_steps),
-                &state,
-                &lift_oracle_state(config, &oracle),
+                &lift_engine_state(config, state),
+                &lift_oracle_state(config, &self.oracle),
             );
-            return DiffOutcome::Diverged(Divergence { cycle, report });
+            self.divergence = Some(Divergence { cycle, report });
+            return false;
         }
-        grants += oracle_steps
+        self.grants += oracle_steps
             .iter()
             .filter(|s| s.is_some_and(|s| s.outcome.granted()))
             .count() as u64;
+        self.cycle += 1;
+        true
     }
-    DiffOutcome::Match { cycles, grants }
+
+    fn outcome(self) -> DiffOutcome {
+        match self.divergence {
+            Some(d) => DiffOutcome::Diverged(d),
+            None => DiffOutcome::Match {
+                cycles: self.cycle,
+                grants: self.grants,
+            },
+        }
+    }
+}
+
+/// Steps a pre-built reference engine against a fresh optimized state in
+/// lockstep for `cycles` clock periods, over any shared workload. The
+/// optimized side is the bare [`step`] kernel the steady-state solver
+/// runs, in a fresh state, so once both sides have warmed up the loop
+/// allocates nothing until it renders a dump.
+fn run_lockstep<W: Workload>(
+    oracle: RefEngine,
+    config: &SimConfig,
+    mut workload: W,
+    cycles: u64,
+) -> DiffOutcome {
+    let mut state = SimState::new(config);
+    let mut lockstep = Lockstep::new(oracle, config);
+    for _ in 0..cycles {
+        step(config, &mut state, &mut workload, &mut NoopObserver);
+        if !lockstep.check(&state) {
+            break;
+        }
+    }
+    lockstep.outcome()
+}
+
+/// Extra cycles [`solve_in_lockstep`] compares after the search has found
+/// its recurrence.
+pub const LOCKSTEP_TAIL: u64 = 8;
+
+/// Solves `workload`'s steady state from cycle 0 within `budget` search
+/// cycles while a pre-built reference engine checks every cycle the
+/// searching cursor steps, plus [`LOCKSTEP_TAIL`] more. A search that
+/// gives up still returns the comparison over the `budget` cycles it
+/// stepped.
+fn solve_lockstep<W: ObservableWorkload + Clone>(
+    oracle: RefEngine,
+    config: &SimConfig,
+    mut workload: W,
+    budget: u64,
+) -> (Result<SteadyState, SteadyStateError>, DiffOutcome) {
+    let mut lockstep = Lockstep::new(oracle, config);
+    let steady = measure_steady_state_with(config, &mut workload, 0, budget, LOCKSTEP_TAIL, |s| {
+        lockstep.check(s);
+    });
+    (steady, lockstep.outcome())
+}
+
+/// The steady state of `streams` (as `measure_steady_state` finds it,
+/// within `budget` search cycles) together with a lockstep comparison
+/// against a pre-built reference engine over the same kernel trajectory:
+/// cycles `[0, pos + LOCKSTEP_TAIL)`, where `pos ≥ μ + λ` is the step at
+/// which the search found its recurrence, or `[0, budget)` when it found
+/// none. Each cycle is simulated once by the kernel.
+///
+/// The `oracle` must have been built from [`mirror_config`]`(config)` and
+/// the same `streams` (possibly with a seeded bug), as for
+/// [`run_pair_against`]. The solver's result is returned as it is, a
+/// [`SteadyStateError`] included.
+pub fn solve_in_lockstep_against(
+    oracle: RefEngine,
+    config: &SimConfig,
+    streams: &[StreamSpec],
+    budget: u64,
+) -> (Result<SteadyState, SteadyStateError>, DiffOutcome) {
+    let workload = PatternWorkload::strided(&config.geometry, streams);
+    solve_lockstep(oracle, config, workload, budget)
+}
+
+/// [`solve_in_lockstep_against`] with a fresh, faithful reference engine:
+/// the conformance sweep's one pass per point.
+pub fn solve_in_lockstep(
+    config: &SimConfig,
+    streams: &[StreamSpec],
+    budget: u64,
+) -> (Result<SteadyState, SteadyStateError>, DiffOutcome) {
+    let oracle = RefEngine::new(mirror_config(config), streams);
+    solve_in_lockstep_against(oracle, config, streams, budget)
 }
 
 /// Steps a pre-built reference engine against a fresh optimized state in
@@ -517,6 +662,23 @@ mod tests {
         affine_lockstep_over_cyclic_state(&cfg, &specs);
     }
 
+    /// A search that finds no recurrence within its budget still returns
+    /// the comparison over every cycle it stepped.
+    #[test]
+    fn starved_search_still_compares_its_budget() {
+        let g = Geometry::unsectioned(16, 4).unwrap();
+        let cfg = SimConfig::single_cpu(g, 1);
+        let (steady, diff) = solve_in_lockstep(&cfg, &[spec(&g, 0, 1)], 3);
+        assert_eq!(steady, Err(SteadyStateError::NotConverged { cycles: 3 }));
+        assert_eq!(
+            diff,
+            DiffOutcome::Match {
+                cycles: 3,
+                grants: 3
+            }
+        );
+    }
+
     #[test]
     fn beff_fast_mode_agrees() {
         let g = Geometry::unsectioned(13, 6).unwrap();
@@ -542,34 +704,97 @@ mod tests {
         assert!(div.report.contains("simultaneous-bank"));
     }
 
-    /// Full divergence reports of every seeded fault, pinned byte for
-    /// byte: the cycle, the per-port table and both state lines. Three
-    /// strided uniform-model cases, one per [`InjectedBug`], and one DRAM
-    /// case whose dump carries the open rows. Without `sanitize`, so
-    /// `ResidueOverflow` surfaces as a plain residue divergence.
-    #[cfg(all(feature = "bug_injection", not(feature = "sanitize")))]
-    #[test]
-    fn seeded_fault_reports_are_pinned() {
+    /// The seeded faults whose reports are pinned: three strided
+    /// uniform-model cases, one per [`InjectedBug`](crate::engine::InjectedBug),
+    /// and one DRAM case whose dump carries the open rows.
+    #[cfg(feature = "bug_injection")]
+    fn seeded_faults() -> Vec<(SimConfig, Vec<StreamSpec>, crate::engine::InjectedBug)> {
         use crate::engine::InjectedBug;
-        let strided = |cfg: &SimConfig, streams: &[StreamSpec], bug| {
-            let oracle = RefEngine::new(mirror_config(cfg), streams).with_bug(bug);
-            run_pair_against(oracle, cfg, streams, 4_000)
-        };
         let s = |start_bank, distance| StreamSpec {
             start_bank,
             distance,
         };
+        let g8 = Geometry::unsectioned(8, 2).unwrap();
+        let g4 = Geometry::unsectioned(4, 1).unwrap();
+        let g8nc4 = Geometry::unsectioned(8, 4).unwrap();
+        let dram = BankModel::Dram {
+            hit_cycle: 2,
+            rows: 4,
+        };
+        vec![
+            (
+                SimConfig::one_port_per_cpu(g8, 2),
+                vec![s(0, 1), s(6, 3)],
+                InjectedBug::InvertedPriority,
+            ),
+            (
+                SimConfig::one_port_per_cpu(g4, 2).with_priority(PriorityRule::Cyclic),
+                vec![s(0, 0), s(0, 0)],
+                InjectedBug::StuckRotation,
+            ),
+            (
+                SimConfig::single_cpu(g8nc4, 1),
+                vec![s(0, 0)],
+                InjectedBug::ResidueOverflow,
+            ),
+            (
+                SimConfig::one_port_per_cpu(g8nc4, 2).with_bank_model(dram),
+                vec![s(0, 1), s(6, 3)],
+                InjectedBug::InvertedPriority,
+            ),
+        ]
+    }
+
+    /// One seeded fault through one driver, over 4,000 cycles: the fused
+    /// search or the fixed horizon. The uniform-model cases go through the
+    /// public `_against` entries; the DRAM case builds the kernel's strides
+    /// from pattern specs, which carry the row derivation.
+    #[cfg(feature = "bug_injection")]
+    fn drive(
+        cfg: &SimConfig,
+        streams: &[StreamSpec],
+        bug: crate::engine::InjectedBug,
+        fused: bool,
+    ) -> DiffOutcome {
+        const CYCLES: u64 = 4_000;
+        let oracle = RefEngine::new(mirror_config(cfg), streams).with_bug(bug);
+        if cfg.bank_model == BankModel::Uniform {
+            return if fused {
+                solve_in_lockstep_against(oracle, cfg, streams, CYCLES).1
+            } else {
+                run_pair_against(oracle, cfg, streams, CYCLES)
+            };
+        }
+        let specs: Vec<PatternSpec> = streams
+            .iter()
+            .map(|s| PatternSpec::Stride {
+                start_bank: s.start_bank,
+                distance: s.distance,
+            })
+            .collect();
+        let workload = PatternWorkload::from_specs(cfg, &specs);
+        if fused {
+            solve_lockstep(oracle, cfg, workload, CYCLES).1
+        } else {
+            run_lockstep(oracle, cfg, workload, CYCLES)
+        }
+    }
+
+    /// Full divergence reports of every seeded fault, pinned byte for
+    /// byte: the cycle, the per-port table and both state lines. The
+    /// fused search reports each one exactly as the fixed-horizon run
+    /// does. Without `sanitize`, so `ResidueOverflow` surfaces as a plain
+    /// residue divergence.
+    #[cfg(all(feature = "bug_injection", not(feature = "sanitize")))]
+    #[test]
+    fn seeded_fault_reports_are_pinned() {
         let diverged = |cycle, report: &str| {
             DiffOutcome::Diverged(Divergence {
                 cycle,
                 report: report.to_string(),
             })
         };
-
-        let g = Geometry::unsectioned(8, 2).unwrap();
-        let cfg = SimConfig::one_port_per_cpu(g, 2);
-        assert_eq!(
-            strided(&cfg, &[s(0, 1), s(6, 3)], InjectedBug::InvertedPriority),
+        let expected = [
             diverged(
                 1,
                 "geometry m=8 s=8 nc=2 priority=Fixed ports=[0, 1]\n\
@@ -579,14 +804,8 @@ mod tests {
                  \x20*   1   1 |    1 simultaneous-bank |    1 granted\n\
                  \x20 state (rotation, remaining bank busy periods):\n\
                  \x20   engine: rotation=0 residues=[0, 1, 0, 0, 0, 0, 0, 0]\n\
-                 \x20   oracle: rotation=0 residues=[0, 1, 0, 0, 0, 0, 0, 0]\n"
-            )
-        );
-
-        let g = Geometry::unsectioned(4, 1).unwrap();
-        let cfg = SimConfig::one_port_per_cpu(g, 2).with_priority(PriorityRule::Cyclic);
-        assert_eq!(
-            strided(&cfg, &[s(0, 0), s(0, 0)], InjectedBug::StuckRotation),
+                 \x20   oracle: rotation=0 residues=[0, 1, 0, 0, 0, 0, 0, 0]\n",
+            ),
             diverged(
                 0,
                 "geometry m=4 s=4 nc=1 priority=Cyclic ports=[0, 1]\n\
@@ -596,14 +815,8 @@ mod tests {
                  \x20    1   1 |    0 simultaneous-bank |    0 simultaneous-bank\n\
                  \x20 state (rotation, remaining bank busy periods):\n\
                  \x20   engine: rotation=1 residues=[0, 0, 0, 0]\n\
-                 \x20   oracle: rotation=0 residues=[0, 0, 0, 0]\n"
-            )
-        );
-
-        let g = Geometry::unsectioned(8, 4).unwrap();
-        let cfg = SimConfig::single_cpu(g, 1);
-        assert_eq!(
-            strided(&cfg, &[s(0, 0)], InjectedBug::ResidueOverflow),
+                 \x20   oracle: rotation=0 residues=[0, 0, 0, 0]\n",
+            ),
             diverged(
                 4,
                 "geometry m=8 s=8 nc=4 priority=Fixed ports=[0]\n\
@@ -612,29 +825,8 @@ mod tests {
                  \x20    0   0 |    0 granted           |    0 granted\n\
                  \x20 state (rotation, remaining bank busy periods):\n\
                  \x20   engine: rotation=0 residues=[3, 0, 0, 0, 0, 0, 0, 0]\n\
-                 \x20   oracle: rotation=0 residues=[5, 0, 0, 0, 0, 0, 0, 0]\n"
-            )
-        );
-
-        let cfg = SimConfig::one_port_per_cpu(g, 2).with_bank_model(BankModel::Dram {
-            hit_cycle: 2,
-            rows: 4,
-        });
-        let specs = [
-            PatternSpec::Stride {
-                start_bank: 0,
-                distance: 1,
-            },
-            PatternSpec::Stride {
-                start_bank: 6,
-                distance: 3,
-            },
-        ];
-        let oracle = RefEngine::from_specs(mirror_config(&cfg), &specs)
-            .with_bug(InjectedBug::InvertedPriority);
-        let workload = PatternWorkload::from_specs(&cfg, &specs);
-        assert_eq!(
-            run_lockstep(oracle, &cfg, workload, 4_000),
+                 \x20   oracle: rotation=0 residues=[5, 0, 0, 0, 0, 0, 0, 0]\n",
+            ),
             diverged(
                 1,
                 "geometry m=8 s=8 nc=4 priority=Fixed ports=[0, 1]\n\
@@ -646,9 +838,37 @@ mod tests {
                  \x20   engine: rotation=0 residues=[2, 3, 0, 0, 0, 0, 2, 0] \
                  open_rows=[Some(0), Some(0), None, None, None, None, Some(0), None]\n\
                  \x20   oracle: rotation=0 residues=[2, 3, 0, 0, 0, 0, 2, 0] \
-                 open_rows=[Some(0), Some(1), None, None, None, None, Some(0), None]\n"
-            )
-        );
+                 open_rows=[Some(0), Some(1), None, None, None, None, Some(0), None]\n",
+            ),
+        ];
+        let faults = seeded_faults();
+        assert_eq!(faults.len(), expected.len());
+        for ((cfg, streams, bug), expected) in faults.iter().zip(expected) {
+            assert_eq!(drive(cfg, streams, *bug, false), expected, "{bug:?}");
+            assert_eq!(drive(cfg, streams, *bug, true), expected, "{bug:?}: fused");
+        }
+    }
+
+    /// Under `sanitize` every seeded fault still ends the fused search as
+    /// it ends the fixed-horizon run: with the same divergence, or, for
+    /// the corrupted residue, with the sanitizer's abort at the same
+    /// cycle.
+    #[cfg(all(feature = "bug_injection", feature = "sanitize"))]
+    #[test]
+    fn fused_search_reports_seeded_faults_like_run_pair_under_sanitize() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let message = |e: Box<dyn std::any::Any + Send>| {
+            e.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        for (cfg, streams, bug) in seeded_faults() {
+            let caught = |fused| {
+                catch_unwind(AssertUnwindSafe(|| drive(&cfg, &streams, bug, fused)))
+                    .map_err(message)
+            };
+            let (fixed, fused) = (caught(false), caught(true));
+            assert!(fixed.as_ref().map_or(true, |o| !o.matched()), "{bug:?}");
+            assert_eq!(fused, fixed, "{bug:?}");
+        }
     }
 
     /// Re-packs the oracle into a persistent canonical copy, as the

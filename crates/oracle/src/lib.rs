@@ -48,6 +48,7 @@ pub use conform::{
     export_sweep_metrics, sweep, sweep_observed, SweepBounds, SweepReport, Violation,
 };
 pub use diff::{
-    mirror_config, run_beff, run_pair, run_pair_against, BeffDiff, DiffOutcome, Divergence,
+    mirror_config, run_beff, run_pair, run_pair_against, solve_in_lockstep,
+    solve_in_lockstep_against, BeffDiff, DiffOutcome, Divergence, LOCKSTEP_TAIL,
 };
 pub use explore::{explore, ExploreConfig, ExploreReport, Signature};

@@ -1,5 +1,5 @@
-//! Heap allocation counts of the step kernel and of a conformance point's
-//! three parts: the lockstep diff, the cache key and the steady-state
+//! Heap allocation counts of the step kernel, of a conformance point and
+//! of its parts: the lockstep diff, the cache key and the steady-state
 //! solve.
 //!
 //! A counting global allocator tallies allocations per thread, so the
@@ -8,8 +8,10 @@
 //! bank models and every port topology: this is the hot path's
 //! allocation rule, checked on the code that actually runs, generic and
 //! trait calls included (TESTING.md, "Hot-path rules"). A warmed-up
-//! lockstep cycle, on both engines, must not allocate either; the key and
-//! a short-period solve stay within fixed budgets.
+//! lockstep cycle, on both engines, must not allocate either, whether a
+//! fixed horizon or the steady-state search drives the kernel; the key, a
+//! short-period solve and a short-period conformance point stay within
+//! fixed budgets.
 #![expect(
     unsafe_code,
     reason = "a counting global allocator implements the unsafe GlobalAlloc trait"
@@ -317,4 +319,70 @@ fn short_period_solve_stays_within_budget() {
             ss.period
         );
     }
+}
+
+/// A short-period conformance point ([`ConformScenario::execute`]): one
+/// solve with the lockstep riding its search, so the solve's snapshots
+/// plus the reference engine and its per-cycle lists. The points take 36
+/// to 41 allocations, one more with `bug_injection` (the seeded faults'
+/// freed-bank list, which the workspace test run compiles in); the solve
+/// followed by a separate `run_pair` took about 23 + 18.
+#[cfg(not(feature = "sanitize"))]
+const CONFORM_ALLOCATIONS: u64 = 42;
+
+#[cfg(not(feature = "sanitize"))]
+#[test]
+fn short_period_conform_point_stays_within_budget() {
+    use vecmem_exec::Scenario;
+    use vecmem_oracle::conform::ConformScenario;
+    for (config, streams) in points() {
+        let scenario = ConformScenario {
+            config,
+            streams,
+            steady_budget: 500_000,
+        };
+        let (n, out) = allocations(|| scenario.execute());
+        assert!(
+            out.beff.is_some() && out.divergence.is_none(),
+            "{scenario:?}"
+        );
+        assert!(
+            n <= CONFORM_ALLOCATIONS,
+            "{scenario:?}: conformance point made {n} allocations"
+        );
+    }
+}
+
+/// The lockstep riding a search adds the same allocations to it however
+/// long the trajectory: the reference engine's construction and warm-up,
+/// and nothing per compared cycle. The three pairs' trajectories run from
+/// under a hundred to over five hundred cycles.
+#[cfg(not(feature = "sanitize"))]
+#[test]
+fn fused_lockstep_adds_no_per_cycle_allocation() {
+    use vecmem_oracle::solve_in_lockstep;
+    let config = SimConfig::one_port_per_cpu(Geometry::unsectioned(61, 8).unwrap(), 2);
+    let mut runs = Vec::new();
+    for streams in [
+        vec![spec(0, 1), spec(0, 1)],
+        vec![spec(0, 1), spec(0, 3)],
+        vec![spec(0, 7), spec(5, 2)],
+    ] {
+        let (plain_n, plain) = allocations(|| measure_steady_state(&config, &streams, 500_000));
+        let (fused_n, (fused, diff)) =
+            allocations(|| solve_in_lockstep(&config, &streams, 500_000));
+        let plain = plain.unwrap();
+        assert_eq!(fused.as_ref(), Ok(&plain), "{streams:?}");
+        assert!(diff.matched(), "{streams:?}: {diff:?}");
+        runs.push((plain.transient + plain.period, fused_n - plain_n));
+    }
+    let (shortest, longest) = (runs[0].0, runs[2].0);
+    assert!(
+        shortest < 100 && longest > 500,
+        "trajectories of {shortest} and {longest} cycles"
+    );
+    assert!(
+        runs.iter().all(|&(_, extra)| extra == runs[0].1),
+        "the lockstep's allocations grow with the trajectory: {runs:?}"
+    );
 }

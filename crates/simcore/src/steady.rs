@@ -298,8 +298,14 @@ impl<'c, W: ObservableWorkload + Clone> Cursor<'c, W> {
     }
 
     fn advance_by(&mut self, cycles: u64) {
+        self.advance_watched(cycles, &mut |_| {});
+    }
+
+    /// Advances `cycles` steps, handing the state to `on_step` after each.
+    fn advance_watched(&mut self, cycles: u64, on_step: &mut impl FnMut(&SimState)) {
         for _ in 0..cycles {
             self.advance();
+            on_step(&self.state);
         }
     }
 
@@ -358,11 +364,34 @@ pub fn measure_steady_state_workload<W: ObservableWorkload + Clone>(
     warmup: u64,
     max_cycles: u64,
 ) -> Result<SteadyState, SteadyStateError> {
+    measure_steady_state_with(config, workload, warmup, max_cycles, 0, |_| {})
+}
+
+/// [`measure_steady_state_workload`] that also hands the searching
+/// cursor's state to `on_step` after every step it takes from cycle 0:
+/// warmup, search, and then `tail` further steps taken once the period
+/// statistics are read (the transient walk runs on restored snapshots and
+/// is not shown). So `on_step` sees one unbroken trajectory of cycles `[0,
+/// n)`, with `n ≥ warmup + μ + λ + tail` on success and `n = warmup +
+/// max_cycles` when the search gives up; a caller can ride that trajectory
+/// instead of simulating it again. The windowed estimate of an aperiodic
+/// workload shows its warmup, its window and the tail the same way.
+///
+/// # Errors
+/// As [`measure_steady_state_workload`].
+pub fn measure_steady_state_with<W: ObservableWorkload + Clone>(
+    config: &SimConfig,
+    workload: &mut W,
+    warmup: u64,
+    max_cycles: u64,
+    tail: u64,
+    mut on_step: impl FnMut(&SimState),
+) -> Result<SteadyState, SteadyStateError> {
     // Aperiodic workloads (per their own declaration) can never recur:
     // answer with a budgeted windowed estimate instead of burning the full
     // cycle budget on a search that must fail.
     if !workload.periodic() {
-        return measure_windowed(config, workload, warmup, max_cycles);
+        return measure_windowed(config, workload, warmup, max_cycles, tail, &mut on_step);
     }
     let not_converged = SteadyStateError::NotConverged { cycles: max_cycles };
 
@@ -374,7 +403,7 @@ pub fn measure_steady_state_workload<W: ObservableWorkload + Clone>(
     // snapshots it leaves rungs, never compared against, only restored
     // from by the transient walk.
     let mut hare = Cursor::new(config, workload.clone());
-    hare.advance_by(warmup);
+    hare.advance_watched(warmup, &mut on_step);
     // One snapshot at 0 and one at each power of two up to `max_cycles`.
     let snap_capacity = (u64::BITS - max_cycles.leading_zeros()) as usize + 1;
     let mut snaps: Vec<Snapshot<W>> = Vec::with_capacity(snap_capacity);
@@ -393,6 +422,7 @@ pub fn measure_steady_state_workload<W: ObservableWorkload + Clone>(
             return Err(not_converged);
         }
         hare.advance();
+        on_step(&hare.state);
         pos += 1;
         let h = hare.state.hash();
         // Nearly every step misses: ask branch-free whether any hash
@@ -429,6 +459,9 @@ pub fn measure_steady_state_workload<W: ObservableWorkload + Clone>(
     let anchor = &snaps[matched];
     let per_port_grants = hare.grants_since(&anchor.workload);
     let conflicts = hare.conflicts - anchor.conflicts;
+    // The walk below restores the cursor from a snapshot, so the tail
+    // steps can use it first.
+    hare.advance_watched(tail, &mut on_step);
 
     let mu = transient(hare, snaps, rungs, matched, lambda);
     let grants_per_period: u64 = per_port_grants.iter().sum();
@@ -514,23 +547,28 @@ pub const WINDOWED_FALLBACK_CYCLES: u64 = 1 << 16;
 /// `warmup` cycles, then a window of `min(max_cycles,`
 /// [`WINDOWED_FALLBACK_CYCLES`]`)` cycles, and report the window averages
 /// with [`SteadyState::exact`] = `false`. No snapshots are kept — there is
-/// nothing to recur against.
+/// nothing to recur against. `on_step` sees every step, `tail` included,
+/// as in [`measure_steady_state_with`].
 fn measure_windowed<W: ObservableWorkload + Clone>(
     config: &SimConfig,
     workload: &mut W,
     warmup: u64,
     max_cycles: u64,
+    tail: u64,
+    on_step: &mut impl FnMut(&SimState),
 ) -> Result<SteadyState, SteadyStateError> {
     let window = max_cycles.min(WINDOWED_FALLBACK_CYCLES);
     if window == 0 {
         return Err(SteadyStateError::NotConverged { cycles: max_cycles });
     }
     let mut cursor = Cursor::new(config, workload.clone());
-    cursor.advance_by(warmup);
+    cursor.advance_watched(warmup, on_step);
     let base = cursor.workload.clone();
     let base_conflicts = cursor.conflicts;
-    cursor.advance_by(window);
+    cursor.advance_watched(window, on_step);
     let per_port_grants = cursor.grants_since(&base);
+    let conflicts = cursor.conflicts - base_conflicts;
+    cursor.advance_watched(tail, on_step);
     let grants_per_period: u64 = per_port_grants.iter().sum();
     Ok(SteadyState {
         beff: Ratio::new(grants_per_period, window),
@@ -541,7 +579,7 @@ fn measure_windowed<W: ObservableWorkload + Clone>(
             .iter()
             .map(|&g| Ratio::new(g, window))
             .collect(),
-        conflicts_per_period: cursor.conflicts - base_conflicts,
+        conflicts_per_period: conflicts,
         exact: false,
     })
 }
@@ -612,6 +650,43 @@ mod tests {
         assert_eq!(ss.beff, Ratio::integer(1));
         assert!(ss.conflict_free());
         assert_eq!(ss.grants_per_period, ss.period);
+    }
+
+    /// The callback entry solves like the plain one while `on_step` sees
+    /// the searching cursor's trajectory from cycle 0, warmup included:
+    /// at least `warmup + μ + λ + tail` states on success, `warmup +
+    /// max_cycles` when the search gives up, each equal to a fresh
+    /// cursor's state after as many steps.
+    #[test]
+    fn on_step_sees_the_trajectory_from_cycle_zero() {
+        let cfg = SimConfig::single_cpu(Geometry::unsectioned(13, 4).unwrap(), 2);
+        let w = Strides::new(13, &[1, 5]);
+        let replay = |seen: &[SimState]| {
+            let mut cursor = Cursor::new(&cfg, w.clone());
+            for (cycle, state) in seen.iter().enumerate() {
+                cursor.advance();
+                assert!(cursor.state == *state, "cycle {cycle}");
+            }
+        };
+        for warmup in [0, 7] {
+            let mut seen = Vec::new();
+            let ss = measure_steady_state_with(&cfg, &mut w.clone(), warmup, 1 << 20, 8, |s| {
+                seen.push(s.clone());
+            })
+            .unwrap();
+            let plain = measure_steady_state_workload(&cfg, &mut w.clone(), warmup, 1 << 20);
+            assert_eq!(Ok(&ss), plain.as_ref());
+            assert!(seen.len() as u64 >= ss.transient + ss.period + 8);
+            replay(&seen);
+
+            let mut seen = Vec::new();
+            let starved = measure_steady_state_with(&cfg, &mut w.clone(), warmup, 3, 8, |s| {
+                seen.push(s.clone());
+            });
+            assert_eq!(starved, Err(SteadyStateError::NotConverged { cycles: 3 }));
+            assert_eq!(seen.len() as u64, warmup + 3);
+            replay(&seen);
+        }
     }
 
     /// A snapshot's scratch-free copy compares, hashes and steps like a
