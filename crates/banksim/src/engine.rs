@@ -1,19 +1,19 @@
 //! The cycle-accurate simulation engine.
 //!
-//! A thin, stats- and trace-keeping wrapper around the pure
-//! [`step`](vecmem_simcore::step::step) kernel of `vecmem-simcore`: the
-//! kernel owns the per-cycle semantics (arbitration, grants, delays,
-//! observer events, bank aging) and records each cycle's per-port outcomes
-//! into the [`SimState`]; the engine replays those outcomes into its
-//! [`SimStats`] and optional [`TraceRecorder`].
+//! A thin wrapper around the pure [`step`](vecmem_simcore::step::step)
+//! kernel of `vecmem-simcore`: the kernel owns the per-cycle semantics
+//! (arbitration, grants, delays, observer events, bank aging); the engine
+//! pairs it with a [`SimConfig`], a [`SimState`] and a [`SimStats`]. The
+//! statistics are an observer like any other: every step reports to
+//! `Tee(stats, observer)`, so grants, conflicts and waits are counted once,
+//! from the kernel's own callbacks. A caller that wants a paper-style
+//! trace passes a [`TraceRecorder`](crate::TraceRecorder) as the observer.
 
 use crate::config::SimConfig;
-use crate::observe::{NoopObserver, SimObserver};
-use crate::request::{PortId, PortOutcome, Request};
+use crate::observe::{NoopObserver, SimObserver, Tee};
 use crate::stats::SimStats;
-use crate::trace::TraceRecorder;
 use crate::workload::Workload;
-use vecmem_simcore::{step::step, CycleEvents, SimState};
+use vecmem_simcore::{step::step, PortEvent, SimState};
 
 /// Result of [`Engine::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,7 +42,6 @@ pub struct Engine {
     config: SimConfig,
     state: SimState,
     stats: SimStats,
-    trace: Option<TraceRecorder>,
 }
 
 impl Engine {
@@ -52,16 +51,8 @@ impl Engine {
         Self {
             state: SimState::new(&config),
             stats: SimStats::new(config.num_ports()),
-            trace: None,
             config,
         }
-    }
-
-    /// Enables trace recording for the first `capacity` cycles.
-    #[must_use]
-    pub fn with_trace(mut self, capacity: u64) -> Self {
-        self.trace = Some(TraceRecorder::new(self.config.geometry.banks(), capacity));
-        self
     }
 
     /// The engine's configuration.
@@ -89,92 +80,27 @@ impl Engine {
         &self.stats
     }
 
-    /// The recorded trace, if tracing was enabled.
-    #[must_use]
-    pub fn trace(&self) -> Option<&TraceRecorder> {
-        self.trace.as_ref()
-    }
-
-    /// Current cyclic-priority rotation offset.
-    #[must_use]
-    pub fn rotation(&self) -> usize {
-        self.state.rotation()
-    }
-
-    /// True when `bank` is still active at the current clock period.
-    #[must_use]
-    pub fn bank_busy(&self, bank: u64) -> bool {
-        self.state.is_busy(bank)
-    }
-
-    /// Remaining busy periods of every bank at the current clock period —
-    /// part of the state signature for cyclic-state detection.
-    #[must_use]
-    pub fn bank_residues(&self) -> Vec<u8> {
-        self.state.residues_vec()
-    }
-
-    /// One kernel step plus the engine's bookkeeping: statistics and trace
-    /// marks replayed from the per-port outcomes the kernel left in the
-    /// state. Delays are recorded before grants so that, within one clock
-    /// period, a grant's digit wins the trace cell over a competitor's
-    /// delay mark (the paper's figures show e.g. "1<<<<<222222": the digit
-    /// at the grant cycle, delay marks over the remaining busy cells).
-    fn step_kernel<W: Workload, O: SimObserver>(
-        &mut self,
-        workload: &mut W,
-        observer: &mut O,
-    ) -> CycleEvents {
-        let now = self.state.now();
-        let events = step(&self.config, &mut self.state, workload, observer);
-        let hold = self.config.geometry.bank_cycle();
-        for ev in self.state.outcomes() {
-            if let PortOutcome::Delayed(kind) = ev.outcome {
-                self.stats.record_conflict(ev.port, kind);
-                if let Some(t) = self.trace.as_mut() {
-                    t.mark_delay(ev.request.bank, now, ev.port, kind);
-                }
-            }
-        }
-        for ev in self.state.outcomes() {
-            if ev.outcome == PortOutcome::Granted {
-                self.stats.record_grant(ev.port);
-                self.stats.record_wait(ev.port, ev.wait);
-                if let Some(t) = self.trace.as_mut() {
-                    t.mark_grant(ev.request.bank, now, hold, ev.port);
-                }
-            }
-        }
-        self.stats.tick();
-        events
-    }
-
     /// Simulates one clock period and returns each active port's outcome.
-    ///
-    /// Equivalent to [`Self::step_with`] with a [`NoopObserver`]; the two
-    /// paths monomorphise to identical code.
-    pub fn step<W: Workload>(&mut self, workload: &mut W) -> Vec<(PortId, Request, PortOutcome)> {
+    pub fn step<W: Workload>(&mut self, workload: &mut W) -> &[PortEvent] {
         self.step_with(workload, &mut NoopObserver)
     }
 
     /// Simulates one clock period, reporting every grant, delay, bank
-    /// transition and cycle summary to `observer`.
-    ///
-    /// The observer is a generic parameter so the disabled
-    /// ([`NoopObserver`]) path compiles to exactly the unobserved engine:
-    /// the callbacks inline to nothing and the `O::ENABLED`-gated
-    /// bookkeeping is removed as dead code.
+    /// transition and cycle summary to the engine's statistics and to
+    /// `observer`, and returns each active port's outcome (the kernel's
+    /// [`SimState::outcomes`], valid until the next step).
     pub fn step_with<W: Workload, O: SimObserver>(
         &mut self,
         workload: &mut W,
         observer: &mut O,
-    ) -> Vec<(PortId, Request, PortOutcome)> {
-        self.step_kernel(workload, observer);
-        self.state
-            .outcomes()
-            .iter()
-            .map(|ev| (ev.port, ev.request, ev.outcome))
-            .collect()
+    ) -> &[PortEvent] {
+        step(
+            &self.config,
+            &mut self.state,
+            workload,
+            &mut Tee(&mut self.stats, observer),
+        );
+        self.state.outcomes()
     }
 
     /// Runs until the workload finishes or `max_cycles` elapse.
@@ -183,8 +109,7 @@ impl Engine {
     }
 
     /// Observed variant of [`Self::run`]: every cycle is reported to
-    /// `observer`. Loops the kernel directly, without materialising the
-    /// per-cycle outcome vectors [`Self::step_with`] returns.
+    /// `observer`.
     pub fn run_with<W: Workload, O: SimObserver>(
         &mut self,
         workload: &mut W,
@@ -192,11 +117,12 @@ impl Engine {
         observer: &mut O,
     ) -> RunOutcome {
         let deadline = self.state.now() + max_cycles;
+        let mut observer = Tee(&mut self.stats, observer);
         while self.state.now() < deadline {
             if workload.is_finished() {
                 return RunOutcome::Finished(self.state.now());
             }
-            self.step_kernel(workload, observer);
+            step(&self.config, &mut self.state, workload, &mut observer);
         }
         if workload.is_finished() {
             RunOutcome::Finished(self.state.now())
@@ -209,7 +135,10 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::BankModel;
     use crate::pattern::{PatternPort, PatternWorkload, StridePattern};
+    use crate::request::{ConflictKind, PortId, PortOutcome};
+    use crate::trace::TraceRecorder;
     use vecmem_analytic::{Geometry, StreamSpec};
 
     fn geom(m: u64, nc: u64) -> Geometry {
@@ -269,14 +198,37 @@ mod tests {
     #[test]
     fn trace_records_run() {
         let g = geom(4, 2);
-        let mut engine = Engine::new(SimConfig::single_cpu(g, 1)).with_trace(8);
+        let mut engine = Engine::new(SimConfig::single_cpu(g, 1));
+        let mut t = TraceRecorder::new(g.banks(), 8);
         let spec = StreamSpec::new(&g, 0, 1).unwrap();
         let mut w = finite(&g, spec, 4);
-        engine.run(&mut w, 100);
-        let t = engine.trace().unwrap();
+        engine.run_with(&mut w, 100, &mut t);
         assert_eq!(t.row(0, 0, 4), "11..");
         assert_eq!(t.row(1, 0, 4), ".11.");
         assert_eq!(t.row(2, 0, 4), "..11");
+    }
+
+    #[test]
+    fn trace_paints_the_hold_of_a_dram_row_hit() {
+        // One port hammers bank 0, row 0: a miss holds the bank for
+        // n_c = 4, the open-row hit that follows for hit_cycle = 1 only.
+        let g = geom(16, 4);
+        let cfg = SimConfig::single_cpu(g, 1).with_bank_model(BankModel::Dram {
+            hit_cycle: 1,
+            rows: 4,
+        });
+        let mut engine = Engine::new(cfg);
+        let mut t = TraceRecorder::new(g.banks(), 12);
+        let spec = StreamSpec::new(&g, 0, 0).unwrap();
+        let mut w = PatternWorkload::new(vec![PatternPort::new(StridePattern::with_rows(
+            &g, spec, 4,
+        ))
+        .with_length(2)]);
+        assert_eq!(
+            engine.run_with(&mut w, 100, &mut t),
+            RunOutcome::Finished(5)
+        );
+        assert_eq!(t.row(0, 0, 12), "1>>>1.......");
     }
 
     #[test]
@@ -311,16 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn bank_residues_signature() {
-        let g = geom(4, 3);
-        let mut engine = Engine::new(SimConfig::single_cpu(g, 1));
-        let spec = StreamSpec::new(&g, 2, 1).unwrap();
-        let mut w = PatternWorkload::strided(&g, &[spec]);
-        engine.step(&mut w); // grant at bank 2, busy for 3
-        assert_eq!(engine.bank_residues(), vec![0, 0, 2, 0]);
-    }
-
-    #[test]
     fn wait_times_recorded() {
         // d = 0 on m = 4, n_c = 3: grants at 0, 3, 6 with waits 0, 2, 2.
         let g = geom(4, 3);
@@ -336,16 +278,28 @@ mod tests {
     }
 
     #[test]
-    fn step_with_outcomes_match_state_outcomes() {
+    fn step_returns_this_cycles_outcomes() {
+        // Two CPUs request bank 0 at once: the fixed-priority winner is
+        // granted, the other loses a simultaneous-bank conflict.
         let g = geom(8, 2);
         let mut engine = Engine::new(SimConfig::one_port_per_cpu(g, 2));
-        let s1 = StreamSpec::new(&g, 0, 0).unwrap();
-        let s2 = StreamSpec::new(&g, 0, 0).unwrap();
-        let mut w = PatternWorkload::strided(&g, &[s1, s2]);
-        let out = engine.step(&mut w);
-        assert_eq!(out.len(), engine.state().outcomes().len());
-        for (o, ev) in out.iter().zip(engine.state().outcomes()) {
-            assert_eq!(*o, (ev.port, ev.request, ev.outcome));
-        }
+        let s = StreamSpec::new(&g, 0, 0).unwrap();
+        let mut w = PatternWorkload::strided(&g, &[s, s]);
+        let out: Vec<(PortId, u64, PortOutcome)> = engine
+            .step(&mut w)
+            .iter()
+            .map(|ev| (ev.port, ev.request.bank, ev.outcome))
+            .collect();
+        assert_eq!(
+            out,
+            vec![
+                (PortId(0), 0, PortOutcome::Granted),
+                (
+                    PortId(1),
+                    0,
+                    PortOutcome::Delayed(ConflictKind::SimultaneousBank)
+                ),
+            ]
+        );
     }
 }

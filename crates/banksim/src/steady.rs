@@ -218,9 +218,9 @@ mod tests {
         }
         let mut seen: HashMap<Vec<u64>, Snapshot> = HashMap::new();
         loop {
-            let mut key: Vec<u64> = engine.bank_residues().iter().map(|&r| r as u64).collect();
+            let mut key: Vec<u64> = engine.state().residues().collect();
             key.extend(workload.state_signature());
-            key.push(engine.rotation() as u64);
+            key.push(engine.state().rotation() as u64);
             let grants: Vec<u64> = (0..config.num_ports())
                 .map(|p| engine.stats().port(PortId(p)).grants)
                 .collect();

@@ -7,10 +7,20 @@
 //! convention: `<` depicts a delay of stream "2" by stream "1", `>` the
 //! inverse), and `*` marks a section conflict (Fig. 8). Idle cells print
 //! as `.`.
+//!
+//! [`TraceRecorder`] is a [`SimObserver`]: pass it to
+//! [`Engine::step_with`](crate::Engine::step_with) (or any other caller of
+//! the step kernel) and render it afterwards. The kernel reports a cycle's
+//! delays before its grants, so a grant's digit wins its own cell over a
+//! competitor's delay mark (the paper's figures show e.g.
+//! "1<<<<<222222": the digit at the grant cycle, delay marks over the
+//! remaining busy cells). Each grant paints the hold the kernel charged:
+//! `n_c`, or a DRAM open-row hit's shorter `hit_cycle`.
 
+use crate::observe::SimObserver;
 use crate::request::{ConflictKind, PortId};
 
-/// Grid recorder filled in by the engine during a traced run.
+/// Grid recorder filled in from the observer callbacks of a traced run.
 #[derive(Debug, Clone)]
 pub struct TraceRecorder {
     banks: usize,
@@ -123,6 +133,16 @@ impl TraceRecorder {
     #[must_use]
     pub fn capacity(&self) -> u64 {
         self.capacity
+    }
+}
+
+impl SimObserver for TraceRecorder {
+    fn on_grant(&mut self, cycle: u64, port: PortId, bank: u64, _wait: u64, hold: u64) {
+        self.mark_grant(bank, cycle, hold, port);
+    }
+
+    fn on_delay(&mut self, cycle: u64, port: PortId, bank: u64, kind: ConflictKind) {
+        self.mark_delay(bank, cycle, port, kind);
     }
 }
 

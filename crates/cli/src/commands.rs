@@ -7,10 +7,10 @@ use vecmem_analytic::sections::analyze_sectioned_pair;
 use vecmem_analytic::{Geometry, SectionMapping, StreamSpec};
 use vecmem_banksim::pattern::{PatternSpec, PatternWorkload};
 use vecmem_banksim::state::MAX_BANK_CYCLE;
-use vecmem_banksim::steady::{measure_steady_state, measure_steady_state_patterns};
+use vecmem_banksim::steady::measure_steady_state_patterns;
 use vecmem_banksim::{
     hellerman_asymptotic, hellerman_bandwidth, measure_random_bandwidth, BankModel, Engine,
-    PriorityRule, SimConfig, Tee, WINDOWED_FALLBACK_CYCLES,
+    PriorityRule, SimConfig, Tee, TraceRecorder, Workload, WINDOWED_FALLBACK_CYCLES,
 };
 use vecmem_exec::{
     batch_spans, export_exec_telemetry, triad_sweep, PatternSteadyScenario, ResultCache, Runner,
@@ -362,6 +362,32 @@ pub fn cmd_steady(opts: &Options) -> Result<String, Failure> {
     Ok(out)
 }
 
+/// Steps `cycles` clock periods of `workload` under a [`TraceRecorder`]
+/// and, when telemetry was asked for, `obs`'s metrics registry and event
+/// log. Returns the rendered trace and the two observers.
+fn traced<W: Workload>(
+    config: &SimConfig,
+    workload: &mut W,
+    cycles: u64,
+    obs: &ObsRequest,
+) -> (String, MetricsRegistry, EventLog) {
+    let banks = config.geometry.banks();
+    let mut engine = Engine::new(config.clone());
+    let mut trace = TraceRecorder::new(banks, cycles);
+    let (mut metrics, mut events) = obs.observers(banks, config.num_ports());
+    for _ in 0..cycles {
+        if obs.enabled() {
+            engine.step_with(
+                workload,
+                &mut Tee(&mut trace, &mut Tee(&mut metrics, &mut events)),
+            );
+        } else {
+            engine.step_with(workload, &mut trace);
+        }
+    }
+    (trace.render_all(), metrics, events)
+}
+
 /// `vecmem trace`: paper-style ASCII trace of a stream pair (or, with
 /// `--pattern gather|burst` / `--bank-model dram`, of a generalized
 /// pattern pair), followed by the exact steady state (`--cycle-budget N`
@@ -374,7 +400,6 @@ pub fn cmd_trace(opts: &Options) -> Result<String, Failure> {
     let obs = ObsRequest::from_opts(opts)?;
     let model = bank_model(opts, &geom)?;
     let config = pair_config(opts, geom).with_bank_model(model);
-    let ports = config.num_ports();
     let steady_line = |ss: &vecmem_banksim::SteadyState| {
         if ss.exact {
             format!(
@@ -390,58 +415,30 @@ pub fn cmd_trace(opts: &Options) -> Result<String, Failure> {
     };
     let plain_strides =
         model == BankModel::Uniform && opts.string("pattern").is_none_or(|p| p == "stride");
-    if !plain_strides {
-        // Generalized patterns and DRAM bank models: trace the pattern
-        // workload directly, then measure the steady state on a fresh one.
+    if !plain_strides || obs.enabled() {
+        // Generalized patterns, DRAM bank models and telemetry runs: trace
+        // the pattern workload directly, then measure the steady state on
+        // a fresh one. Plain stride pairs go through the cached scenario.
         let patterns = pattern_specs(opts, &geom)?;
-        let mut engine = Engine::new(config.clone()).with_trace(cycles);
         let mut workload = PatternWorkload::from_specs(&config, &patterns);
-        if obs.enabled() {
-            let (mut metrics, mut events) = obs.observers(geom.banks(), ports);
-            for _ in 0..cycles {
-                engine.step_with(&mut workload, &mut Tee(&mut metrics, &mut events));
-            }
-            let mut out = engine.trace().expect("trace enabled").render_all();
-            let ss = measure_steady_state_patterns(&config, &patterns, budget)
-                .map_err(|e| e.to_string())?;
-            out.push_str(&steady_line(&ss));
-            out.push_str(&obs.finish(&metrics, &events)?);
-            return Ok(out);
-        }
-        for _ in 0..cycles {
-            engine.step(&mut workload);
-        }
-        let mut out = engine.trace().expect("trace enabled").render_all();
+        let (mut out, metrics, events) = traced(&config, &mut workload, cycles, &obs);
         let ss =
             measure_steady_state_patterns(&config, &patterns, budget).map_err(|e| e.to_string())?;
         out.push_str(&steady_line(&ss));
+        out.push_str(&obs.finish(&metrics, &events)?);
         return Ok(out);
     }
-    if obs.enabled() {
-        let mut engine = Engine::new(config.clone()).with_trace(cycles);
-        let mut workload = PatternWorkload::strided(&geom, &specs);
-        let (mut metrics, mut events) = obs.observers(geom.banks(), ports);
-        for _ in 0..cycles {
-            engine.step_with(&mut workload, &mut Tee(&mut metrics, &mut events));
-        }
-        let mut out = engine.trace().expect("trace enabled").render_all();
-        let ss = measure_steady_state(&config, &specs, budget).map_err(|e| e.to_string())?;
-        out.push_str(&steady_line(&ss));
-        out.push_str(&obs.finish(&metrics, &events)?);
-        Ok(out)
-    } else {
-        let scenario = TraceScenario {
-            config,
-            streams: specs.to_vec(),
-            trace_cycles: cycles,
-            max_cycles: budget,
-        };
-        let outcome = scenario.execute();
-        let ss = outcome.steady.map_err(|e| e.to_string())?;
-        let mut out = outcome.trace;
-        out.push_str(&steady_line(&ss));
-        Ok(out)
-    }
+    let scenario = TraceScenario {
+        config,
+        streams: specs.to_vec(),
+        trace_cycles: cycles,
+        max_cycles: budget,
+    };
+    let outcome = scenario.execute();
+    let ss = outcome.steady.map_err(|e| e.to_string())?;
+    let mut out = outcome.trace;
+    out.push_str(&steady_line(&ss));
+    Ok(out)
 }
 
 /// `vecmem triad`: the §IV experiment.

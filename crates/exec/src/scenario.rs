@@ -14,7 +14,9 @@ use vecmem_banksim::pattern::{PatternSpec, PatternWorkload};
 use vecmem_banksim::steady::{
     measure_steady_state, measure_steady_state_patterns, SteadyStateError,
 };
-use vecmem_banksim::{BankModel, Engine, PriorityRule, SimConfig, SimStats, SteadyState};
+use vecmem_banksim::{
+    BankModel, Engine, PriorityRule, SimConfig, SimStats, SteadyState, TraceRecorder,
+};
 use vecmem_vproc::triad::{TriadExperiment, TriadResult};
 
 /// A unit of sweep work executable on the [`Runner`](crate::Runner).
@@ -352,16 +354,13 @@ impl Scenario for TraceScenario {
     }
 
     fn execute(&self) -> TraceOutcome {
-        let mut engine = Engine::new(self.config.clone()).with_trace(self.trace_cycles);
+        let mut engine = Engine::new(self.config.clone());
+        let mut recorder = TraceRecorder::new(self.config.geometry.banks(), self.trace_cycles);
         let mut workload = PatternWorkload::strided(&self.config.geometry, &self.streams);
         for _ in 0..self.trace_cycles {
-            engine.step(&mut workload);
+            engine.step_with(&mut workload, &mut recorder);
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "the engine was built `with_trace` above"
-        )]
-        let trace = engine.trace().expect("trace enabled").render_all();
+        let trace = recorder.render_all();
         let stats = engine.stats().clone();
         let mut fresh = PatternWorkload::strided(&self.config.geometry, &self.streams);
         let steady = vecmem_banksim::steady::measure_steady_state_workload(

@@ -52,7 +52,8 @@ pub enum Event {
         bank: u64,
         /// Clock periods the request waited before this grant.
         wait: u64,
-        /// Bank busy time (`n_c`) started by the grant.
+        /// Bank busy time started by the grant (`n_c`, or `hit_cycle` on a
+        /// DRAM open-row hit).
         hold: u64,
     },
     /// A delayed request.
@@ -84,7 +85,8 @@ pub enum Event {
         cycle: u64,
         /// Requests granted this period.
         grants: u64,
-        /// Banks still busy after this period.
+        /// Banks busy during this period, counted from the `bank`
+        /// transitions since the log was attached.
         busy_banks: u64,
     },
 }
@@ -196,6 +198,10 @@ impl Event {
 /// [`EventLog::with_limit`]; once reached, later events are counted in
 /// [`EventLog::dropped`] instead of stored, and the export reports the drop
 /// count in its header so truncation is never silent.
+///
+/// The `busy_banks` field of each cycle record counts the bank busy/free
+/// transitions the log has seen, so attach the log before the first cycle
+/// of a run (when every bank is free).
 #[derive(Debug, Clone)]
 pub struct EventLog {
     banks: u64,
@@ -207,6 +213,7 @@ pub struct EventLog {
     attributor: Option<Attributor>,
     pending_delays: Vec<(u64, usize, u64, ConflictKind)>,
     attr_scratch: Vec<Attribution>,
+    busy_banks: u64,
 }
 
 impl EventLog {
@@ -224,6 +231,7 @@ impl EventLog {
             attributor: None,
             pending_delays: Vec::new(),
             attr_scratch: Vec::new(),
+            busy_banks: 0,
         }
     }
 
@@ -371,10 +379,15 @@ impl SimObserver for EventLog {
     }
 
     fn on_bank_busy(&mut self, cycle: u64, bank: u64, busy: bool) {
+        if busy {
+            self.busy_banks += 1;
+        } else {
+            self.busy_banks = self.busy_banks.saturating_sub(1);
+        }
         self.push(Event::BankBusy { cycle, bank, busy });
     }
 
-    fn on_cycle_end(&mut self, cycle: u64, grants: u32, busy_banks: u32) {
+    fn on_cycle_end(&mut self, cycle: u64, grants: u32) {
         if let Some(attributor) = &mut self.attributor {
             self.attr_scratch.clear();
             attributor.resolve_cycle(&mut self.attr_scratch);
@@ -402,7 +415,7 @@ impl SimObserver for EventLog {
         self.push(Event::CycleEnd {
             cycle,
             grants: u64::from(grants),
-            busy_banks: u64::from(busy_banks),
+            busy_banks: self.busy_banks,
         });
     }
 }
@@ -494,7 +507,7 @@ mod tests {
         // arbitration on the same bank.
         log.on_delay(0, PortId(1), 3, ConflictKind::SimultaneousBank);
         log.on_grant(0, PortId(0), 3, 0, 4);
-        log.on_cycle_end(0, 1, 1);
+        log.on_cycle_end(0, 1);
         let text = log.to_jsonl_string();
         assert!(text.lines().next().unwrap().contains(EVENTS_SCHEMA));
         let delay_line = text
@@ -526,23 +539,25 @@ mod tests {
     fn log_records_and_exports() {
         let mut log = EventLog::new(8, 2);
         log.on_grant(0, PortId(0), 3, 0, 2);
+        log.on_bank_busy(0, 3, true);
         log.on_delay(0, PortId(1), 3, ConflictKind::Bank);
-        log.on_cycle_end(0, 1, 1);
+        log.on_cycle_end(0, 1);
         let text = log.to_jsonl_string();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4);
+        assert_eq!(lines.len(), 5);
         assert!(lines[0].contains(EVENTS_SCHEMA));
         assert!(lines[0].contains("\"banks\":8"));
         assert!(lines[1].contains("\"t\":\"grant\""));
-        assert!(lines[2].contains("\"kind\":\"bank\""));
-        assert!(lines[3].contains("\"busy_banks\":1"));
+        assert!(lines[2].contains("\"busy\":1"));
+        assert!(lines[3].contains("\"kind\":\"bank\""));
+        assert!(lines[4].contains("\"busy_banks\":1"));
     }
 
     #[test]
     fn limit_counts_dropped_events() {
         let mut log = EventLog::new(4, 1).with_limit(2);
         for cycle in 0..5 {
-            log.on_cycle_end(cycle, 0, 0);
+            log.on_cycle_end(cycle, 0);
         }
         assert_eq!(log.events().len(), 2);
         assert_eq!(log.dropped(), 3);

@@ -200,7 +200,7 @@ mod tests {
         let mut m = MetricsRegistry::with_window(2, 1, 2);
         for cycle in 0..4 {
             m.on_grant(cycle, PortId(0), cycle % 2, 1, 1);
-            m.on_cycle_end(cycle, 1, 1);
+            m.on_cycle_end(cycle, 1);
         }
         m.snapshot()
     }
@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn named_metrics_reach_both_formats() {
         let mut m = MetricsRegistry::with_window(2, 1, 2);
-        m.on_cycle_end(0, 0, 0);
+        m.on_cycle_end(0, 0);
         m.add_counter("exec_cache_hits", 7);
         m.set_gauge("exec_cache_hit_rate", 0.25);
         let snap = m.snapshot();
@@ -252,7 +252,7 @@ mod tests {
     #[test]
     fn csv_quotes_hostile_metric_names() {
         let mut m = MetricsRegistry::with_window(2, 1, 2);
-        m.on_cycle_end(0, 0, 0);
+        m.on_cycle_end(0, 0);
         m.add_counter("hits,total", 3);
         m.add_counter("say \"when\"", 1);
         m.set_gauge("multi\nline", 0.5);

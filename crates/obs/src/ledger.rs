@@ -246,7 +246,7 @@ impl SimObserver for ConflictLedger {
         self.attributor.note_delay(port.0, bank, kind);
     }
 
-    fn on_cycle_end(&mut self, _cycle: u64, _grants: u32, _busy_banks: u32) {
+    fn on_cycle_end(&mut self, _cycle: u64, _grants: u32) {
         self.attributor.resolve_cycle(&mut self.scratch);
         for a in self.scratch.drain(..) {
             self.decomposition.record(a.kind);

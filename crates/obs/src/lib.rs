@@ -5,8 +5,9 @@
 //! hook stream of `vecmem-banksim` into numbers and files.
 //!
 //! * [`metrics`] — a [`MetricsRegistry`] observer aggregating per-bank
-//!   utilization gauges, per-port grant/conflict counters, wait-time
-//!   histograms and a rolling-window `b_eff(t)` series;
+//!   utilization gauges and a rolling-window `b_eff(t)` series around an
+//!   embedded [`SimStats`](vecmem_banksim::SimStats) (per-port grant and
+//!   conflict counters, wait-time histograms);
 //! * [`events`] — an [`EventLog`] observer recording the cycle-level event
 //!   stream and exporting it as versioned JSONL;
 //! * [`attrib`] / [`ledger`] — conflict attribution: an [`Attributor`]
@@ -23,7 +24,9 @@
 //!   container has no serialization crates).
 //!
 //! Observers compose with `vecmem_banksim::Tee`, so a run can feed the
-//! metrics registry and the event log simultaneously:
+//! metrics registry and the event log simultaneously. The registry counts
+//! with the same [`SimStats`](vecmem_banksim::SimStats) observer the engine
+//! keeps, so the two agree by construction:
 //!
 //! ```
 //! use vecmem_analytic::{Geometry, StreamSpec};
@@ -44,8 +47,8 @@
 //! for _ in 0..100 {
 //!     engine.step_with(&mut workload, &mut tee);
 //! }
-//! assert_eq!(metrics.cycles(), 100);
-//! assert_eq!(metrics.total_grants(), engine.stats().total_grants());
+//! assert_eq!(metrics.stats(), engine.stats());
+//! assert_eq!(events.to_jsonl_string().matches(r#""t":"cycle""#).count(), 100);
 //! ```
 
 // Panic policy for non-test library code; bins and integration tests are
@@ -69,6 +72,6 @@ pub use events::{DelayAttribution, Event, EventLog, EVENTS_SCHEMA};
 pub use export::{csv_field, metrics_to_csv, metrics_to_json, write_metrics, METRICS_SCHEMA};
 pub use json::Json;
 pub use ledger::{ConflictLedger, LedgerEntry, LedgerKey, LossDecomposition};
-pub use metrics::{MetricsRegistry, MetricsSnapshot, PortMetrics, DEFAULT_WINDOW};
+pub use metrics::{MetricsRegistry, MetricsSnapshot, DEFAULT_WINDOW};
 pub use span::{Span, SpanSink, SPANS_SCHEMA};
 pub use window::{BeffWindow, WindowPoint};

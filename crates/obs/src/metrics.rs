@@ -1,10 +1,13 @@
-//! Metrics registry: per-bank utilization gauges, per-port counters,
-//! wait-time histograms and the rolling `b_eff(t)` series, all built from
-//! the observer hooks alone (no access to the engine's internal state).
+//! Metrics registry: per-bank utilization gauges, the rolling `b_eff(t)`
+//! series and named counters and gauges, all built from the observer hooks
+//! alone (no access to the engine's internal state). Per-port grants,
+//! conflicts and waits, the cycle count and the total grants come from an
+//! embedded [`SimStats`], the same observer the engine keeps its own
+//! statistics with.
 
 use crate::window::{BeffWindow, WindowPoint};
 use std::collections::BTreeMap;
-use vecmem_banksim::{ConflictCounts, ConflictKind, PortId, SimObserver, WAIT_BUCKETS};
+use vecmem_banksim::{ConflictKind, PortId, PortStats, SimObserver, SimStats};
 
 /// Default rolling-window length (cycles) for the `b_eff(t)` series.
 pub const DEFAULT_WINDOW: u64 = 64;
@@ -16,30 +19,14 @@ struct BankGauge {
     busy_since: Option<u64>,
 }
 
-/// Per-port counters mirrored from the event stream.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PortMetrics {
-    /// Granted requests.
-    pub grants: u64,
-    /// Delayed port-cycles, by conflict kind.
-    pub conflicts: ConflictCounts,
-    /// Histogram of per-request wait times (last bucket is `8+`).
-    pub wait_histogram: [u64; WAIT_BUCKETS],
-    /// Longest single-request wait.
-    pub max_wait: u64,
-}
-
 /// A [`SimObserver`] that aggregates the stream into queryable metrics.
 ///
-/// Everything here is derived purely from observer callbacks, which is what
-/// the equivalence tests exploit: the registry's view must agree with the
-/// engine's own [`SimStats`](vecmem_banksim::SimStats) bookkeeping.
+/// Everything here is derived purely from observer callbacks, so the
+/// registry can ride along any caller of the step kernel.
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
     banks: Vec<BankGauge>,
-    ports: Vec<PortMetrics>,
-    cycles: u64,
-    total_grants: u64,
+    stats: SimStats,
     window: BeffWindow,
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
@@ -58,41 +45,18 @@ impl MetricsRegistry {
     pub fn with_window(banks: u64, ports: usize, window: u64) -> Self {
         Self {
             banks: vec![BankGauge::default(); banks as usize],
-            ports: vec![PortMetrics::default(); ports],
-            cycles: 0,
-            total_grants: 0,
+            stats: SimStats::new(ports),
             window: BeffWindow::new(window),
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
         }
     }
 
-    /// Elapsed clock periods.
+    /// Per-port grants, conflicts and waits, the cycle count and the
+    /// whole-run effective bandwidth.
     #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Total granted requests across all ports.
-    #[must_use]
-    pub fn total_grants(&self) -> u64 {
-        self.total_grants
-    }
-
-    /// Whole-run mean grants per clock period — the observer-side
-    /// counterpart of `SimStats::effective_bandwidth`.
-    #[must_use]
-    pub fn effective_bandwidth(&self) -> f64 {
-        if self.cycles == 0 {
-            return 0.0;
-        }
-        self.total_grants as f64 / self.cycles as f64
-    }
-
-    /// Per-port counters.
-    #[must_use]
-    pub fn ports(&self) -> &[PortMetrics] {
-        &self.ports
+    pub fn stats(&self) -> &SimStats {
+        &self.stats
     }
 
     /// Busy cycles accumulated by `bank` so far (an interval still open at
@@ -102,16 +66,17 @@ impl MetricsRegistry {
         let g = &self.banks[bank as usize];
         g.busy_cycles
             + g.busy_since
-                .map_or(0, |since| self.cycles.saturating_sub(since))
+                .map_or(0, |since| self.stats.cycles().saturating_sub(since))
     }
 
     /// Fraction of elapsed cycles `bank` spent busy, in `[0, 1]`.
     #[must_use]
     pub fn bank_utilization(&self, bank: u64) -> f64 {
-        if self.cycles == 0 {
+        let cycles = self.stats.cycles();
+        if cycles == 0 {
             return 0.0;
         }
-        self.bank_busy_cycles(bank) as f64 / self.cycles as f64
+        self.bank_busy_cycles(bank) as f64 / cycles as f64
     }
 
     /// Grants serviced by `bank`.
@@ -180,10 +145,10 @@ impl MetricsRegistry {
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            cycles: self.cycles,
-            total_grants: self.total_grants,
-            beff: self.effective_bandwidth(),
-            ports: self.ports.clone(),
+            cycles: self.stats.cycles(),
+            total_grants: self.stats.total_grants(),
+            beff: self.stats.effective_bandwidth(),
+            ports: self.stats.ports().to_vec(),
             bank_grants: self.banks.iter().map(|g| g.grants).collect(),
             bank_utilization: (0..self.banks.len() as u64)
                 .map(|b| self.bank_utilization(b))
@@ -197,22 +162,15 @@ impl MetricsRegistry {
 }
 
 impl SimObserver for MetricsRegistry {
-    fn on_grant(&mut self, _cycle: u64, port: PortId, bank: u64, wait: u64, _hold: u64) {
-        self.total_grants += 1;
-        if let Some(p) = self.ports.get_mut(port.0) {
-            p.grants += 1;
-            p.wait_histogram[(wait as usize).min(WAIT_BUCKETS - 1)] += 1;
-            p.max_wait = p.max_wait.max(wait);
-        }
+    fn on_grant(&mut self, cycle: u64, port: PortId, bank: u64, wait: u64, hold: u64) {
+        self.stats.on_grant(cycle, port, bank, wait, hold);
         if let Some(g) = self.banks.get_mut(bank as usize) {
             g.grants += 1;
         }
     }
 
-    fn on_delay(&mut self, _cycle: u64, port: PortId, _bank: u64, kind: ConflictKind) {
-        if let Some(p) = self.ports.get_mut(port.0) {
-            p.conflicts.record(kind);
-        }
+    fn on_delay(&mut self, cycle: u64, port: PortId, bank: u64, kind: ConflictKind) {
+        self.stats.on_delay(cycle, port, bank, kind);
     }
 
     fn on_bank_busy(&mut self, cycle: u64, bank: u64, busy: bool) {
@@ -226,8 +184,8 @@ impl SimObserver for MetricsRegistry {
         }
     }
 
-    fn on_cycle_end(&mut self, _cycle: u64, grants: u32, _busy_banks: u32) {
-        self.cycles += 1;
+    fn on_cycle_end(&mut self, cycle: u64, grants: u32) {
+        self.stats.on_cycle_end(cycle, grants);
         self.window.push_cycle(u64::from(grants));
     }
 }
@@ -242,7 +200,7 @@ pub struct MetricsSnapshot {
     /// Whole-run mean grants per clock period.
     pub beff: f64,
     /// Per-port counters.
-    pub ports: Vec<PortMetrics>,
+    pub ports: Vec<PortStats>,
     /// Grants serviced per bank.
     pub bank_grants: Vec<u64>,
     /// Busy fraction per bank, in `[0, 1]`.
@@ -266,15 +224,16 @@ mod tests {
         let mut m = MetricsRegistry::with_window(4, 2, 2);
         m.on_grant(0, PortId(0), 1, 0, 3);
         m.on_grant(0, PortId(1), 2, 2, 3);
-        m.on_cycle_end(0, 2, 2);
+        m.on_cycle_end(0, 2);
         m.on_grant(1, PortId(0), 3, 0, 3);
-        m.on_cycle_end(1, 1, 3);
-        assert_eq!(m.total_grants(), 3);
-        assert_eq!(m.cycles(), 2);
-        assert!((m.effective_bandwidth() - 1.5).abs() < 1e-12);
-        assert_eq!(m.ports()[0].grants, 2);
-        assert_eq!(m.ports()[1].wait_histogram[2], 1);
-        assert_eq!(m.ports()[1].max_wait, 2);
+        m.on_cycle_end(1, 1);
+        let stats = m.stats();
+        assert_eq!(stats.total_grants(), 3);
+        assert_eq!(stats.cycles(), 2);
+        assert!((stats.effective_bandwidth() - 1.5).abs() < 1e-12);
+        assert_eq!(stats.ports()[0].grants, 2);
+        assert_eq!(stats.ports()[1].wait_histogram[2], 1);
+        assert_eq!(stats.ports()[1].max_wait, 2);
         assert_eq!(m.bank_grants(1), 1);
         // One full window of 2 cycles closed with 3 grants.
         assert_eq!(m.beff_series().len(), 1);
@@ -286,18 +245,18 @@ mod tests {
         let mut m = MetricsRegistry::with_window(2, 1, 64);
         m.on_bank_busy(0, 0, true);
         for cycle in 0..4 {
-            m.on_cycle_end(cycle, 0, 1);
+            m.on_cycle_end(cycle, 0);
         }
         m.on_bank_busy(4, 0, false);
         for cycle in 4..8 {
-            m.on_cycle_end(cycle, 0, 0);
+            m.on_cycle_end(cycle, 0);
         }
         assert_eq!(m.bank_busy_cycles(0), 4);
         assert!((m.bank_utilization(0) - 0.5).abs() < 1e-12);
         // An interval still open counts up to "now".
         m.on_bank_busy(8, 1, true);
-        m.on_cycle_end(8, 0, 1);
-        m.on_cycle_end(9, 0, 1);
+        m.on_cycle_end(8, 0);
+        m.on_cycle_end(9, 0);
         assert_eq!(m.bank_busy_cycles(1), 2);
     }
 
@@ -307,9 +266,10 @@ mod tests {
         m.on_delay(0, PortId(0), 1, ConflictKind::Bank);
         m.on_delay(0, PortId(1), 1, ConflictKind::SimultaneousBank);
         m.on_delay(1, PortId(1), 2, ConflictKind::Section);
-        assert_eq!(m.ports()[0].conflicts.bank, 1);
-        assert_eq!(m.ports()[1].conflicts.simultaneous, 1);
-        assert_eq!(m.ports()[1].conflicts.section, 1);
+        let ports = m.stats().ports();
+        assert_eq!(ports[0].conflicts.bank, 1);
+        assert_eq!(ports[1].conflicts.simultaneous, 1);
+        assert_eq!(ports[1].conflicts.section, 1);
     }
 
     #[test]
@@ -318,10 +278,13 @@ mod tests {
         m.on_grant(0, PortId(9), 99, 0, 1);
         m.on_delay(0, PortId(9), 99, ConflictKind::Bank);
         m.on_bank_busy(0, 99, true);
-        m.on_cycle_end(0, 1, 0);
-        // The bogus port/bank land nowhere, but the grant still counts.
-        assert_eq!(m.total_grants(), 1);
-        assert_eq!(m.ports()[0].grants, 0);
+        m.on_cycle_end(0, 1);
+        // The bogus port and bank land nowhere: total grants are summed
+        // from the per-port counters, so the stray grant is not counted.
+        assert_eq!(m.stats().total_grants(), 0);
+        assert_eq!(m.stats().ports()[0].grants, 0);
+        assert_eq!(m.stats().cycles(), 1);
+        assert_eq!(m.bank_busy_cycles(0) + m.bank_busy_cycles(1), 0);
     }
 
     #[test]
@@ -360,7 +323,7 @@ mod tests {
         let mut m = MetricsRegistry::with_window(2, 1, 1);
         for cycle in 0..4 {
             m.on_grant(cycle, PortId(0), cycle % 2, 0, 1);
-            m.on_cycle_end(cycle, 1, 1);
+            m.on_cycle_end(cycle, 1);
         }
         let snap = m.snapshot();
         assert_eq!(snap.cycles, 4);

@@ -261,7 +261,7 @@ impl SpanSink {
 impl SimObserver for SpanSink {
     fn on_arbitration(&mut self, _cycle: u64, _rotation: usize, _requests: &[(PortId, Request)]) {}
 
-    fn on_cycle_end(&mut self, cycle: u64, _grants: u32, _busy_banks: u32) {
+    fn on_cycle_end(&mut self, cycle: u64, _grants: u32) {
         self.advance_to(self.cycle_base + cycle + 1);
     }
 }
@@ -307,7 +307,7 @@ mod tests {
         sink.rebase_cycles(sink.now());
         sink.begin("period");
         for cycle in 0..7 {
-            sink.on_cycle_end(cycle, 0, 0);
+            sink.on_cycle_end(cycle, 0);
         }
         sink.end();
         assert_eq!(sink.now(), 107);

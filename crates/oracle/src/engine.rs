@@ -429,7 +429,7 @@ impl RefEngine {
 
     /// Remaining busy periods of every bank *after* the last simulated
     /// cycle, in bank order and in the same convention as
-    /// [`Engine::bank_residues`](vecmem_banksim::Engine::bank_residues):
+    /// [`SimState::residues`](vecmem_banksim::SimState::residues):
     /// the number of upcoming clock periods the bank is still unavailable.
     /// A view over the countdowns, read without allocating.
     pub fn bank_residues(&self) -> impl Iterator<Item = u64> + '_ {

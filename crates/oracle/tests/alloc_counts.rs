@@ -7,7 +7,9 @@
 //! [`step`] must not allocate at all, over every pattern family, both
 //! bank models and every port topology: this is the hot path's
 //! allocation rule, checked on the code that actually runs, generic and
-//! trait calls included (TESTING.md, "Hot-path rules"). A warmed-up
+//! trait calls included (TESTING.md, "Hot-path rules"). Neither may a
+//! warmed-up [`Engine`] step or run, which feed the same kernel to the
+//! engine's statistics observer. A warmed-up
 //! lockstep cycle, on both engines, must not allocate either, whether a
 //! fixed horizon or the steady-state search drives the kernel; the key, a
 //! short-period solve and a short-period conformance point stay within
@@ -23,8 +25,8 @@ use vecmem_analytic::{Geometry, StreamSpec};
 use vecmem_banksim::steady::measure_steady_state;
 use vecmem_banksim::step::step;
 use vecmem_banksim::{
-    BankModel, IndexPattern, NoopObserver, PatternSpec, PatternWorkload, PriorityRule, SimConfig,
-    SimState,
+    BankModel, Engine, IndexPattern, NoopObserver, PatternSpec, PatternWorkload, PortOutcome,
+    PriorityRule, RunOutcome, SimConfig, SimState, SimStats,
 };
 use vecmem_exec::steady_key;
 
@@ -181,6 +183,49 @@ fn warmed_up_step_never_allocates() {
             n, 0,
             "{config:?} {specs:?}: {n} allocations over {COUNTED} warmed-up cycles"
         );
+    }
+}
+
+/// The engine adds no allocation to the kernel's: `step` hands back the
+/// kernel's outcome slice, and `run_with` (here with a second
+/// [`SimStats`] riding along) counts through the engine's own statistics
+/// observer.
+#[test]
+fn warmed_up_engine_never_allocates() {
+    const WARM_UP: u64 = 1_000;
+    const COUNTED: u64 = 20_000;
+    for (config, specs) in kernel_shapes() {
+        let mut engine = Engine::new(config.clone());
+        let mut workload = PatternWorkload::from_specs(&config, &specs);
+        let mut extra = SimStats::new(config.num_ports());
+        assert_eq!(
+            engine.run_with(&mut workload, WARM_UP, &mut extra),
+            RunOutcome::CyclesExhausted
+        );
+        let (n, grants) = allocations(|| {
+            let mut grants = 0;
+            for _ in 0..COUNTED {
+                grants += engine
+                    .step(&mut workload)
+                    .iter()
+                    .filter(|ev| ev.outcome == PortOutcome::Granted)
+                    .count();
+            }
+            grants
+        });
+        assert!(grants > 0, "{config:?} {specs:?}: no grants");
+        assert_eq!(
+            n, 0,
+            "{config:?} {specs:?}: {n} allocations over {COUNTED} warmed-up Engine::step calls"
+        );
+        let (n, outcome) = allocations(|| engine.run_with(&mut workload, COUNTED, &mut extra));
+        assert_eq!(outcome, RunOutcome::CyclesExhausted);
+        assert_eq!(
+            n, 0,
+            "{config:?} {specs:?}: {n} allocations over {COUNTED} warmed-up Engine::run_with cycles"
+        );
+        assert_eq!(engine.stats().cycles(), WARM_UP + 2 * COUNTED);
+        assert_eq!(extra.cycles(), WARM_UP + COUNTED);
     }
 }
 

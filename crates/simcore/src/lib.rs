@@ -34,7 +34,7 @@
 //!
 //! Layering: `vecmem-simcore` sits on `vecmem-analytic` (geometry and
 //! exact rationals) and knows nothing about who drives it. Downstream,
-//! `vecmem-banksim` wraps the kernel in the stats- and trace-keeping
+//! `vecmem-banksim` wraps the kernel in the statistics-keeping
 //! [`Engine`](https://docs.rs/vecmem-banksim), and `skew`/`exec`/`oracle`
 //! build on both.
 

@@ -23,8 +23,8 @@ use crate::request::{ConflictKind, PortId, Request};
 ///
 /// Implementations that are pure sinks should leave [`ENABLED`] at `true`;
 /// it exists so the no-op observer can turn off the small amount of
-/// per-cycle bookkeeping (bank-transition scans, busy counts) that is done
-/// *for* the callbacks rather than in them.
+/// per-cycle bookkeeping (the ordering of bank-free transitions) that is
+/// done *for* the callbacks rather than in them.
 ///
 /// [`ENABLED`]: SimObserver::ENABLED
 pub trait SimObserver {
@@ -40,7 +40,8 @@ pub trait SimObserver {
     }
 
     /// `port` was granted `bank`, after waiting `wait` delayed clock
-    /// periods; the bank stays busy for `hold` periods (`n_c`).
+    /// periods; the bank stays busy for `hold` periods (`n_c`, or the DRAM
+    /// model's `hit_cycle` on an open-row hit).
     fn on_grant(&mut self, cycle: u64, port: PortId, bank: u64, wait: u64, hold: u64) {
         let _ = (cycle, port, bank, wait, hold);
     }
@@ -56,10 +57,9 @@ pub trait SimObserver {
         let _ = (cycle, bank, busy);
     }
 
-    /// The clock period is over: `grants` requests were granted this cycle
-    /// and `busy_banks` banks are occupied during it.
-    fn on_cycle_end(&mut self, cycle: u64, grants: u32, busy_banks: u32) {
-        let _ = (cycle, grants, busy_banks);
+    /// The clock period is over: `grants` requests were granted this cycle.
+    fn on_cycle_end(&mut self, cycle: u64, grants: u32) {
+        let _ = (cycle, grants);
     }
 }
 
@@ -88,8 +88,8 @@ impl<O: SimObserver> SimObserver for &mut O {
     fn on_bank_busy(&mut self, cycle: u64, bank: u64, busy: bool) {
         (**self).on_bank_busy(cycle, bank, busy);
     }
-    fn on_cycle_end(&mut self, cycle: u64, grants: u32, busy_banks: u32) {
-        (**self).on_cycle_end(cycle, grants, busy_banks);
+    fn on_cycle_end(&mut self, cycle: u64, grants: u32) {
+        (**self).on_cycle_end(cycle, grants);
     }
 }
 
@@ -134,12 +134,12 @@ impl<A: SimObserver, B: SimObserver> SimObserver for Tee<A, B> {
             self.1.on_bank_busy(cycle, bank, busy);
         }
     }
-    fn on_cycle_end(&mut self, cycle: u64, grants: u32, busy_banks: u32) {
+    fn on_cycle_end(&mut self, cycle: u64, grants: u32) {
         if A::ENABLED {
-            self.0.on_cycle_end(cycle, grants, busy_banks);
+            self.0.on_cycle_end(cycle, grants);
         }
         if B::ENABLED {
-            self.1.on_cycle_end(cycle, grants, busy_banks);
+            self.1.on_cycle_end(cycle, grants);
         }
     }
 }
@@ -170,7 +170,7 @@ mod tests {
         fn on_bank_busy(&mut self, _: u64, _: u64, _: bool) {
             self.busy_flips += 1;
         }
-        fn on_cycle_end(&mut self, _: u64, _: u32, _: u32) {
+        fn on_cycle_end(&mut self, _: u64, _: u32) {
             self.cycles += 1;
         }
     }
@@ -192,7 +192,7 @@ mod tests {
             tee.on_grant(0, PortId(0), 3, 0, 4);
             tee.on_delay(1, PortId(1), 3, ConflictKind::Bank);
             tee.on_bank_busy(0, 3, true);
-            tee.on_cycle_end(0, 1, 1);
+            tee.on_cycle_end(0, 1);
             tee.on_arbitration(1, 0, &[]);
         }
         for c in [&a, &b] {

@@ -733,14 +733,6 @@ impl SimState {
         self.residues().map(|r| r as u8).collect()
     }
 
-    /// Number of banks busy at the current clock period.
-    #[must_use]
-    pub fn busy_banks(&self) -> u32 {
-        (0..u64::from(self.banks))
-            .filter(|&b| self.is_busy(b))
-            .count() as u32
-    }
-
     #[inline]
     fn row_base(&self) -> usize {
         1 + 2 * self.banks as usize + self.wheel as usize

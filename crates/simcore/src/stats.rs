@@ -7,7 +7,12 @@
 //! series count conflicts encountered by the triad; shapes are invariant
 //! under either convention, and per-period counting is the one that relates
 //! directly to lost bandwidth.)
+//!
+//! [`SimStats`] is a [`SimObserver`]: it counts from the kernel's own
+//! grant, delay and cycle-end callbacks, so every consumer that attaches
+//! it (the engine always does) shares one counting path.
 
+use crate::observe::SimObserver;
 use crate::request::{ConflictKind, PortId};
 use std::ops::{Add, Sub};
 
@@ -131,29 +136,6 @@ impl SimStats {
         }
     }
 
-    /// Records a granted request for `port`.
-    pub fn record_grant(&mut self, port: PortId) {
-        self.per_port[port.0].grants += 1;
-    }
-
-    /// Records a delayed request for `port`.
-    pub fn record_conflict(&mut self, port: PortId, kind: ConflictKind) {
-        self.per_port[port.0].conflicts.record(kind);
-    }
-
-    /// Records the completed wait of a granted request.
-    pub fn record_wait(&mut self, port: PortId, wait: u64) {
-        let p = &mut self.per_port[port.0];
-        let bucket = (wait as usize).min(WAIT_BUCKETS - 1);
-        p.wait_histogram[bucket] += 1;
-        p.max_wait = p.max_wait.max(wait);
-    }
-
-    /// Advances the cycle counter.
-    pub fn tick(&mut self) {
-        self.cycles += 1;
-    }
-
     /// Elapsed clock periods.
     #[must_use]
     pub fn cycles(&self) -> u64 {
@@ -181,13 +163,9 @@ impl SimStats {
     /// Summed conflict counters across all ports.
     #[must_use]
     pub fn total_conflicts(&self) -> ConflictCounts {
-        let mut total = ConflictCounts::default();
-        for p in &self.per_port {
-            total.bank += p.conflicts.bank;
-            total.simultaneous += p.conflicts.simultaneous;
-            total.section += p.conflicts.section;
-        }
-        total
+        self.per_port
+            .iter()
+            .fold(ConflictCounts::default(), |total, p| total + p.conflicts)
     }
 
     /// Average data transferred per clock period over the whole run
@@ -199,6 +177,28 @@ impl SimStats {
             return 0.0;
         }
         self.total_grants() as f64 / self.cycles as f64
+    }
+}
+
+/// Out-of-range ports are ignored rather than panicking, like every other
+/// observer's bad index.
+impl SimObserver for SimStats {
+    fn on_grant(&mut self, _cycle: u64, port: PortId, _bank: u64, wait: u64, _hold: u64) {
+        if let Some(p) = self.per_port.get_mut(port.0) {
+            p.grants += 1;
+            p.wait_histogram[(wait as usize).min(WAIT_BUCKETS - 1)] += 1;
+            p.max_wait = p.max_wait.max(wait);
+        }
+    }
+
+    fn on_delay(&mut self, _cycle: u64, port: PortId, _bank: u64, kind: ConflictKind) {
+        if let Some(p) = self.per_port.get_mut(port.0) {
+            p.conflicts.record(kind);
+        }
+    }
+
+    fn on_cycle_end(&mut self, _cycle: u64, _grants: u32) {
+        self.cycles += 1;
     }
 }
 
@@ -268,10 +268,10 @@ mod tests {
     #[test]
     fn sim_stats_bandwidth() {
         let mut s = SimStats::new(2);
-        for _ in 0..10 {
-            s.record_grant(PortId(0));
-            s.record_grant(PortId(1));
-            s.tick();
+        for cycle in 0..10 {
+            s.on_grant(cycle, PortId(0), 0, 0, 1);
+            s.on_grant(cycle, PortId(1), 1, 0, 1);
+            s.on_cycle_end(cycle, 2);
         }
         assert_eq!(s.total_grants(), 20);
         assert_eq!(s.cycles(), 10);
@@ -288,9 +288,9 @@ mod tests {
     #[test]
     fn conflicts_aggregate_over_ports() {
         let mut s = SimStats::new(3);
-        s.record_conflict(PortId(0), ConflictKind::Bank);
-        s.record_conflict(PortId(1), ConflictKind::Bank);
-        s.record_conflict(PortId(2), ConflictKind::Section);
+        s.on_delay(0, PortId(0), 0, ConflictKind::Bank);
+        s.on_delay(0, PortId(1), 0, ConflictKind::Bank);
+        s.on_delay(0, PortId(2), 1, ConflictKind::Section);
         let t = s.total_conflicts();
         assert_eq!(t.bank, 2);
         assert_eq!(t.section, 1);
@@ -300,26 +300,24 @@ mod tests {
     #[test]
     fn wait_histogram_and_max() {
         let mut s = SimStats::new(1);
-        s.record_grant(PortId(0));
-        s.record_wait(PortId(0), 0);
-        s.record_grant(PortId(0));
-        s.record_wait(PortId(0), 3);
-        s.record_grant(PortId(0));
-        s.record_wait(PortId(0), 20); // overflow bucket
+        s.on_grant(0, PortId(0), 0, 0, 1);
+        s.on_grant(4, PortId(0), 0, 3, 1);
+        s.on_grant(25, PortId(0), 0, 20, 1); // overflow bucket
         let p = s.port(PortId(0));
         assert_eq!(p.wait_histogram[0], 1);
         assert_eq!(p.wait_histogram[3], 1);
         assert_eq!(p.wait_histogram[WAIT_BUCKETS - 1], 1);
         assert_eq!(p.max_wait, 20);
+        assert_eq!(p.grants, 3);
     }
 
     #[test]
     fn mean_wait_tracks_conflicts() {
         let mut s = SimStats::new(1);
         assert_eq!(s.port(PortId(0)).mean_wait(), 0.0);
-        s.record_conflict(PortId(0), ConflictKind::Bank);
-        s.record_conflict(PortId(0), ConflictKind::Bank);
-        s.record_grant(PortId(0));
+        s.on_delay(0, PortId(0), 0, ConflictKind::Bank);
+        s.on_delay(1, PortId(0), 0, ConflictKind::Bank);
+        s.on_grant(2, PortId(0), 0, 2, 1);
         assert_eq!(s.port(PortId(0)).total_wait(), 2);
         assert_eq!(s.port(PortId(0)).mean_wait(), 2.0);
     }

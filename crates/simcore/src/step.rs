@@ -24,7 +24,7 @@
 //!    end-of-cycle [`tick`](crate::workload::Workload::tick), once,
 //!    after all grants;
 //! 8. observer: [`on_cycle_end`](crate::observe::SimObserver::on_cycle_end)
-//!    with the grant count and the number of banks busy *during* the cycle;
+//!    with the grant count;
 //! 9. under cyclic priority, advance the rotation if the cycle was
 //!    contested (a section or simultaneous-bank delay occurred);
 //! 10. advance the clock ([`SimState::advance_now`]): pop the expiry-wheel
@@ -214,10 +214,9 @@ pub fn step<W: Workload + ?Sized, O: SimObserver>(
     // strictly after every grant of this period.
     workload.tick(now);
 
-    // 8. End of cycle: banks busy *during* this period (grants included,
-    // aging not yet applied).
+    // 8. End of cycle.
     if O::ENABLED {
-        observer.on_cycle_end(now, grants, state.busy_banks());
+        observer.on_cycle_end(now, grants);
     }
 
     // 9. Cyclic priority rotates only when arbitration was exercised.

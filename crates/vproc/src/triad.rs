@@ -187,10 +187,7 @@ impl TriadExperiment {
         let mut triad_grants = 0;
         for p in 0..3 {
             let stats = engine.stats().port(PortId(p));
-            let c = stats.conflicts;
-            triad_conflicts.bank += c.bank;
-            triad_conflicts.simultaneous += c.simultaneous;
-            triad_conflicts.section += c.section;
+            triad_conflicts = triad_conflicts + stats.conflicts;
             triad_grants += stats.grants;
         }
         let mut background_grants = 0;

@@ -12,7 +12,7 @@
 use vecmem::analytic::pair::classify_pair;
 use vecmem::analytic::{predict_single, PortPlacement};
 use vecmem::banksim::steady::measure_pair_cross_cpu;
-use vecmem::banksim::{Engine, PatternWorkload, SimConfig};
+use vecmem::banksim::{Engine, PatternWorkload, SimConfig, TraceRecorder};
 use vecmem::{Geometry, StreamSpec};
 
 fn main() {
@@ -57,11 +57,12 @@ fn main() {
 
     // And the paper-style trace of the first 36 clock periods.
     let config = SimConfig::one_port_per_cpu(geom, 2);
-    let mut engine = Engine::new(config).with_trace(36);
+    let mut engine = Engine::new(config);
+    let mut trace = TraceRecorder::new(geom.banks(), 36);
     let mut workload = PatternWorkload::strided(&geom, &[s1, s2]);
     for _ in 0..36 {
-        engine.step(&mut workload);
+        engine.step_with(&mut workload, &mut trace);
     }
     println!("\naccess trace (rows = banks, columns = clock periods):");
-    print!("{}", engine.trace().expect("trace enabled").render_all());
+    print!("{}", trace.render_all());
 }

@@ -4,7 +4,8 @@
 # command from ROADMAP.md (which includes the hot path's zero-allocation
 # test and tests/goldens.rs, the byte-for-byte diff of every results/
 # artifact the bench crate registers), the benchmark's correctness checks,
-# the CLI's golden smokes, and its exit code for rejected option values.
+# the examples, the CLI's golden smokes, and its exit code for rejected
+# option values.
 # Run from anywhere inside the repository; exits non-zero on the first
 # failure.
 set -euo pipefail
@@ -68,6 +69,19 @@ grep -q " 0 mismatches" "$smoke_dir/theorems.txt" \
 grep -q "cache hit rate" "$smoke_dir/theorems.log" \
   || { echo "table_theorems did not log its cache hit rate"; exit 1; }
 echo "    fig10 + table_theorems smoke OK"
+
+echo "==> examples: every scenario in examples/ runs from the release build"
+# `cargo test` only compiles the examples; run each one and fail on a
+# non-zero exit.
+cargo build -q --release --examples
+examples_run=0
+for example in examples/*.rs; do
+  name="$(basename "$example" .rs)"
+  ./target/release/examples/"$name" > "$smoke_dir/example-$name.txt" 2>&1 \
+    || { echo "example $name failed"; cat "$smoke_dir/example-$name.txt"; exit 1; }
+  examples_run=$((examples_run + 1))
+done
+echo "    $examples_run examples ran to completion"
 
 echo "==> pattern smoke: gather / burst / DRAM steady states (golden diffs)"
 ./target/release/vecmem steady --pattern gather --affine 16 \

@@ -2,10 +2,10 @@
 //!
 //! 1. attaching a recording observer must not change the simulation — the
 //!    per-cycle outcomes and final statistics are bit-identical to a run
-//!    with `NoopObserver` (and to the legacy `step` entry point);
-//! 2. the observer's own view is complete — the bandwidth, grants and
-//!    conflicts a `MetricsRegistry` derives purely from the event stream
-//!    equal the engine's internal `SimStats` bookkeeping, over randomly
+//!    with `NoopObserver`;
+//! 2. the observers' own accounting is complete — a `MetricsRegistry`'s
+//!    bank busy time matches its bank grants, and the conflict ledger's
+//!    loss decomposition sums exactly to the lost bandwidth, over randomly
 //!    drawn geometries and stream pairs.
 
 use vecmem::analytic::{Geometry, StreamSpec};
@@ -49,8 +49,9 @@ fn scenarios() -> Vec<(SimConfig, [StreamSpec; 2])> {
     out
 }
 
-/// Attaching the full observer stack (metrics + event log via `Tee`) leaves
-/// every per-cycle outcome and the final statistics bit-identical.
+/// Attaching the full observer stack (metrics, event log, ledger and span
+/// sink via `Tee`) leaves every per-cycle outcome and the final statistics
+/// bit-identical.
 #[test]
 fn recording_observer_never_changes_results() {
     const CYCLES: u64 = 2_000;
@@ -106,10 +107,11 @@ fn recording_observer_never_changes_results() {
     }
 }
 
-/// The registry agrees with the engine's own bookkeeping on the scenario
-/// matrix: same grants, conflicts, waits and effective bandwidth.
+/// Bank-level accounting on the scenario matrix: every bank is busy for
+/// exactly n_c cycles per grant (runs end mid-hold, so observed busy time
+/// may lag by at most one partial hold per bank).
 #[test]
-fn metrics_registry_mirrors_sim_stats_on_scenarios() {
+fn metrics_registry_bank_busy_time_matches_grants() {
     const CYCLES: u64 = 2_000;
     for (config, specs) in scenarios() {
         let geom = config.geometry;
@@ -120,29 +122,6 @@ fn metrics_registry_mirrors_sim_stats_on_scenarios() {
         for _ in 0..CYCLES {
             engine.step_with(&mut workload, &mut metrics);
         }
-        let stats = engine.stats();
-        assert_eq!(metrics.cycles(), stats.cycles());
-        assert_eq!(metrics.total_grants(), stats.total_grants());
-        assert_eq!(
-            metrics.effective_bandwidth(),
-            stats.effective_bandwidth(),
-            "b_eff must match exactly ({config:?})"
-        );
-        for (port, (observed, internal)) in metrics.ports().iter().zip(stats.ports()).enumerate() {
-            assert_eq!(observed.grants, internal.grants, "port {port} grants");
-            assert_eq!(
-                observed.conflicts, internal.conflicts,
-                "port {port} conflicts"
-            );
-            assert_eq!(
-                observed.wait_histogram, internal.wait_histogram,
-                "port {port} wait histogram"
-            );
-            assert_eq!(observed.max_wait, internal.max_wait, "port {port} max wait");
-        }
-        // Bank-level accounting: every bank is busy for exactly n_c cycles
-        // per grant (runs end mid-hold, so observed busy time may lag by at
-        // most one partial hold per bank).
         let nc = geom.bank_cycle();
         for bank in 0..geom.banks() {
             let busy = metrics.bank_busy_cycles(bank);
@@ -158,41 +137,6 @@ fn metrics_registry_mirrors_sim_stats_on_scenarios() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Property: over random geometries, stream pairs and priority rules,
-    /// the observer-derived effective bandwidth equals `SimStats`' exactly.
-    #[test]
-    fn observer_beff_matches_sim_stats(
-        m in 2u64..=24,
-        nc in 1u64..=6,
-        d1 in 0u64..24,
-        d2 in 0u64..24,
-        b2 in 0u64..24,
-        cyclic in 0u64..=1,
-    ) {
-        let geom = Geometry::unsectioned(m, nc).unwrap();
-        let priority = if cyclic == 1 { PriorityRule::Cyclic } else { PriorityRule::Fixed };
-        let config = SimConfig::one_port_per_cpu(geom, 2).with_priority(priority);
-        let specs = [
-            StreamSpec { start_bank: 0, distance: d1 % m },
-            StreamSpec { start_bank: b2 % m, distance: d2 % m },
-        ];
-        let mut engine = Engine::new(config);
-        let mut workload = PatternWorkload::strided(&geom, &specs);
-        let mut metrics = MetricsRegistry::new(geom.banks(), 2);
-        for _ in 0..1_000 {
-            engine.step_with(&mut workload, &mut metrics);
-        }
-        prop_assert_eq!(metrics.cycles(), engine.stats().cycles());
-        prop_assert_eq!(metrics.total_grants(), engine.stats().total_grants());
-        prop_assert_eq!(metrics.effective_bandwidth(), engine.stats().effective_bandwidth());
-        for port in 0..2 {
-            prop_assert_eq!(
-                metrics.ports()[port].conflicts,
-                engine.stats().ports()[port].conflicts
-            );
-        }
-    }
 
     /// Property: the conflict ledger's per-period loss decomposition sums
     /// exactly to `period × (N − b_eff)` — equivalently `N·period −

@@ -9,7 +9,8 @@
 use std::collections::HashSet;
 use vecmem::analytic::Geometry;
 use vecmem::banksim::{
-    ConflictKind, Engine, PortId, PortOutcome, PriorityRule, Request, SimConfig, SmallRng, Workload,
+    ConflictKind, Engine, PortEvent, PortId, PortOutcome, PriorityRule, Request, SimConfig,
+    SmallRng, Workload,
 };
 
 /// A deliberately nasty workload: per-port random banks with heavy
@@ -76,10 +77,15 @@ fn check_invariants(config: SimConfig, seed: u64, cycles: u64) {
     let mut delayed_request: Vec<Option<u64>> = vec![None; config.num_ports()];
 
     for t in 0..cycles {
-        let outcomes = engine.step(&mut workload);
         let mut granted_banks = HashSet::new();
         let mut granted_paths = HashSet::new();
-        for &(port, req, outcome) in &outcomes {
+        for &PortEvent {
+            port,
+            request: req,
+            outcome,
+            ..
+        } in engine.step(&mut workload)
+        {
             // Invariant: a port that was delayed last cycle presents the
             // SAME request this cycle (in-order dynamic resolution).
             if let Some(prev) = delayed_request[port.0] {
