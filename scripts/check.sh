@@ -5,7 +5,7 @@
 # test and tests/goldens.rs, the byte-for-byte diff of every results/
 # artifact the bench crate registers), the benchmark's correctness checks,
 # the examples, the CLI's golden smokes, and its exit code for rejected
-# option values.
+# command lines and option values.
 # Run from anywhere inside the repository; exits non-zero on the first
 # failure.
 set -euo pipefail
@@ -114,10 +114,12 @@ diff -u "results/trace_events_m16.jsonl" "$smoke_dir/trace_events.jsonl" \
   || { echo "vecmem trace events drifted from results/trace_events_m16.jsonl"; exit 1; }
 echo "    vecmem trace event log matches results/trace_events_m16.jsonl"
 
-echo "==> exit codes: a rejected or unparseable option value is a usage error (exit 2)"
-# The CLI unit tests call the commands directly; these go through the real
-# binary's exit-code mapping, where 1 would be a run failure and 101 a
-# panic.
+echo "==> exit codes: a rejected command line or option value is a usage error (exit 2)"
+# The CLI unit tests run the parsed commands in-process; these go through
+# the real binary's exit-code mapping, where 1 would be a run failure and
+# 101 a panic. Rejected or unparseable values, then unknown, foreign,
+# repeated and stray tokens, two modes at once, and values the model
+# cannot take.
 for args in \
   "steady --pattern gather --span 0" \
   "skew --pattern gather --span 0" \
@@ -126,14 +128,23 @@ for args in \
   "steady --bank-model dram --dram-hit 0" \
   "steady --bank-model dram --dram-rows 0" \
   "steady --pattern burst --burst abc" \
-  "steady --banks many"; do
+  "steady --banks many" \
+  "steady --bankz 13" \
+  "steady --obs-epsilon 0.1" \
+  "steady --exhaustive" \
+  "steady --banks 16 --banks 13" \
+  "steady stray" \
+  "verify --diff --random 5" \
+  "loop --dims 0,64" \
+  "random --cycles 0" \
+  "predict --banks 0"; do
   code=0
   # $args is split into words on purpose.
   ./target/release/vecmem $args > /dev/null 2> "$smoke_dir/usage.err" || code=$?
   [ "$code" -eq 2 ] \
     || { echo "vecmem $args exited $code, not 2"; cat "$smoke_dir/usage.err"; exit 1; }
 done
-echo "    eight rejected option values exit 2"
+echo "    seventeen rejected command lines exit 2"
 
 echo "==> verify: differential oracle + theorem conformance (see TESTING.md)"
 ./target/release/vecmem verify --exhaustive > "$smoke_dir/verify.txt" \
