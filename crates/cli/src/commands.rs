@@ -16,8 +16,8 @@ use vecmem_banksim::{
     PriorityRule, SimConfig, Tee, TraceRecorder, WINDOWED_FALLBACK_CYCLES,
 };
 use vecmem_exec::{
-    batch_spans, export_exec_telemetry, triad_sweep, PatternSteadyScenario, ResultCache, Runner,
-    SpectrumScenario,
+    batch_spans, export_exec_telemetry, merge_spectrum, spectrum_slices, triad_sweep,
+    PatternSteadyScenario, ResultCache, Runner,
 };
 use vecmem_obs::{
     write_metrics, ConflictLedger, EventLog, Json, LossKind, MetricsRegistry, SpanSink,
@@ -742,19 +742,11 @@ pub fn report_triad(a: &Args) -> Result<String, Failure> {
 /// optional merged sweep trace.
 pub fn report_spectrum(a: &Args) -> Result<String, Failure> {
     let geom = geometry(a)?;
-    let scenarios: Vec<SpectrumScenario> = (1..geom.banks())
-        .map(|d1| SpectrumScenario {
-            geom,
-            d1s: vec![d1],
-        })
-        .collect();
+    let scenarios = spectrum_slices(&geom);
     let (outputs, report) = Runner::new().run_cached(&scenarios, &ResultCache::new());
     let mut sink = SpanSink::new();
     batch_spans(&mut sink, "spectrum", &scenarios, &outputs, &report);
-    let mut total = vecmem_analytic::spectrum::Spectrum::default();
-    for partial in &outputs {
-        total.merge(partial);
-    }
+    let total = merge_spectrum(&outputs);
     let (m, nc, cases) = (geom.banks(), geom.bank_cycle(), total.total());
     let (free, conflicting) = (total.disjoint_sets + total.conflict_free, total.conflicting);
     let (slices, threads, cache) = (report.scenarios, report.threads, &report.cache);
@@ -826,11 +818,11 @@ pub fn verify_exhaustive(a: &Args) -> Result<String, Failure> {
         bounds.max_ports,
         runner.threads(),
     );
-    let hit_rate = 100.0 * r.hit_rate();
+    let replay_rate = 100.0 * r.hit_rate();
     let mut out = format!(
         "exhaustive conformance sweep: m <= {m}, nc <= {nc}, p <= {p}\n  \
-         points enumerated   {:>9}\n  simulated (misses)  {:>9}\n  \
-         cache replays       {:>9}  (hit rate {hit_rate:.1}%)\n  \
+         points enumerated   {:>9}\n  simulated (orbits)  {:>9}\n  \
+         isomorphic replays  {:>9}  ({replay_rate:.1}% of points)\n  \
          theorem checks: Thm1 {}  Thm2 {}  Thm3 {} (skipped {})  III-A {}\n  \
          divergences {}  violations {}  not converged {}\n  \
          elapsed {elapsed:.2?} on {threads} thread(s)\n",

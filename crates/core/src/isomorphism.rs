@@ -18,7 +18,7 @@
 //! paths are never a bottleneck.
 
 use crate::geometry::Geometry;
-use crate::numtheory::{coprime, gcd, unit_multiplier_to};
+use crate::numtheory::{coprime, gcd, unit_multiplier_to, units};
 use crate::stream::StreamSpec;
 
 /// The lexicographically smallest image of `streams` under all unit
@@ -40,7 +40,7 @@ use crate::stream::StreamSpec;
 #[must_use]
 pub fn canonical_streams(geom: &Geometry, streams: &[StreamSpec]) -> Vec<StreamSpec> {
     let m = geom.banks();
-    least_image(m, streams, (2..m).filter(|&k| coprime(k, m)))
+    least_image(m, streams, units(m))
 }
 
 /// The lexicographically smallest image of `streams` under `b ↦ k·b (mod

@@ -87,6 +87,39 @@ pub fn coprime(a: u64, b: u64) -> bool {
     gcd(a, b) == 1
 }
 
+/// The units of `Z/m` other than 1, ascending: every `k` in `2..m` with
+/// `gcd(k, m) = 1`. The distinct prime factors of `m` are found once, by
+/// trial division, and each candidate is tested for divisibility by them
+/// alone; nothing is allocated.
+///
+/// ```
+/// use vecmem_analytic::numtheory::units;
+/// assert_eq!(units(12).collect::<Vec<_>>(), [5, 7, 11]);
+/// assert_eq!(units(2).count(), 0);
+/// ```
+pub fn units(m: u64) -> impl Iterator<Item = u64> + Clone {
+    // The product of the first 16 primes exceeds `u64::MAX`.
+    let mut primes = [0u64; 15];
+    let mut count = 0;
+    let mut rest = m;
+    let mut p = 2;
+    while p <= rest / p {
+        if rest.is_multiple_of(p) {
+            primes[count] = p;
+            count += 1;
+            while rest.is_multiple_of(p) {
+                rest /= p;
+            }
+        }
+        p += 1;
+    }
+    if rest > 1 {
+        primes[count] = rest;
+        count += 1;
+    }
+    (2..m).filter(move |k| primes[..count].iter().all(|p| !k.is_multiple_of(*p)))
+}
+
 /// All positive divisors of `n`, in ascending order. `n` must be positive.
 #[must_use]
 pub fn divisors(n: u64) -> Vec<u64> {
@@ -235,6 +268,21 @@ mod tests {
         assert_eq!(ceil_div(12, 6), 2);
         assert_eq!(ceil_div(0, 4), 0);
         assert_eq!(ceil_div(1, 4), 1);
+    }
+
+    #[test]
+    fn units_are_the_coprime_residues() {
+        for m in 0..=4_096u64 {
+            assert!(units(m).eq((2..m).filter(|&k| coprime(k, m))), "m = {m}");
+        }
+        for m in [(1u64 << 32) - 5, 1 << 40, 6_700_417 * 641] {
+            assert!(
+                units(m)
+                    .take(2_000)
+                    .eq((2..m).filter(|&k| coprime(k, m)).take(2_000)),
+                "m = {m}"
+            );
+        }
     }
 
     #[test]

@@ -58,23 +58,35 @@ pub use telemetry::export_exec_telemetry;
 use vecmem_analytic::spectrum::Spectrum;
 use vecmem_analytic::Geometry;
 
-/// Classifies all `(d1, d2, b2)` triples of `geom` — the full design-space
-/// census — fanned out over `runner` one [`SpectrumScenario`] slice per
-/// `d1` and merged in `d1` order (so the result equals the serial
-/// [`vecmem_analytic::spectrum::full_spectrum`] exactly).
+/// The full design-space census of `geom` as one [`SpectrumScenario`]
+/// slice per `d1`, in `d1` order.
 #[must_use]
-pub fn full_spectrum(geom: &Geometry, runner: &Runner) -> Spectrum {
-    let scenarios: Vec<SpectrumScenario> = (1..geom.banks())
+pub fn spectrum_slices(geom: &Geometry) -> Vec<SpectrumScenario> {
+    (1..geom.banks())
         .map(|d1| SpectrumScenario {
             geom: *geom,
             d1s: vec![d1],
         })
-        .collect();
+        .collect()
+}
+
+/// Merges the outcomes of [`spectrum_slices`] in slice order.
+#[must_use]
+pub fn merge_spectrum(parts: &[Spectrum]) -> Spectrum {
     let mut total = Spectrum::default();
-    for partial in runner.run(&scenarios) {
-        total.merge(&partial);
+    for partial in parts {
+        total.merge(partial);
     }
     total
+}
+
+/// Classifies all `(d1, d2, b2)` triples of `geom` — the full design-space
+/// census — fanned out over `runner` as [`spectrum_slices`] and merged in
+/// `d1` order (so the result equals the serial
+/// [`vecmem_analytic::spectrum::full_spectrum`] exactly).
+#[must_use]
+pub fn full_spectrum(geom: &Geometry, runner: &Runner) -> Spectrum {
+    merge_spectrum(&runner.run(&spectrum_slices(geom)))
 }
 
 #[cfg(test)]

@@ -14,7 +14,9 @@
 //!   state dump; a `b_eff`-only fast mode covers long runs.
 //! * [`conform`] — exhaustive small-geometry conformance sweep checking
 //!   Thm 1, §III-A, Thm 2 and Thm 3 against both engines, parallelised by
-//!   `vecmem-exec` and collapsed through the isomorphism cache.
+//!   `vecmem-exec`'s runner and collapsed by an orbit index: each point
+//!   replays the outcome of its least isomorphic point, found by
+//!   arithmetic.
 //! * [`explore`] — coverage-guided random exploration of the sectioned /
 //!   mixed-topology space the exhaustive tier does not enumerate.
 //!

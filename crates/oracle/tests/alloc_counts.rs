@@ -1,6 +1,6 @@
 //! Heap allocation counts of the step kernel, of a conformance point and
-//! of its parts: the lockstep diff, the cache key and the steady-state
-//! solve.
+//! of its parts (the lockstep diff, the cache key and the steady-state
+//! solve), and of the conformance sweep around its points.
 //!
 //! A counting global allocator tallies allocations per thread, so the
 //! test harness's own threads never leak into a measurement. A warmed-up
@@ -13,7 +13,8 @@
 //! lockstep cycle, on both engines, must not allocate either, whether a
 //! fixed horizon or the steady-state search drives the kernel; the key, a
 //! short-period solve and a short-period conformance point stay within
-//! fixed budgets.
+//! fixed budgets, and a sweep allocates per simulated point and per chunk,
+//! never per replayed point.
 #![expect(
     unsafe_code,
     reason = "a counting global allocator implements the unsafe GlobalAlloc trait"
@@ -396,6 +397,89 @@ fn short_period_conform_point_stays_within_budget() {
             "{scenario:?}: conformance point made {n} allocations"
         );
     }
+}
+
+/// Allocations of a sweep chunk beyond its simulations: the
+/// representatives' scenario list, the runner's outcome list and the
+/// chunk's configuration, plus each geometry's orbit tables spread over
+/// its chunks. The 144 chunks of the test below take 595, about 4 each,
+/// next to 242,128 for their 6,700 simulations.
+#[cfg(not(feature = "sanitize"))]
+const CHUNK_ALLOCATIONS: u64 = 8;
+
+/// A sweep allocates per simulated point and per chunk, and a replayed
+/// point allocates nothing. On one thread the sweep's count is at most
+/// what building and executing its orbit representatives one by one
+/// takes, within [`CONFORM_ALLOCATIONS`] each, plus
+/// [`CHUNK_ALLOCATIONS`] per chunk; the replayed points outnumber that
+/// slack, so one allocation per replayed point would fail it.
+#[cfg(not(feature = "sanitize"))]
+#[test]
+fn sweep_allocations_follow_simulations_not_points() {
+    use vecmem_exec::{Runner, Scenario};
+    use vecmem_oracle::conform::{sweep, ChunkSpace, ConformScenario, SweepBounds};
+    let bounds = SweepBounds {
+        max_banks: 8,
+        max_nc: 2,
+        max_ports: 3,
+        steady_budget: 500_000,
+    };
+    let (total, report) = allocations(|| sweep(&bounds, &Runner::with_threads(1)));
+    assert!(report.clean(), "{report:?}");
+    let (mut simulations, mut simulated, mut chunks) = (0, 0, 0);
+    for m in 1..=bounds.max_banks {
+        for ports in 1..=bounds.max_ports {
+            let space = ChunkSpace::new(m, ports);
+            let rep = space.representatives();
+            for nc in 1..=bounds.max_nc {
+                let geom = Geometry::unsectioned(m, nc).unwrap();
+                let configs = if ports == 1 {
+                    vec![SimConfig::single_cpu(geom, 1)]
+                } else {
+                    [PriorityRule::Fixed, PriorityRule::Cyclic]
+                        .into_iter()
+                        .flat_map(|prio| {
+                            [
+                                SimConfig::one_port_per_cpu(geom, ports).with_priority(prio),
+                                SimConfig::single_cpu(geom, ports).with_priority(prio),
+                            ]
+                        })
+                        .collect()
+                };
+                for config in &configs {
+                    chunks += 1;
+                    for (i, _) in rep.iter().enumerate().filter(|&(i, &r)| r == i) {
+                        let (n, _) = allocations(|| {
+                            ConformScenario {
+                                config: config.clone(),
+                                streams: space.streams(i)[..ports].to_vec(),
+                                steady_budget: bounds.steady_budget,
+                            }
+                            .execute()
+                        });
+                        simulations += n;
+                        simulated += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(simulated, report.executed);
+    assert!(
+        simulations <= simulated * CONFORM_ALLOCATIONS,
+        "{simulated} representatives made {simulations} allocations"
+    );
+    assert!(
+        total <= simulations + chunks * CHUNK_ALLOCATIONS,
+        "the sweep made {total} allocations: {simulations} for its {simulated} simulations \
+         and {} over {chunks} chunks",
+        total - simulations.min(total)
+    );
+    assert!(
+        report.replayed > chunks * CHUNK_ALLOCATIONS,
+        "{} replayed points do not outnumber the slack",
+        report.replayed
+    );
 }
 
 /// The lockstep riding a search adds the same allocations to it however

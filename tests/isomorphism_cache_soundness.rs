@@ -9,11 +9,19 @@
 //! *identical* simulator statistics — and only on unsectioned geometries,
 //! where the renumbering is a true automorphism of the memory system.
 //! These tests pin both halves of that contract against the real engine.
+//!
+//! The exhaustive conformance sweep quotients by the same relation without
+//! a cache: each point of a chunk replays the outcome of its orbit
+//! representative (`oracle::conform::ChunkSpace::representatives`). The
+//! last test shows that this partition is exactly the key's, so the
+//! soundness proved here carries over to the sweep.
 
 use vecmem::analytic::isomorphism::canonical_streams;
 use vecmem::analytic::numtheory::coprime;
 use vecmem::banksim::{Engine, PatternWorkload, PriorityRule, SimConfig, SimStats};
 use vecmem::exec::steady_key;
+use vecmem::oracle::conform::ChunkSpace;
+use vecmem::oracle::SweepBounds;
 use vecmem::{Geometry, SectionMapping, StreamSpec};
 use vecmem_prop::prelude::*;
 
@@ -168,4 +176,48 @@ fn sectioned_cyclic_is_conservatively_uncollapsed() {
         steady_key(&config, &streams, 10_000),
         steady_key(&config, &scaled, 10_000)
     );
+}
+
+/// Over every chunk of the exhaustive sweep at its default bounds (every
+/// geometry `m <= 16`, `n_c <= 4`, both topologies and priority rules, one
+/// to three ports), two points share an orbit representative exactly when
+/// `steady_key` gives them equal keys: the first point of each key is its
+/// own representative, and every later point of that key is represented
+/// by it.
+#[test]
+fn sweep_orbits_are_the_key_partition() {
+    let bounds = SweepBounds::default();
+    let mut chunks = 0;
+    for m in 1..=bounds.max_banks {
+        for ports in 1..=bounds.max_ports {
+            let space = ChunkSpace::new(m, ports);
+            let rep = space.representatives();
+            for nc in 1..=bounds.max_nc {
+                let geom = Geometry::unsectioned(m, nc).unwrap();
+                for same_cpu in [false, true] {
+                    for priority in [PriorityRule::Fixed, PriorityRule::Cyclic] {
+                        let config = if same_cpu {
+                            SimConfig::single_cpu(geom, ports)
+                        } else {
+                            SimConfig::one_port_per_cpu(geom, ports)
+                        }
+                        .with_priority(priority);
+                        let mut first = std::collections::HashMap::new();
+                        for (i, &r) in rep.iter().enumerate() {
+                            let streams = &space.streams(i)[..ports];
+                            let key = steady_key(&config, streams, bounds.steady_budget);
+                            let owner = *first.entry(key).or_insert(i);
+                            assert_eq!(
+                                r, owner,
+                                "m={m} nc={nc} {config:?} {streams:?}: representative {r}, \
+                                 first point of the key {owner}"
+                            );
+                        }
+                        chunks += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(chunks, 16 * 3 * 4 * 4);
 }
