@@ -5,15 +5,15 @@
 //! state's incremental hash, in O(state · log) memory — lives in
 //! [`vecmem_simcore::steady`] and is re-exported here together with its
 //! result and error types. This module adds the stream-level entry points
-//! the paper's figures are phrased in: one [`StreamSpec`] per port, start
-//! bank sweeps, and start-time offsets — plus the generalized
+//! the paper's figures are phrased in: one [`StreamSpec`] per port and
+//! start bank sweeps — plus the generalized
 //! [`measure_steady_state_patterns`] entry taking one
 //! [`PatternSpec`](vecmem_simcore::pattern::PatternSpec) per port (gather,
 //! burst, DRAM bank models).
 
 use crate::config::SimConfig;
 use vecmem_analytic::{Geometry, StreamSpec};
-use vecmem_simcore::pattern::{PatternPort, PatternSpec, PatternWorkload, StridePattern};
+use vecmem_simcore::pattern::{PatternSpec, PatternWorkload};
 
 pub use vecmem_simcore::steady::{
     measure_steady_state_with, measure_steady_state_workload, ObservableWorkload, SteadyState,
@@ -27,8 +27,9 @@ pub use vecmem_simcore::steady::{
 /// must have a stream. `max_cycles` bounds the search (the cycle is
 /// normally found within a few `lcm`-scale periods).
 ///
-/// The streams run as [`StridePattern`]s through the generic
-/// [`PatternWorkload`] adapter ([`PatternWorkload::strided`]).
+/// The streams run as
+/// [`StridePattern`](vecmem_simcore::pattern::StridePattern)s through the
+/// generic [`PatternWorkload`] adapter ([`PatternWorkload::strided`]).
 ///
 /// # Errors
 /// Returns a [`SteadyStateError`] when the simulator state does not recur
@@ -152,31 +153,6 @@ pub fn sweep_start_banks(
     Ok(out)
 }
 
-/// Like [`measure_steady_state`] but with per-stream start-cycle offsets
-/// (relative positions in *time* rather than space).
-///
-/// # Errors
-/// Returns a [`SteadyStateError`] when the simulator state does not recur
-/// within `max_cycles`.
-pub fn measure_steady_state_with_delays(
-    config: &SimConfig,
-    specs: &[(StreamSpec, u64)],
-    max_cycles: u64,
-) -> Result<SteadyState, SteadyStateError> {
-    assert_eq!(specs.len(), config.num_ports());
-    let geom = config.geometry;
-    let mut workload = PatternWorkload::new(
-        specs
-            .iter()
-            .map(|&(spec, at)| PatternPort::new(StridePattern::new(&geom, spec)).starting_at(at))
-            .collect(),
-    );
-    // Advance past all start offsets first so the state core (which does
-    // not include absolute time) is valid.
-    let warmup = specs.iter().map(|&(_, at)| at).max().unwrap_or(0);
-    measure_steady_state_workload(config, &mut workload, warmup, max_cycles)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,6 +162,7 @@ mod tests {
     use crate::stats::ConflictCounts;
     use std::collections::HashMap;
     use vecmem_analytic::Ratio;
+    use vecmem_simcore::pattern::{PatternPort, StridePattern};
 
     fn geom(m: u64, nc: u64) -> Geometry {
         Geometry::unsectioned(m, nc).unwrap()
@@ -193,6 +170,23 @@ mod tests {
 
     fn spec(g: &Geometry, b: u64, d: u64) -> StreamSpec {
         StreamSpec::new(g, b, d).unwrap()
+    }
+
+    /// Port `i` runs `specs[i].0` from cycle `specs[i].1` on; the search
+    /// starts once every stream has (the state core holds no absolute
+    /// time).
+    fn measure_delayed(
+        config: &SimConfig,
+        specs: &[(StreamSpec, u64)],
+        max_cycles: u64,
+    ) -> Result<SteadyState, SteadyStateError> {
+        let geom = config.geometry;
+        let ports = specs
+            .iter()
+            .map(|&(spec, at)| PatternPort::new(StridePattern::new(&geom, spec)).starting_at(at))
+            .collect();
+        let warmup = specs.iter().map(|&(_, at)| at).max().unwrap_or(0);
+        measure_steady_state_workload(config, &mut PatternWorkload::new(ports), warmup, max_cycles)
     }
 
     #[derive(Clone)]
@@ -331,12 +325,8 @@ mod tests {
         // split must match.
         let g = geom(13, 4);
         let cfg = SimConfig::one_port_per_cpu(g, 2);
-        let a = measure_steady_state_with_delays(
-            &cfg,
-            &[(spec(&g, 0, 1), 0), (spec(&g, 0, 3), 1)],
-            100_000,
-        )
-        .unwrap();
+        let a =
+            measure_delayed(&cfg, &[(spec(&g, 0, 1), 0), (spec(&g, 0, 3), 1)], 100_000).unwrap();
         let b = measure_steady_state(&cfg, &[spec(&g, 0, 1), spec(&g, 10, 3)], 100_000).unwrap();
         assert_eq!(a.beff, b.beff);
         assert_eq!(a.per_port, b.per_port);
@@ -374,11 +364,10 @@ mod tests {
         let via_specs = measure_steady_state(&cfg, &specs, budget).unwrap_err();
         assert_eq!(via_specs, SteadyStateError::NotConverged { cycles: budget });
 
-        // The delayed entry point warms up 5 cycles first; the reported
+        // A delayed start warms up 5 cycles first; the reported
         // budget must not be inflated by them.
         let via_delays =
-            measure_steady_state_with_delays(&cfg, &[(specs[0], 0), (specs[1], 5)], budget)
-                .unwrap_err();
+            measure_delayed(&cfg, &[(specs[0], 0), (specs[1], 5)], budget).unwrap_err();
         assert_eq!(
             via_delays,
             SteadyStateError::NotConverged { cycles: budget }

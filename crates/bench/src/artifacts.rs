@@ -2,7 +2,7 @@
 //! produces, with the one function that renders its exact bytes.
 //!
 //! [`ARTIFACTS`] is the only place that says which generator, with which
-//! arguments, writes which file. `reproduce_all` writes every entry, and
+//! arguments, writes which file. `vecmem reproduce` writes every entry, and
 //! the root package's `tests/goldens.rs` diffs every entry against
 //! `results/` byte for byte.
 

@@ -3,7 +3,7 @@
 //! quotes or newlines are quoted, quotes doubled.)
 
 use crate::fig10::Fig10;
-use crate::tables::{MappingRow, PriorityRow, RandomRow, TheoremRow};
+use crate::tables::TheoremRow;
 
 /// Escapes one CSV field.
 #[must_use]
@@ -64,53 +64,6 @@ pub fn theorems_csv(rows: &[TheoremRow]) -> String {
     out
 }
 
-/// The priority ablation as CSV.
-#[must_use]
-pub fn priority_csv(rows: &[PriorityRow]) -> String {
-    let mut out = String::from("b2,fixed,cyclic\n");
-    for r in rows {
-        out.push_str(&record([
-            r.b2.to_string(),
-            r.fixed.to_string(),
-            r.cyclic.to_string(),
-        ]));
-        out.push('\n');
-    }
-    out
-}
-
-/// The mapping ablation as CSV.
-#[must_use]
-pub fn mapping_csv(rows: &[MappingRow]) -> String {
-    let mut out = String::from("b2,cyclic_mapping,consecutive_mapping\n");
-    for r in rows {
-        out.push_str(&record([
-            r.b2.to_string(),
-            r.cyclic_map.to_string(),
-            r.consecutive_map.to_string(),
-        ]));
-        out.push('\n');
-    }
-    out
-}
-
-/// The random-vs-vector table as CSV.
-#[must_use]
-pub fn random_csv(rows: &[RandomRow]) -> String {
-    let mut out = String::from("ports,random,vector,hellerman,capacity\n");
-    for r in rows {
-        out.push_str(&record([
-            r.ports.to_string(),
-            format!("{:.6}", r.random),
-            r.vector.map_or(String::new(), |v| format!("{v:.6}")),
-            format!("{:.6}", r.hellerman),
-            format!("{:.6}", r.capacity),
-        ]));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,13 +98,5 @@ mod tests {
         let csv = theorems_csv(&rows);
         assert_eq!(csv.lines().count(), rows.len() + 1);
         assert!(csv.lines().skip(1).all(|l| l.split(',').count() == 7));
-    }
-
-    #[test]
-    fn ablation_csvs() {
-        let p = priority_csv(&crate::tables::priority_ablation());
-        assert_eq!(p.lines().count(), 13);
-        let m = mapping_csv(&crate::tables::mapping_ablation());
-        assert_eq!(m.lines().count(), 13);
     }
 }

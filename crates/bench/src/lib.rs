@@ -4,24 +4,21 @@
 //! the reproduction's theorem-validation/ablation tables.
 //!
 //! [`artifacts::ARTIFACTS`] lists every committed `results/` file the
-//! crate produces, with the function that renders its exact bytes. Three
-//! binaries read it:
+//! crate produces, with the function that renders its exact bytes. The
+//! `vecmem` command line reads it and this crate's renderers:
 //!
-//! | binary | output |
-//! |--------|--------|
-//! | `reproduce_all [OUTDIR]` | every registered artifact, as `OUTDIR/<name>` |
-//! | `fig10 [MAX_INC] [--csv] [--obs DIR]` | the five triad series of Fig. 10 |
-//! | `table_theorems [M] [NC] [--csv]` | Theorems 2–7 sweep, analytic vs simulated |
+//! | command | output |
+//! |---------|--------|
+//! | `vecmem reproduce [--out DIR]` | every registered artifact, as `DIR/<name>` |
+//! | `vecmem triad --sweep N [--csv]` | the five triad series of Fig. 10 |
+//! | `vecmem theorems [--banks M] [--nc N] [--csv]` | Theorems 2–7 sweep, analytic vs simulated |
 //!
 //! This crate times nothing. The out-of-workspace `benchmark/` package
 //! (`vecmem-benchmark`) measures the solver, and it calls [`figures`],
 //! [`fig10`], [`tables`] and [`csv`] as its `reproduce` workload.
-//!
-//! With `--features obs` the reproduction binaries additionally export
-//! per-run telemetry (see [`telemetry`]).
 
-// Panic policy for non-test library code; bins and integration tests are
-// separate crates and stay exempt.
+// Panic policy for non-test library code; integration tests are separate
+// crates and stay exempt.
 #![cfg_attr(
     not(test),
     warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
@@ -34,5 +31,3 @@ pub mod figures;
 pub mod plot;
 mod support;
 pub mod tables;
-#[cfg(feature = "obs")]
-pub mod telemetry;

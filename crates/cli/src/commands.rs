@@ -15,14 +15,18 @@ use vecmem_banksim::{
     hellerman_asymptotic, hellerman_bandwidth, measure_random_bandwidth, BankModel, Engine,
     PriorityRule, SimConfig, Tee, TraceRecorder, WINDOWED_FALLBACK_CYCLES,
 };
+use vecmem_bench::artifacts::{self, ARTIFACTS};
+use vecmem_bench::{csv, fig10, tables};
 use vecmem_exec::{
-    batch_spans, export_exec_telemetry, merge_spectrum, spectrum_slices, triad_sweep,
-    PatternSteadyScenario, ResultCache, Runner,
+    batch_spans, export_exec_telemetry, merge_spectrum, spectrum_slices, PatternSteadyScenario,
+    ResultCache, Runner,
 };
 use vecmem_obs::{
     write_metrics, ConflictLedger, EventLog, Json, LossKind, MetricsRegistry, SpanSink,
 };
-use vecmem_oracle::{explore, sweep_observed, DiffOutcome, ExploreConfig, SweepBounds};
+use vecmem_oracle::{
+    explore, sweep_observed, DiffOutcome, ExploreConfig, SweepBounds, MAX_SWEEP_BANKS,
+};
 use vecmem_skew::eval::gather_bandwidth;
 use vecmem_skew::{BankMapping, Interleaved, LinearSkew, PrimeInterleaved, XorFold};
 use vecmem_vproc::gather::{run_gather, IndexPattern};
@@ -301,21 +305,37 @@ pub fn cmd_triad(a: &Args) -> Result<String, Failure> {
     Ok(out)
 }
 
-/// `vecmem triad --sweep N`: the experiment's table over INC = 1..=N.
+/// `vecmem triad --sweep N`: Fig. 10's five series over INC = 1..=N, as
+/// the golden's table and charts or (`--csv`) as CSV.
 pub fn cmd_triad_sweep(a: &Args) -> Result<String, Failure> {
-    let mut out = format!(
-        "{:>4} {:>10} {:>9} {:>9} {:>9}\n",
-        "INC", "cycles", "bank", "section", "simult."
-    );
-    for r in Runner::new().run(&triad_sweep(a.get(&SWEEP), !a.get(&ALONE))) {
-        let c = &r.triad_conflicts;
-        let (bank, simultaneous, section) = (c.bank, c.simultaneous, c.section);
-        let (inc, cycles) = (r.inc, r.cycles);
-        out.push_str(&format!(
-            "{inc:>4} {cycles:>10} {bank:>9} {section:>9} {simultaneous:>9}\n"
-        ));
-    }
-    Ok(out)
+    let fig = fig10::run(a.get(&SWEEP));
+    Ok(if a.get(&CSV) {
+        csv::fig10_csv(&fig)
+    } else {
+        artifacts::fig10_text(&fig)
+    })
+}
+
+/// `vecmem theorems`: the Theorems 2–7 validation table of one
+/// unsectioned geometry, or (`--csv`) its rows as CSV. `--metrics-out`
+/// writes the sweep's execution counters.
+pub fn cmd_theorems(a: &Args) -> Result<String, Failure> {
+    let geom = geometry(a)?;
+    let (m, nc) = (geom.banks(), geom.bank_cycle());
+    let (rows, report) = tables::theorem_table_report(m, nc);
+    let (csv, mut note) = (a.get(&CSV), String::new());
+    save(&mut note, a, &METRICS_OUT, |p| {
+        let mut metrics = MetricsRegistry::new(m, 1);
+        export_exec_telemetry(&mut metrics, &report);
+        write_metrics(p, &metrics.snapshot())
+    })?;
+    // The `metrics -> PATH` note follows the table only: after the CSV it
+    // would be a malformed record.
+    Ok(if csv {
+        csv::theorems_csv(&rows)
+    } else {
+        artifacts::theorem_table_text(m, nc, &rows) + &note
+    })
 }
 
 /// `vecmem random`: random-access bandwidth vs the classical models.
@@ -796,8 +816,14 @@ fn verdict<T: std::fmt::Display>(
 /// of the optimized engine against the naive reference oracle and the
 /// paper's theorems. Exits non-zero on any divergence or violation.
 pub fn verify_exhaustive(a: &Args) -> Result<String, Failure> {
+    let max_banks = a.get(&MAX_BANKS);
+    if max_banks > MAX_SWEEP_BANKS {
+        return Err(Failure::Usage(format!(
+            "--max-banks {max_banks} exceeds the sweep's largest bank count {MAX_SWEEP_BANKS}"
+        )));
+    }
     let bounds = SweepBounds {
-        max_banks: a.get(&MAX_BANKS),
+        max_banks,
         max_nc: a.get(&MAX_NC),
         max_ports: usize::try_from(a.get(&MAX_PORTS)).unwrap_or(usize::MAX),
         steady_budget: a.get(&SWEEP_BUDGET),
@@ -884,4 +910,20 @@ pub fn verify_diff(a: &Args) -> Result<String, Failure> {
         )),
         DiffOutcome::Diverged(d) => Err(format!("{d}").into()),
     }
+}
+
+/// `vecmem reproduce`: writes every registered `results/` artifact into
+/// `--out` (default `results`), each as the bytes its registry entry
+/// renders.
+pub fn cmd_reproduce(a: &Args) -> Result<String, Failure> {
+    let dir = a.get(&OUT).unwrap_or_else(|| "results".into());
+    fs::create_dir_all(&dir).map_err(|e| format!("creating {dir}: {e}"))?;
+    let mut out = String::new();
+    for &(name, render) in ARTIFACTS {
+        let path = std::path::Path::new(&dir).join(name);
+        let shown = path.display();
+        fs::write(&path, render()).map_err(|e| format!("writing {shown}: {e}"))?;
+        out.push_str(&format!("wrote {shown}\n"));
+    }
+    Ok(out)
 }

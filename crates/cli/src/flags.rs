@@ -46,6 +46,8 @@ pub const TRACE_OUT: Flag<Option<String>> =
 pub const HEATMAP_OUT: Flag<Option<String>> =
     flag("heatmap-out", Path, "rotation-phase stall heatmap CSV");
 pub const TOP: Flag<u64> = flag("top", Int(8), "rows of the attribution tables");
+pub const CSV: Flag<bool> = flag("csv", Switch, "print CSV instead of the table");
+pub const OUT: Flag<Option<String>> = flag("out", Path, "output directory (default results)");
 
 // One command's own.
 pub const TRACE_CYCLES: Flag<u64> = flag("cycles", Int(36), "cycles to trace");
@@ -109,8 +111,11 @@ pub const CLI: Cli = {
                 about: "one run of the Fig. 10 triad experiment",
                 flags: &[INC.spec, ALONE.spec], groups: &[TELEMETRY] },
             Command { verb: "triad", mode: "--sweep", operand: "", run: cmd_triad_sweep,
-                about: "the Fig. 10 table: one triad run per INC",
-                flags: &[SWEEP.spec, ALONE.spec], groups: &[] },
+                about: "Fig. 10: the five triad series, contended and alone",
+                flags: &[SWEEP.spec, CSV.spec], groups: &[] },
+            Command { verb: "theorems", mode: "", operand: "", run: cmd_theorems,
+                about: "Theorems 2-7 over every distance pair, analytic vs simulated",
+                flags: &[BANKS.spec, NC.spec, CSV.spec, METRICS_OUT.spec], groups: &[] },
             Command { verb: "random", mode: "", operand: "", run: cmd_random,
                 about: "random-access bandwidth vs the classical models",
                 flags: &[PORTS.spec, SAMPLE_CYCLES.spec, SEED.spec],
@@ -154,11 +159,16 @@ pub const CLI: Cli = {
             Command { verb: "verify", mode: "--diff", operand: "", run: verify_diff,
                 about: "lockstep-diff one pair; dumps the first divergent cycle",
                 flags: &[DIFF.spec, DIFF_CYCLES.spec], groups: &[GEOMETRY, STREAMS, PRIORITY] },
+            Command { verb: "reproduce", mode: "", operand: "", run: cmd_reproduce,
+                about: "write every registered figure and table file into a directory",
+                flags: &[OUT.spec], groups: &[] },
         ],
         examples: &[
             "predict --banks 12 --nc 3 --d1 1 --d2 7",
             "trace --banks 13 --nc 6 --d1 1 --d2 6 --cycles 40",
             "triad --sweep 16",
+            "theorems --banks 13 --csv",
+            "reproduce --out fresh-results",
             "triad --inc 8 --metrics-out triad8.json --events-out triad8.jsonl",
             "random --banks 64 --ports 8",
             "report steady --banks 16 --nc 4 --d1 4 --d2 4",

@@ -54,7 +54,7 @@ fn values_flags_and_defaults() {
 /// each is now a usage error naming the offending token.
 #[test]
 fn unknown_foreign_repeated_and_stray_tokens_are_usage_errors() {
-    let cases: [(&[&str], &str); 16] = [
+    let cases: [(&[&str], &str); 20] = [
         (
             &["steady", "--banks", "16", "--d2", "3", "--bankz", "13"],
             "--bankz",
@@ -77,6 +77,10 @@ fn unknown_foreign_repeated_and_stray_tokens_are_usage_errors() {
         (&["steady", "--banks"], "--banks"),
         (&["steady", "--banks", "--nc", "4"], "--banks"),
         (&["bogus"], "'bogus'"),
+        (&["theorems", "8", "2"], "'8'"),
+        (&["theorems", "--banks", "8", "extra", "--bogus"], "'extra'"),
+        (&["reproduce", "stray"], "'stray'"),
+        (&["triad", "--sweep", "3", "--alone"], "--alone"),
     ];
     for (argv, names) in cases {
         assert_usage(argv, names);
@@ -89,6 +93,7 @@ fn unknown_foreign_repeated_and_stray_tokens_are_usage_errors() {
 fn oversized_nc_is_rejected() {
     for verb in [
         &["steady"][..],
+        &["theorems"],
         &["trace"],
         &["report", "steady"],
         &["verify", "--diff"],
@@ -168,12 +173,16 @@ fn rejected_values_are_usage_errors() {
 /// of panicking, printing NaN or answering over nothing.
 #[test]
 fn values_the_model_cannot_take_are_usage_errors() {
-    let cases: [(&[&str], &str); 13] = [
+    let cases: [(&[&str], &str); 17] = [
         (&["loop", "--dims", "0,64"], "--dims"),
         (&["random", "--cycles", "0"], "--cycles"),
         (&["random", "--ports", "0"], "--ports"),
         (&["gather", "--n", "0"], "--n"),
         (&["verify", "--max-banks", "0"], "--max-banks"),
+        (&["verify", "--max-banks", "65"], "--max-banks 65 exceeds"),
+        (&["theorems", "--banks", "0"], "--banks"),
+        (&["theorems", "--nc", "0"], "--nc"),
+        (&["triad", "--sweep", "0"], "--sweep"),
         (&["plan", "--max-stride", "0"], "--max-stride"),
         (&["skew", "--max-stride", "0"], "--max-stride"),
         (&["predict", "--banks", "0"], "--banks"),
@@ -338,6 +347,68 @@ fn triad_single_inc() {
     let out = ok("triad --inc 1 --alone");
     assert!(out.contains("INC = 1"), "{out}");
     assert!(out.contains("simultaneous 0"), "{out}");
+}
+
+/// The sweep prints Fig. 10's table, or its CSV, at any size.
+#[test]
+fn triad_sweep_prints_fig10() {
+    let out = ok("triad --sweep 2");
+    assert!(out.starts_with("Fig. 10: triad"), "{out}");
+    assert!(out.contains("best increments: "), "{out}");
+    let csv = ok("triad --sweep 2 --csv");
+    assert_eq!(csv.lines().count(), 3, "{csv}");
+    assert!(csv.starts_with("inc,time_contended,time_alone,"), "{csv}");
+}
+
+/// The theorem table's stdout stays the table or pure CSV; the sweep's
+/// counters go to `--metrics-out`.
+#[test]
+fn theorems_table_csv_and_metrics() {
+    let dir = temp_dir("theorems");
+    let metrics = dir.join("theorems.csv");
+    let out = ok(&format!(
+        "theorems --banks 6 --nc 2 --metrics-out {}",
+        metrics.display()
+    ));
+    assert!(out.contains(" 0 mismatches\nmetrics -> "), "{out}");
+    let csv = std::fs::read_to_string(&metrics).unwrap();
+    assert!(csv.contains("exec_cache_hits,"), "{csv}");
+    let rows = ok(&format!(
+        "theorems --banks 6 --nc 2 --csv --metrics-out {}",
+        metrics.display()
+    ));
+    assert!(rows.starts_with("d1,d2,classification,"), "{rows}");
+    assert!(
+        rows.lines().skip(1).all(|l| l.split(',').count() == 7),
+        "{rows}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `reproduce --out` writes every registered artifact, and each is its
+/// committed golden. `table_random.txt` is not compared: its committed
+/// Monte Carlo numbers predate the generator (`tests/goldens.rs` skips it
+/// too).
+#[test]
+fn reproduce_writes_every_artifact() {
+    let dir = temp_dir("reproduce");
+    let out = ok(&format!("reproduce --out {}", dir.display()));
+    let results = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    for &(name, _) in vecmem_bench::artifacts::ARTIFACTS {
+        let path = dir.join(name);
+        assert!(
+            out.contains(&format!("wrote {}\n", path.display())),
+            "{out}"
+        );
+        let written = std::fs::read(&path).unwrap();
+        if name != "table_random.txt" {
+            assert!(
+                written == std::fs::read(results.join(name)).unwrap(),
+                "{name}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -593,12 +664,20 @@ fn command_line(rng: &mut TestRng, c: &Command, valid: bool) -> Vec<Vec<String>>
 
 /// Commands whose bodies stay cheap at the drawn values in a debug build:
 /// all but the triad sweep (one 1024-element triad run per INC), the
-/// conformance sweep (seconds at `--max-banks 16`) and `random` (100,000
-/// sampled cycles unless `--cycles` is drawn).
+/// conformance sweep (seconds at `--max-banks 16`), `random` (100,000
+/// sampled cycles unless `--cycles` is drawn), `theorems` (a steady-state
+/// search for each of `m` start banks of about `m²/2` distance pairs, so
+/// its cost grows faster than `m³` up to the drawn `--banks 16`) and
+/// `reproduce` (every figure and table, written to files;
+/// `reproduce_writes_every_artifact` runs it once).
 fn bounded(c: &Command) -> bool {
     !matches!(
         (c.verb, c.mode),
-        ("triad", "--sweep") | ("verify", "--exhaustive") | ("random", _)
+        ("triad", "--sweep")
+            | ("verify", "--exhaustive")
+            | ("random", _)
+            | ("theorems", _)
+            | ("reproduce", _)
     )
 }
 

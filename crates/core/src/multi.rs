@@ -19,7 +19,6 @@
 //! * a pairwise classification matrix as a (non-exact) screening tool.
 
 use crate::geometry::Geometry;
-use crate::numtheory::gcd;
 use crate::pair::{classify_pair, PairClass};
 use crate::stream::StreamSpec;
 
@@ -164,18 +163,6 @@ pub fn bandwidth_upper_bound(geom: &Geometry, ds: &[u64], same_cpu: bool) -> f64
     bound
 }
 
-/// The distances of a stream family reduced to the set of distinct
-/// residue-class generators `gcd(m, d)` — streams sharing a generator live
-/// on overlapping bank walks.
-#[must_use]
-pub fn residue_generators(geom: &Geometry, ds: &[u64]) -> Vec<u64> {
-    let m = geom.banks();
-    let mut gens: Vec<u64> = ds.iter().map(|&d| gcd(m, d % m)).collect();
-    gens.sort_unstable();
-    gens.dedup();
-    gens
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,13 +272,5 @@ mod tests {
         assert_eq!(bandwidth_upper_bound(&geom, &[1; 6], true), 4.0);
         let geom2 = Geometry::new(16, 2, 4).unwrap();
         assert_eq!(bandwidth_upper_bound(&geom2, &[1; 6], true), 2.0);
-    }
-
-    #[test]
-    fn residue_generator_reduction() {
-        let geom = Geometry::unsectioned(12, 3).unwrap();
-        assert_eq!(residue_generators(&geom, &[1, 5, 7]), vec![1]);
-        assert_eq!(residue_generators(&geom, &[2, 4, 8]), vec![2, 4]);
-        assert_eq!(residue_generators(&geom, &[0, 6]), vec![6, 12]);
     }
 }

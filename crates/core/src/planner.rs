@@ -92,19 +92,6 @@ pub fn pair_is_safe(geom: &Geometry, da: u64, db: u64) -> bool {
     matches!(classify_pair(geom, &s1, &s2, true), PairClass::ConflictFree)
 }
 
-/// All strides in `1..=max_stride` that are safe both alone and against a
-/// unit-stride background stream — the situation of the paper's Fig. 10
-/// experiment, where the second CPU accesses memory with distance 1.
-#[must_use]
-pub fn safe_strides_against_unit(geom: &Geometry, max_stride: u64) -> Vec<u64> {
-    (1..=max_stride)
-        .filter(|&inc| {
-            let report = assess_stride(geom, inc);
-            report.self_conflict_free && pair_is_safe(geom, inc, 1)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,12 +137,12 @@ mod tests {
         // gcd(16, 1) = 1 -> unsafe; stride 1 (equal distances) gives
         // gcd(16, 0) = 16 -> safe.
         let g = Geometry::cray_xmp();
-        let safe = safe_strides_against_unit(&g, 16);
-        assert!(safe.contains(&1));
-        assert!(safe.contains(&9));
-        assert!(!safe.contains(&2));
-        assert!(!safe.contains(&8)); // self-conflicting
-        assert!(!safe.contains(&16));
+        let safe = |inc| assess_stride(&g, inc).self_conflict_free && pair_is_safe(&g, inc, 1);
+        assert!(safe(1));
+        assert!(safe(9));
+        assert!(!safe(2));
+        assert!(!safe(8)); // self-conflicting
+        assert!(!safe(16));
     }
 
     #[test]

@@ -134,20 +134,6 @@ pub fn full_spectrum(geom: &Geometry) -> Spectrum {
     full_spectrum_slice(geom, &d1s)
 }
 
-/// Sweeps bank counts at fixed `n_c` and reports each geometry's
-/// full-bandwidth fraction: the "how much does doubling the banks buy?"
-/// curve.
-#[must_use]
-pub fn bank_scaling_curve(bank_counts: &[u64], nc: u64) -> Vec<(u64, f64)> {
-    bank_counts
-        .iter()
-        .filter_map(|&m| {
-            let geom = Geometry::unsectioned(m, nc).ok()?;
-            Some((m, distance_spectrum(&geom).full_bandwidth_fraction()))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,16 +181,6 @@ mod tests {
         assert!(s.conflicting > 0, "{s:?}");
         assert!(s.conflict_free > 0, "{s:?}");
         assert_eq!(s.self_limited, 0, "n_c = 1 cannot self-conflict");
-    }
-
-    #[test]
-    fn bank_scaling_curve_shape() {
-        let curve = bank_scaling_curve(&[8, 16, 32], 4);
-        assert_eq!(curve.len(), 3);
-        for &(m, frac) in &curve {
-            assert!(m >= 8);
-            assert!((0.0..=1.0).contains(&frac));
-        }
     }
 
     #[test]

@@ -113,19 +113,6 @@ impl<K: Hash + Eq, V: Clone> ResultCache<K, V> {
         value
     }
 
-    /// Cached value for `key`, if present (does not count as a hit).
-    #[expect(
-        clippy::expect_used,
-        reason = "a lock is poisoned only by a panic while it is held, and that panic already propagates"
-    )]
-    pub fn peek(&self, key: &K) -> Option<V> {
-        self.shard(key)
-            .lock()
-            .expect("cache shard")
-            .get(key)
-            .cloned()
-    }
-
     /// Number of distinct keys stored.
     #[must_use]
     #[expect(
@@ -177,8 +164,6 @@ mod tests {
         assert_eq!(stats.hits, 2);
         assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.peek(&7), Some(42));
-        assert_eq!(cache.peek(&8), None);
     }
 
     #[test]
@@ -213,6 +198,6 @@ mod tests {
         }
         assert_eq!(cache.len(), 100);
         assert_eq!(cache.stats().misses, 100);
-        assert_eq!(cache.peek(&(3, 4)).as_deref(), Some("v3"));
+        assert_eq!(cache.get_or_compute((3, 4), String::new), "v3");
     }
 }

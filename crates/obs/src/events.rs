@@ -16,16 +16,14 @@
 //! attribution: the refined [`LossKind`] (`loss`) and, when observed, the
 //! winning port (`winner`). Attribution is produced by
 //! [`EventLog::with_attribution`]; without it, `delay` lines are emitted
-//! exactly as in v1.
-//!
-//! Arbitration snapshots (`"t":"arb"`) list the competing `(port, bank)`
-//! pairs and are only recorded when enabled — they dominate log volume.
+//! exactly as in v1. The header's `dropped` field is always 0: the log
+//! keeps every event.
 
 use crate::attrib::{Attribution, Attributor, LossKind};
 use crate::json::Json;
 use std::io::{self, Write};
 use std::path::Path;
-use vecmem_banksim::{ConflictKind, PortId, Request, SimConfig, SimObserver};
+use vecmem_banksim::{ConflictKind, PortId, SimConfig, SimObserver};
 
 /// Schema tag written in the JSONL header line.
 pub const EVENTS_SCHEMA: &str = "vecmem-obs/events-v2";
@@ -33,15 +31,6 @@ pub const EVENTS_SCHEMA: &str = "vecmem-obs/events-v2";
 /// One recorded simulator event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
-    /// The requests competing at the start of a clock period.
-    Arbitration {
-        /// Clock period.
-        cycle: u64,
-        /// Cyclic-priority rotation offset in effect.
-        rotation: u64,
-        /// Competing `(port, bank)` pairs.
-        requests: Vec<(usize, u64)>,
-    },
     /// A granted request.
     Grant {
         /// Clock period of the grant.
@@ -115,24 +104,6 @@ impl Event {
     #[must_use]
     pub fn to_json_line(&self) -> String {
         match self {
-            Event::Arbitration {
-                cycle,
-                rotation,
-                requests,
-            } => Json::obj([
-                ("t", Json::str("arb")),
-                ("cycle", Json::U64(*cycle)),
-                ("rotation", Json::U64(*rotation)),
-                (
-                    "requests",
-                    Json::Array(
-                        requests
-                            .iter()
-                            .map(|&(p, b)| Json::Array(vec![Json::U64(p as u64), Json::U64(b)]))
-                            .collect(),
-                    ),
-                ),
-            ]),
             Event::Grant {
                 cycle,
                 port,
@@ -194,10 +165,7 @@ impl Event {
 ///
 /// Construct with [`EventLog::new`], hand it to
 /// `Engine::step_with`/`run_with`, then export with
-/// [`EventLog::write_jsonl`]. A bound on recorded events can be set with
-/// [`EventLog::with_limit`]; once reached, later events are counted in
-/// [`EventLog::dropped`] instead of stored, and the export reports the drop
-/// count in its header so truncation is never silent.
+/// [`EventLog::write_jsonl`].
 ///
 /// The `busy_banks` field of each cycle record counts the bank busy/free
 /// transitions the log has seen, so attach the log before the first cycle
@@ -206,10 +174,7 @@ impl Event {
 pub struct EventLog {
     banks: u64,
     ports: u64,
-    record_arbitration: bool,
-    limit: usize,
     events: Vec<Event>,
-    dropped: u64,
     attributor: Option<Attributor>,
     pending_delays: Vec<(u64, usize, u64, ConflictKind)>,
     attr_scratch: Vec<Attribution>,
@@ -217,29 +182,18 @@ pub struct EventLog {
 }
 
 impl EventLog {
-    /// A log for a run over `banks` banks and `ports` ports, without
-    /// arbitration snapshots and without a size limit.
+    /// A log for a run over `banks` banks and `ports` ports.
     #[must_use]
     pub fn new(banks: u64, ports: u64) -> Self {
         Self {
             banks,
             ports,
-            record_arbitration: false,
-            limit: usize::MAX,
             events: Vec::new(),
-            dropped: 0,
             attributor: None,
             pending_delays: Vec::new(),
             attr_scratch: Vec::new(),
             busy_banks: 0,
         }
-    }
-
-    /// Also record per-cycle arbitration snapshots (`"t":"arb"` lines).
-    #[must_use]
-    pub fn with_arbitration(mut self) -> Self {
-        self.record_arbitration = true;
-        self
     }
 
     /// Attributes every `delay` record with the conflict-ledger loss kind
@@ -253,41 +207,20 @@ impl EventLog {
         self
     }
 
-    /// Caps the number of stored events; excess events are counted, not kept.
-    #[must_use]
-    pub fn with_limit(mut self, limit: usize) -> Self {
-        self.limit = limit;
-        self
-    }
-
-    fn push(&mut self, event: Event) {
-        if self.events.len() < self.limit {
-            self.events.push(event);
-        } else {
-            self.dropped += 1;
-        }
-    }
-
     /// Recorded events, in emission order.
     #[must_use]
     pub fn events(&self) -> &[Event] {
         &self.events
     }
 
-    /// Events discarded after the limit was hit.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The JSONL header line (schema tag, geometry, drop count).
+    /// The JSONL header line (schema tag, geometry, and a drop count of 0).
     #[must_use]
     pub fn header_line(&self) -> String {
         Json::obj([
             ("schema", Json::str(EVENTS_SCHEMA)),
             ("banks", Json::U64(self.banks)),
             ("ports", Json::U64(self.ports)),
-            ("dropped", Json::U64(self.dropped)),
+            ("dropped", Json::U64(0)),
         ])
         .render()
     }
@@ -337,22 +270,11 @@ impl EventLog {
 }
 
 impl SimObserver for EventLog {
-    fn on_arbitration(&mut self, cycle: u64, rotation: usize, requests: &[(PortId, Request)]) {
-        if self.record_arbitration {
-            let requests = requests.iter().map(|&(p, r)| (p.0, r.bank)).collect();
-            self.push(Event::Arbitration {
-                cycle,
-                rotation: rotation as u64,
-                requests,
-            });
-        }
-    }
-
     fn on_grant(&mut self, cycle: u64, port: PortId, bank: u64, wait: u64, hold: u64) {
         if let Some(attributor) = &mut self.attributor {
             attributor.note_grant(port.0, bank);
         }
-        self.push(Event::Grant {
+        self.events.push(Event::Grant {
             cycle,
             port: port.0,
             bank,
@@ -368,7 +290,7 @@ impl SimObserver for EventLog {
             attributor.note_delay(port.0, bank, kind);
             self.pending_delays.push((cycle, port.0, bank, kind));
         } else {
-            self.push(Event::Delay {
+            self.events.push(Event::Delay {
                 cycle,
                 port: port.0,
                 bank,
@@ -384,7 +306,7 @@ impl SimObserver for EventLog {
         } else {
             self.busy_banks = self.busy_banks.saturating_sub(1);
         }
-        self.push(Event::BankBusy { cycle, bank, busy });
+        self.events.push(Event::BankBusy { cycle, bank, busy });
     }
 
     fn on_cycle_end(&mut self, cycle: u64, grants: u32) {
@@ -393,7 +315,7 @@ impl SimObserver for EventLog {
             attributor.resolve_cycle(&mut self.attr_scratch);
             // resolve_cycle yields one attribution per delay, in note
             // order — zip them back onto the buffered delay records.
-            let resolved: Vec<Event> = self
+            let resolved = self
                 .pending_delays
                 .drain(..)
                 .zip(self.attr_scratch.iter())
@@ -406,13 +328,10 @@ impl SimObserver for EventLog {
                         winner: attribution.winner,
                         loss: attribution.kind,
                     }),
-                })
-                .collect();
-            for event in resolved {
-                self.push(event);
-            }
+                });
+            self.events.extend(resolved);
         }
-        self.push(Event::CycleEnd {
+        self.events.push(Event::CycleEnd {
             cycle,
             grants: u64::from(grants),
             busy_banks: self.busy_banks,
@@ -427,9 +346,9 @@ mod tests {
     /// The exact wire form of every event shape. The pinned trace golden
     /// (`results/trace_events_m16.jsonl`) holds `grant`, `bank` and
     /// `cycle` lines and unattributed `delay` lines of the `bank` kind
-    /// only; this pins the rest: the `arb` snapshot, the `simultaneous`
-    /// and `section` kinds of an unattributed `delay`, and every loss kind
-    /// of an attributed one, with and without a winner.
+    /// only; this pins the rest: the `simultaneous` and `section` kinds of
+    /// an unattributed `delay`, and every loss kind of an attributed one,
+    /// with and without a winner.
     #[test]
     fn json_lines_are_pinned() {
         let delay = |kind, attr| Event::Delay {
@@ -441,22 +360,6 @@ mod tests {
         };
         let attributed = |loss, winner| Some(DelayAttribution { winner, loss });
         let cases = [
-            (
-                Event::Arbitration {
-                    cycle: 9,
-                    rotation: 2,
-                    requests: vec![(0, 5), (2, 5), (1, 12)],
-                },
-                r#"{"t":"arb","cycle":9,"rotation":2,"requests":[[0,5],[2,5],[1,12]]}"#,
-            ),
-            (
-                Event::Arbitration {
-                    cycle: 10,
-                    rotation: 0,
-                    requests: Vec::new(),
-                },
-                r#"{"t":"arb","cycle":10,"rotation":0,"requests":[]}"#,
-            ),
             (
                 delay(ConflictKind::Bank, None),
                 r#"{"t":"delay","cycle":12,"port":1,"bank":5,"kind":"bank"}"#,
@@ -551,39 +454,5 @@ mod tests {
         assert!(lines[2].contains("\"busy\":1"));
         assert!(lines[3].contains("\"kind\":\"bank\""));
         assert!(lines[4].contains("\"busy_banks\":1"));
-    }
-
-    #[test]
-    fn limit_counts_dropped_events() {
-        let mut log = EventLog::new(4, 1).with_limit(2);
-        for cycle in 0..5 {
-            log.on_cycle_end(cycle, 0);
-        }
-        assert_eq!(log.events().len(), 2);
-        assert_eq!(log.dropped(), 3);
-        assert!(log.header_line().contains("\"dropped\":3"));
-    }
-
-    #[test]
-    fn arbitration_only_when_enabled() {
-        let requests = [
-            (PortId(0), Request::to_bank(1)),
-            (PortId(1), Request::to_bank(1)),
-        ];
-        let mut quiet = EventLog::new(4, 2);
-        quiet.on_arbitration(0, 0, &requests);
-        assert!(quiet.events().is_empty());
-
-        let mut chatty = EventLog::new(4, 2).with_arbitration();
-        chatty.on_arbitration(0, 1, &requests);
-        assert_eq!(
-            chatty.events(),
-            &[Event::Arbitration {
-                cycle: 0,
-                rotation: 1,
-                requests: vec![(0, 1), (1, 1)]
-            }]
-        );
-        assert!(chatty.events()[0].to_json_line().contains("[[0,1],[1,1]]"));
     }
 }

@@ -56,10 +56,16 @@ use vecmem_banksim::{PriorityRule, SimConfig};
 use vecmem_exec::{steady_key, Runner, Scenario, SteadyKey};
 use vecmem_obs::{Json, MetricsRegistry, Span, SpanSink};
 
+/// The largest bank count the sweep can check: the analytic checks keep a
+/// stream's bank set in a `u64` mask (`access_mask`).
+pub const MAX_SWEEP_BANKS: u64 = 64;
+
 /// Bounds of the exhaustive sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepBounds {
-    /// Largest `m` (inclusive).
+    /// Largest `m` (inclusive), at most [`MAX_SWEEP_BANKS`]: above it the
+    /// bank-set masks of the Thm 1–3 checks overflow and report false
+    /// violations.
     pub max_banks: u64,
     /// Largest `n_c` (inclusive).
     pub max_nc: u64,
@@ -223,7 +229,9 @@ impl Scenario for ConformScenario {
     }
 }
 
-/// The banks visited by an infinite stream, as a bitmask (`m <= 64`).
+/// The banks visited by an infinite stream, as a bitmask: bank `b` is bit
+/// `b`, so `m` must be at most [`MAX_SWEEP_BANKS`]. The sweep calls it per
+/// point, and a `u64` keeps a replayed point free of allocation.
 fn access_mask(m: u64, b: u64, d: u64) -> u64 {
     let mut mask = 0u64;
     let mut bank = b % m;

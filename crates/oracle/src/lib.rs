@@ -48,6 +48,7 @@ pub use engine::{RefConfig, RefEngine, RefOutcome, RefPriority, RefStep};
 
 pub use conform::{
     export_sweep_metrics, sweep, sweep_observed, SweepBounds, SweepReport, Violation,
+    MAX_SWEEP_BANKS,
 };
 pub use diff::{
     mirror_config, run_beff, run_pair, run_pair_against, solve_in_lockstep,

@@ -31,12 +31,6 @@ impl MatrixWalks {
     pub fn worst(&self) -> Ratio {
         self.column.min(self.row).min(self.diagonal)
     }
-
-    /// True when all three walks run at full bandwidth.
-    #[must_use]
-    pub fn all_full(&self) -> bool {
-        self.worst() == Ratio::integer(1)
-    }
 }
 
 /// Measures the three walks of a matrix with leading dimension `ld` under
@@ -121,7 +115,7 @@ mod tests {
         assert_eq!(walks.column, Ratio::integer(1));
         assert_eq!(walks.row, Ratio::new(1, 4)); // r = 1, n_c = 4
         assert_eq!(walks.diagonal, Ratio::integer(1));
-        assert!(!walks.all_full());
+        assert!(walks.worst() < Ratio::integer(1));
         assert_eq!(walks.worst(), Ratio::new(1, 4));
     }
 
@@ -131,7 +125,7 @@ mod tests {
         // 16): rows become stride 17 ≡ 1 -> full bandwidth; diagonals
         // stride 18 ≡ 2 -> r = 8 >= n_c -> full.
         let walks = matrix_walks(&Interleaved { banks: 16 }, 4, 17).unwrap();
-        assert!(walks.all_full(), "{walks:?}");
+        assert_eq!(walks.worst(), Ratio::integer(1), "{walks:?}");
     }
 
     #[test]

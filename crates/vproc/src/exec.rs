@@ -100,18 +100,6 @@ impl ProgramWorkload {
                 .is_some_and(|c| now > c + self.machine.dep_latency)
         })
     }
-
-    /// Progress of the program in elements granted so far.
-    #[must_use]
-    pub fn elements_done(&self) -> u64 {
-        self.states.iter().map(|s| s.issued).sum()
-    }
-
-    /// Completion cycle of a segment, once finished.
-    #[must_use]
-    pub fn segment_completed_at(&self, id: SegmentId) -> Option<u64> {
-        self.states[id.0].completed_at
-    }
 }
 
 impl Workload for ProgramWorkload {
@@ -186,7 +174,7 @@ mod tests {
         let mut engine = Engine::new(SimConfig::single_cpu(g, 1));
         let out = engine.run(&mut w, 1000);
         assert_eq!(out, RunOutcome::Finished(8));
-        assert_eq!(w.elements_done(), 8);
+        assert!(w.states.iter().all(|s| s.issued == 8));
     }
 
     #[test]
@@ -203,8 +191,8 @@ mod tests {
         let mut engine = Engine::new(SimConfig::single_cpu(g, 2));
         engine.run(&mut w, 1000);
         // Segment a completes at cycle 3; b may issue from cycle 3 + 5 + 1.
-        assert_eq!(w.segment_completed_at(a), Some(3));
-        assert_eq!(w.segment_completed_at(b), Some(9 + 3));
+        assert_eq!(w.states[a.0].completed_at, Some(3));
+        assert_eq!(w.states[b.0].completed_at, Some(9 + 3));
     }
 
     #[test]
@@ -221,8 +209,8 @@ mod tests {
         let mut engine = Engine::new(SimConfig::single_cpu(g, 1));
         engine.run(&mut w, 1000);
         // a completes at 1; b may start at 1 + 1 + 4 = 6, completes at 7.
-        assert_eq!(w.segment_completed_at(a), Some(1));
-        assert_eq!(w.segment_completed_at(b), Some(7));
+        assert_eq!(w.states[a.0].completed_at, Some(1));
+        assert_eq!(w.states[b.0].completed_at, Some(7));
     }
 
     #[test]
@@ -268,8 +256,8 @@ mod tests {
         let mut w = ProgramWorkload::new(&g, MachineConfig::ideal(), p, &[], 1);
         let mut engine = Engine::new(SimConfig::single_cpu(g, 1));
         engine.run(&mut w, 100);
-        let ca = w.segment_completed_at(a).unwrap();
-        let cb = w.segment_completed_at(b).unwrap();
+        let ca = w.states[a.0].completed_at.unwrap();
+        let cb = w.states[b.0].completed_at.unwrap();
         assert!(ca < cb);
         assert_eq!(ca, 2);
         assert_eq!(cb, 5);

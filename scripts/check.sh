@@ -53,22 +53,47 @@ echo "==> benchmark: vecmem-benchmark correctness checks (smoke sizes)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 echo "    benchmark smoke: every workload passes its correctness checks"
 
-echo "==> smoke: fig10 and table_theorems at non-golden sizes"
+echo "==> reproduction through the binary: theorems, triad --sweep and reproduce"
 # tests/goldens.rs (tier-1) diffs every registered results/ artifact byte
-# for byte. The smokes below run the two parameterised bench binaries at
-# other sizes, then the `vecmem` CLI; `cargo build --release` builds
-# neither.
-cargo build -q --release -p vecmem-bench -p vecmem-cli
+# for byte in-process. These run the same renderers through the `vecmem`
+# binary: at a non-golden size, at the golden sizes byte for byte, and the
+# whole registry through `reproduce`. `cargo build --release` builds the
+# root package only, so the CLI is built here.
+cargo build -q --release -p vecmem-cli
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
-./target/release/fig10 3 > "$smoke_dir/fig10.txt"
-grep -q "INC" "$smoke_dir/fig10.txt" || { echo "fig10 smoke output empty"; exit 1; }
-./target/release/table_theorems 8 2 > "$smoke_dir/theorems.txt" 2> "$smoke_dir/theorems.log"
+vecmem=./target/release/vecmem
+$vecmem triad --sweep 3 > "$smoke_dir/fig10.txt"
+grep -q "INC" "$smoke_dir/fig10.txt" || { echo "triad --sweep 3 output empty"; exit 1; }
+$vecmem theorems --banks 8 --nc 2 --metrics-out "$smoke_dir/theorems.json" \
+  > "$smoke_dir/theorems.txt"
 grep -q " 0 mismatches" "$smoke_dir/theorems.txt" \
-  || { echo "table_theorems 8 2 reported mismatches"; cat "$smoke_dir/theorems.txt"; exit 1; }
-grep -q "cache hit rate" "$smoke_dir/theorems.log" \
-  || { echo "table_theorems did not log its cache hit rate"; exit 1; }
-echo "    fig10 + table_theorems smoke OK"
+  || { echo "theorems --banks 8 --nc 2 reported mismatches"; cat "$smoke_dir/theorems.txt"; exit 1; }
+grep -q '"exec_cache_hits"' "$smoke_dir/theorems.json" \
+  || { echo "theorems --metrics-out wrote no cache counters"; exit 1; }
+$vecmem theorems > "$smoke_dir/theorems_m16.txt"
+diff -u results/table_theorems_m16_nc4.txt "$smoke_dir/theorems_m16.txt" \
+  || { echo "vecmem theorems drifted from results/table_theorems_m16_nc4.txt"; exit 1; }
+$vecmem theorems --banks 13 > "$smoke_dir/theorems_m13.txt"
+diff -u results/table_theorems_m13_nc4.txt "$smoke_dir/theorems_m13.txt" \
+  || { echo "vecmem theorems --banks 13 drifted from results/table_theorems_m13_nc4.txt"; exit 1; }
+$vecmem theorems --csv > "$smoke_dir/theorems_m16.csv"
+diff -u results/table_theorems_m16_nc4.csv "$smoke_dir/theorems_m16.csv" \
+  || { echo "vecmem theorems --csv drifted from results/table_theorems_m16_nc4.csv"; exit 1; }
+$vecmem triad --sweep 16 > "$smoke_dir/fig10_16.txt"
+diff -u results/fig10.txt "$smoke_dir/fig10_16.txt" \
+  || { echo "vecmem triad --sweep 16 drifted from results/fig10.txt"; exit 1; }
+$vecmem reproduce --out "$smoke_dir/r" > /dev/null
+written=0
+for file in "$smoke_dir"/r/*; do
+  name="$(basename "$file")"
+  written=$((written + 1))
+  # Stale Monte Carlo numbers; tests/goldens.rs skips it too (ROADMAP item 1).
+  [ "$name" = table_random.txt ] && continue
+  cmp "results/$name" "$file" \
+    || { echo "vecmem reproduce: $name differs from results/$name"; exit 1; }
+done
+echo "    theorems, triad --sweep and reproduce ($written files) match results/"
 
 echo "==> examples: every scenario in examples/ runs from the release build"
 # `cargo test` only compiles the examples; run each one and fail on a
@@ -84,22 +109,22 @@ done
 echo "    $examples_run examples ran to completion"
 
 echo "==> pattern smoke: gather / burst / DRAM steady states (golden diffs)"
-./target/release/vecmem steady --pattern gather --affine 16 \
+$vecmem steady --pattern gather --affine 16 \
   > "$smoke_dir/steady_gather.txt"
 diff -u "results/steady_gather_m16.txt" "$smoke_dir/steady_gather.txt" \
   || { echo "gather steady state drifted from results/steady_gather_m16.txt"; exit 1; }
-./target/release/vecmem steady --pattern burst --burst 4 --d1 1 --d2 1 \
+$vecmem steady --pattern burst --burst 4 --d1 1 --d2 1 \
   > "$smoke_dir/steady_burst.txt"
 diff -u "results/steady_burst_m16.txt" "$smoke_dir/steady_burst.txt" \
   || { echo "burst steady state drifted from results/steady_burst_m16.txt"; exit 1; }
-./target/release/vecmem steady --bank-model dram --dram-hit 2 --dram-rows 4 \
+$vecmem steady --bank-model dram --dram-hit 2 --dram-rows 4 \
   --d1 0 --d2 0 --b2 8 > "$smoke_dir/steady_dram.txt"
 diff -u "results/steady_dram_m16.txt" "$smoke_dir/steady_dram.txt" \
   || { echo "DRAM steady state drifted from results/steady_dram_m16.txt"; exit 1; }
 echo "    gather + burst + DRAM match the golden steady states"
 
 echo "==> report smoke: conflict attribution on the pinned m=16 pair"
-./target/release/vecmem report steady --banks 16 --nc 4 --d1 4 --d2 4 \
+$vecmem report steady --banks 16 --nc 4 --d1 4 --d2 4 \
   > "$smoke_dir/report_steady.txt"
 diff -u "results/report_steady_m16.txt" "$smoke_dir/report_steady.txt" \
   || { echo "vecmem report steady drifted from results/report_steady_m16.txt"; exit 1; }
@@ -108,7 +133,7 @@ echo "    vecmem report steady matches the golden attribution report"
 echo "==> event-log smoke: observer events of the pinned m=16 trace"
 # Bank-free events come off the expiry wheel in grant order; the kernel
 # must still report them in ascending bank order within a cycle.
-./target/release/vecmem trace --banks 16 --nc 4 --d1 1 --d2 3 --b2 5 \
+$vecmem trace --banks 16 --nc 4 --d1 1 --d2 3 --b2 5 \
   --events-out "$smoke_dir/trace_events.jsonl" > /dev/null
 diff -u "results/trace_events_m16.jsonl" "$smoke_dir/trace_events.jsonl" \
   || { echo "vecmem trace events drifted from results/trace_events_m16.jsonl"; exit 1; }
@@ -137,17 +162,25 @@ for args in \
   "verify --diff --random 5" \
   "loop --dims 0,64" \
   "random --cycles 0" \
-  "predict --banks 0"; do
+  "predict --banks 0" \
+  "theorems --banks 0" \
+  "theorems --nc 0" \
+  "theorems 8 2" \
+  "reproduce stray" \
+  "triad --sweep 0" \
+  "triad --sweep 3 --alone" \
+  "triad --sweep 3 --csv --nonsense" \
+  "verify --max-banks 65"; do
   code=0
   # $args is split into words on purpose.
-  ./target/release/vecmem $args > /dev/null 2> "$smoke_dir/usage.err" || code=$?
+  $vecmem $args > /dev/null 2> "$smoke_dir/usage.err" || code=$?
   [ "$code" -eq 2 ] \
     || { echo "vecmem $args exited $code, not 2"; cat "$smoke_dir/usage.err"; exit 1; }
 done
-echo "    seventeen rejected command lines exit 2"
+echo "    twenty-five rejected command lines exit 2"
 
 echo "==> verify: differential oracle + theorem conformance (see TESTING.md)"
-./target/release/vecmem verify --exhaustive > "$smoke_dir/verify.txt" \
+$vecmem verify --exhaustive > "$smoke_dir/verify.txt" \
   || { echo "vecmem verify --exhaustive failed"; cat "$smoke_dir/verify.txt"; exit 1; }
 grep -q "divergences 0  violations 0  not converged 0" "$smoke_dir/verify.txt" \
   || { echo "exhaustive sweep not clean"; cat "$smoke_dir/verify.txt"; exit 1; }
@@ -161,7 +194,7 @@ grep -qx "  simulated (orbits)     101304" "$smoke_dir/verify.txt" \
 grep -qx "  theorem checks: Thm1 136  Thm2 40968  Thm3 223168 (skipped 51792)  III-A 5984" \
   "$smoke_dir/verify.txt" \
   || { echo "exhaustive sweep ran a different set of theorem checks"; cat "$smoke_dir/verify.txt"; exit 1; }
-./target/release/vecmem verify --random 200 --seed 42 > "$smoke_dir/verify-random.txt" \
+$vecmem verify --random 200 --seed 42 > "$smoke_dir/verify-random.txt" \
   || { echo "vecmem verify --random failed"; cat "$smoke_dir/verify-random.txt"; exit 1; }
 grep -q "verdict: CLEAN" "$smoke_dir/verify-random.txt" \
   || { echo "random exploration not clean"; cat "$smoke_dir/verify-random.txt"; exit 1; }

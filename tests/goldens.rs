@@ -1,7 +1,7 @@
 //! Golden diffs of the reproduction: every entry of the artifact registry
 //! (`vecmem_bench::artifacts::ARTIFACTS`) must render byte for byte to its
-//! committed file under `results/`, and every committed file must have a
-//! generator.
+//! committed file under `results/`, and every entry of `results/` (a
+//! directory too) must have a generator.
 
 use std::path::PathBuf;
 use vecmem_bench::artifacts::ARTIFACTS;
@@ -60,11 +60,6 @@ fn every_results_file_has_a_generator() {
     let mut orphans = Vec::new();
     for entry in std::fs::read_dir(results_dir()).expect("results/ exists") {
         let entry = entry.expect("readable results/ entry");
-        if entry.file_type().expect("file type").is_dir() {
-            // `reproduce_all --features obs` leaves telemetry under
-            // results/obs/; it is not committed.
-            continue;
-        }
         let name = entry.file_name().to_string_lossy().into_owned();
         let registered = ARTIFACTS.iter().any(|&(n, _)| n == name);
         if !registered && !CLI_GOLDENS.contains(&name.as_str()) {
