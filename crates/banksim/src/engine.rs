@@ -1,10 +1,10 @@
 //! The cycle-accurate simulation engine.
 //!
-//! A thin wrapper around the pure [`step`](vecmem_simcore::step::step)
-//! kernel of `vecmem-simcore`: the kernel owns the per-cycle semantics
-//! (arbitration, grants, delays, observer events, bank aging); the engine
-//! pairs it with a [`SimConfig`], a [`SimState`] and a [`SimStats`]. The
-//! statistics are an observer like any other: every step reports to
+//! A thin wrapper around the pure [`step`] kernel of `vecmem-simcore`:
+//! the kernel owns the per-cycle semantics (arbitration, grants, delays,
+//! observer events, bank aging); the engine pairs it with a
+//! [`SimConfig`], a [`SimState`] and a [`SimStats`]. The statistics are
+//! an observer like any other: every step reports to
 //! `Tee(stats, observer)`, so grants, conflicts and waits are counted once,
 //! from the kernel's own callbacks. A caller that wants a paper-style
 //! trace passes a [`TraceRecorder`](crate::TraceRecorder) as the observer.

@@ -8,7 +8,7 @@
 //! the paper's figures are phrased in: one [`StreamSpec`] per port and
 //! start bank sweeps — plus the generalized
 //! [`measure_steady_state_patterns`] entry taking one
-//! [`PatternSpec`](vecmem_simcore::pattern::PatternSpec) per port (gather,
+//! [`PatternSpec`] per port (gather,
 //! burst, DRAM bank models).
 
 use crate::config::SimConfig;

@@ -7,7 +7,8 @@
 //! comparison motivated by the conclusion.
 
 use crate::support::{converged, paper};
-use vecmem_analytic::pair::{classify_pair, PairClass};
+use vecmem_analytic::pair::classify_distances;
+use vecmem_analytic::stream::access_sets_disjoint;
 use vecmem_analytic::{Geometry, Ratio, SectionMapping, StreamSpec};
 use vecmem_banksim::steady::measure_steady_state;
 use vecmem_banksim::{hellerman_bandwidth, measure_random_bandwidth};
@@ -29,7 +30,8 @@ pub struct TheoremRow {
     /// Simulated bandwidths over all `m` relative start positions:
     /// (minimum, maximum).
     pub simulated: (Ratio, Ratio),
-    /// Whether the prediction (if any) matched every start position.
+    /// Whether every start position's steady state is one its class
+    /// admits ([`PairClass::admits`](vecmem_analytic::PairClass::admits)).
     pub ok: bool,
 }
 
@@ -76,11 +78,18 @@ fn theorem_row(geom: &Geometry, d1: u64, d2: u64, sweep: &[SteadyState]) -> Theo
         start_bank: 0,
         distance: d1,
     };
-    let s2 = StreamSpec {
-        start_bank: 0,
-        distance: d2,
-    };
-    let class = classify_pair(geom, &s1, &s2, true);
+    // Both streams at bank 0 share it, so the row's class is the distance
+    // class; each start bank `b2` of the sweep is judged at its own.
+    let class = classify_distances(geom, d1, d2, true);
+    let ok = sweep.iter().zip(0..).all(|(s, b2)| {
+        let s2 = StreamSpec {
+            start_bank: b2,
+            distance: d2,
+        };
+        class
+            .at_starts(access_sets_disjoint(geom, &s1, &s2))
+            .admits(s.beff, s.conflict_free())
+    });
     #[expect(
         clippy::expect_used,
         reason = "sweep is one chunk of m >= 1 outcomes, never empty"
@@ -91,76 +100,13 @@ fn theorem_row(geom: &Geometry, d1: u64, d2: u64, sweep: &[SteadyState]) -> Theo
         reason = "sweep is one chunk of m >= 1 outcomes, never empty"
     )]
     let max = sweep.iter().map(|s| s.beff).max().expect("nonempty");
-    let (predicted, ok) = match class {
-        PairClass::ConflictFree => (
-            Some(Ratio::integer(2)),
-            sweep.iter().all(|s| s.beff == Ratio::integer(2)),
-        ),
-        PairClass::UniqueBarrier { beff, .. } => {
-            // Unique: every nondisjoint start reaches the barrier;
-            // starts that make the access sets disjoint reach 2.
-            let ok = sweep.iter().enumerate().all(|(b2, s)| {
-                let spec2 = StreamSpec {
-                    start_bank: b2 as u64,
-                    distance: d2,
-                };
-                if vecmem_analytic::stream::access_sets_disjoint(geom, &s1, &spec2) {
-                    s.beff == Ratio::integer(2)
-                } else {
-                    s.beff == beff
-                }
-            });
-            (Some(beff), ok)
-        }
-        PairClass::BarrierPossible { .. } | PairClass::Conflicting => {
-            // Only the upper bound is predicted: < 2 for nondisjoint
-            // starts.
-            let ok = sweep.iter().enumerate().all(|(b2, s)| {
-                let spec2 = StreamSpec {
-                    start_bank: b2 as u64,
-                    distance: d2,
-                };
-                if vecmem_analytic::stream::access_sets_disjoint(geom, &s1, &spec2) {
-                    s.beff == Ratio::integer(2)
-                } else {
-                    s.beff < Ratio::integer(2)
-                }
-            });
-            (None, ok)
-        }
-        PairClass::SelfLimited | PairClass::DisjointSets => (None, true),
-    };
     TheoremRow {
         d1,
         d2,
-        class: format!("{}", ClassName(&class)),
-        predicted,
+        class: class.to_string(),
+        predicted: class.predicted_bandwidth(),
         simulated: (min, max),
         ok,
-    }
-}
-
-struct ClassName<'a>(&'a PairClass);
-
-impl std::fmt::Display for ClassName<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.0 {
-            PairClass::SelfLimited => write!(f, "self-limited"),
-            PairClass::DisjointSets => write!(f, "disjoint-sets"),
-            PairClass::ConflictFree => write!(f, "conflict-free"),
-            PairClass::UniqueBarrier { beff, .. } => write!(f, "unique-barrier({beff})"),
-            PairClass::BarrierPossible {
-                double_conflict_possible,
-                ..
-            } => {
-                if *double_conflict_possible {
-                    write!(f, "barrier-possible+double")
-                } else {
-                    write!(f, "barrier-possible")
-                }
-            }
-            PairClass::Conflicting => write!(f, "conflicting"),
-        }
     }
 }
 
@@ -169,12 +115,12 @@ impl std::fmt::Display for ClassName<'_> {
 pub fn render_theorem_table(m: u64, nc: u64, rows: &[TheoremRow]) -> String {
     let mut out = format!(
         "Theorems 2-7 validation, m = {m}, n_c = {nc} (streams from different CPUs)\n\
-         {:>4} {:>4}  {:<26} {:>10} {:>12} {:>6}\n",
-        "d1", "d2", "classification", "predicted", "sim min/max", "ok"
+         {:>4} {:>4}  {:<26} {:>10} {:>13} {:>6}\n",
+        "d1", "d2", "classification", "predicted", "sim min..max", "ok"
     );
     for r in rows {
         out.push_str(&format!(
-            "{:>4} {:>4}  {:<26} {:>10} {:>6}/{:<6} {:>5}\n",
+            "{:>4} {:>4}  {:<26} {:>10} {:>6}..{:<6} {:>5}\n",
             r.d1,
             r.d2,
             r.class,

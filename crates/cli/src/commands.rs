@@ -850,6 +850,7 @@ pub fn verify_exhaustive(a: &Args) -> Result<String, Failure> {
          points enumerated   {:>9}\n  simulated (orbits)  {:>9}\n  \
          isomorphic replays  {:>9}  ({replay_rate:.1}% of points)\n  \
          theorem checks: Thm1 {}  Thm2 {}  Thm3 {} (skipped {})  III-A {}\n  \
+         barrier checks: Thms 6/7 (eq. 29) {}\n  \
          divergences {}  violations {}  not converged {}\n  \
          elapsed {elapsed:.2?} on {threads} thread(s)\n",
         r.enumerated,
@@ -860,6 +861,7 @@ pub fn verify_exhaustive(a: &Args) -> Result<String, Failure> {
         r.thm3_checked,
         r.thm3_skipped,
         r.iiia_checked,
+        r.barrier_checked,
         r.divergence_count,
         r.violation_count,
         r.not_converged,

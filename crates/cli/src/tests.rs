@@ -236,6 +236,24 @@ fn predict_fig2() {
     assert!(out.contains("predicted b_eff = 2"));
 }
 
+/// `3 ⊕ 8 ≡ 3 ⊕ 4 (mod 12)` under the unit 5: one canonical form, one
+/// eq. 29 prediction, and it is what `steady` simulates.
+#[test]
+fn predict_is_the_same_for_isomorphic_pairs() {
+    for d2 in [8, 4] {
+        let out = ok(&format!("predict --banks 12 --nc 2 --d1 3 --d2 {d2}"));
+        assert!(out.contains("predicted b_eff = 7/4"), "{out}");
+    }
+    let out = ok("steady --banks 12 --nc 2 --d1 3 --d2 8");
+    assert!(out.contains("b_eff = 7/4"), "{out}");
+}
+
+#[test]
+fn theorems_m12_nc2_has_no_mismatch() {
+    let out = ok("theorems --banks 12 --nc 2");
+    assert!(out.ends_with("66 rows, 0 mismatches\n"), "{out}");
+}
+
 #[test]
 fn steady_fig3() {
     let out = ok("steady --banks 13 --nc 6 --d1 1 --d2 6");
@@ -562,6 +580,7 @@ fn verify_exhaustive_writes_metrics_and_trace() {
     let csv = std::fs::read_to_string(&metrics).unwrap();
     assert!(csv.contains("oracle_sweep_enumerated"), "{csv}");
     assert!(csv.contains("oracle_thm2_checked"), "{csv}");
+    assert!(csv.contains("oracle_barrier_checked"), "{csv}");
     assert!(csv.contains("oracle_sweep_hit_rate"), "{csv}");
     let chrome = std::fs::read_to_string(&trace).unwrap();
     assert!(chrome.contains("conform-sweep"), "{chrome}");
@@ -579,6 +598,7 @@ fn verify_exhaustive_tiny_bounds_clean() {
     // `--exhaustive` is the default mode.
     let out = ok("verify --max-banks 5 --max-nc 2 --max-ports 2");
     assert!(out.contains("verdict: CLEAN"), "{out}");
+    assert!(out.contains("barrier checks: Thms 6/7 (eq. 29) "), "{out}");
     assert!(out.contains("divergences 0  violations 0"), "{out}");
 }
 

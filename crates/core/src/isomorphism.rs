@@ -18,7 +18,7 @@
 //! paths are never a bottleneck.
 
 use crate::geometry::Geometry;
-use crate::numtheory::{coprime, gcd, unit_multiplier_to, units};
+use crate::numtheory::{gcd, unit_multipliers_to, units};
 use crate::stream::StreamSpec;
 
 /// The lexicographically smallest image of `streams` under all unit
@@ -133,7 +133,11 @@ impl CanonicalPair {
 /// Attempts to bring the unordered distance pair `{da, db}` into canonical
 /// form (`d1 | m`, `d2 > d1`) via a unit renumbering.
 ///
-/// Tries making `da` canonical first (mapping it to `gcd(m, da)`), then `db`.
+/// In each orientation the first distance maps to `d1 = gcd(m, x)`, and
+/// `d2` is the least image `k·y > d1` over every unit `k` with `k·x ≡ d1`;
+/// the orientation with the smaller `d1` wins, `da`'s on a tie. Those
+/// images are the same set for `(da, db)` and `(u·da, u·db)`, `u` a unit,
+/// so isomorphic pairs get the same `(d1, d2)` and the same predictions.
 /// Returns `None` when neither orientation yields `d2 > d1` — notably when
 /// the two distances are "equivalent" (`k·da ≡ db` for some unit `k`, which
 /// includes `da == db`); the barrier theorems do not apply there.
@@ -141,29 +145,23 @@ impl CanonicalPair {
 pub fn canonicalize(geom: &Geometry, da: u64, db: u64) -> Option<CanonicalPair> {
     let m = geom.banks();
     let mut best: Option<CanonicalPair> = None;
-    for (&x, &y, swapped) in [(&da, &db, false), (&db, &da, true)] {
-        let g = gcd(m, x % m);
-        if g == 0 {
-            continue; // m would have to be 0, excluded by Geometry.
+    for (x, y, swapped) in [(da % m, db % m, false), (db % m, da % m, true)] {
+        let d1 = gcd(m, x);
+        if d1 == m {
+            continue; // x ≡ 0: no renumbering makes it a barrier distance.
         }
-        let Some(k) = unit_multiplier_to(x % m, g % m, m) else {
-            continue;
-        };
-        debug_assert!(coprime(k, m));
-        let d1 = g % m;
-        let d2 = (k as u128 * (y % m) as u128 % m as u128) as u64;
-        if d1 != 0 && d2 > d1 && m.is_multiple_of(d1) {
-            let cand = CanonicalPair {
-                d1,
-                d2,
-                multiplier: k,
-                swapped,
-            };
-            // Prefer the orientation with the smaller canonical d1 so results
-            // are deterministic regardless of argument order.
-            match &best {
-                Some(b) if b.d1 <= cand.d1 => {}
-                _ => best = Some(cand),
+        let least = unit_multipliers_to(x, d1, m)
+            .map(|k| ((u128::from(k) * u128::from(y) % u128::from(m)) as u64, k))
+            .filter(|&(d2, _)| d2 > d1)
+            .min();
+        if let Some((d2, multiplier)) = least {
+            if best.is_none_or(|b| d1 < b.d1) {
+                best = Some(CanonicalPair {
+                    d1,
+                    d2,
+                    multiplier,
+                    swapped,
+                });
             }
         }
     }
@@ -174,6 +172,7 @@ pub fn canonicalize(geom: &Geometry, da: u64, db: u64) -> Option<CanonicalPair> 
 mod tests {
     use super::*;
     use crate::geometry::Geometry;
+    use crate::numtheory::coprime;
 
     fn geom(m: u64) -> Geometry {
         Geometry::unsectioned(m, 2).unwrap()
@@ -217,6 +216,27 @@ mod tests {
                         let (orig1, orig2) = if c.swapped { (db, da) } else { (da, db) };
                         assert_eq!(g.return_number(orig1), g.return_number(c.d1));
                         assert_eq!(g.return_number(orig2), g.return_number(c.d2));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The canonical pair is an orbit invariant: for every `m <= 32`,
+    /// every `(da, db)` and every unit `k`, `canonicalize(k·da, k·db)`
+    /// has the same `(d1, d2)` and orientation as `canonicalize(da, db)`,
+    /// so isomorphic pairs get the same barrier prediction.
+    #[test]
+    fn canonical_pair_is_an_orbit_invariant() {
+        for m in 1..=32u64 {
+            let g = geom(m);
+            for da in 0..m {
+                for db in 0..m {
+                    let base = canonicalize(&g, da, db).map(|c| (c.d1, c.d2, c.swapped));
+                    for k in units(m) {
+                        let image = canonicalize(&g, k * da % m, k * db % m)
+                            .map(|c| (c.d1, c.d2, c.swapped));
+                        assert_eq!(image, base, "m={m} da={da} db={db} k={k}");
                     }
                 }
             }

@@ -141,48 +141,36 @@ pub fn divisors(n: u64) -> Vec<u64> {
     small
 }
 
-/// Finds the smallest `k >= 1` with `gcd(k, n) == 1` and
-/// `k * a ≡ target (mod n)`, if one exists.
+/// Every `k` in `1..n` with `gcd(k, n) == 1` and `k * a ≡ target (mod
+/// n)`, ascending; none when `n <= 1` or the congruence has no solution.
 ///
-/// This is the renumbering multiplier used by the distance isomorphism
+/// These are the renumbering multipliers of the distance isomorphism
 /// (paper Appendix): bank addresses may be relabelled by any unit `k`
 /// modulo `m` without changing conflict behaviour.
-#[must_use]
-pub fn unit_multiplier_to(a: u64, target: u64, n: u64) -> Option<u64> {
-    if n == 0 {
-        return None;
-    }
-    if n == 1 {
-        return Some(1);
-    }
-    // k*a ≡ target (mod n) is solvable iff gcd(a, n) | target; among the
-    // solutions we need one coprime to n. The solution set is an arithmetic
-    // progression with step n/gcd(a,n); scan it (bounded by n steps).
-    let g = gcd(a % n, n);
-    if g == 0 {
-        // a ≡ 0: only target ≡ 0 works, and then any unit does.
-        return if target.is_multiple_of(n) {
-            Some(1)
-        } else {
-            None
-        };
-    }
-    if !target.is_multiple_of(g) {
-        return None;
-    }
-    let n_g = n / g;
-    let a_g = (a % n) / g;
-    let t_g = (target % n) / g;
-    let inv = mod_inverse(a_g % n_g, n_g)?;
-    let k0 = (inv as u128 * t_g as u128 % n_g as u128) as u64;
-    // Candidates: k0 + j * n_g for j in 0..g (all residues mod n).
-    for j in 0..g {
-        let k = (k0 + j * n_g) % n;
-        if k != 0 && coprime(k, n) {
-            return Some(k);
-        }
-    }
-    None
+///
+/// ```
+/// use vecmem_analytic::numtheory::unit_multipliers_to;
+/// // 3·11 ≡ 1 (mod 16), and 11 is the only unit that maps 3 onto 1.
+/// assert_eq!(unit_multipliers_to(3, 1, 16).collect::<Vec<_>>(), [11]);
+/// // 2·k ≡ 2 (mod 16) for k = 1, 9 (and 5, 13 would give 10).
+/// assert_eq!(unit_multipliers_to(2, 2, 16).collect::<Vec<_>>(), [1, 9]);
+/// ```
+pub fn unit_multipliers_to(a: u64, target: u64, n: u64) -> impl Iterator<Item = u64> {
+    // k·a ≡ target (mod n) is solvable iff g = gcd(a, n) divides target;
+    // its solutions in 0..n are then k0 + j·n/g for j in 0..g, ascending.
+    let progression = (n > 1)
+        .then(|| gcd(a % n, n))
+        .filter(|&g| (target % n).is_multiple_of(g))
+        .and_then(|g| {
+            let step = n / g;
+            let inverse = mod_inverse(a % n / g, step)?;
+            let k0 = (inverse as u128 * u128::from(target % n / g) % step as u128) as u64;
+            Some((k0, step, g))
+        });
+    progression
+        .into_iter()
+        .flat_map(|(k0, step, g)| (0..g).map(move |j| k0 + j * step))
+        .filter(move |&k| k != 0 && coprime(k, n))
 }
 
 #[cfg(test)]
@@ -303,23 +291,30 @@ mod tests {
     fn unit_multiplier_examples_from_appendix() {
         // Paper Appendix, m = 16: 1 ⊕ 3 ≡ 5 ⊕ 15 ≡ 11 ⊕ 1 (mod 16).
         // Mapping d2 = 3 to 1 requires k = 11 (3 * 11 = 33 ≡ 1).
-        let k = unit_multiplier_to(3, 1, 16).unwrap();
+        let k = unit_multipliers_to(3, 1, 16).next().unwrap();
         assert_eq!(3 * k % 16, 1);
         assert!(coprime(k, 16));
         // 2 ⊕ 3 ≡ 6 ⊕ 9 ≡ 6 ⊕ 1 (mod 16): k = 11 maps 3 -> 1 and 2 -> 6.
         assert_eq!(2 * k % 16, 6);
     }
 
+    /// The multipliers are exactly the units of `Z/m` that solve the
+    /// congruence, by brute force, and each `d` reaches `gcd(m, d)`.
     #[test]
-    fn unit_multiplier_maps_to_gcd() {
-        // For each (d, m) we can relabel so the distance becomes gcd(m, d).
+    fn unit_multipliers_are_every_solving_unit() {
         for m in 2..40u64 {
-            for d in 1..m {
+            for d in 0..m {
+                for target in 0..m {
+                    let brute: Vec<u64> = (1..m)
+                        .filter(|&k| coprime(k, m) && k * d % m == target)
+                        .collect();
+                    let found: Vec<u64> = unit_multipliers_to(d, target, m).collect();
+                    assert_eq!(found, brute, "d={d} target={target} m={m}");
+                }
                 let g = gcd(m, d);
-                let k = unit_multiplier_to(d, g, m)
-                    .unwrap_or_else(|| panic!("no unit multiplier for d={d} m={m}"));
-                assert_eq!(k * d % m, g, "d={d} m={m} k={k}");
-                assert!(coprime(k, m));
+                if g < m {
+                    assert!(unit_multipliers_to(d, g, m).next().is_some(), "d={d} m={m}");
+                }
             }
         }
     }
@@ -327,9 +322,15 @@ mod tests {
     #[test]
     fn unit_multiplier_unsolvable() {
         // 4k ≡ 1 (mod 12) has no solution since gcd(4,12) = 4 does not divide 1.
-        assert_eq!(unit_multiplier_to(4, 1, 12), None);
-        // d = 0: only target 0 is reachable.
-        assert_eq!(unit_multiplier_to(0, 0, 12), Some(1));
-        assert_eq!(unit_multiplier_to(0, 3, 12), None);
+        assert_eq!(unit_multipliers_to(4, 1, 12).next(), None);
+        // d = 0: only target 0 is reachable, by every unit.
+        assert_eq!(
+            unit_multipliers_to(0, 0, 12).collect::<Vec<_>>(),
+            [1, 5, 7, 11]
+        );
+        assert_eq!(unit_multipliers_to(0, 3, 12).next(), None);
+        // Z/1 and Z/0 have no multipliers.
+        assert_eq!(unit_multipliers_to(0, 0, 1).next(), None);
+        assert_eq!(unit_multipliers_to(1, 1, 0).next(), None);
     }
 }

@@ -14,6 +14,10 @@
 //! * barrier possible but not unique (Theorem 4 without 6/7) → `b_eff < 2`,
 //!   exact value depends on the relative start banks;
 //! * otherwise → conflicting cycle with `b_eff < 2`.
+//!
+//! [`PairClass::admits`] is the one statement of what each class
+//! predicts: `verify --exhaustive`, the theorem tables and the
+//! cross-validation tests all judge a simulated steady state with it.
 
 use crate::geometry::Geometry;
 use crate::isomorphism::{canonicalize, CanonicalPair};
@@ -74,6 +78,58 @@ impl PairClass {
     #[must_use]
     pub fn is_conflict_free(&self) -> bool {
         matches!(self, Self::DisjointSets | Self::ConflictFree)
+    }
+
+    /// True when a simulated steady state with bandwidth `beff`, whose
+    /// period is `conflict_free` or not, is what this class predicts: the
+    /// one judge of the two-stream theorems.
+    ///
+    /// A class with a [`predicted_bandwidth`](Self::predicted_bandwidth)
+    /// must match it exactly, conflict-free exactly when
+    /// [`is_conflict_free`](Self::is_conflict_free) (Thm 2's corollary,
+    /// Thm 3, and eq. 29 for Thms 6/7). Every other class must lose
+    /// bandwidth to conflicts: `beff < 2` and not conflict-free (Thm 3's
+    /// converse for `BarrierPossible` and `Conflicting`; a `SelfLimited`
+    /// stream alone is capped at `r/n_c < 1`).
+    #[must_use]
+    pub fn admits(&self, beff: Ratio, conflict_free: bool) -> bool {
+        match self.predicted_bandwidth() {
+            Some(predicted) => beff == predicted && conflict_free == self.is_conflict_free(),
+            None => beff < Ratio::integer(2) && !conflict_free,
+        }
+    }
+
+    /// This distance class (from [`classify_distances`]) at start banks
+    /// whose access sets are `disjoint` or not: disjoint sets leave
+    /// nothing to collide, so every class but `SelfLimited` becomes
+    /// `DisjointSets`.
+    #[must_use]
+    pub fn at_starts(self, disjoint: bool) -> Self {
+        if disjoint && self != Self::SelfLimited {
+            Self::DisjointSets
+        } else {
+            self
+        }
+    }
+}
+
+impl std::fmt::Display for PairClass {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::SelfLimited => write!(f, "self-limited"),
+            Self::DisjointSets => write!(f, "disjoint-sets"),
+            Self::ConflictFree => write!(f, "conflict-free"),
+            Self::UniqueBarrier { beff, .. } => write!(f, "unique-barrier({beff})"),
+            Self::BarrierPossible {
+                double_conflict_possible: true,
+                ..
+            } => write!(f, "barrier-possible+double"),
+            Self::BarrierPossible {
+                double_conflict_possible: false,
+                ..
+            } => write!(f, "barrier-possible"),
+            Self::Conflicting => write!(f, "conflicting"),
+        }
     }
 }
 
@@ -188,7 +244,8 @@ pub fn barrier_bandwidth(canonical: &CanonicalPair) -> Ratio {
 }
 
 /// Classifies a pair of streams on different access paths (`s = m`
-/// semantics) with concrete start banks.
+/// semantics) with concrete start banks: [`classify_distances`] at these
+/// start banks ([`PairClass::at_starts`]).
 ///
 /// `stream1_has_priority` selects whether the barrier-forming canonical
 /// stream wins simultaneous bank conflicts (fixed priority with the
@@ -200,18 +257,29 @@ pub fn classify_pair(
     s2: &StreamSpec,
     stream1_has_priority: bool,
 ) -> PairClass {
+    classify_distances(geom, s1.distance, s2.distance, stream1_has_priority)
+        .at_starts(access_sets_disjoint(geom, s1, s2))
+}
+
+/// The part of [`classify_pair`] that does not depend on the start banks:
+/// the class of two streams with distances `d1` and `d2` whose access sets
+/// meet. Never `DisjointSets`; [`PairClass::at_starts`] adds the start
+/// banks.
+#[must_use]
+pub fn classify_distances(
+    geom: &Geometry,
+    d1: u64,
+    d2: u64,
+    stream1_has_priority: bool,
+) -> PairClass {
     let nc = geom.bank_cycle();
-    let (r1, r2) = (s1.return_number(geom), s2.return_number(geom));
-    if r1 < nc || r2 < nc {
+    if geom.return_number(d1) < nc || geom.return_number(d2) < nc {
         return PairClass::SelfLimited;
     }
-    if access_sets_disjoint(geom, s1, s2) {
-        return PairClass::DisjointSets;
-    }
-    if conflict_free_condition(geom, s1.distance, s2.distance) {
+    if conflict_free_condition(geom, d1, d2) {
         return PairClass::ConflictFree;
     }
-    if let Some(canonical) = canonicalize(geom, s1.distance, s2.distance) {
+    if let Some(canonical) = canonicalize(geom, d1, d2) {
         // Theorem 4 preconditions in canonical units: the barrier-forming
         // stream must not self-conflict across the 2 n_c window and the
         // delayed stream must outlast one bank cycle.
@@ -416,6 +484,28 @@ mod tests {
         // d1 = d2 = 1: r = 12 >= 6 -> conflict-free too (Theorem 3 with
         // gcd(12, 0) = 12 >= 6).
         assert!(conflicting.is_conflict_free());
+    }
+
+    /// What each class admits: its exact prediction, or a conflicted
+    /// state below full bandwidth.
+    #[test]
+    fn admits_is_the_prediction() {
+        let two = Ratio::integer(2);
+        let g = geom(16, 2);
+        let barrier = classify_pair(&g, &spec(&g, 0, 1), &spec(&g, 5, 2), true);
+        assert!(barrier.admits(Ratio::new(3, 2), false));
+        assert!(!barrier.admits(Ratio::new(3, 2), true));
+        assert!(!barrier.admits(Ratio::new(4, 3), false));
+        for free in [PairClass::ConflictFree, PairClass::DisjointSets] {
+            assert!(free.admits(two, true));
+            assert!(!free.admits(two, false));
+            assert!(!free.admits(Ratio::new(3, 2), false));
+        }
+        for lossy in [PairClass::Conflicting, PairClass::SelfLimited] {
+            assert!(lossy.admits(Ratio::new(3, 2), false));
+            assert!(!lossy.admits(two, true));
+            assert!(!lossy.admits(Ratio::new(3, 2), true));
+        }
     }
 
     #[test]

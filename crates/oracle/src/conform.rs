@@ -4,7 +4,8 @@
 //! `n_c <= max_nc` and `p <= max_ports` ports, and every stride/start-bank
 //! combination of the tier. Each distinct scenario is:
 //!
-//! * solved for its steady state once, with the naive [`RefEngine`]
+//! * solved for its steady state once, with the naive
+//!   [`RefEngine`](crate::RefEngine)
 //!   diffed cycle by cycle against that same kernel trajectory
 //!   ([`solve_in_lockstep`]) over the whole search plus
 //!   [`LOCKSTEP_TAIL`](crate::diff::LOCKSTEP_TAIL) cycles: at least one
@@ -12,8 +13,14 @@
 //!   engines, implies agreement forever);
 //! * checked against the paper: Thm 1 (`r = m/gcd(m, d)`), §III-A
 //!   (`b_eff = min(1, r/n_c)` for a lone stream), Thm 2 (disjoint access
-//!   sets iff `gcd(m, d1, d2) > 1` and `f` does not divide `b2 - b1`) and
-//!   Thm 3 (the conflict-freedom condition, in both directions).
+//!   sets iff `gcd(m, d1, d2) > 1` and `f` does not divide `b2 - b1`), and
+//!   every pair point against its class from
+//!   [`classify_pair`](vecmem_analytic::pair::classify_pair), judged by
+//!   [`PairClass::admits`]: Thm 2's corollary, Thm 3 in both directions,
+//!   and Thms 6/7's unique barrier at eq. 29's `b_eff = 1 + d1/d2`.
+//!   The classes depend on the start banks only through disjointness, so
+//!   each `(m, n_c)` classifies its `m²` distance pairs once
+//!   ([`classify_distances`]), shared by the four pair chunks.
 //!
 //! Tiers: `p = 1` sweeps all `(d, b)`; `p = 2` sweeps all `(d1, d2, b2)`
 //! with `b1 = 0` (a common shift of both start banks is a pure bank
@@ -40,7 +47,7 @@
 //! the minimum, over `k = 1` and the units of `m`, of `index(k·c mod m)`,
 //! and that index is never greater than the point's own. Two points of a
 //! chunk share it exactly when
-//! [`steady_key`](vecmem_exec::steady_key) gives them equal keys.
+//! [`steady_key`] gives them equal keys.
 //!
 //! The sweep therefore needs no cache. Per chunk it computes every
 //! point's representative in one pass, simulates only the
@@ -50,7 +57,7 @@
 
 use crate::diff::{run_pair, solve_in_lockstep, DiffOutcome};
 use vecmem_analytic::numtheory::{gcd3, units};
-use vecmem_analytic::pair::{conflict_free_condition, disjoint_sets_achievable};
+use vecmem_analytic::pair::{classify_distances, disjoint_sets_achievable, PairClass};
 use vecmem_analytic::{Geometry, Ratio, StreamSpec};
 use vecmem_banksim::{PriorityRule, SimConfig};
 use vecmem_exec::{steady_key, Runner, Scenario, SteadyKey};
@@ -120,8 +127,12 @@ pub struct SweepReport {
     /// §III-A single-stream bandwidth checks performed.
     pub iiia_checked: u64,
     /// Thm 3 points skipped because a stream is self-conflicting
-    /// (`r < n_c`), outside the theorem's premises.
+    /// (`r < n_c`), outside the theorem's premises; they are judged only
+    /// against `b_eff < 2` with conflicts.
     pub thm3_skipped: u64,
+    /// Unique-barrier predictions checked (Thms 6/7, eq. 29's `b_eff =
+    /// 1 + d1/d2`); these points also count in `thm3_checked`.
+    pub barrier_checked: u64,
     /// Scenarios whose steady-state search did not converge in budget.
     pub not_converged: u64,
     /// Total engine/oracle divergences found.
@@ -346,12 +357,15 @@ fn context(geom: &Geometry, topo: Topology, prio: PriorityRule, streams: &[Strea
     )
 }
 
-/// Records one point's divergence and applies its theorem checks.
+/// Records one point's divergence and applies its theorem checks. A pair
+/// point `(d1, d2)` takes its distance class from `pair_classes[d1·m +
+/// d2]`.
 fn absorb_point(
     report: &mut SweepReport,
     geom: &Geometry,
     topo: Topology,
     prio: PriorityRule,
+    pair_classes: &[PairClass],
     streams: &[StreamSpec],
     out: &ConformOutcome,
 ) {
@@ -383,51 +397,32 @@ fn absorb_point(
         }
         2 => {
             let (s1, s2) = (&streams[0], &streams[1]);
-            let (d1, d2) = (s1.distance, s2.distance);
-            let disjoint =
-                access_mask(m, s1.start_bank, d1) & access_mask(m, s2.start_bank, d2) == 0;
-            let r1 = geom.return_number(d1);
-            let r2 = geom.return_number(d2);
-            if r1 < nc || r2 < nc {
-                // A self-conflicting stream is outside the premises of
-                // Thm 2's corollary and Thm 3.
+            let disjoint = access_mask(m, s1.start_bank, s1.distance)
+                & access_mask(m, s2.start_bank, s2.distance)
+                == 0;
+            let class = pair_classes[(s1.distance * m + s2.distance) as usize].at_starts(disjoint);
+            if class == PairClass::SelfLimited {
+                // Outside the premises of Thm 2's corollary and Thm 3.
                 report.thm3_skipped += 1;
-                return;
-            }
-            if disjoint {
-                // Thm 2 corollary: disjoint sets and no self-conflicts
-                // leave nothing to collide — full bandwidth.
+            } else if disjoint {
+                // Thm 2's corollary: nothing to collide, full bandwidth.
                 report.thm2_checked += 1;
-                if !out.conflict_free || beff != Ratio::integer(2) {
-                    report.add_violation(Violation {
-                        context: ctx(),
-                        detail: format!(
-                            "Thm 2: disjoint access sets but b_eff = {beff} with conflicts"
-                        ),
-                    });
-                }
-            } else if conflict_free_condition(geom, d1, d2) {
-                // Thm 3 forward: the condition synchronises the pair
-                // into the conflict-free cycle from any start banks.
-                report.thm3_checked += 1;
-                if !out.conflict_free || beff != Ratio::integer(2) {
-                    report.add_violation(Violation {
-                        context: ctx(),
-                        detail: format!("Thm 3: condition holds but b_eff = {beff} with conflicts"),
-                    });
-                }
             } else {
-                // Thm 3 converse: nondisjoint sets without the
-                // condition can never be conflict-free.
+                // Thm 3 in both directions; a unique barrier also
+                // predicts eq. 29's bandwidth.
                 report.thm3_checked += 1;
-                if out.conflict_free {
-                    report.add_violation(Violation {
-                        context: ctx(),
-                        detail: "Thm 3: condition fails on nondisjoint sets, \
-                                 yet the steady state is conflict-free"
-                            .to_string(),
-                    });
+                if let PairClass::UniqueBarrier { .. } = class {
+                    report.barrier_checked += 1;
                 }
+            }
+            if !class.admits(beff, out.conflict_free) {
+                report.add_violation(Violation {
+                    context: ctx(),
+                    detail: format!(
+                        "{class} ({class:?}) does not admit b_eff = {beff}, conflict-free = {}",
+                        out.conflict_free
+                    ),
+                });
             }
         }
         _ => {}
@@ -450,6 +445,8 @@ pub const SWEEP_THM3: &str = "oracle_thm3_checked";
 pub const SWEEP_IIIA: &str = "oracle_iiia_checked";
 /// Counter: Thm 3 points skipped (self-conflicting stream).
 pub const SWEEP_THM3_SKIPPED: &str = "oracle_thm3_skipped";
+/// Counter: unique-barrier (Thms 6/7, eq. 29) predictions checked.
+pub const SWEEP_BARRIER: &str = "oracle_barrier_checked";
 /// Counter: scenarios whose steady-state search did not converge.
 pub const SWEEP_NOT_CONVERGED: &str = "oracle_not_converged";
 /// Counter: engine/oracle divergences found.
@@ -472,6 +469,7 @@ pub fn export_sweep_metrics(registry: &mut MetricsRegistry, report: &SweepReport
     registry.add_counter(SWEEP_THM3, report.thm3_checked);
     registry.add_counter(SWEEP_IIIA, report.iiia_checked);
     registry.add_counter(SWEEP_THM3_SKIPPED, report.thm3_skipped);
+    registry.add_counter(SWEEP_BARRIER, report.barrier_checked);
     registry.add_counter(SWEEP_NOT_CONVERGED, report.not_converged);
     registry.add_counter(SWEEP_DIVERGENCES, report.divergence_count);
     registry.add_counter(SWEEP_VIOLATIONS, report.violation_count);
@@ -658,6 +656,12 @@ pub fn sweep_observed(
         for nc in 1..=bounds.max_nc {
             #[expect(clippy::expect_used, reason = "the sweep's m and n_c both start at 1")]
             let geom = Geometry::unsectioned(m, nc).expect("valid geometry");
+            // Classified with stream 1 holding eq. 28's priority in all
+            // four pair chunks; the sweep checks the predictions under
+            // both rules and topologies.
+            let pair_classes: Vec<PairClass> = (0..m * m)
+                .map(|i| classify_distances(&geom, i / m, i % m, true))
+                .collect();
             for (ports, topo, prio) in chunk_kinds(bounds.max_ports) {
                 let (space, orbits) = &orbits[ports - 1];
                 let config = topo.config(geom, ports, prio);
@@ -697,7 +701,8 @@ pub fn sweep_observed(
                 for (i, &slot) in orbits.slot.iter().enumerate() {
                     let streams = space.streams(i);
                     let out = &outcomes[slot];
-                    absorb_point(&mut report, &geom, topo, prio, &streams[..ports], out);
+                    let streams = &streams[..ports];
+                    absorb_point(&mut report, &geom, topo, prio, &pair_classes, streams, out);
                 }
             }
         }
@@ -795,6 +800,7 @@ mod tests {
         assert!(report.thm1_checked > 0);
         assert!(report.thm2_checked > 0);
         assert!(report.thm3_checked > 0);
+        assert!(report.barrier_checked > 0);
         assert!(report.iiia_checked > 0);
     }
 
@@ -818,6 +824,7 @@ mod tests {
         assert_eq!(registry.counter(SWEEP_ENUMERATED), Some(plain.enumerated));
         assert_eq!(registry.counter(SWEEP_THM1), Some(plain.thm1_checked));
         assert_eq!(registry.counter(SWEEP_IIIA), Some(plain.iiia_checked));
+        assert_eq!(registry.counter(SWEEP_BARRIER), Some(plain.barrier_checked));
         assert_eq!(registry.counter(SWEEP_DIVERGENCES), Some(0));
         let rate = registry.gauge(SWEEP_HIT_RATE).unwrap();
         assert!((rate - plain.hit_rate()).abs() < 1e-12);

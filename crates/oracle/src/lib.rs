@@ -13,11 +13,12 @@
 //!   by cycle and reports the first divergent cycle with a full bank/port
 //!   state dump; a `b_eff`-only fast mode covers long runs.
 //! * [`conform`] — exhaustive small-geometry conformance sweep checking
-//!   Thm 1, §III-A, Thm 2 and Thm 3 against both engines, parallelised by
+//!   Thm 1, §III-A, Thm 2, Thm 3 and Thms 6/7's eq. 29 (every pair point
+//!   judged by `PairClass::admits`) against both engines, parallelised by
 //!   `vecmem-exec`'s runner and collapsed by an orbit index: each point
 //!   replays the outcome of its least isomorphic point, found by
 //!   arithmetic.
-//! * [`explore`] — coverage-guided random exploration of the sectioned /
+//! * [`explore`](mod@explore) — coverage-guided random exploration of the sectioned /
 //!   mixed-topology space the exhaustive tier does not enumerate.
 //!
 //! The `bug_injection` feature compiles seeded arbiter faults into

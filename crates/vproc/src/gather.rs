@@ -10,7 +10,7 @@
 //! a single port*, so every conflict stalls the whole stream.
 //!
 //! The workload itself is the shared pattern machinery of
-//! [`vecmem_simcore::pattern`]: a finite single-port
+//! [`vecmem_banksim::pattern`]: a finite single-port
 //! [`PatternWorkload`]`<`[`GatherPattern`]`>` driven through the one step
 //! kernel, with [`IndexPattern`] (re-exported here) generating the index
 //! vector. The differential oracle verifies the same patterns in

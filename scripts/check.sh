@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, full-workspace clippy (which also carries the
-# determinism, panic-policy and hot-path rules), the tier-1 verification
-# command from ROADMAP.md (which includes the hot path's zero-allocation
-# test and tests/goldens.rs, the byte-for-byte diff of every results/
-# artifact the bench crate registers), the benchmark's correctness checks,
-# the examples, the CLI's golden smokes, and its exit code for rejected
-# command lines and option values.
+# determinism, panic-policy and hot-path rules), rustdoc warnings, the
+# tier-1 verification command from ROADMAP.md (which includes the hot
+# path's zero-allocation test and tests/goldens.rs, the byte-for-byte diff
+# of every results/ artifact the bench crate registers), the benchmark's
+# correctness checks, the examples, the CLI's golden smokes, and its exit
+# code for rejected command lines and option values.
 # Run from anywhere inside the repository; exits non-zero on the first
 # failure.
 set -euo pipefail
@@ -29,6 +29,11 @@ echo "==> cargo clippy -D warnings (workspace + benchmark)"
 # as an unfulfilled expectation until the attribute goes.
 cargo clippy --workspace --all-targets --all-features -- -D warnings
 cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+
+echo "==> cargo doc -D warnings (workspace)"
+# Intra-doc links that do not resolve, redundant link targets and
+# ambiguous paths are rustdoc warnings; no other stage sees them.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "==> tier-1: cargo build --release && cargo test -q --workspace"
 cargo build --release
@@ -71,6 +76,11 @@ grep -q " 0 mismatches" "$smoke_dir/theorems.txt" \
   || { echo "theorems --banks 8 --nc 2 reported mismatches"; cat "$smoke_dir/theorems.txt"; exit 1; }
 grep -q '"exec_cache_hits"' "$smoke_dir/theorems.json" \
   || { echo "theorems --metrics-out wrote no cache counters"; exit 1; }
+# 3 ⊕ 8 ≡ 3 ⊕ 4 (mod 12): isomorphic pairs share one canonical form, so
+# eq. 29 predicts what the simulator finds for both.
+$vecmem theorems --banks 12 --nc 2 > "$smoke_dir/theorems_m12.txt"
+grep -q " 0 mismatches" "$smoke_dir/theorems_m12.txt" \
+  || { echo "theorems --banks 12 --nc 2 reported mismatches"; cat "$smoke_dir/theorems_m12.txt"; exit 1; }
 $vecmem theorems > "$smoke_dir/theorems_m16.txt"
 diff -u results/table_theorems_m16_nc4.txt "$smoke_dir/theorems_m16.txt" \
   || { echo "vecmem theorems drifted from results/table_theorems_m16_nc4.txt"; exit 1; }
@@ -194,10 +204,12 @@ grep -qx "  simulated (orbits)     101304" "$smoke_dir/verify.txt" \
 grep -qx "  theorem checks: Thm1 136  Thm2 40968  Thm3 223168 (skipped 51792)  III-A 5984" \
   "$smoke_dir/verify.txt" \
   || { echo "exhaustive sweep ran a different set of theorem checks"; cat "$smoke_dir/verify.txt"; exit 1; }
+grep -qx "  barrier checks: Thms 6/7 (eq. 29) 20608" "$smoke_dir/verify.txt" \
+  || { echo "exhaustive sweep checked a different number of unique barriers"; cat "$smoke_dir/verify.txt"; exit 1; }
 $vecmem verify --random 200 --seed 42 > "$smoke_dir/verify-random.txt" \
   || { echo "vecmem verify --random failed"; cat "$smoke_dir/verify-random.txt"; exit 1; }
 grep -q "verdict: CLEAN" "$smoke_dir/verify-random.txt" \
   || { echo "random exploration not clean"; cat "$smoke_dir/verify-random.txt"; exit 1; }
-echo "    exhaustive sweep (597856 points, 101304 orbits, pinned theorem counts) + 200 random cases: zero divergences"
+echo "    exhaustive sweep (597856 points, 101304 orbits, pinned theorem and barrier counts) + 200 random cases: zero divergences"
 
 echo "==> OK"
