@@ -45,7 +45,8 @@ use crate::request::{ConflictKind, PortId, PortOutcome, Request};
 ///
 /// * ports are distinct, below `config.num_ports()` and in ascending
 ///   order, so rank order is `requests` rotated at the first port at or
-///   after the rotation (found by binary search);
+///   after the rotation (found by binary search, which rotation 0, and
+///   so fixed priority, skips);
 /// * every bank is below the geometry's bank count `m`, so on an
 ///   unsectioned geometry (`s = m`) section equality is bank equality.
 ///
@@ -60,6 +61,7 @@ use crate::request::{ConflictKind, PortId, PortOutcome, Request};
     clippy::disallowed_macros,
     reason = "debug_assert! only: compiled out of release builds"
 )]
+#[inline]
 pub fn arbitrate_into(
     config: &SimConfig,
     rotation: usize,
@@ -86,7 +88,11 @@ pub fn arbitrate_into(
         PriorityRule::Cyclic => rotation % n.max(1),
     };
     let len = requests.len();
-    let first = requests.partition_point(|&(p, _)| p.0 < rotation);
+    let first = if rotation == 0 {
+        0
+    } else {
+        requests.partition_point(|&(p, _)| p.0 < rotation)
+    };
     let in_rank = |k: usize| {
         if k < len - first {
             first + k

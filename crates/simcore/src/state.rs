@@ -822,9 +822,10 @@ impl SimState {
         }
     }
 
+    /// The wait counters are the buffer's last `ports` words.
     #[inline]
     fn wait_base(&self) -> usize {
-        self.pos_base() + self.sig_len as usize
+        self.buf.len() - self.ports as usize
     }
 
     /// Workload position slot `slot`.
@@ -878,22 +879,28 @@ impl SimState {
         self.buf[self.wait_base() + port.0]
     }
 
+    /// Counts one more delayed period for `port` and returns its running
+    /// wait.
     #[expect(
         clippy::indexing_slicing,
         reason = "buf index derives from the validated geometry that sized the buffer"
     )]
-    pub(crate) fn bump_wait(&mut self, port: PortId) {
+    #[inline]
+    pub(crate) fn bump_wait(&mut self, port: PortId) -> u64 {
         let i = self.wait_base() + port.0;
         self.buf[i] += 1;
+        self.buf[i]
     }
 
+    /// Returns `port`'s completed wait and zeroes its counter (a grant).
     #[expect(
         clippy::indexing_slicing,
         reason = "buf index derives from the validated geometry that sized the buffer"
     )]
-    pub(crate) fn reset_wait(&mut self, port: PortId) {
+    #[inline]
+    pub(crate) fn take_wait(&mut self, port: PortId) -> u64 {
         let i = self.wait_base() + port.0;
-        self.buf[i] = 0;
+        std::mem::take(&mut self.buf[i])
     }
 
     /// The incrementally maintained core hash.

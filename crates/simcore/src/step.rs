@@ -10,28 +10,30 @@
 //! 3. observer: [`on_arbitration`](crate::observe::SimObserver::on_arbitration);
 //! 4. arbitrate ([`arbitrate_into`]) against the banks busy now (free
 //!    time after the current clock period);
-//! 5. delays, in input order: count the conflict, bump the port's wait
-//!    counter, [`on_delay`](crate::observe::SimObserver::on_delay);
-//! 6. record the per-port [`PortEvent`]s (input order) into
-//!    [`SimState::outcomes`];
-//! 7. grants, in input order: mark the bank busy (set its free time and
-//!    queue it on the expiry wheel) — `n_c` periods under
-//!    the uniform bank model; under the DRAM model `hit_cycle` on an
-//!    open-row hit and `n_c` on a miss, which opens the accessed row —
+//! 5. observer, in input order:
+//!    [`on_delay`](crate::observe::SimObserver::on_delay) for every
+//!    delayed request, so observers see each delay before any grant;
+//! 6. one pass over the requests in input order, recording each port's
+//!    [`PortEvent`] into [`SimState::outcomes`]: a delay counts its
+//!    conflict and bumps the port's wait counter (the event carries the
+//!    running wait); a grant takes the port's completed wait (zeroing the
+//!    counter), marks the bank busy (sets its free time and queues it on
+//!    the expiry wheel) — `n_c` periods under the uniform bank model;
+//!    under the DRAM model `hit_cycle` on an open-row hit and `n_c` on a
+//!    miss, which opens the accessed row —, calls
 //!    [`on_grant`](crate::observe::SimObserver::on_grant) and
-//!    [`on_bank_busy`](crate::observe::SimObserver::on_bank_busy), reset
-//!    the wait counter, advance the workload; then the workload's
-//!    end-of-cycle [`tick`](crate::workload::Workload::tick), once,
-//!    after all grants;
-//! 8. observer: [`on_cycle_end`](crate::observe::SimObserver::on_cycle_end)
+//!    [`on_bank_busy`](crate::observe::SimObserver::on_bank_busy), and
+//!    advances the workload; then the workload's end-of-cycle
+//!    [`tick`](crate::workload::Workload::tick), once, after all grants;
+//! 7. observer: [`on_cycle_end`](crate::observe::SimObserver::on_cycle_end)
 //!    with the grant count;
-//! 9. under cyclic priority, advance the rotation if the cycle was
+//! 8. under cyclic priority, advance the rotation if the cycle was
 //!    contested (a section or simultaneous-bank delay occurred);
-//! 10. advance the clock ([`SimState::advance_now`]): pop the expiry-wheel
-//!     slot of the new period, queueing its banks as freed and dropping
-//!     their residue-hash coefficients. Busy banks age through the clock
-//!     alone, so the pass costs O(banks freeing now), independent of the
-//!     bank count.
+//! 9. advance the clock ([`SimState::advance_now`]): pop the expiry-wheel
+//!    slot of the new period, queueing its banks as freed and dropping
+//!    their residue-hash coefficients. Busy banks age through the clock
+//!    alone, so the pass costs O(banks freeing now), independent of the
+//!    bank count.
 //!
 //! The kernel is allocation-free: scratch vectors live in the
 //! [`SimState`] and are reused cycle after cycle
@@ -134,103 +136,93 @@ pub fn step<W: Workload + ?Sized, O: SimObserver>(
         &mut kinds,
     );
 
-    // 5. Delays.
-    let mut conflicts = ConflictCounts::default();
-    let mut contested = false;
-    for (i, &(port, req)) in pending.iter().enumerate() {
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "kinds was sized from pending by arbitrate_into this same cycle"
-        )]
-        if let PortOutcome::Delayed(kind) = kinds[i] {
-            conflicts.record(kind);
-            contested |= kind != ConflictKind::Bank;
-            state.bump_wait(port);
-            if O::ENABLED {
+    // 5. Observers see every delay, in input order, before any grant.
+    if O::ENABLED {
+        for (&(port, req), &outcome) in pending.iter().zip(&kinds) {
+            if let PortOutcome::Delayed(kind) = outcome {
                 observer.on_delay(now, port, req.bank, kind);
             }
         }
     }
 
-    // 6. Per-port events, input order. A delayed port reports its running
-    // wait (including this cycle); a granted port its completed wait.
+    // 6. One pass in input order. A delayed port counts its conflict and
+    // reports its running wait (including this cycle); a granted port
+    // takes its completed wait, holds its bank and advances the workload.
+    // The hold time is the geometry's n_c under the uniform bank model;
+    // the DRAM model charges only `hit_cycle` when the request hits the
+    // bank's open row, and opens the accessed row otherwise.
+    let mut conflicts = ConflictCounts::default();
+    let mut contested = false;
+    let mut grants = 0u32;
+    let miss_hold = config.geometry.bank_cycle();
     let mut outcomes = std::mem::take(&mut state.outcomes);
     outcomes.clear();
-    for (i, &(port, req)) in pending.iter().enumerate() {
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "kinds was sized from pending by arbitrate_into this same cycle"
-        )]
+    for (&(port, req), &outcome) in pending.iter().zip(&kinds) {
+        let wait = match outcome {
+            PortOutcome::Delayed(kind) => {
+                conflicts.record(kind);
+                contested |= kind != ConflictKind::Bank;
+                state.bump_wait(port)
+            }
+            PortOutcome::Granted => {
+                grants += 1;
+                let wait = state.take_wait(port);
+                #[expect(
+                    clippy::disallowed_macros,
+                    reason = "debug_assert! only: compiled out of release builds"
+                )]
+                let hold = match config.bank_model {
+                    crate::config::BankModel::Uniform => miss_hold,
+                    crate::config::BankModel::Dram { hit_cycle, rows } => {
+                        debug_assert!(req.row < rows, "row {} of {rows}", req.row);
+                        let hit = state.open_row(req.bank) == Some(req.row);
+                        state.set_open_row(req.bank, req.row);
+                        if hit {
+                            hit_cycle
+                        } else {
+                            miss_hold
+                        }
+                    }
+                };
+                state.occupy(req.bank, hold);
+                if O::ENABLED {
+                    observer.on_grant(now, port, req.bank, wait, hold);
+                    observer.on_bank_busy(now, req.bank, true);
+                }
+                workload.granted(port, now);
+                wait
+            }
+        };
         outcomes.push(PortEvent {
             port,
             request: req,
-            outcome: kinds[i],
-            wait: state.wait(port),
+            outcome,
+            wait,
         });
     }
     state.outcomes = outcomes;
 
-    // 7. Grants. The hold time is the geometry's n_c under the uniform
-    // bank model; the DRAM model charges only `hit_cycle` when the request
-    // hits the bank's open row, and opens the accessed row otherwise.
-    let mut grants = 0u32;
-    let miss_hold = config.geometry.bank_cycle();
-    for (i, &(port, req)) in pending.iter().enumerate() {
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "kinds was sized from pending by arbitrate_into this same cycle"
-        )]
-        if kinds[i] == PortOutcome::Granted {
-            grants += 1;
-            let wait = state.wait(port);
-            #[expect(
-                clippy::disallowed_macros,
-                reason = "debug_assert! only: compiled out of release builds"
-            )]
-            let hold = match config.bank_model {
-                crate::config::BankModel::Uniform => miss_hold,
-                crate::config::BankModel::Dram { hit_cycle, rows } => {
-                    debug_assert!(req.row < rows, "row {} of {rows}", req.row);
-                    let hit = state.open_row(req.bank) == Some(req.row);
-                    state.set_open_row(req.bank, req.row);
-                    if hit {
-                        hit_cycle
-                    } else {
-                        miss_hold
-                    }
-                }
-            };
-            state.occupy(req.bank, hold);
-            if O::ENABLED {
-                observer.on_grant(now, port, req.bank, wait, hold);
-                observer.on_bank_busy(now, req.bank, true);
-            }
-            state.reset_wait(port);
-            workload.granted(port, now);
-        }
-    }
-
-    // 7b. End-of-cycle workload aging (burst cooldowns and the like),
+    // 6b. End-of-cycle workload aging (burst cooldowns and the like),
     // strictly after every grant of this period.
     workload.tick(now);
 
-    // 8. End of cycle.
+    // 7. End of cycle.
     if O::ENABLED {
         observer.on_cycle_end(now, grants);
     }
 
-    // 9. Cyclic priority rotates only when arbitration was exercised.
+    // 8. Cyclic priority rotates only when arbitration was exercised.
     if config.priority == PriorityRule::Cyclic && contested {
         let n = config.num_ports().max(1);
         state.set_rotation((state.rotation() + 1) % n);
     }
 
-    // 10. Advance the clock: the whole aging pass.
+    // 9. Advance the clock: the whole aging pass.
     state.pending = pending;
     state.kinds = kinds;
     state.advance_now();
 
-    // 11. Sanitizer: with the `sanitize` feature, debug builds check every
+    // 10. Sanitizer: with the `sanitize` feature, debug builds check every
     // structural invariant after each cycle and abort at the first
     // violating one.
     #[cfg(feature = "sanitize")]
@@ -296,6 +288,88 @@ mod tests {
         assert_eq!(st.outcomes()[0].wait, 2);
         assert_eq!(st.wait(PortId(0)), 0);
         assert_eq!(st.now(), 4);
+    }
+
+    /// Every observer callback of a cycle, in the order the kernel made it.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Callback {
+        Arbitration(Vec<(PortId, Request)>),
+        Delay(PortId, u64, ConflictKind),
+        Grant(PortId, u64, u64, u64),
+        BankBusy(u64, bool),
+        CycleEnd(u32),
+    }
+
+    #[derive(Default)]
+    struct Recorder(Vec<Callback>);
+
+    impl SimObserver for Recorder {
+        fn on_arbitration(&mut self, _: u64, _: usize, requests: &[(PortId, Request)]) {
+            self.0.push(Callback::Arbitration(requests.to_vec()));
+        }
+        fn on_grant(&mut self, _: u64, port: PortId, bank: u64, wait: u64, hold: u64) {
+            self.0.push(Callback::Grant(port, bank, wait, hold));
+        }
+        fn on_delay(&mut self, _: u64, port: PortId, bank: u64, kind: ConflictKind) {
+            self.0.push(Callback::Delay(port, bank, kind));
+        }
+        fn on_bank_busy(&mut self, _: u64, bank: u64, busy: bool) {
+            self.0.push(Callback::BankBusy(bank, busy));
+        }
+        fn on_cycle_end(&mut self, _: u64, grants: u32) {
+            self.0.push(Callback::CycleEnd(grants));
+        }
+    }
+
+    #[test]
+    fn mixed_cycle_keeps_callback_order_and_waits() {
+        // Four ports on four CPUs, m = 8, n_c = 3, bank 1 busy for one
+        // more period. Port 0 meets the busy bank, ports 1 and 2 collide
+        // on bank 4 (port 1 ranks first), port 3 has bank 6 to itself.
+        // Port 1 has waited two periods already, port 2 one.
+        let cfg = SimConfig::one_port_per_cpu(Geometry::unsectioned(8, 3).unwrap(), 4);
+        let mut st = SimState::new(&cfg);
+        st.set_residue(1, 1);
+        st.bump_wait(PortId(1));
+        st.bump_wait(PortId(1));
+        st.bump_wait(PortId(2));
+        let mut w = FixedBanks(vec![1, 4, 4, 6]);
+        let mut rec = Recorder::default();
+        let ev = step(&cfg, &mut st, &mut w, &mut rec);
+
+        let requests = [1, 4, 4, 6].map(Request::to_bank);
+        assert_eq!(
+            rec.0,
+            vec![
+                Callback::Arbitration((0..4).map(PortId).zip(requests).collect()),
+                Callback::Delay(PortId(0), 1, ConflictKind::Bank),
+                Callback::Delay(PortId(2), 4, ConflictKind::SimultaneousBank),
+                Callback::Grant(PortId(1), 4, 2, 3),
+                Callback::BankBusy(4, true),
+                Callback::Grant(PortId(3), 6, 0, 3),
+                Callback::BankBusy(6, true),
+                Callback::CycleEnd(2),
+            ]
+        );
+        assert_eq!(ev.grants, 2);
+        assert_eq!((ev.conflicts.bank, ev.conflicts.simultaneous), (1, 1));
+        assert!(ev.contested);
+
+        // Delayed ports report their running wait, this period included;
+        // granted ports their completed wait, which the grant zeroes.
+        let waits: Vec<(PortOutcome, u64)> =
+            st.outcomes().iter().map(|e| (e.outcome, e.wait)).collect();
+        assert_eq!(
+            waits,
+            vec![
+                (PortOutcome::Delayed(ConflictKind::Bank), 1),
+                (PortOutcome::Granted, 2),
+                (PortOutcome::Delayed(ConflictKind::SimultaneousBank), 2),
+                (PortOutcome::Granted, 0),
+            ]
+        );
+        let after: Vec<u64> = (0..4).map(|p| st.wait(PortId(p))).collect();
+        assert_eq!(after, vec![1, 0, 2, 0]);
     }
 
     #[test]

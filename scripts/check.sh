@@ -47,6 +47,10 @@ cargo test -q -p vecmem-oracle --features bug_injection
 # The SimState sanitizer must catch seeded corruption at the violating
 # cycle (debug build: the sanitizer is debug_assertions-only).
 cargo test -q -p vecmem-oracle --features bug_injection,sanitize
+# Every kernel and engine unit test, with SimState validated after each
+# cycle it steps.
+cargo test -q -p vecmem-simcore --features sanitize
+cargo test -q -p vecmem-banksim --features sanitize
 
 echo "==> benchmark: vecmem-benchmark correctness checks (smoke sizes)"
 # The smoke test runs all five workloads, untraced and traced, and fails
