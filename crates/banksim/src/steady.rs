@@ -413,6 +413,81 @@ mod tests {
         }
     }
 
+    /// The search up to bank translation against the unreduced reference
+    /// detector, on systems wider than the property above draws: up to
+    /// 128 banks (primes included), cyclically sectioned geometries, both
+    /// topologies and priority rules, self-conflicting (`d = 0`) and
+    /// repeated strides, and late-starting ports past a nonzero warmup.
+    /// Every field must agree.
+    #[test]
+    fn translation_reduced_search_matches_reference_on_wide_systems() {
+        use crate::config::PriorityRule;
+        let mut rng = SmallRng::seed_from_u64(0x7a45_0bed);
+        let bank_counts = [5u64, 13, 31, 32, 61, 64, 96, 127, 128];
+        for case in 0..40 {
+            let m = bank_counts[rng.gen_range(0..bank_counts.len() as u64) as usize];
+            let nc = rng.gen_range_inclusive(1..=12);
+            let ports = if m > 64 {
+                2
+            } else {
+                rng.gen_range_inclusive(1..=3) as usize
+            };
+            let sections = if m.is_multiple_of(4) && rng.gen_bool(0.5) {
+                [4, 8][rng.gen_range(0..2) as usize]
+            } else {
+                m
+            };
+            let g = Geometry::new(m, sections, nc).unwrap();
+            let cfg = if rng.gen_bool(0.5) {
+                SimConfig::single_cpu(g, ports)
+            } else {
+                SimConfig::one_port_per_cpu(g, ports)
+            };
+            let cfg = if rng.gen_bool(0.5) {
+                cfg.with_priority(PriorityRule::Cyclic)
+            } else {
+                cfg
+            };
+            let mut distances: Vec<u64> = Vec::new();
+            for _ in 0..ports {
+                let d = match (rng.gen_range(0..4), distances.last()) {
+                    (0, _) => 0,
+                    (1, Some(&prev)) => prev,
+                    _ => rng.gen_range(0..m),
+                };
+                distances.push(d);
+            }
+            let starts: Vec<u64> = (0..ports)
+                .map(|_| {
+                    if rng.gen_bool(0.3) {
+                        rng.gen_range(1..6)
+                    } else {
+                        0
+                    }
+                })
+                .collect();
+            let warmup = starts.iter().copied().max().unwrap_or(0) + rng.gen_range(0..3);
+            let port_list: Vec<_> = distances
+                .iter()
+                .zip(&starts)
+                .map(|(&d, &at)| {
+                    let stride = StridePattern::new(&g, spec(&g, rng.gen_range(0..m), d));
+                    PatternPort::new(stride).starting_at(at)
+                })
+                .collect();
+            let label = format!(
+                "case {case}: m={m} s={sections} nc={nc} ports={:?} priority={:?} d={distances:?} starts={starts:?} warmup={warmup}",
+                cfg.ports, cfg.priority
+            );
+
+            let mut w1 = PatternWorkload::new(port_list.clone());
+            let reduced = measure_steady_state_workload(&cfg, &mut w1, warmup, 500_000);
+            let mut w2 = PatternWorkload::new(port_list);
+            let reference = reference_measure(&cfg, &mut w2, warmup, 500_000);
+            assert_eq!(reduced, reference, "{label}");
+        }
+    }
+
     /// Cyclic priority exercises the rotation word of the state core; the
     /// two detectors must still agree exactly.
     #[test]

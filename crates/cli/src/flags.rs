@@ -32,8 +32,11 @@ const MODELS: &[&str] = &["uniform", "dram"];
 pub const BANK_MODEL: Flag<&str> = flag("bank-model", Choice(MODELS), "dram: open-row holds");
 pub const DRAM_HIT: Flag<u64> = flag("dram-hit", Int(1), "hold of an open-row hit, 1..=nc");
 pub const DRAM_ROWS: Flag<u64> = flag("dram-rows", Count(16), "rows tracked per bank");
-pub const CYCLE_BUDGET: Flag<u64> =
-    flag("cycle-budget", Int(10_000_000), "search budget in cycles");
+pub const CYCLE_BUDGET: Flag<u64> = flag(
+    "cycle-budget",
+    Int(10_000_000),
+    "search budget in steps, which a stride search may keep below transient + period",
+);
 
 // Outputs.
 pub const METRICS_OUT: Flag<Option<String>> =

@@ -285,6 +285,65 @@ fn steady_respects_cycle_budget() {
     assert!(out.contains("b_eff = 7/6"), "{out}");
 }
 
+/// Long-period stride pairs, whose solve stops at a recurrence up to bank
+/// translation, print what the full-state search printed, byte for byte.
+#[test]
+fn long_period_steady_states_are_pinned() {
+    let cases = [
+        (
+            "steady --banks 127 --nc 16 --d1 1 --d2 3",
+            "b_eff = 4/3 (per port: 1, 1/3)\n\
+             transient 29 cycles, period 381 cycles\n\
+             conflicts per period: bank 254, simultaneous 0, section 0\n",
+        ),
+        (
+            "steady --banks 128 --nc 12 --d1 1 --d2 5",
+            "b_eff = 6/5 (per port: 1, 1/5)\n\
+             transient 19 cycles, period 640 cycles\n\
+             conflicts per period: bank 512, simultaneous 0, section 0\n",
+        ),
+        (
+            "steady --banks 128 --sections 8 --nc 12 --d1 3 --d2 5 --b2 7 --same-cpu --cyclic",
+            "b_eff = 32/21 (per port: 20/21, 4/7)\n\
+             transient 43 cycles, period 672 cycles\n\
+             conflicts per period: bank 256, simultaneous 0, section 64\n",
+        ),
+        (
+            "steady --banks 127 --nc 16 --d1 1 --d2 1 --b2 64",
+            "b_eff = 2 (per port: 1, 1)\n\
+             transient 15 cycles, period 127 cycles\n\
+             conflicts per period: bank 0, simultaneous 0, section 0\n",
+        ),
+    ];
+    for (line, expected) in cases {
+        assert_eq!(ok(line), expected, "{line}");
+    }
+}
+
+/// Where bank translation is no symmetry of the model the solve searches
+/// the full state: a consecutive section mapping (banks 2 and 3 share a
+/// section, their translates 3 and 4 do not) and a DRAM stride (open
+/// rows, and slots that are no banks).
+#[test]
+fn steady_states_without_translation_symmetry_are_pinned() {
+    for (b2, transient) in [(1, 10), (9, 6)] {
+        let out = ok(&format!(
+            "steady --banks 12 --sections 3 --nc 3 --consecutive --d1 1 --d2 1 --b2 {b2} --same-cpu"
+        ));
+        assert!(
+            out.contains(&format!("transient {transient} cycles, period 12 cycles")),
+            "b2 = {b2}: {out}"
+        );
+    }
+    let out = ok("steady --banks 16 --nc 4 --d1 1 --d2 3 --bank-model dram --dram-hit 2");
+    assert_eq!(
+        out,
+        "b_eff = 4/3 (per port: 1, 1/3)\n\
+         transient 16 cycles, period 768 cycles\n\
+         conflicts per period: bank 512, simultaneous 0, section 0\n"
+    );
+}
+
 #[test]
 fn affine_gather_period_is_the_request_period() {
     // ix(k) = 3k + c over 2^20 words walks the 16 banks exactly like

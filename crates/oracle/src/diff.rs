@@ -27,6 +27,16 @@
 //! stream positions + rotation form the complete dynamic state, agreement
 //! through one transient plus one full period of the cyclic steady state
 //! implies agreement forever.
+//!
+//! That argument needs the *full* period: the kernel's state at `μ + λ`
+//! equals its state at `μ`, so from there on it repeats cycles the oracle
+//! already matched. A search up to bank translation would stop after
+//! `μ + λ/ord(s)` steps, at a translate of an earlier state. Agreement up
+//! to there covers one reduced window only; carrying it to the translated
+//! windows would assume the reference engine shares the kernel's
+//! symmetry, which is part of what the comparison checks. So the
+//! lockstep rides [`measure_steady_state_with`], which always searches
+//! the full state.
 
 // Hot-path panic policy (TESTING.md, "Hot-path rules").
 #![cfg_attr(

@@ -485,10 +485,14 @@ fn sweep_allocations_follow_simulations_not_points() {
 /// The lockstep riding a search adds the same allocations to it however
 /// long the trajectory: the reference engine's construction and warm-up,
 /// and nothing per compared cycle. The three pairs' trajectories run from
-/// under a hundred to over five hundred cycles.
+/// under a hundred to over five hundred cycles. The lockstep rides the
+/// full-state search, so the baseline is that search with no rider, not
+/// [`measure_steady_state`], which stops at a recurrence up to bank
+/// translation and so keeps fewer snapshots on longer trajectories.
 #[cfg(not(feature = "sanitize"))]
 #[test]
 fn fused_lockstep_adds_no_per_cycle_allocation() {
+    use vecmem_banksim::steady::measure_steady_state_with;
     use vecmem_oracle::solve_in_lockstep;
     let config = SimConfig::one_port_per_cpu(Geometry::unsectioned(61, 8).unwrap(), 2);
     let mut runs = Vec::new();
@@ -497,7 +501,15 @@ fn fused_lockstep_adds_no_per_cycle_allocation() {
         vec![spec(0, 1), spec(0, 3)],
         vec![spec(0, 7), spec(5, 2)],
     ] {
-        let (plain_n, plain) = allocations(|| measure_steady_state(&config, &streams, 500_000));
+        let (plain_n, plain) = allocations(|| {
+            let mut workload = PatternWorkload::strided(&config.geometry, &streams);
+            measure_steady_state_with(&config, &mut workload, 0, 500_000, 0, |_| {})
+        });
+        assert_eq!(
+            plain.as_ref(),
+            measure_steady_state(&config, &streams, 500_000).as_ref(),
+            "{streams:?}"
+        );
         let (fused_n, (fused, diff)) =
             allocations(|| solve_in_lockstep(&config, &streams, 500_000));
         let plain = plain.unwrap();

@@ -145,6 +145,15 @@ pub trait AccessPattern: Clone {
     fn encode_slot_at(&self, k: u64, cooldown: u64, _current: &Request) -> u64 {
         self.encode_slot(k, cooldown)
     }
+
+    /// Whether the packed slot of a live port is the bank of its upcoming
+    /// request and the pattern commutes with bank translation: a port
+    /// whose slot reads `b + t (mod m)` requests every later bank `t`
+    /// higher than one whose slot reads `b`. The default declares no such
+    /// symmetry; [`StridePattern`] on the uniform model has it.
+    fn translates_with_banks(&self) -> bool {
+        false
+    }
 }
 
 /// The paper's constant-stride stream as an [`AccessPattern`]: `addr(k) =
@@ -265,6 +274,12 @@ impl AccessPattern for StridePattern {
         } else {
             k % self.state_period
         }
+    }
+
+    /// The uniform-model slot is the current bank, and the next one is
+    /// always `distance mod m` further on.
+    fn translates_with_banks(&self) -> bool {
+        self.rows == 0
     }
 }
 
@@ -680,6 +695,13 @@ impl AccessPattern for AnyPattern {
             Self::Burst(p) => p.encode_slot_at(k, cooldown, current),
         }
     }
+    fn translates_with_banks(&self) -> bool {
+        match self {
+            Self::Stride(p) => p.translates_with_banks(),
+            Self::Gather(p) => p.translates_with_banks(),
+            Self::Burst(p) => p.translates_with_banks(),
+        }
+    }
 }
 
 /// Hashable, geometry-independent description of one port's pattern —
@@ -966,6 +988,19 @@ impl<P: AccessPattern> ObservableWorkload for PatternWorkload<P> {
 
     fn periodic(&self) -> bool {
         self.ports.iter().all(|p| p.pattern.period_hint().is_some())
+    }
+
+    /// Every port is infinite, has started by `now` and runs a pattern
+    /// that [translates with the banks](AccessPattern::translates_with_banks):
+    /// a finished port's marker or a port still waiting for its start
+    /// cycle does not move under translation.
+    fn translates_with_banks(&self, now: u64) -> bool {
+        !self.ports.is_empty()
+            && self.ports.iter().all(|p| {
+                p.length == PatternLength::Infinite
+                    && p.start_cycle <= now
+                    && p.pattern.translates_with_banks()
+            })
     }
 }
 

@@ -951,6 +951,68 @@ impl SimState {
         self.full_hash().combined()
     }
 
+    /// The [`hash`](Self::hash) this core would have if it were translated
+    /// by `−anchor` on the banks: bank `b`'s residue moved to bank `b −
+    /// anchor (mod m)`, and every position slot, read as a bank number,
+    /// lowered the same way. Two cores that are bank translates of each
+    /// other, each taken relative to the bank in its position slot 0,
+    /// hash alike. The residue term walks the expiry wheel, slot `now +
+    /// k` holding the banks of residue `k`: O(n_c + busy banks), however
+    /// the states compare. Uniform bank model only (open rows are not
+    /// translated).
+    #[deny(clippy::arithmetic_side_effects)]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "buf indices derive from the validated geometry that sized the buffer, and wheel links hold in-range banks by construction"
+    )]
+    pub(crate) fn translated_hash(&self, anchor: u64) -> u64 {
+        let banks = u64::from(self.banks);
+        let relative = |bank: u64| {
+            if bank >= anchor {
+                bank.wrapping_sub(anchor)
+            } else {
+                bank.wrapping_add(banks).wrapping_sub(anchor)
+            }
+        };
+        let mut res = 0;
+        for residue in 1..=u64::from(self.max_residue) {
+            let mut link = self.buf[self.head_index(self.now.wrapping_add(residue))];
+            while link != 0 {
+                let bank = link.wrapping_sub(1);
+                res = add61(res, mul61(coefficient(relative(bank)), residue));
+                link = self.buf[self.next_index(bank)];
+            }
+        }
+        let mut pos = 0;
+        for slot in 0..self.sig_len as usize {
+            pos ^= component(POS_SEED, slot as u64, relative(self.position(slot)));
+        }
+        res ^ self.h_rot ^ pos ^ self.h_row
+    }
+
+    /// True when `other`'s core is this one translated by `shift` on the
+    /// banks: bank `b`'s residue at bank `b + shift (mod m)`, every
+    /// position slot, read as a bank number, raised the same way, and the
+    /// same rotation. O(banks), stopping at the first mismatch: the
+    /// confirmation behind a [`translated_hash`](Self::translated_hash)
+    /// match. Uniform bank model only, as there.
+    pub(crate) fn translates_to(&self, other: &Self, shift: u64) -> bool {
+        let banks = u64::from(self.banks);
+        let raise = |bank: u64| {
+            let raised = bank + shift;
+            if raised >= banks {
+                raised - banks
+            } else {
+                raised
+            }
+        };
+        self.banks == other.banks
+            && self.sig_len == other.sig_len
+            && self.rotation() == other.rotation()
+            && (0..self.sig_len as usize).all(|i| other.position(i) == raise(self.position(i)))
+            && (0..banks).all(|b| other.residue(raise(b)) == self.residue(b))
+    }
+
     /// Per-port events of the last simulated clock period, in arbitration
     /// (input) order.
     #[must_use]
@@ -1265,6 +1327,67 @@ mod tests {
                 prop_assert_eq!(packed.now(), 0);
                 prop_assert!(packed == st);
                 prop_assert_eq!(packed.hash(), st.hash());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn translated_hash_is_the_hash_of_the_translated_core(
+            m in 1u64..=140,
+            nc in 1u64..=12,
+            ports in 1usize..=4,
+            seed in 0u64..u64::MAX,
+        ) {
+            // A state aged on its own clock (so the wheel walk starts at a
+            // nonzero `now`) against copies packed at now = 0: the state
+            // translated by `t`, and the state taken relative to its
+            // port-0 bank.
+            let cfg = config(m, nc, ports);
+            let mut rng = TestRng::seed_from_u64(seed);
+            let positions: Vec<u64> = (0..ports).map(|_| rng.bounded(m)).collect();
+            let mut st = SimState::with_signature_slots(&cfg, ports);
+            st.sync_signature(&positions);
+            st.set_rotation(rng.bounded(ports as u64) as usize);
+            for _ in 0..rng.bounded(40) {
+                for _ in 0..rng.bounded(3) {
+                    let bank = rng.bounded(m);
+                    if !st.is_busy(bank) {
+                        st.occupy(bank, 1 + rng.bounded(nc));
+                    }
+                }
+                st.advance_now();
+            }
+            let residues = st.residues_vec();
+            let translated = |t: u64| {
+                let mut moved = vec![0u8; m as usize];
+                for (b, &r) in residues.iter().enumerate() {
+                    moved[((b as u64 + t) % m) as usize] = r;
+                }
+                let slots: Vec<u64> = positions.iter().map(|&p| (p + t) % m).collect();
+                SimState::pack(&cfg, &moved, &slots, st.rotation())
+            };
+            let anchor = positions[0];
+            let canonical = translated(m - anchor);
+            prop_assert_eq!(st.translated_hash(anchor), canonical.hash());
+            let t = rng.bounded(m);
+            let moved = translated(t);
+            prop_assert_eq!(moved.translated_hash(moved.position(0)), canonical.hash());
+            prop_assert!(st.translates_to(&moved, t));
+            prop_assert!(moved.translates_to(&st, (m - t) % m));
+            if m > 1 {
+                prop_assert!(!st.translates_to(&moved, (t + 1) % m));
+            }
+            // One changed residue, or another rotation, is no translate.
+            let mut bumped = moved.clone();
+            let bank = rng.bounded(m);
+            bumped.set_residue(bank, (moved.residue(bank) + 1) % (nc as u8 + 1));
+            prop_assert!(!st.translates_to(&bumped, t));
+            if ports > 1 {
+                let mut rotated = moved.clone();
+                rotated.set_rotation((moved.rotation() + 1) % ports);
+                prop_assert!(!st.translates_to(&rotated, t));
             }
         }
     }

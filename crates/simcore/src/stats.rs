@@ -14,7 +14,7 @@
 
 use crate::observe::SimObserver;
 use crate::request::{ConflictKind, PortId};
-use std::ops::{Add, Sub};
+use std::ops::{Add, Mul, Sub};
 
 /// Conflict counters, one per [`ConflictKind`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -79,6 +79,19 @@ impl Sub for ConflictCounts {
             bank: self.bank.saturating_sub(rhs.bank),
             simultaneous: self.simultaneous.saturating_sub(rhs.simultaneous),
             section: self.section.saturating_sub(rhs.section),
+        }
+    }
+}
+
+/// Repetition: a window's counts over `n` windows that each see the same
+/// conflicts (the steady-state solver's reduced period, `n` times over).
+impl Mul<u64> for ConflictCounts {
+    type Output = ConflictCounts;
+    fn mul(self, n: u64) -> Self {
+        Self {
+            bank: self.bank * n,
+            simultaneous: self.simultaneous * n,
+            section: self.section * n,
         }
     }
 }

@@ -29,14 +29,18 @@
 //!   needed, and no step re-reads the per-port outcomes;
 //! * the matched snapshot is the first one on the cycle, so the transient
 //!   `μ` lies between the snapshot before it and the matched one, and the
-//!   exact `μ` comes from walking two cursors `λ` apart from that earlier
-//!   snapshot until they meet. When the match was against the start
-//!   snapshot the transient is zero and this phase is skipped entirely.
-//!   The leading cursor is restored from the nearest *rung*: a restore
-//!   checkpoint the searching cursor leaves every `RUNG_SPACING` steps
-//!   and thins level by level (see `RUNGS_PER_LEVEL`), so its
-//!   pre-advance is bounded by the gap between the two snapshots, not by
-//!   `λ`. The whole phase costs `O(μ)` steps however long the period is.
+//!   exact `μ` comes from walking two cursors from that earlier snapshot
+//!   until they meet, `D` apart: the least multiple of `λ` at or above
+//!   the gap between the two snapshots (a state lies on the cycle exactly
+//!   when it recurs any whole number of periods later). When the match
+//!   was against the start snapshot the transient is zero and this phase
+//!   is skipped entirely. The leading cursor is restored from the nearest
+//!   *rung* at or before its start, the matched snapshot at the earliest:
+//!   a rung is a restore checkpoint the searching cursor leaves every
+//!   `RUNG_SPACING` steps and thins level by level (see
+//!   `RUNGS_PER_LEVEL`), so the pre-advance is bounded by the gap between
+//!   the two snapshots, not by `λ`, and no snapshot is ever copied. The
+//!   whole phase costs `O(μ)` steps however long the period is.
 //!
 //! Equality is checked hash-first (one `u64` compare per cycle per
 //! snapshot) and confirmed on the full core, so a hash collision can never
@@ -45,6 +49,48 @@
 //! `RUNGS_PER_LEVEL` rungs per power of two, where the previous detector
 //! kept a hash map entry (state key + per-port grant vector) for *every*
 //! simulated cycle.
+//!
+//! # Recurrence up to bank translation
+//!
+//! The model is symmetric under bank translation `T_t: b → b + t (mod
+//! m)` — the Appendix's relabelling, and the reason the exhaustive sweep
+//! fixes `b1 = 0` — whenever the configuration and the workload both
+//! are: a uniform bank model on an unsectioned or cyclically sectioned
+//! geometry (`section(b) = b mod s` with `s | m` moves every section
+//! alike), and a workload that declares
+//! [`ObservableWorkload::translates_with_banks`] (every port an infinite,
+//! started constant stride, whose slot is its bank). Then the step
+//! commutes with translation: `step(T_t x) = T_t step(x)`, with the same
+//! grants and conflicts. A stride trajectory usually reaches a translate
+//! of an earlier state long before the state itself, so for such a
+//! workload [`measure_steady_state_workload`] runs the search above on the
+//! quotient — states up to translation — and expands the answer:
+//!
+//! * the quotient trajectory is deterministic (translates have translated
+//!   successors), so Brent's argument holds on it unchanged: the first
+//!   match is exactly one reduced period `λ_r` back, and the two-cursor
+//!   walk finds the reduced transient `μ_r`. Both compare a
+//!   translation-canonical hash (residues and slots relative to port 0's
+//!   bank, from a walk of the expiry wheel: O(n_c + busy banks) per step)
+//!   and confirm every hash match on the whole translated core, so again
+//!   a collision only costs time;
+//! * at the match `x_{μ_r + λ_r} = T_s x_{μ_r}` for the shift `s` between
+//!   the two port-0 banks, hence `x_{k + λ_r} = T_s x_k` for every `k ≥
+//!   μ_r`. No nonzero translation fixes a state with a live stride port
+//!   (it moves that port's bank), so `x_{μ_r + n} = x_{μ_r}` holds exactly
+//!   when `n = j·λ_r` with `j·s ≡ 0 (mod m)`: the period is `λ = λ_r ·
+//!   ord(s)`, `ord(s) = m / gcd(m, s)`, and the transient is `μ = μ_r`
+//!   (an earlier state on the full cycle would lie on the quotient cycle);
+//! * each of the `ord(s)` reduced windows of a full period is a translate
+//!   of the first and sees the same grants per port and the same
+//!   conflicts, so the period's grants and conflicts are the reduced
+//!   window's times `ord(s)`, and `b_eff` and the per-port ratios are the
+//!   reduced window's.
+//!
+//! Every [`SteadyState`] field is the one the full-state search returns;
+//! only the number of steps falls, from `μ' + λ` to `μ' + λ_r` plus the
+//! walk. [`measure_steady_state_with`] always searches the full state,
+//! because a caller riding its trajectory needs one whole period.
 
 // Hot-path panic policy (TESTING.md, "Hot-path rules").
 #![cfg_attr(
@@ -59,13 +105,14 @@
     )
 )]
 
-use crate::config::SimConfig;
+use crate::config::{BankModel, SimConfig};
 use crate::observe::NoopObserver;
 use crate::state::SimState;
 use crate::stats::ConflictCounts;
 use crate::step::step;
 use crate::workload::Workload;
-use vecmem_analytic::Ratio;
+use vecmem_analytic::numtheory::gcd;
+use vecmem_analytic::{Ratio, SectionMapping};
 
 /// Measured cyclic state of a set of infinite streams.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,7 +153,10 @@ pub enum SteadyStateError {
     /// valid stream workloads; the state space is finite).
     NotConverged {
         /// The exhausted cycle budget (the `max_cycles` the caller allowed
-        /// for the search, not counting warmup).
+        /// for the search, not counting warmup). It bounds the steps the
+        /// search takes, which may be fewer than `μ + λ`: a search up to
+        /// bank translation (see the module docs) stops after `μ' + λ /
+        /// ord(s)` steps.
         cycles: u64,
     },
 }
@@ -183,6 +233,18 @@ pub trait ObservableWorkload: Workload {
     fn periodic(&self) -> bool {
         true
     }
+
+    /// Whether, from clock period `now` on, the workload commutes with
+    /// bank translation `b → b + t (mod m)`: every signature slot is the
+    /// bank of a live port's upcoming request, and the workload whose
+    /// slots all read `t` higher requests every later bank `t` higher and
+    /// is granted alike. The default declares no symmetry. A workload
+    /// that declares it lets [`measure_steady_state_workload`] look for
+    /// recurrence up to translation (see the module docs), on a
+    /// configuration that is symmetric too.
+    fn translates_with_banks(&self, _now: u64) -> bool {
+        false
+    }
 }
 
 impl<W: ObservableWorkload + ?Sized> ObservableWorkload for &mut W {
@@ -200,6 +262,9 @@ impl<W: ObservableWorkload + ?Sized> ObservableWorkload for &mut W {
     }
     fn periodic(&self) -> bool {
         (**self).periodic()
+    }
+    fn translates_with_banks(&self, now: u64) -> bool {
+        (**self).translates_with_banks(now)
     }
 }
 
@@ -347,24 +412,134 @@ impl<'c, W: ObservableWorkload + Clone> Cursor<'c, W> {
     }
 }
 
+/// What the search counts as the trajectory returning to an earlier
+/// point: the same core, or (for a declared workload on a symmetric
+/// configuration) a bank translate of it.
+trait Recurrence: Copy {
+    /// The key each step compares against the snapshots' before the exact
+    /// check.
+    fn key(self, state: &SimState) -> u64;
+
+    /// Whether `later` is a recurrence of `earlier`.
+    fn recurs(self, earlier: &SimState, later: &SimState) -> bool;
+
+    /// Reduced periods per full period, given that `later` recurs onto
+    /// `earlier`.
+    fn order(self, earlier: &SimState, later: &SimState) -> u64;
+}
+
+/// Recurrence of the whole core: the incremental hash and core equality.
+#[derive(Clone, Copy)]
+struct SameCore;
+
+impl Recurrence for SameCore {
+    #[inline]
+    fn key(self, state: &SimState) -> u64 {
+        state.hash()
+    }
+
+    fn recurs(self, earlier: &SimState, later: &SimState) -> bool {
+        earlier == later
+    }
+
+    fn order(self, _earlier: &SimState, _later: &SimState) -> u64 {
+        1
+    }
+}
+
+/// Recurrence up to bank translation on `banks` banks, anchored at
+/// position slot 0: the bank of a live stride port, which every
+/// translation moves.
+#[derive(Clone, Copy)]
+struct UpToTranslation {
+    banks: u64,
+}
+
+impl UpToTranslation {
+    /// The translation taking `earlier`'s port-0 bank to `later`'s.
+    fn shift(self, earlier: &SimState, later: &SimState) -> u64 {
+        let (from, to) = (earlier.position(0), later.position(0));
+        if to >= from {
+            to - from
+        } else {
+            to + self.banks - from
+        }
+    }
+}
+
+impl Recurrence for UpToTranslation {
+    #[inline]
+    fn key(self, state: &SimState) -> u64 {
+        state.translated_hash(state.position(0))
+    }
+
+    fn recurs(self, earlier: &SimState, later: &SimState) -> bool {
+        earlier.translates_to(later, self.shift(earlier, later))
+    }
+
+    /// `ord(s) = m / gcd(m, s)`, the order of the shift `s` modulo `m`.
+    #[expect(
+        clippy::integer_division,
+        reason = "gcd(m, s) divides m >= 1 (validated geometry), so the quotient is exact and the divisor nonzero"
+    )]
+    fn order(self, earlier: &SimState, later: &SimState) -> u64 {
+        self.banks / gcd(self.banks, self.shift(earlier, later))
+    }
+}
+
+/// Whether the step kernel under `config` commutes with bank translation
+/// `b → b + t (mod m)`. Arbitration compares banks only for equality and,
+/// on a sectioned geometry, for equal sections: the cyclic mapping `b mod
+/// s` (`s | m`) keeps two banks in one section under any translation, the
+/// consecutive mapping does not. The DRAM model's open rows are bank state
+/// the translated comparison does not move.
+fn translation_symmetric(config: &SimConfig) -> bool {
+    let geometry = &config.geometry;
+    matches!(config.bank_model, BankModel::Uniform)
+        && (geometry.sections() == geometry.banks() || geometry.mapping() == SectionMapping::Cyclic)
+}
+
 /// Runs any observable workload until the simulator state recurs and
 /// returns the exact cyclic-state bandwidth. `warmup` cycles are simulated
 /// first (use this to get past start-time offsets that are not part of the
 /// state signature); `max_cycles` bounds the post-warmup search.
 ///
+/// When the configuration and the workload are symmetric under bank
+/// translation ([`ObservableWorkload::translates_with_banks`]), the
+/// search stops at the first recurrence up to translation and expands the
+/// answer (see the module docs): the result is the same, but the search
+/// may take fewer than `μ + λ` steps, and so may converge within a budget
+/// below that.
+///
 /// The caller's workload is read (and cloned) but left untouched; the
 /// search replays pristine clones internally.
 ///
 /// # Errors
-/// Returns [`SteadyStateError::NotConverged`] when the simulator state does
-/// not recur within `max_cycles` after warmup.
+/// Returns [`SteadyStateError::NotConverged`] when the search takes
+/// `max_cycles` steps after warmup without finding a recurrence.
 pub fn measure_steady_state_workload<W: ObservableWorkload + Clone>(
     config: &SimConfig,
     workload: &mut W,
     warmup: u64,
     max_cycles: u64,
 ) -> Result<SteadyState, SteadyStateError> {
-    measure_steady_state_with(config, workload, warmup, max_cycles, 0, |_| {})
+    let on_step = &mut |_: &SimState| {};
+    if !workload.periodic() {
+        return measure_windowed(config, workload, warmup, max_cycles, 0, on_step);
+    }
+    let mut hare = Cursor::new(config, workload.clone());
+    hare.advance_by(warmup);
+    if translation_symmetric(config)
+        && hare.state.signature_slots() > 0
+        && hare.workload.translates_with_banks(hare.state.now())
+    {
+        let recurrence = UpToTranslation {
+            banks: config.geometry.banks(),
+        };
+        search(hare, warmup, max_cycles, 0, on_step, recurrence)
+    } else {
+        search(hare, warmup, max_cycles, 0, on_step, SameCore)
+    }
 }
 
 /// [`measure_steady_state_workload`] that also hands the searching
@@ -376,6 +551,11 @@ pub fn measure_steady_state_workload<W: ObservableWorkload + Clone>(
 /// max_cycles` when the search gives up; a caller can ride that trajectory
 /// instead of simulating it again. The windowed estimate of an aperiodic
 /// workload shows its warmup, its window and the tail the same way.
+///
+/// To keep that bound, this entry always looks for a recurrence of the
+/// full state, never one up to bank translation: its search takes `μ' +
+/// λ` steps (`μ'` the first power of two ≥ `μ`), so `max_cycles` must
+/// cover them.
 ///
 /// # Errors
 /// As [`measure_steady_state_workload`].
@@ -393,23 +573,36 @@ pub fn measure_steady_state_with<W: ObservableWorkload + Clone>(
     if !workload.periodic() {
         return measure_windowed(config, workload, warmup, max_cycles, tail, &mut on_step);
     }
-    let not_converged = SteadyStateError::NotConverged { cycles: max_cycles };
-
-    // Search cursor: pristine workload advanced through warmup, then
-    // stepped while racing against snapshots of its own past taken at
-    // every power-of-two step count. The first recurrence is provably
-    // exactly one period behind the cursor (a distance of k·λ with k ≥ 2
-    // would have matched the same snapshot λ steps sooner). Between
-    // snapshots it leaves rungs, never compared against, only restored
-    // from by the transient walk.
     let mut hare = Cursor::new(config, workload.clone());
     hare.advance_watched(warmup, &mut on_step);
+    search(hare, warmup, max_cycles, tail, &mut on_step, SameCore)
+}
+
+/// The search proper, from a cursor already past `warmup` cycles: at most
+/// `max_cycles` steps until the state recurs under `recurrence`, then
+/// `tail` steps shown to `on_step`, then the transient walk.
+fn search<W: ObservableWorkload + Clone, R: Recurrence>(
+    mut hare: Cursor<'_, W>,
+    warmup: u64,
+    max_cycles: u64,
+    tail: u64,
+    on_step: &mut impl FnMut(&SimState),
+    recurrence: R,
+) -> Result<SteadyState, SteadyStateError> {
+    let not_converged = SteadyStateError::NotConverged { cycles: max_cycles };
+
+    // The cursor steps while racing against snapshots of its own past
+    // taken at every power-of-two step count. The first recurrence is
+    // provably exactly one period behind the cursor (a distance of k·λ
+    // with k ≥ 2 would have matched the same snapshot λ steps sooner).
+    // Between snapshots it leaves rungs, never compared against, only
+    // restored from by the transient walk.
     // One snapshot at 0 and one at each power of two up to `max_cycles`.
     let snap_capacity = (u64::BITS - max_cycles.leading_zeros()) as usize + 1;
     let mut snaps: Vec<Snapshot<W>> = Vec::with_capacity(snap_capacity);
     let mut snap_hashes: Vec<u64> = Vec::with_capacity(snap_capacity);
     snaps.push(hare.snapshot(0));
-    snap_hashes.push(hare.state.hash());
+    snap_hashes.push(recurrence.key(&hare.state));
     let mut rungs: Vec<Snapshot<W>> = Vec::new();
     let mut pos: u64 = 0;
     let mut next_snap: u64 = 1;
@@ -424,13 +617,13 @@ pub fn measure_steady_state_with<W: ObservableWorkload + Clone>(
         hare.advance();
         on_step(&hare.state);
         pos += 1;
-        let h = hare.state.hash();
+        let h = recurrence.key(&hare.state);
         // Nearly every step misses: ask branch-free whether any hash
         // matches, and look for the matching snapshot only on a hit.
         if snap_hashes.iter().fold(false, |hit, &sh| hit | (sh == h)) {
             let mut found = None;
             for (i, &sh) in snap_hashes.iter().enumerate() {
-                if sh == h && snaps[i].state == hare.state {
+                if sh == h && recurrence.recurs(&snaps[i].state, &hare.state) {
                     found = Some(i);
                     break;
                 }
@@ -449,26 +642,28 @@ pub fn measure_steady_state_with<W: ObservableWorkload + Clone>(
         }
     };
 
-    // One full period of window statistics, by subtraction: period sums
-    // are phase-independent, so the window [matched.pos, pos) is as good
-    // as [μ, μ+λ).
+    // One (reduced) period of window statistics, by subtraction: period
+    // sums are phase-independent, so the window [matched.pos, pos) is as
+    // good as [μ, μ+λ). A full period repeats it `order` times.
     #[expect(
         clippy::indexing_slicing,
         reason = "matched is the index of the snapshot the detector matched"
     )]
     let anchor = &snaps[matched];
+    let order = recurrence.order(&anchor.state, &hare.state);
     let per_port_grants = hare.grants_since(&anchor.workload);
-    let conflicts = hare.conflicts - anchor.conflicts;
+    let conflicts = (hare.conflicts - anchor.conflicts) * order;
     // The walk below restores the cursor from a snapshot, so the tail
     // steps can use it first.
-    hare.advance_watched(tail, &mut on_step);
+    hare.advance_watched(tail, on_step);
 
-    let mu = transient(hare, snaps, rungs, matched, lambda);
-    let grants_per_period: u64 = per_port_grants.iter().sum();
+    let mu = transient(hare, snaps, rungs, matched, lambda, recurrence);
+    let period = lambda * order;
+    let grants_per_period = per_port_grants.iter().sum::<u64>() * order;
     Ok(SteadyState {
-        beff: Ratio::new(grants_per_period, lambda),
+        beff: Ratio::new(grants_per_period, period),
         transient: warmup + mu,
-        period: lambda,
+        period,
         grants_per_period,
         per_port: per_port_grants
             .iter()
@@ -485,43 +680,46 @@ pub fn measure_steady_state_with<W: ObservableWorkload + Clone>(
 /// trajectory was cyclic from the start. Otherwise the matched snapshot is
 /// the first one on the cycle (an earlier one would have matched sooner),
 /// so μ lies in `(prev.pos, anchor.pos]` for the snapshot `prev` before it.
-/// Two cursors `lambda` apart, the trailing one restored from `prev` and
-/// the leading one from the latest rung or snapshot at or before `prev.pos
-/// + lambda`, meet exactly at μ; reaching `anchor.pos` without meeting
-/// means μ is `anchor.pos`.
+/// Two cursors a distance `D` apart, `D` the least multiple of `lambda`
+/// at or above `anchor.pos − prev.pos`, meet exactly at μ: a state `D`
+/// steps before its own recurrence lies on the cycle. The trailing cursor
+/// is restored from `prev`, the leading one from the latest rung or
+/// snapshot at or before `prev.pos + D` — the matched snapshot or a later
+/// one, so its pre-advance is shorter than `lambda` and than the gap.
+/// Reaching `anchor.pos` without meeting means μ is `anchor.pos`. Up to
+/// translation, "meet" means the leading cursor's state recurs onto the
+/// trailing one's, and `lambda` is the reduced period.
 ///
 /// The search is over, so the walk consumes what it leaves: the cursors
 /// take over the snapshots they start from instead of copying them, and
 /// the finished searching cursor, passed as `ahead`, becomes the leading
 /// one with its buffers.
-fn transient<W: ObservableWorkload + Clone>(
+fn transient<W: ObservableWorkload + Clone, R: Recurrence>(
     mut ahead: Cursor<'_, W>,
     mut snaps: Vec<Snapshot<W>>,
     rungs: Vec<Snapshot<W>>,
     matched: usize,
     lambda: u64,
+    recurrence: R,
 ) -> u64 {
     let Some(before) = matched.checked_sub(1) else {
         return 0;
     };
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "matched indexes snaps (the detector's match) and before < matched"
-    )]
-    let anchor_pos = snaps[matched].pos;
-    // `before < matched < snaps.len()`, so this removes a snapshot.
+    // `before < matched < snaps.len()`: the first removal moves a later
+    // snapshot into `matched`, leaving `before` in place.
+    let anchor = snaps.swap_remove(matched);
     let prev = snaps.swap_remove(before);
     let mut mu = prev.pos + 1;
-    if mu == anchor_pos {
+    if mu == anchor.pos {
         return mu;
     }
-    let target = prev.pos + lambda;
+    let anchor_pos = anchor.pos;
+    let target = prev.pos + lambda * (anchor_pos - prev.pos).div_ceil(lambda);
     let near = snaps
         .into_iter()
         .chain(rungs)
-        .filter(|s| (prev.pos..=target).contains(&s.pos))
-        .max_by_key(|s| s.pos)
-        .unwrap_or_else(|| prev.clone());
+        .filter(|s| (anchor_pos..=target).contains(&s.pos))
+        .fold(anchor, |near, s| if s.pos > near.pos { s } else { near });
     let near_pos = near.pos;
     ahead.jump_to(near);
     ahead.advance_by(target - near_pos);
@@ -529,7 +727,9 @@ fn transient<W: ObservableWorkload + Clone>(
     while mu < anchor_pos {
         ahead.advance();
         behind.advance();
-        if ahead.state.hash() == behind.state.hash() && ahead.state == behind.state {
+        if recurrence.key(&ahead.state) == recurrence.key(&behind.state)
+            && recurrence.recurs(&behind.state, &ahead.state)
+        {
             break;
         }
         mu += 1;
@@ -588,12 +788,15 @@ fn measure_windowed<W: ObservableWorkload + Clone>(
 mod tests {
     use super::*;
     use crate::config::{BankModel, PriorityRule};
-    use crate::pattern::{IndexPattern, PatternPort, PatternSpec, PatternWorkload};
+    use crate::pattern::{
+        AnyPattern, BurstPattern, IndexPattern, PatternPort, PatternSpec, PatternWorkload,
+        StridePattern,
+    };
     use crate::request::{CpuId, PortId, PortOutcome, Request};
     use std::cell::Cell;
     use std::collections::HashMap;
     use std::rc::Rc;
-    use vecmem_analytic::{Geometry, SectionMapping};
+    use vecmem_analytic::{Geometry, StreamSpec};
     use vecmem_prop::prelude::*;
     use vecmem_prop::{select, TestRng};
 
@@ -781,6 +984,25 @@ mod tests {
         fn grants(&self, port: usize) -> u64 {
             self.inner.grants(port)
         }
+        fn translates_with_banks(&self, now: u64) -> bool {
+            self.inner.translates_with_banks(now)
+        }
+    }
+
+    /// Solves `inner` after `warmup` cycles; returns the result and the
+    /// cycles simulated on the way, warmup included.
+    fn solve_counted_after<W: ObservableWorkload + Clone>(
+        config: &SimConfig,
+        inner: W,
+        warmup: u64,
+    ) -> (SteadyState, u64) {
+        let cycles = Rc::new(Cell::new(0));
+        let mut w = Counted {
+            inner,
+            cycles: Rc::clone(&cycles),
+        };
+        let ss = measure_steady_state_workload(config, &mut w, warmup, 1 << 20).unwrap();
+        (ss, cycles.get())
     }
 
     /// Solves `inner` from a zero warmup; returns the result and the
@@ -789,13 +1011,18 @@ mod tests {
         config: &SimConfig,
         inner: W,
     ) -> (SteadyState, u64) {
-        let cycles = Rc::new(Cell::new(0));
-        let mut w = Counted {
-            inner,
-            cycles: Rc::clone(&cycles),
-        };
-        let ss = measure_steady_state_workload(config, &mut w, 0, 1 << 20).unwrap();
-        (ss, cycles.get())
+        solve_counted_after(config, inner, 0)
+    }
+
+    /// The full-state search's answer: [`measure_steady_state_with`] never
+    /// reduces by translation.
+    fn solve_full<W: ObservableWorkload + Clone>(
+        config: &SimConfig,
+        workload: &W,
+        warmup: u64,
+    ) -> SteadyState {
+        measure_steady_state_with(config, &mut workload.clone(), warmup, 1 << 20, 0, |_| {})
+            .unwrap()
     }
 
     /// Reference `(μ, λ)`: keeps every visited state and stops at the first
@@ -883,6 +1110,172 @@ mod tests {
             longest_lambda > 64 * RUNG_SPACING,
             "longest period {longest_lambda}"
         );
+    }
+
+    fn strides(geometry: &Geometry, specs: &[(u64, u64)]) -> PatternWorkload<StridePattern> {
+        let specs: Vec<StreamSpec> = specs
+            .iter()
+            .map(|&(start_bank, distance)| StreamSpec {
+                start_bank,
+                distance,
+            })
+            .collect();
+        PatternWorkload::strided(geometry, &specs)
+    }
+
+    #[test]
+    fn translation_reduced_unit_stride_solves_within_one_rung() {
+        // One unit stride over 1000 banks: μ = 3 and λ = 1000, but every
+        // state from step 3 on is the previous one moved up a bank (λ_r =
+        // 1, ord(1) = 1000). The full-state search steps more than λ.
+        let g = Geometry::unsectioned(1000, 4).unwrap();
+        let cfg = SimConfig::single_cpu(g, 1);
+        let w = strides(&g, &[(0, 1)]);
+        let (ss, cycles) = solve_counted(&cfg, w.clone());
+        assert_eq!((ss.transient, ss.period), (3, 1000));
+        assert_eq!(ss, solve_full(&cfg, &w, 0));
+        assert!(cycles < RUNG_SPACING, "{cycles} cycles");
+    }
+
+    #[test]
+    fn translation_is_no_symmetry_of_consecutive_sections_or_dram() {
+        // A consecutive section mapping breaks the symmetry: banks 3 and 4
+        // lie in different sections of 12 banks in 3 sections, banks 4
+        // and 5 in one. A DRAM bank's open row is bank state the
+        // translated comparison does not move, and a row-aware stride's
+        // slot is no bank. Both solve the full state: at least μ + λ
+        // steps, and the same answer as the full search.
+        let consecutive = Geometry::with_mapping(12, 3, 3, SectionMapping::Consecutive).unwrap();
+        let cfg = SimConfig::single_cpu(consecutive, 2);
+        let w = strides(&consecutive, &[(0, 1), (1, 1)]);
+        let (ss, cycles) = solve_counted(&cfg, w.clone());
+        assert_eq!((ss.transient, ss.period), (10, 12));
+        assert_eq!(ss, solve_full(&cfg, &w, 0));
+        assert!(cycles >= ss.transient + ss.period, "{cycles} cycles");
+
+        let g = Geometry::unsectioned(16, 4).unwrap();
+        let cfg = SimConfig::one_port_per_cpu(g, 2).with_bank_model(BankModel::Dram {
+            hit_cycle: 2,
+            rows: 4,
+        });
+        let specs = [
+            PatternSpec::Stride {
+                start_bank: 0,
+                distance: 1,
+            },
+            PatternSpec::Stride {
+                start_bank: 0,
+                distance: 3,
+            },
+        ];
+        let w = PatternWorkload::from_specs(&cfg, &specs);
+        assert!(!w.translates_with_banks(0));
+        let (ss, cycles) = solve_counted(&cfg, w.clone());
+        assert_eq!(ss, solve_full(&cfg, &w, 0));
+        assert!(cycles >= ss.transient + ss.period, "{cycles} cycles");
+        // The same strides on the uniform model do reduce.
+        let uniform = SimConfig::one_port_per_cpu(g, 2);
+        let w = PatternWorkload::from_specs(&uniform, &specs);
+        assert!(w.translates_with_banks(0));
+        let (ss, cycles) = solve_counted(&uniform, w.clone());
+        assert_eq!(ss, solve_full(&uniform, &w, 0));
+        assert!(cycles < ss.transient + ss.period, "{cycles} cycles");
+    }
+
+    #[test]
+    fn only_started_infinite_strides_translate_with_banks() {
+        let g = Geometry::unsectioned(8, 2).unwrap();
+        let stride = StridePattern::new(
+            &g,
+            StreamSpec {
+                start_bank: 1,
+                distance: 3,
+            },
+        );
+        let workload = |port: PatternPort<StridePattern>| {
+            PatternWorkload::new(vec![PatternPort::new(stride), port])
+        };
+        assert!(workload(PatternPort::new(stride)).translates_with_banks(0));
+        assert!(!workload(PatternPort::new(stride).with_length(5)).translates_with_banks(9));
+        let late = workload(PatternPort::new(stride).starting_at(4));
+        assert!(!late.translates_with_banks(3));
+        assert!(late.translates_with_banks(4));
+        assert!(!PatternWorkload::<StridePattern>::new(Vec::new()).translates_with_banks(0));
+        let burst = AnyPattern::Burst(BurstPattern::new(
+            &g,
+            StreamSpec {
+                start_bank: 1,
+                distance: 3,
+            },
+            1,
+        ));
+        let mixed = PatternWorkload::new(vec![
+            PatternPort::new(AnyPattern::Stride(stride)),
+            PatternPort::new(burst),
+        ]);
+        assert!(!mixed.translates_with_banks(0));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn translation_reduced_solve_matches_the_full_search(
+            geometry in select(vec![
+                Geometry::unsectioned(7, 3).unwrap(),
+                Geometry::unsectioned(12, 4).unwrap(),
+                Geometry::unsectioned(16, 5).unwrap(),
+                Geometry::new(16, 4, 4).unwrap(),
+                Geometry::with_mapping(12, 3, 3, SectionMapping::Consecutive).unwrap(),
+            ]),
+            dram in select(vec![false, false, true]),
+            priority in select(vec![PriorityRule::Fixed, PriorityRule::Cyclic]),
+            seed in 0u64..=u64::MAX,
+        ) {
+            // One to three stride ports on one or two CPUs, some starting
+            // late, solved after a warmup that may or may not cover the
+            // late starts: the reduced search (where it applies) must
+            // return exactly the full search's answer, in no more steps.
+            let mut rng = TestRng::seed_from_u64(seed);
+            let n = 1 + rng.bounded(3) as usize;
+            let m = geometry.banks();
+            let mut config = SimConfig {
+                ports: (0..n).map(|_| CpuId(rng.bounded(2) as usize)).collect(),
+                ..SimConfig::single_cpu(geometry, n).with_priority(priority)
+            };
+            if dram {
+                config = config.with_bank_model(BankModel::Dram {
+                    hit_cycle: 1 + rng.bounded(geometry.bank_cycle()),
+                    rows: 1 + rng.bounded(4),
+                });
+            }
+            let ports: Vec<_> = (0..n)
+                .map(|_| {
+                    let spec = PatternSpec::Stride {
+                        start_bank: rng.bounded(m),
+                        distance: rng.bounded(2 * m),
+                    };
+                    let port = PatternPort::new(spec.build(&config));
+                    if rng.bounded(3) == 0 {
+                        port.starting_at(rng.bounded(6))
+                    } else {
+                        port
+                    }
+                })
+                .collect();
+            let w = PatternWorkload::new(ports);
+            let warmup = rng.bounded(6);
+            let full = solve_full(&config, &w, warmup);
+            let full_cycles = {
+                let cycles = Rc::new(Cell::new(0));
+                let mut counted = Counted { inner: w.clone(), cycles: Rc::clone(&cycles) };
+                measure_steady_state_with(&config, &mut counted, warmup, 1 << 20, 0, |_| {})
+                    .unwrap();
+                cycles.get()
+            };
+            let (reduced, cycles) = solve_counted_after(&config, w, warmup);
+            prop_assert_eq!(&reduced, &full);
+            prop_assert!(cycles <= full_cycles, "{} > {}", cycles, full_cycles);
+        }
     }
 
     /// One random port spec: a stride, an affine or pseudo-random gather,
