@@ -196,10 +196,11 @@ mod tests {
         conflicts: ConflictCounts,
     }
 
-    /// The pre-Brent detector, retained verbatim as the differential
-    /// reference: hash every visited state into a map and report the
-    /// window between the two visits of the first repeated state. O(cycles)
-    /// memory — the cost the production solver exists to avoid.
+    /// The pre-Brent detector, retained as the differential reference:
+    /// hash every visited state into a map and report the window between
+    /// the two visits of the first repeated state. O(cycles) memory — the
+    /// cost the production solver exists to avoid. Its key holds the open
+    /// rows too, so it also serves the DRAM model.
     fn reference_measure<W: ObservableWorkload>(
         config: &SimConfig,
         workload: &mut W,
@@ -213,6 +214,10 @@ mod tests {
         let mut seen: HashMap<Vec<u64>, Snapshot> = HashMap::new();
         loop {
             let mut key: Vec<u64> = engine.state().residues().collect();
+            key.extend(
+                (0..config.geometry.banks())
+                    .map(|b| engine.state().open_row(b).map_or(0, |r| r + 1)),
+            );
             key.extend(workload.state_signature());
             key.push(engine.state().rotation() as u64);
             let grants: Vec<u64> = (0..config.num_ports())
@@ -413,18 +418,20 @@ mod tests {
         }
     }
 
-    /// The search up to bank translation against the unreduced reference
-    /// detector, on systems wider than the property above draws: up to
-    /// 128 banks (primes included), cyclically sectioned geometries, both
-    /// topologies and priority rules, self-conflicting (`d = 0`) and
-    /// repeated strides, and late-starting ports past a nonzero warmup.
-    /// Every field must agree.
+    /// The search up to address translation against the unreduced
+    /// reference detector, on systems wider than the property above draws:
+    /// up to 128 banks (primes included), cyclically sectioned geometries,
+    /// both topologies and priority rules, the uniform and the DRAM model
+    /// (2 to 8 rows, any hit cycle), strides and bursts of 1 to 4 words,
+    /// self-conflicting (`d = 0`) and repeated distances, and late-starting
+    /// ports past a nonzero warmup. Every field must agree.
     #[test]
     fn translation_reduced_search_matches_reference_on_wide_systems() {
-        use crate::config::PriorityRule;
+        use crate::config::{BankModel, PriorityRule};
+        use vecmem_simcore::pattern::PatternSpec;
         let mut rng = SmallRng::seed_from_u64(0x7a45_0bed);
         let bank_counts = [5u64, 13, 31, 32, 61, 64, 96, 127, 128];
-        for case in 0..40 {
+        for case in 0..60 {
             let m = bank_counts[rng.gen_range(0..bank_counts.len() as u64) as usize];
             let nc = rng.gen_range_inclusive(1..=12);
             let ports = if m > 64 {
@@ -448,12 +455,24 @@ mod tests {
             } else {
                 cfg
             };
+            // The DRAM cases stay on up to 64 banks: the reference keeps
+            // every visited state.
+            let (cfg, cells) = if m <= 64 && rng.gen_bool(0.4) {
+                let rows = rng.gen_range_inclusive(2..=8);
+                let model = BankModel::Dram {
+                    hit_cycle: rng.gen_range_inclusive(1..=nc),
+                    rows,
+                };
+                (cfg.with_bank_model(model), m * rows)
+            } else {
+                (cfg, m)
+            };
             let mut distances: Vec<u64> = Vec::new();
             for _ in 0..ports {
                 let d = match (rng.gen_range(0..4), distances.last()) {
                     (0, _) => 0,
                     (1, Some(&prev)) => prev,
-                    _ => rng.gen_range(0..m),
+                    _ => rng.gen_range(0..cells),
                 };
                 distances.push(d);
             }
@@ -467,17 +486,32 @@ mod tests {
                 })
                 .collect();
             let warmup = starts.iter().copied().max().unwrap_or(0) + rng.gen_range(0..3);
-            let port_list: Vec<_> = distances
+            let specs: Vec<PatternSpec> = distances
                 .iter()
-                .zip(&starts)
-                .map(|(&d, &at)| {
-                    let stride = StridePattern::new(&g, spec(&g, rng.gen_range(0..m), d));
-                    PatternPort::new(stride).starting_at(at)
+                .map(|&distance| {
+                    let start_bank = rng.gen_range(0..cells);
+                    if rng.gen_bool(0.4) {
+                        PatternSpec::Burst {
+                            start_bank,
+                            distance,
+                            burst: rng.gen_range_inclusive(1..=4),
+                        }
+                    } else {
+                        PatternSpec::Stride {
+                            start_bank,
+                            distance,
+                        }
+                    }
                 })
                 .collect();
+            let port_list: Vec<_> = specs
+                .iter()
+                .zip(&starts)
+                .map(|(spec, &at)| PatternPort::new(spec.build(&cfg)).starting_at(at))
+                .collect();
             let label = format!(
-                "case {case}: m={m} s={sections} nc={nc} ports={:?} priority={:?} d={distances:?} starts={starts:?} warmup={warmup}",
-                cfg.ports, cfg.priority
+                "case {case}: m={m} s={sections} nc={nc} {:?} ports={:?} priority={:?} specs={specs:?} starts={starts:?} warmup={warmup}",
+                cfg.bank_model, cfg.ports, cfg.priority
             );
 
             let mut w1 = PatternWorkload::new(port_list.clone());

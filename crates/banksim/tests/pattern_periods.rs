@@ -1,9 +1,12 @@
 //! Minimal-period slot encodings of the access patterns.
 //!
-//! Every pattern packs its progress as `k mod period_hint()`, so the
-//! steady-state solver can only report the minimal period of a workload
-//! when each hint is the minimal period of that port's `(bank, row)`
-//! request sequence. Two properties hold that down:
+//! Every pattern's slot takes one value per reduced position `k mod
+//! period_hint()`: a gather packs `k mod period_hint()` itself, a stride
+//! or burst the upcoming address residue modulo `m·max(rows, 1)`, which
+//! repeats with exactly that period. So the steady-state solver can only
+//! report the minimal period of a workload when each hint is the minimal
+//! period of that port's `(bank, row)` request sequence. Two properties
+//! hold that down:
 //!
 //! * **minimality** — brute force finds no period shorter than the hint,
 //!   for strides, bursts and affine gathers, with and without DRAM rows,

@@ -35,7 +35,7 @@ pub const DRAM_ROWS: Flag<u64> = flag("dram-rows", Count(16), "rows tracked per 
 pub const CYCLE_BUDGET: Flag<u64> = flag(
     "cycle-budget",
     Int(10_000_000),
-    "search budget in steps, which a stride search may keep below transient + period",
+    "search budget in steps, which a stride or burst search may keep below transient + period",
 );
 
 // Outputs.

@@ -285,8 +285,9 @@ fn steady_respects_cycle_budget() {
     assert!(out.contains("b_eff = 7/6"), "{out}");
 }
 
-/// Long-period stride pairs, whose solve stops at a recurrence up to bank
-/// translation, print what the full-state search printed, byte for byte.
+/// Long-period stride, burst and DRAM pairs, whose solve stops at a
+/// recurrence up to address translation, print what the full-state search
+/// printed, byte for byte.
 #[test]
 fn long_period_steady_states_are_pinned() {
     let cases = [
@@ -314,16 +315,47 @@ fn long_period_steady_states_are_pinned() {
              transient 15 cycles, period 127 cycles\n\
              conflicts per period: bank 0, simultaneous 0, section 0\n",
         ),
+        (
+            "steady --banks 64 --nc 8 --bank-model dram --dram-hit 3 --dram-rows 8 --d1 5 --d2 9 --b2 17",
+            "b_eff = 14/9 (per port: 1, 5/9)\n\
+             transient 66 cycles, period 4608 cycles\n\
+             conflicts per period: bank 2048, simultaneous 0, section 0\n",
+        ),
+        (
+            "steady --banks 32 --nc 6 --bank-model dram --dram-hit 2 --dram-rows 4 --d1 3 --d2 7 --b2 5 --cyclic",
+            "b_eff = 6/5 (per port: 1/5, 1)\n\
+             transient 32 cycles, period 640 cycles\n\
+             conflicts per period: bank 512, simultaneous 0, section 0\n",
+        ),
+        (
+            "steady --banks 127 --nc 12 --pattern burst --burst 2 --d1 1 --d2 3 --b2 40 --cyclic",
+            "b_eff = 2/3 (per port: 1/2, 1/6)\n\
+             transient 92 cycles, period 762 cycles\n\
+             conflicts per period: bank 508, simultaneous 0, section 0\n",
+        ),
+        (
+            "steady --banks 128 --sections 8 --nc 12 --pattern burst --burst 2 --d1 3 --d2 5 --b2 7 --same-cpu",
+            "b_eff = 4/5 (per port: 1/2, 3/10)\n\
+             transient 107 cycles, period 1280 cycles\n\
+             conflicts per period: bank 384, simultaneous 0, section 128\n",
+        ),
+        (
+            "steady --banks 64 --nc 6 --pattern burst --burst 4 --bank-model dram --dram-hit 2 --dram-rows 8 --d1 3 --d2 11 --b2 7",
+            "b_eff = 1/2 (per port: 1/4, 1/4)\n\
+             transient 237 cycles, period 2048 cycles\n\
+             conflicts per period: bank 0, simultaneous 0, section 0\n",
+        ),
     ];
     for (line, expected) in cases {
         assert_eq!(ok(line), expected, "{line}");
     }
 }
 
-/// Where bank translation is no symmetry of the model the solve searches
-/// the full state: a consecutive section mapping (banks 2 and 3 share a
-/// section, their translates 3 and 4 do not) and a DRAM stride (open
-/// rows, and slots that are no banks).
+/// Where translation is no symmetry of the model the solve searches the
+/// full state: a consecutive section mapping (banks 2 and 3 share a
+/// section, their translates 3 and 4 do not). A DRAM stride pair, which
+/// once searched the full state too and now reduces (open rows move with
+/// their addresses), prints what it printed then.
 #[test]
 fn steady_states_without_translation_symmetry_are_pinned() {
     for (b2, transient) in [(1, 10), (9, 6)] {

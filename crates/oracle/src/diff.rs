@@ -30,7 +30,7 @@
 //!
 //! That argument needs the *full* period: the kernel's state at `μ + λ`
 //! equals its state at `μ`, so from there on it repeats cycles the oracle
-//! already matched. A search up to bank translation would stop after
+//! already matched. A search up to address translation would stop after
 //! `μ + λ/ord(s)` steps, at a translate of an earlier state. Agreement up
 //! to there covers one reduced window only; carrying it to the translated
 //! windows would assume the reference engine shares the kernel's

@@ -23,7 +23,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use vecmem_analytic::{Geometry, StreamSpec};
-use vecmem_banksim::steady::measure_steady_state;
+use vecmem_banksim::steady::{measure_steady_state, measure_steady_state_patterns};
 use vecmem_banksim::step::step;
 use vecmem_banksim::{
     BankModel, Engine, IndexPattern, NoopObserver, PatternSpec, PatternWorkload, PortOutcome,
@@ -348,6 +348,36 @@ fn steady_key_allocates_at_most_twice() {
 /// 52 to 69.
 const SOLVE_ALLOCATIONS: u64 = 29;
 
+/// Pattern points whose period is 64 or more but whose solve searches up
+/// to address translation in fewer than 64 steps, so it leaves no rung
+/// either: a burst pair on the uniform model, and a stride pair and a
+/// burst pair on the DRAM model. A DRAM transient fills the open rows, so
+/// it runs longer than a uniform one and keeps more power-of-two
+/// snapshots: these take 24, 29 and 29 allocations, and DRAM pairs with
+/// transients past 16 take 30 to 33.
+fn reduced_pattern_points() -> Vec<(SimConfig, Vec<PatternSpec>)> {
+    let g16 = Geometry::unsectioned(16, 4).unwrap();
+    let g64 = Geometry::unsectioned(64, 6).unwrap();
+    let dram = BankModel::Dram {
+        hit_cycle: 2,
+        rows: 4,
+    };
+    vec![
+        (
+            SimConfig::single_cpu(g64, 2).with_priority(PriorityRule::Cyclic),
+            vec![burst(0, 1, 2), burst(5, 1, 2)],
+        ),
+        (
+            SimConfig::single_cpu(g16, 2).with_bank_model(dram),
+            vec![stride(0, 5), stride(3, 5)],
+        ),
+        (
+            SimConfig::one_port_per_cpu(g16, 2).with_bank_model(dram),
+            vec![burst(0, 2, 2), burst(1, 2, 2)],
+        ),
+    ]
+}
+
 #[test]
 fn short_period_solve_stays_within_budget() {
     for (config, streams) in points() {
@@ -361,6 +391,21 @@ fn short_period_solve_stays_within_budget() {
         assert!(
             n <= SOLVE_ALLOCATIONS,
             "{config:?} {streams:?}: solve (μ {}, λ {}) made {n} allocations",
+            ss.transient,
+            ss.period
+        );
+    }
+    for (config, specs) in reduced_pattern_points() {
+        let (n, solved) = allocations(|| measure_steady_state_patterns(&config, &specs, 500_000));
+        let ss = solved.unwrap();
+        assert!(
+            ss.period >= 64,
+            "{config:?} {specs:?}: period {}",
+            ss.period
+        );
+        assert!(
+            n <= SOLVE_ALLOCATIONS,
+            "{config:?} {specs:?}: solve (μ {}, λ {}) made {n} allocations",
             ss.transient,
             ss.period
         );

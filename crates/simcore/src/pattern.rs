@@ -12,8 +12,9 @@
 //! Three pattern families ship with the core:
 //!
 //! * [`StridePattern`] — the paper's constant-stride stream. Its
-//!   packed-slot encoding is the current bank (finished marker `m`, bound
-//!   `m`), which the bank walk itself determines.
+//!   packed-slot encoding is the upcoming word address modulo `M =
+//!   m·max(rows, 1)` (finished marker `M`, bound `M`) — on the uniform
+//!   model, the current bank — which determines every later request.
 //! * [`GatherPattern`] — indexed gather/scatter, `addr(k) = base +
 //!   ix(k)` with [`IndexPattern`] index generation. Affine index vectors
 //!   are periodic (slot = `k mod T`, `T` the minimal period of the
@@ -24,14 +25,19 @@
 //! * [`BurstPattern`] — strided access with amortised multi-word grants:
 //!   each grant transfers `B` words and the port then idles `B − 1`
 //!   periods (the cooldown, aged by [`Workload::tick`]). The packed slot
-//!   encodes (reduced position, cooldown) together.
+//!   encodes the address residue and the cooldown together.
 //!
 //! Patterns are row-aware: constructed with `rows > 0` (the DRAM bank
 //! model's row count) they derive each request's bank-local row from the
-//! word address, and widen their slot encoding so the reduced position
-//! still determines all future requests — rows and banks both. With
-//! `rows = 0` (the uniform model) the row is `0` and the bank-only
-//! encodings apply.
+//! word address, and widen their slot encoding so the slot still
+//! determines all future requests — rows and banks both. With `rows = 0`
+//! (the uniform model) the row is `0` and the bank-only encodings apply.
+//!
+//! Strides and bursts walk one arithmetic address sequence, so both
+//! commute with address translation `a → a + t (mod M)` and declare it
+//! through [`AccessPattern::translation_modulus`]; the steady-state solver
+//! then searches for recurrence up to translation (see
+//! [`crate::steady`]).
 
 // Hot-path panic policy (TESTING.md, "Hot-path rules").
 #![cfg_attr(
@@ -66,19 +72,6 @@ fn request_modulus(banks: u64, rows: u64) -> u64 {
     banks * rows.max(1)
 }
 
-/// Reduced period of the (bank, row) sequence of an arithmetic address
-/// walk `addr(k) = start + k·d` over `m` banks and `rows` rows per bank
-/// (`rows = 0` = no row tracking): the smallest `T` with
-/// `addr(k + T) ≡ addr(k)` modulo bank *and* row.
-#[expect(
-    clippy::integer_division,
-    reason = "modulus = banks·max(rows, 1) >= 1 (validated geometry), so the gcd is at least one"
-)]
-fn arith_state_period(distance: u64, banks: u64, rows: u64) -> u64 {
-    let modulus = request_modulus(banks, rows);
-    modulus / gcd(distance % modulus, modulus)
-}
-
 /// Address generation for one port, decoupled from arbitration: the
 /// *k*-th request, a packed-slot encoding of progress for cyclic-state
 /// detection, and a periodicity hint.
@@ -94,12 +87,17 @@ pub trait AccessPattern: Clone {
 
     /// Packed-slot encoding of the port's progress after `k` grants with
     /// `cooldown` burst-idle periods remaining. Must determine all future
-    /// requests together with the pattern's static parameters.
+    /// requests together with the pattern's static parameters, and take
+    /// one value per reduced position `k mod period` (and cooldown), so
+    /// the encoding never inflates the period the steady-state solver
+    /// finds.
     fn encode_slot(&self, k: u64, cooldown: u64) -> u64;
 
     /// Inverse of [`encode_slot`](Self::encode_slot) up to position
-    /// reduction: `(reduced position, cooldown)`. Diagnostics and
-    /// conformance tests only — the hot paths never decode.
+    /// reduction: `(position, cooldown)`, the position in the pattern's own
+    /// reduced form (`k mod period` for a gather, the upcoming address
+    /// residue for a stride or burst). Diagnostics and conformance tests
+    /// only — the hot paths never decode.
     fn decode_slot(&self, slot: u64) -> (u64, u64);
 
     /// The marker slot written for a finished (finite) port. Must be
@@ -114,10 +112,10 @@ pub trait AccessPattern: Clone {
 
     /// Minimal period of the request sequence in the grant count `k`, when
     /// one exists: the smallest `p` with `request_at(k + p) ==
-    /// request_at(k)` for all `k`. The shipped families encode their slot
-    /// modulo it, so the encoding never inflates the period the
-    /// steady-state solver finds. `None` declares the pattern aperiodic,
-    /// routing steady-state measurement to the budgeted windowed estimate.
+    /// request_at(k)` for all `k`. The shipped families' slots take one
+    /// value per `k mod p` (and cooldown). `None` declares the pattern
+    /// aperiodic, routing steady-state measurement to the budgeted
+    /// windowed estimate.
     fn period_hint(&self) -> Option<u64>;
 
     /// Words transferred per grant. A port idles `burst() − 1` periods
@@ -128,9 +126,10 @@ pub trait AccessPattern: Clone {
 
     /// `request_at(k)` given the port's previous request (`request_at(k −
     /// 1)`), for patterns that can step incrementally. The default
-    /// recomputes from scratch; [`StridePattern`] overrides it so the
-    /// per-grant hot path is one add and a conditional subtract instead of
-    /// wide-integer arithmetic. Must equal `request_at(k)` exactly.
+    /// recomputes from scratch; [`StridePattern`] and [`BurstPattern`]
+    /// override it so the per-grant hot path is an add and a carry per
+    /// bank and row instead of wide-integer arithmetic. Must equal
+    /// `request_at(k)` exactly.
     #[inline]
     fn advance(&self, k: u64, _prev: &Request) -> Request {
         self.request_at(k)
@@ -138,67 +137,78 @@ pub trait AccessPattern: Clone {
 
     /// [`encode_slot`](Self::encode_slot) given the port's cached upcoming
     /// request (`request_at(k)`). The default delegates; [`StridePattern`]
-    /// overrides it to reuse the cached bank on the uniform model, keeping
-    /// the per-cycle signature write allocation- and division-free. Must
-    /// equal `encode_slot(k, cooldown)` exactly.
+    /// and [`BurstPattern`] override it to read the address residue off
+    /// the cached bank and row, keeping the per-cycle signature write
+    /// allocation- and division-free. Must equal `encode_slot(k,
+    /// cooldown)` exactly.
     #[inline]
     fn encode_slot_at(&self, k: u64, cooldown: u64, _current: &Request) -> u64 {
         self.encode_slot(k, cooldown)
     }
 
-    /// Whether the packed slot of a live port is the bank of its upcoming
-    /// request and the pattern commutes with bank translation: a port
-    /// whose slot reads `b + t (mod m)` requests every later bank `t`
-    /// higher than one whose slot reads `b`. The default declares no such
-    /// symmetry; [`StridePattern`] on the uniform model has it.
-    fn translates_with_banks(&self) -> bool {
-        false
+    /// The address modulus `M` under which the pattern commutes with
+    /// address translation, if it does: a live port's slot is
+    /// `cooldown·M + r`, `r` the upcoming word address modulo `M`, and a port whose
+    /// residue reads `r + t (mod M)` requests every later address `t`
+    /// higher than one whose residue reads `r`, cooldowns alike. A request
+    /// is its address residue: bank `r mod m` and row `r / m` (`M =
+    /// m·max(rows, 1)`). The default, `None`, declares no such symmetry;
+    /// [`StridePattern`] and [`BurstPattern`] have it. A gather has none:
+    /// its index wraps at `span`, which breaks translation unless `M`
+    /// divides the span.
+    fn translation_modulus(&self) -> Option<u64> {
+        None
     }
 }
 
-/// The paper's constant-stride stream as an [`AccessPattern`]: `addr(k) =
-/// start_bank + k·distance`, bank `addr mod m`.
-///
-/// With `rows = 0` the packed slot is the **current bank** (finished
-/// marker `m`): on a stride walk the bank alone determines every later
-/// request. With `rows > 0` the slot is the reduced position `k mod T`
-/// instead, since the bank alone no longer determines the upcoming rows.
+/// The arithmetic address walk `addr(k) = start + k·distance` that
+/// [`StridePattern`] and [`BurstPattern`] share. A request is decided by
+/// the address residue `addr mod M`, `M = m·max(rows, 1)`: bank `addr mod
+/// m` and row `(addr / m) mod rows` (row `0` when `rows = 0`), so the
+/// residue is `bank + m·row`. The walk keeps `distance mod M` as a bank
+/// step and a row step: a grant adds the bank step and carries into the
+/// row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StridePattern {
+struct ArithWalk {
     start: u64,
     distance: u64,
     banks: u64,
     rows: u64,
-    state_period: u64,
-    /// `distance mod banks`, precomputed for the incremental hot path.
-    step: u64,
+    /// The address modulus `M = m·max(rows, 1)`.
+    modulus: u64,
+    /// Minimal period of the (bank, row) request sequence, the smallest
+    /// `T` with `T·distance ≡ 0 (mod M)`: `M / gcd(distance, M)`.
+    period: u64,
+    /// `distance mod m`.
+    bank_step: u64,
+    /// `(distance / m) mod rows`; `0` when rows are not tracked.
+    row_step: u64,
 }
 
-impl StridePattern {
-    /// Stride `spec` on `geom`'s banks, uniform bank model (no rows).
-    #[must_use]
-    pub fn new(geom: &Geometry, spec: StreamSpec) -> Self {
-        Self::with_rows(geom, spec, 0)
-    }
-
-    /// Stride `spec` with DRAM row derivation: the word address is taken
-    /// as `start_bank + k·distance`, the row as `(addr / m) mod rows`.
-    /// `rows = 0` disables row tracking (uniform model).
-    #[must_use]
-    pub fn with_rows(geom: &Geometry, spec: StreamSpec, rows: u64) -> Self {
+impl ArithWalk {
+    #[expect(
+        clippy::integer_division,
+        reason = "banks >= 1 by the validated geometry, so the modulus and the gcd are at least one; rows != 0 on the row-step branch"
+    )]
+    fn new(geom: &Geometry, spec: StreamSpec, rows: u64) -> Self {
         let banks = geom.banks();
+        let modulus = request_modulus(banks, rows);
         Self {
             start: spec.start_bank,
             distance: spec.distance,
             banks,
             rows,
-            state_period: arith_state_period(spec.distance, banks, rows),
-            step: spec.distance % banks,
+            modulus,
+            period: modulus / gcd(spec.distance % modulus, modulus),
+            bank_step: spec.distance % banks,
+            row_step: if rows == 0 {
+                0
+            } else {
+                (spec.distance / banks) % rows
+            },
         }
     }
-}
 
-impl AccessPattern for StridePattern {
     #[inline]
     fn request_at(&self, k: u64) -> Request {
         let addr = u128::from(self.start) + u128::from(k) * u128::from(self.distance);
@@ -215,13 +225,94 @@ impl AccessPattern for StridePattern {
         Request { bank, row }
     }
 
+    /// The request after `prev`: the bank step added with its carry, and
+    /// the row step plus the carry added to the row.
+    #[deny(clippy::arithmetic_side_effects)]
+    #[inline]
+    fn advance(&self, prev: &Request) -> Request {
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "bank < banks and bank_step < banks (both validated), so the sum stays below 2·banks"
+        )]
+        let bank = prev.bank + self.bank_step;
+        let carry = bank >= self.banks;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "bank >= banks on this branch, so the subtraction cannot wrap"
+        )]
+        let bank = if carry { bank - self.banks } else { bank };
+        if self.rows == 0 {
+            return Request { bank, row: 0 };
+        }
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "row < rows and row_step < rows, so the sum with the carry stays below 2·rows"
+        )]
+        let row = prev.row + self.row_step + u64::from(carry);
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "row >= rows on this branch, so the subtraction cannot wrap"
+        )]
+        let row = if row >= self.rows {
+            row - self.rows
+        } else {
+            row
+        };
+        Request { bank, row }
+    }
+
+    /// The address residue `bank + m·row` of `request`, one of this
+    /// walk's requests.
+    #[inline]
+    fn residue(&self, request: &Request) -> u64 {
+        if self.rows == 0 {
+            request.bank
+        } else {
+            request.bank + self.banks * request.row
+        }
+    }
+}
+
+/// The paper's constant-stride stream as an [`AccessPattern`]: `addr(k) =
+/// start_bank + k·distance`, bank `addr mod m`.
+///
+/// The packed slot is the upcoming address residue `addr mod M`, `M =
+/// m·max(rows, 1)` (finished marker `M`): with `rows = 0` the **current
+/// bank**, with rows the bank and its row together. On an arithmetic walk
+/// the residue alone determines every later request, and it takes one
+/// value per reduced position `k mod T`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct StridePattern {
+    walk: ArithWalk,
+}
+
+impl StridePattern {
+    /// Stride `spec` on `geom`'s banks, uniform bank model (no rows).
+    #[must_use]
+    pub fn new(geom: &Geometry, spec: StreamSpec) -> Self {
+        Self::with_rows(geom, spec, 0)
+    }
+
+    /// Stride `spec` with DRAM row derivation: the word address is taken
+    /// as `start_bank + k·distance`, the row as `(addr / m) mod rows`.
+    /// `rows = 0` disables row tracking (uniform model).
+    #[must_use]
+    pub fn with_rows(geom: &Geometry, spec: StreamSpec, rows: u64) -> Self {
+        Self {
+            walk: ArithWalk::new(geom, spec, rows),
+        }
+    }
+}
+
+impl AccessPattern for StridePattern {
+    #[inline]
+    fn request_at(&self, k: u64) -> Request {
+        self.walk.request_at(k)
+    }
+
     #[inline]
     fn encode_slot(&self, k: u64, _cooldown: u64) -> u64 {
-        if self.rows == 0 {
-            self.request_at(k).bank
-        } else {
-            k % self.state_period
-        }
+        self.walk.residue(&self.walk.request_at(k))
     }
 
     fn decode_slot(&self, slot: u64) -> (u64, u64) {
@@ -229,11 +320,7 @@ impl AccessPattern for StridePattern {
     }
 
     fn finished_code(&self) -> u64 {
-        if self.rows == 0 {
-            self.banks
-        } else {
-            self.state_period
-        }
+        self.walk.modulus
     }
 
     fn slot_bound(&self) -> Option<u64> {
@@ -241,45 +328,23 @@ impl AccessPattern for StridePattern {
     }
 
     fn period_hint(&self) -> Option<u64> {
-        Some(self.state_period)
-    }
-
-    #[deny(clippy::arithmetic_side_effects)]
-    #[inline]
-    fn advance(&self, k: u64, prev: &Request) -> Request {
-        if self.rows != 0 {
-            return self.request_at(k);
-        }
-        #[expect(
-            clippy::arithmetic_side_effects,
-            reason = "bank < banks and step < banks (both validated), so the sum stays below 2·banks"
-        )]
-        let bank = prev.bank + self.step;
-        #[expect(
-            clippy::arithmetic_side_effects,
-            reason = "bank >= banks on this branch, so the subtraction cannot wrap"
-        )]
-        let bank = if bank >= self.banks {
-            bank - self.banks
-        } else {
-            bank
-        };
-        Request { bank, row: 0 }
+        Some(self.walk.period)
     }
 
     #[inline]
-    fn encode_slot_at(&self, k: u64, _cooldown: u64, current: &Request) -> u64 {
-        if self.rows == 0 {
-            current.bank
-        } else {
-            k % self.state_period
-        }
+    fn advance(&self, _k: u64, prev: &Request) -> Request {
+        self.walk.advance(prev)
     }
 
-    /// The uniform-model slot is the current bank, and the next one is
-    /// always `distance mod m` further on.
-    fn translates_with_banks(&self) -> bool {
-        self.rows == 0
+    #[inline]
+    fn encode_slot_at(&self, _k: u64, _cooldown: u64, current: &Request) -> u64 {
+        self.walk.residue(current)
+    }
+
+    /// The slot is the address residue, and the next one is always
+    /// `distance mod M` further on.
+    fn translation_modulus(&self) -> Option<u64> {
+        Some(self.walk.modulus)
     }
 }
 
@@ -495,19 +560,15 @@ impl AccessPattern for GatherPattern {
 /// (its cooldown, aged once per cycle by the step kernel's
 /// [`Workload::tick`] call).
 ///
-/// The packed slot encodes position and cooldown together: `(k mod
-/// T)·burst + cooldown`, marker `T·burst`, so the detector sees the full
-/// time-dependent port state. With `burst = 1` the behaviour degenerates
-/// exactly to [`StridePattern`]'s (the cooldown is always zero at
-/// signature time).
+/// The packed slot encodes the upcoming address residue and the cooldown
+/// together: `cooldown·M + (addr mod M)`, `M = m·max(rows, 1)`, marker
+/// `burst·M`, so the detector sees the full time-dependent port state.
+/// With `burst = 1` the behaviour degenerates exactly to
+/// [`StridePattern`]'s (the cooldown is always zero at signature time).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BurstPattern {
-    start: u64,
-    distance: u64,
+    walk: ArithWalk,
     burst: u64,
-    banks: u64,
-    rows: u64,
-    state_period: u64,
 }
 
 impl BurstPattern {
@@ -531,33 +592,10 @@ impl BurstPattern {
     )]
     pub fn with_rows(geom: &Geometry, spec: StreamSpec, burst: u64, rows: u64) -> Self {
         assert!(burst >= 1, "burst must be at least one word per grant");
-        let banks = geom.banks();
         Self {
-            start: spec.start_bank,
-            distance: spec.distance,
+            walk: ArithWalk::new(geom, spec, rows),
             burst,
-            banks,
-            rows,
-            state_period: arith_state_period(spec.distance, banks, rows),
         }
-    }
-}
-
-impl AccessPattern for BurstPattern {
-    #[inline]
-    fn request_at(&self, k: u64) -> Request {
-        let addr = u128::from(self.start) + u128::from(k) * u128::from(self.distance);
-        let bank = (addr % u128::from(self.banks)) as u64;
-        #[expect(
-            clippy::integer_division,
-            reason = "banks >= 1 by the validated geometry; rows != 0 on this branch"
-        )]
-        let row = if self.rows == 0 {
-            0
-        } else {
-            ((addr / u128::from(self.banks)) % u128::from(self.rows)) as u64
-        };
-        Request { bank, row }
     }
 
     #[expect(
@@ -565,25 +603,37 @@ impl AccessPattern for BurstPattern {
         reason = "debug_assert! only: compiled out of release builds"
     )]
     #[inline]
-    fn encode_slot(&self, k: u64, cooldown: u64) -> u64 {
+    fn slot(&self, cooldown: u64, request: &Request) -> u64 {
         debug_assert!(
             cooldown < self.burst,
             "cooldown {cooldown} of {}",
             self.burst
         );
-        (k % self.state_period) * self.burst + cooldown
+        cooldown * self.walk.modulus + self.walk.residue(request)
+    }
+}
+
+impl AccessPattern for BurstPattern {
+    #[inline]
+    fn request_at(&self, k: u64) -> Request {
+        self.walk.request_at(k)
+    }
+
+    #[inline]
+    fn encode_slot(&self, k: u64, cooldown: u64) -> u64 {
+        self.slot(cooldown, &self.walk.request_at(k))
     }
 
     #[expect(
         clippy::integer_division,
-        reason = "burst >= 1, asserted at construction"
+        reason = "the modulus m·max(rows, 1) >= 1 (validated geometry)"
     )]
     fn decode_slot(&self, slot: u64) -> (u64, u64) {
-        (slot / self.burst, slot % self.burst)
+        (slot % self.walk.modulus, slot / self.walk.modulus)
     }
 
     fn finished_code(&self) -> u64 {
-        self.state_period * self.burst
+        self.burst * self.walk.modulus
     }
 
     fn slot_bound(&self) -> Option<u64> {
@@ -591,7 +641,7 @@ impl AccessPattern for BurstPattern {
     }
 
     fn period_hint(&self) -> Option<u64> {
-        Some(self.state_period)
+        Some(self.walk.period)
     }
 
     fn burst(&self) -> u64 {
@@ -599,17 +649,18 @@ impl AccessPattern for BurstPattern {
     }
 
     #[inline]
-    fn advance(&self, k: u64, prev: &Request) -> Request {
-        if self.rows != 0 {
-            return self.request_at(k);
-        }
-        let bank = prev.bank + self.distance % self.banks;
-        let bank = if bank >= self.banks {
-            bank - self.banks
-        } else {
-            bank
-        };
-        Request { bank, row: 0 }
+    fn advance(&self, _k: u64, prev: &Request) -> Request {
+        self.walk.advance(prev)
+    }
+
+    #[inline]
+    fn encode_slot_at(&self, _k: u64, cooldown: u64, current: &Request) -> u64 {
+        self.slot(cooldown, current)
+    }
+
+    /// Translation moves the residue and leaves the cooldown alone.
+    fn translation_modulus(&self) -> Option<u64> {
+        Some(self.walk.modulus)
     }
 }
 
@@ -695,11 +746,11 @@ impl AccessPattern for AnyPattern {
             Self::Burst(p) => p.encode_slot_at(k, cooldown, current),
         }
     }
-    fn translates_with_banks(&self) -> bool {
+    fn translation_modulus(&self) -> Option<u64> {
         match self {
-            Self::Stride(p) => p.translates_with_banks(),
-            Self::Gather(p) => p.translates_with_banks(),
-            Self::Burst(p) => p.translates_with_banks(),
+            Self::Stride(p) => p.translation_modulus(),
+            Self::Gather(p) => p.translation_modulus(),
+            Self::Burst(p) => p.translation_modulus(),
         }
     }
 }
@@ -991,15 +1042,16 @@ impl<P: AccessPattern> ObservableWorkload for PatternWorkload<P> {
     }
 
     /// Every port is infinite, has started by `now` and runs a pattern
-    /// that [translates with the banks](AccessPattern::translates_with_banks):
-    /// a finished port's marker or a port still waiting for its start
-    /// cycle does not move under translation.
-    fn translates_with_banks(&self, now: u64) -> bool {
+    /// whose [translation modulus](AccessPattern::translation_modulus) is
+    /// `modulus`: a finished port's marker or a port still waiting for its
+    /// start cycle does not move under translation, and a pattern whose
+    /// rows the configuration does not track translates on other terms.
+    fn translates_with_addresses(&self, now: u64, modulus: u64) -> bool {
         !self.ports.is_empty()
             && self.ports.iter().all(|p| {
                 p.length == PatternLength::Infinite
                     && p.start_cycle <= now
-                    && p.pattern.translates_with_banks()
+                    && p.pattern.translation_modulus() == Some(modulus)
             })
     }
 }
@@ -1042,12 +1094,16 @@ mod tests {
         let p = StridePattern::with_rows(&geom(4, 2), spec(1, 3), 2);
         let rows: Vec<u64> = (0..5).map(|k| p.request_at(k).row).collect();
         assert_eq!(rows, vec![0, 1, 1, 0, 1]);
-        // Slots are reduced positions, periodic with T = m·rows/gcd.
+        // Slots are address residues mod m·rows = 8: addr(9) = 28 ≡ 4,
+        // bank 0 of row 1. The requests repeat with T = m·rows/gcd.
         assert_eq!(p.period_hint(), Some(8));
-        assert_eq!(p.encode_slot(9, 0), 1);
-        // The reduced position fully determines the request.
+        assert_eq!(p.encode_slot(9, 0), 4);
+        assert_eq!(p.request_at(9), Request { bank: 0, row: 1 });
+        assert_eq!(p.finished_code(), 8);
+        // The residue fully determines the request.
         for k in 0..32 {
             assert_eq!(p.request_at(k), p.request_at(k + 8), "k = {k}");
+            assert_eq!(p.encode_slot(k, 0), p.encode_slot(k + 8, 0), "k = {k}");
         }
     }
 
@@ -1055,9 +1111,10 @@ mod tests {
     fn incremental_advance_matches_request_at() {
         // The cached-request fast path must be indistinguishable from the
         // from-scratch computation, for every family, with and without
-        // rows, including distances far above the bank count.
+        // rows, including distances far above the bank count and above
+        // the address modulus m·rows, and starts past it.
         let g = geom(12, 3);
-        let patterns: Vec<AnyPattern> = vec![
+        let mut patterns: Vec<AnyPattern> = vec![
             AnyPattern::Stride(StridePattern::new(&g, spec(5, 29))),
             AnyPattern::Stride(StridePattern::with_rows(&g, spec(1, 7), 4)),
             AnyPattern::Burst(BurstPattern::new(&g, spec(2, 31), 4)),
@@ -1075,6 +1132,27 @@ mod tests {
                 IndexPattern::PseudoRandom { seed: 4 },
             )),
         ];
+        for rows in 2..=8u64 {
+            let cells = 12 * rows;
+            for (start, distance) in [
+                (3, 11),
+                (7, cells - 1),
+                (1, cells + 13),
+                (cells + 5, 3 * cells + 7),
+            ] {
+                patterns.push(AnyPattern::Stride(StridePattern::with_rows(
+                    &g,
+                    spec(start, distance),
+                    rows,
+                )));
+                patterns.push(AnyPattern::Burst(BurstPattern::with_rows(
+                    &g,
+                    spec(start, distance),
+                    1 + rows % 4,
+                    rows,
+                )));
+            }
+        }
         for p in &patterns {
             let mut current = p.request_at(0);
             for k in 1..200 {
@@ -1153,11 +1231,17 @@ mod tests {
     fn burst_slot_encodes_position_and_cooldown() {
         let p = BurstPattern::new(&geom(8, 2), spec(0, 1), 4);
         assert_eq!(p.burst(), 4);
-        // T = 8, burst = 4: slot = (k mod 8)·4 + cooldown.
-        assert_eq!(p.encode_slot(3, 2), 14);
-        assert_eq!(p.decode_slot(14), (3, 2));
+        // M = 8, burst = 4: slot = cooldown·8 + (addr mod 8).
+        assert_eq!(p.encode_slot(3, 2), 19);
+        assert_eq!(p.decode_slot(19), (3, 2));
         assert_eq!(p.finished_code(), 32);
         assert_eq!(p.slot_bound(), Some(32));
+        // With 2 rows the residue is taken mod 16: addr(11) = 11.
+        let rows = BurstPattern::with_rows(&geom(8, 2), spec(0, 1), 4, 2);
+        assert_eq!(rows.encode_slot(11, 3), 3 * 16 + 11);
+        assert_eq!(rows.decode_slot(59), (11, 3));
+        assert_eq!(rows.finished_code(), 64);
+        assert_eq!(rows.translation_modulus(), Some(16));
     }
 
     #[test]

@@ -149,6 +149,36 @@ fn mul61(a: u64, b: u64) -> u64 {
     add61((p as u64) & P61, (p >> 61) as u64)
 }
 
+/// `x + by (mod n)`, for `x < n` and `by <= n`.
+#[inline]
+fn add_mod(x: u64, by: u64, n: u64) -> u64 {
+    let y = x.wrapping_add(by);
+    if y >= n {
+        y.wrapping_sub(n)
+    } else {
+        y
+    }
+}
+
+/// `x − by (mod n)`, for `x < n` and `by <= n`.
+#[inline]
+fn sub_mod(x: u64, by: u64, n: u64) -> u64 {
+    add_mod(x, n.wrapping_sub(by), n)
+}
+
+/// A position slot `cooldown·M + (address mod M)` split into `cooldown·M`
+/// and the address residue. A slot below `M` (every stride's, and an idle
+/// burst's) splits without a division.
+#[inline]
+fn split_slot(slot: u64, modulus: u64) -> (u64, u64) {
+    if slot < modulus {
+        (0, slot)
+    } else {
+        let address = slot % modulus;
+        (slot - address, address)
+    }
+}
+
 /// Residue-hash coefficient of `bank`, in `1..P61`.
 #[inline]
 const fn coefficient_of(bank: u64) -> u64 {
@@ -951,66 +981,136 @@ impl SimState {
         self.full_hash().combined()
     }
 
-    /// The [`hash`](Self::hash) this core would have if it were translated
-    /// by `−anchor` on the banks: bank `b`'s residue moved to bank `b −
-    /// anchor (mod m)`, and every position slot, read as a bank number,
-    /// lowered the same way. Two cores that are bank translates of each
-    /// other, each taken relative to the bank in its position slot 0,
-    /// hash alike. The residue term walks the expiry wheel, slot `now +
-    /// k` holding the banks of residue `k`: O(n_c + busy banks), however
-    /// the states compare. Uniform bank model only (open rows are not
-    /// translated).
+    /// The address modulus `M = m·max(rows, 1)`: a request is its word
+    /// address modulo `M`, bank `a mod m` and row `a / m` (`rows` the DRAM
+    /// model's row count, none under the uniform model). The position
+    /// slots of a workload that translates with addresses hold
+    /// `cooldown·M + (address mod M)`, and an open row `r` of bank `b` is
+    /// address `b + m·r`.
+    #[inline]
+    pub(crate) fn address_modulus(&self) -> u64 {
+        u64::from(self.banks) * self.max_rows.max(1)
+    }
+
+    /// The address residue position slot `slot` holds, read as
+    /// `cooldown·M + (address mod M)`.
+    #[inline]
+    pub(crate) fn slot_address(&self, slot: usize) -> u64 {
+        split_slot(self.position(slot), self.address_modulus()).1
+    }
+
+    /// The key of this core up to address translation: the
+    /// [`hash`](Self::hash) of the core translated by `−a` on the word
+    /// addresses modulo `M` ([`address_modulus`](Self::address_modulus)),
+    /// `a` the address in position slot 0. Bank `b`'s residue moves to
+    /// bank `b − a (mod m)` and every position slot's address residue to
+    /// `r − a (mod M)`, its cooldown staying put. Two cores that are
+    /// translates of each other key alike. The residue term walks the
+    /// expiry wheel, slot `now + k` holding the banks of residue `k`:
+    /// O(n_c + busy banks), however the states compare.
+    ///
+    /// Under the DRAM model the open rows of the busy banks the walk
+    /// visits move with their addresses too (row `r` of bank `b` to the
+    /// row of address `b + m·r − a`), folded into their banks' residue
+    /// terms; the idle banks' rows, and the plain hash's open-row term,
+    /// stay out of the key. On the uniform model the key is the plain
+    /// hash of the translated core.
+    #[deny(clippy::arithmetic_side_effects)]
+    pub(crate) fn translated_hash(&self) -> u64 {
+        let modulus = self.address_modulus();
+        let anchor = split_slot(self.position(0), modulus).1;
+        let banks = u64::from(self.banks);
+        let res = if self.row_words == 0 {
+            // M = m: the anchor is a bank.
+            self.translated_residues(|bank, residue| {
+                mul61(coefficient(sub_mod(bank, anchor, banks)), residue)
+            })
+        } else {
+            #[expect(
+                clippy::integer_division,
+                clippy::arithmetic_side_effects,
+                reason = "banks >= 1 by the validated geometry"
+            )]
+            let (anchor_bank, anchor_row) = (anchor % banks, anchor / banks);
+            self.translated_residues(|bank, residue| {
+                let borrow = u64::from(bank < anchor_bank);
+                let word = self.open_row(bank).map_or(0, |row| {
+                    sub_mod(row, anchor_row.wrapping_add(borrow), self.max_rows).wrapping_add(1)
+                });
+                let value = (residue | word.wrapping_shl(8)) & P61;
+                mul61(coefficient(sub_mod(bank, anchor_bank, banks)), value)
+            })
+        };
+        let mut pos = 0;
+        for slot in 0..self.sig_len as usize {
+            let (cooldown, address) = split_slot(self.position(slot), modulus);
+            let relative = cooldown.wrapping_add(sub_mod(address, anchor, modulus));
+            pos ^= component(POS_SEED, slot as u64, relative);
+        }
+        res ^ self.h_rot ^ pos
+    }
+
+    /// `Σ term(bank, residue)` over the busy banks, in GF(P61), from a
+    /// walk of the expiry wheel: slot `now + k` holds the banks of residue
+    /// `k`.
     #[deny(clippy::arithmetic_side_effects)]
     #[expect(
         clippy::indexing_slicing,
         reason = "buf indices derive from the validated geometry that sized the buffer, and wheel links hold in-range banks by construction"
     )]
-    pub(crate) fn translated_hash(&self, anchor: u64) -> u64 {
-        let banks = u64::from(self.banks);
-        let relative = |bank: u64| {
-            if bank >= anchor {
-                bank.wrapping_sub(anchor)
-            } else {
-                bank.wrapping_add(banks).wrapping_sub(anchor)
-            }
-        };
+    #[inline]
+    fn translated_residues(&self, term: impl Fn(u64, u64) -> u64) -> u64 {
         let mut res = 0;
         for residue in 1..=u64::from(self.max_residue) {
             let mut link = self.buf[self.head_index(self.now.wrapping_add(residue))];
             while link != 0 {
                 let bank = link.wrapping_sub(1);
-                res = add61(res, mul61(coefficient(relative(bank)), residue));
+                res = add61(res, term(bank, residue));
                 link = self.buf[self.next_index(bank)];
             }
         }
-        let mut pos = 0;
-        for slot in 0..self.sig_len as usize {
-            pos ^= component(POS_SEED, slot as u64, relative(self.position(slot)));
-        }
-        res ^ self.h_rot ^ pos ^ self.h_row
+        res
     }
 
     /// True when `other`'s core is this one translated by `shift` on the
-    /// banks: bank `b`'s residue at bank `b + shift (mod m)`, every
-    /// position slot, read as a bank number, raised the same way, and the
+    /// word addresses modulo `M` ([`address_modulus`](Self::address_modulus)):
+    /// bank `b`'s residue at bank `b + shift (mod m)`, its open row `r` at
+    /// the row of address `b + m·r + shift`, every position slot's address
+    /// residue raised by `shift (mod M)` and its cooldown kept, and the
     /// same rotation. O(banks), stopping at the first mismatch: the
     /// confirmation behind a [`translated_hash`](Self::translated_hash)
-    /// match. Uniform bank model only, as there.
+    /// match, so it compares every bank's open row, idle or busy.
+    #[expect(
+        clippy::integer_division,
+        reason = "banks >= 1 by the validated geometry"
+    )]
     pub(crate) fn translates_to(&self, other: &Self, shift: u64) -> bool {
+        let modulus = self.address_modulus();
         let banks = u64::from(self.banks);
-        let raise = |bank: u64| {
-            let raised = bank + shift;
-            if raised >= banks {
-                raised - banks
-            } else {
-                raised
-            }
+        let (bank_shift, row_shift) = if self.row_words == 0 {
+            (shift, 0)
+        } else {
+            (shift % banks, shift / banks)
         };
         self.banks == other.banks
             && self.sig_len == other.sig_len
+            && self.row_words == other.row_words
+            && self.max_rows == other.max_rows
             && self.rotation() == other.rotation()
-            && (0..self.sig_len as usize).all(|i| other.position(i) == raise(self.position(i)))
-            && (0..banks).all(|b| other.residue(raise(b)) == self.residue(b))
+            && (0..self.sig_len as usize).all(|i| {
+                let (cooldown, address) = split_slot(self.position(i), modulus);
+                other.position(i) == cooldown + add_mod(address, shift, modulus)
+            })
+            && (0..banks).all(|b| {
+                let to = b + bank_shift;
+                let carry = to >= banks;
+                let to = if carry { to - banks } else { to };
+                other.residue(to) == self.residue(b)
+                    && other.open_row(to)
+                        == self
+                            .open_row(b)
+                            .map(|row| add_mod(row, row_shift + u64::from(carry), self.max_rows))
+            })
     }
 
     /// Per-port events of the last simulated clock period, in arbitration
@@ -1331,22 +1431,51 @@ mod tests {
         }
     }
 
+    /// The translation key of a core whose port-0 address is 0, from
+    /// scratch: the residue term with every busy bank's open-row word
+    /// folded in, the rotation and the position slots.
+    fn key_at_anchor_zero(st: &SimState) -> u64 {
+        let mut res = 0;
+        for bank in 0..u64::from(st.banks) {
+            let residue = u64::from(st.residue(bank));
+            if residue > 0 {
+                let word = st.open_row(bank).map_or(0, |r| r + 1);
+                res = add61(res, mul61(coefficient(bank), (residue | word << 8) & P61));
+            }
+        }
+        let mut key = res ^ component(ROT_SEED, 0, st.rotation() as u64);
+        for slot in 0..st.signature_slots() {
+            key ^= component(POS_SEED, slot as u64, st.position(slot));
+        }
+        key
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(96))]
         #[test]
         fn translated_hash_is_the_hash_of_the_translated_core(
             m in 1u64..=140,
             nc in 1u64..=12,
             ports in 1usize..=4,
+            rows in 0u64..=8,
             seed in 0u64..u64::MAX,
         ) {
             // A state aged on its own clock (so the wheel walk starts at a
-            // nonzero `now`) against copies packed at now = 0: the state
-            // translated by `t`, and the state taken relative to its
-            // port-0 bank.
-            let cfg = config(m, nc, ports);
+            // nonzero `now`), with open rows on busy and idle banks under
+            // the DRAM model (`rows > 0`) and burst cooldowns in some
+            // slots, against copies packed at now = 0: the state
+            // translated by `t` on the addresses mod M = m·max(rows, 1),
+            // and the state taken relative to its port-0 address.
+            let cfg = if rows == 0 {
+                config(m, nc, ports)
+            } else {
+                dram_config(m, nc, ports, rows)
+            };
+            let modulus = m * rows.max(1);
             let mut rng = TestRng::seed_from_u64(seed);
-            let positions: Vec<u64> = (0..ports).map(|_| rng.bounded(m)).collect();
+            let positions: Vec<u64> = (0..ports)
+                .map(|_| rng.bounded(3) * modulus + rng.bounded(modulus))
+                .collect();
             let mut st = SimState::with_signature_slots(&cfg, ports);
             st.sync_signature(&positions);
             st.set_rotation(rng.bounded(ports as u64) as usize);
@@ -1355,31 +1484,55 @@ mod tests {
                     let bank = rng.bounded(m);
                     if !st.is_busy(bank) {
                         st.occupy(bank, 1 + rng.bounded(nc));
+                        if rows > 0 {
+                            st.set_open_row(bank, rng.bounded(rows));
+                        }
                     }
                 }
                 st.advance_now();
             }
+            prop_assert_eq!(st.address_modulus(), modulus);
             let residues = st.residues_vec();
+            let open: Vec<Option<u64>> = (0..m).map(|b| st.open_row(b)).collect();
             let translated = |t: u64| {
                 let mut moved = vec![0u8; m as usize];
-                for (b, &r) in residues.iter().enumerate() {
-                    moved[((b as u64 + t) % m) as usize] = r;
+                let mut moved_rows = vec![None; m as usize];
+                for b in 0..m {
+                    moved[((b + t) % m) as usize] = residues[b as usize];
+                    if let Some(r) = open[b as usize] {
+                        let address = (b + m * r + t) % modulus;
+                        moved_rows[(address % m) as usize] = Some(address / m);
+                    }
                 }
-                let slots: Vec<u64> = positions.iter().map(|&p| (p + t) % m).collect();
-                SimState::pack(&cfg, &moved, &slots, st.rotation())
+                let slots: Vec<u64> = positions
+                    .iter()
+                    .map(|&p| p - p % modulus + (p % modulus + t) % modulus)
+                    .collect();
+                let mut packed = SimState::pack(&cfg, &moved, &slots, st.rotation());
+                if rows > 0 {
+                    packed.sync_open_rows(&moved_rows);
+                }
+                packed
             };
-            let anchor = positions[0];
-            let canonical = translated(m - anchor);
-            prop_assert_eq!(st.translated_hash(anchor), canonical.hash());
-            let t = rng.bounded(m);
-            let moved = translated(t);
-            prop_assert_eq!(moved.translated_hash(moved.position(0)), canonical.hash());
-            prop_assert!(st.translates_to(&moved, t));
-            prop_assert!(moved.translates_to(&st, (m - t) % m));
-            if m > 1 {
-                prop_assert!(!st.translates_to(&moved, (t + 1) % m));
+            let anchor = positions[0] % modulus;
+            prop_assert_eq!(st.slot_address(0), anchor);
+            let canonical = translated((modulus - anchor) % modulus);
+            prop_assert_eq!(canonical.slot_address(0), 0);
+            let key = key_at_anchor_zero(&canonical);
+            prop_assert_eq!(st.translated_hash(), key);
+            if rows == 0 {
+                prop_assert_eq!(key, canonical.hash());
             }
-            // One changed residue, or another rotation, is no translate.
+            let t = rng.bounded(modulus);
+            let moved = translated(t);
+            prop_assert_eq!(moved.translated_hash(), key);
+            prop_assert!(st.translates_to(&moved, t));
+            prop_assert!(moved.translates_to(&st, (modulus - t) % modulus));
+            if modulus > 1 {
+                prop_assert!(!st.translates_to(&moved, (t + 1) % modulus));
+            }
+            // One changed residue, another rotation or another cooldown is
+            // no translate.
             let mut bumped = moved.clone();
             let bank = rng.bounded(m);
             bumped.set_residue(bank, (moved.residue(bank) + 1) % (nc as u8 + 1));
@@ -1388,6 +1541,25 @@ mod tests {
                 let mut rotated = moved.clone();
                 rotated.set_rotation((moved.rotation() + 1) % ports);
                 prop_assert!(!st.translates_to(&rotated, t));
+            }
+            let slot = rng.bounded(ports as u64) as usize;
+            let mut cooled = moved.clone();
+            cooled.set_position(slot, moved.position(slot) + modulus);
+            prop_assert!(!st.translates_to(&cooled, t));
+            // Another open row is no translate either. On a busy bank it
+            // changes the key; on an idle one only the confirmation sees
+            // it.
+            if rows > 1 {
+                let bank = rng.bounded(m);
+                let mut reopened = moved.clone();
+                let row = moved.open_row(bank).map_or(0, |r| (r + 1) % rows);
+                reopened.set_open_row(bank, row);
+                prop_assert!(!st.translates_to(&reopened, t));
+                if moved.is_busy(bank) {
+                    prop_assert!(reopened.translated_hash() != key);
+                } else {
+                    prop_assert_eq!(reopened.translated_hash(), key);
+                }
             }
         }
     }

@@ -14,7 +14,7 @@
 
 use crate::observe::SimObserver;
 use crate::request::{ConflictKind, PortId};
-use std::ops::{Add, Mul, Sub};
+use std::ops::{Add, Sub};
 
 /// Conflict counters, one per [`ConflictKind`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -32,6 +32,18 @@ impl ConflictCounts {
     #[must_use]
     pub fn total(&self) -> u64 {
         self.bank + self.simultaneous + self.section
+    }
+
+    /// Repetition: a window's counts over `n` windows that each see the
+    /// same conflicts (the steady-state solver's reduced period, `n` times
+    /// over), or `None` when a count overflows.
+    #[must_use]
+    pub fn checked_mul(self, n: u64) -> Option<Self> {
+        Some(Self {
+            bank: self.bank.checked_mul(n)?,
+            simultaneous: self.simultaneous.checked_mul(n)?,
+            section: self.section.checked_mul(n)?,
+        })
     }
 
     /// Increments the counter for `kind`.
@@ -79,19 +91,6 @@ impl Sub for ConflictCounts {
             bank: self.bank.saturating_sub(rhs.bank),
             simultaneous: self.simultaneous.saturating_sub(rhs.simultaneous),
             section: self.section.saturating_sub(rhs.section),
-        }
-    }
-}
-
-/// Repetition: a window's counts over `n` windows that each see the same
-/// conflicts (the steady-state solver's reduced period, `n` times over).
-impl Mul<u64> for ConflictCounts {
-    type Output = ConflictCounts;
-    fn mul(self, n: u64) -> Self {
-        Self {
-            bank: self.bank * n,
-            simultaneous: self.simultaneous * n,
-            section: self.section * n,
         }
     }
 }
