@@ -16,8 +16,7 @@ use vecmem_analytic::{Geometry, StreamSpec};
 use vecmem_simcore::pattern::{PatternSpec, PatternWorkload};
 
 pub use vecmem_simcore::steady::{
-    measure_steady_state_with, measure_steady_state_workload, ObservableWorkload, SteadyState,
-    SteadyStateError,
+    measure_steady_state_workload, ObservableWorkload, Ride, SteadyState, SteadyStateError,
 };
 
 /// Runs infinite streams until the simulator state recurs and returns the
@@ -45,7 +44,7 @@ pub fn measure_steady_state(
         "one stream per configured port required"
     );
     let mut workload = PatternWorkload::strided(&config.geometry, specs);
-    measure_steady_state_workload(config, &mut workload, 0, max_cycles)
+    measure_steady_state_workload(config, &mut workload, 0, max_cycles, 0, |_| {})
 }
 
 /// Generalized steady-state entry: one [`PatternSpec`] per port — stride,
@@ -73,7 +72,7 @@ pub fn measure_steady_state_patterns(
         "one pattern per configured port required"
     );
     let mut workload = PatternWorkload::from_specs(config, specs);
-    measure_steady_state_workload(config, &mut workload, 0, max_cycles)
+    measure_steady_state_workload(config, &mut workload, 0, max_cycles, 0, |_| {})
 }
 
 /// Convenience wrapper: two infinite streams on ports of *different* CPUs
@@ -186,7 +185,14 @@ mod tests {
             .map(|&(spec, at)| PatternPort::new(StridePattern::new(&geom, spec)).starting_at(at))
             .collect();
         let warmup = specs.iter().map(|&(_, at)| at).max().unwrap_or(0);
-        measure_steady_state_workload(config, &mut PatternWorkload::new(ports), warmup, max_cycles)
+        measure_steady_state_workload(
+            config,
+            &mut PatternWorkload::new(ports),
+            warmup,
+            max_cycles,
+            0,
+            |_| {},
+        )
     }
 
     #[derive(Clone)]
@@ -404,7 +410,7 @@ mod tests {
                 format!("case {case}: m={m} nc={nc} ports={ports} specs={specs:?} warmup={warmup}");
 
             let mut w1 = PatternWorkload::strided(&g, &specs);
-            let brent = measure_steady_state_workload(&cfg, &mut w1, warmup, 500_000);
+            let brent = measure_steady_state_workload(&cfg, &mut w1, warmup, 500_000, 0, |_| {});
             let mut w2 = PatternWorkload::strided(&g, &specs);
             let reference = reference_measure(&cfg, &mut w2, warmup, 500_000);
 
@@ -515,7 +521,7 @@ mod tests {
             );
 
             let mut w1 = PatternWorkload::new(port_list.clone());
-            let reduced = measure_steady_state_workload(&cfg, &mut w1, warmup, 500_000);
+            let reduced = measure_steady_state_workload(&cfg, &mut w1, warmup, 500_000, 0, |_| {});
             let mut w2 = PatternWorkload::new(port_list);
             let reference = reference_measure(&cfg, &mut w2, warmup, 500_000);
             assert_eq!(reduced, reference, "{label}");
@@ -540,7 +546,7 @@ mod tests {
             let label = format!("case {case}: m={m} nc={nc} specs={specs:?}");
 
             let mut w1 = PatternWorkload::strided(&g, &specs);
-            let b = measure_steady_state_workload(&cfg, &mut w1, 0, 500_000).unwrap();
+            let b = measure_steady_state_workload(&cfg, &mut w1, 0, 500_000, 0, |_| {}).unwrap();
             let mut w2 = PatternWorkload::strided(&g, &specs);
             let r = reference_measure(&cfg, &mut w2, 0, 500_000).unwrap();
             assert_eq!(

@@ -138,9 +138,6 @@ impl AccessPattern for IndexPeriodSlots {
     fn encode_slot(&self, k: u64, _cooldown: u64) -> u64 {
         k % self.index_period
     }
-    fn decode_slot(&self, slot: u64) -> (u64, u64) {
-        (slot, 0)
-    }
     fn finished_code(&self) -> u64 {
         self.index_period
     }
@@ -156,7 +153,7 @@ const MAX_CYCLES: u64 = 2_000_000;
 
 fn steady<P: AccessPattern>(config: &SimConfig, patterns: Vec<P>) -> SteadyState {
     let mut w = PatternWorkload::new(patterns.into_iter().map(PatternPort::new).collect());
-    measure_steady_state_workload(config, &mut w, 0, MAX_CYCLES).unwrap()
+    measure_steady_state_workload(config, &mut w, 0, MAX_CYCLES, 0, |_| {}).unwrap()
 }
 
 proptest! {

@@ -63,7 +63,8 @@ fn priority(a: &Args) -> PriorityRule {
 
 /// The geometry and two-port configuration of a simulated pair: one port
 /// per CPU unless `--same-cpu`, and the bank model of `--bank-model dram`
-/// (`--dram-hit` within 1..=n_c, `--dram-rows`) or uniform.
+/// (`--dram-hit` within 1..=n_c, `--dram-rows` with `m·rows` within a
+/// `u64`) or uniform.
 fn pair(a: &Args) -> Result<(Geometry, SimConfig), Failure> {
     let geom = geometry(a)?;
     let config = if a.get(&SAME_CPU) {
@@ -75,6 +76,11 @@ fn pair(a: &Args) -> Result<(Geometry, SimConfig), Failure> {
     let model = match a.get(&BANK_MODEL) {
         "dram" if hit_cycle == 0 || hit_cycle > nc => {
             let message = format!("--dram-hit must be in 1..={nc} (the geometry's n_c)");
+            return Err(Failure::Usage(message));
+        }
+        "dram" if geom.banks().checked_mul(rows).is_none() => {
+            let most = u64::MAX / geom.banks();
+            let message = format!("--dram-rows must be at most {most} (m·rows must fit a u64)");
             return Err(Failure::Usage(message));
         }
         "dram" => BankModel::Dram { hit_cycle, rows },

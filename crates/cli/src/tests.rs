@@ -109,7 +109,7 @@ fn oversized_nc_is_rejected() {
 /// whichever verb takes it.
 #[test]
 fn rejected_values_are_usage_errors() {
-    let cases: [(&[&str], &str); 13] = [
+    let cases: [(&[&str], &str); 14] = [
         (
             &["steady", "--pattern", "gather", "--span", "0"],
             "--span must be at least 1",
@@ -133,6 +133,19 @@ fn rejected_values_are_usage_errors() {
         (
             &["steady", "--bank-model", "dram", "--dram-rows", "0"],
             "--dram-rows must be at least 1",
+        ),
+        // 16 banks of 2^60 rows: m·rows wraps a u64 to 0.
+        (
+            &[
+                "steady",
+                "--banks",
+                "16",
+                "--bank-model",
+                "dram",
+                "--dram-rows",
+                "1152921504606846976",
+            ],
+            "--dram-rows must be at most 1152921504606846975 (m·rows must fit a u64)",
         ),
         // Values that do not parse at all.
         (

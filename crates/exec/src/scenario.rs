@@ -368,6 +368,8 @@ impl Scenario for TraceScenario {
             &mut fresh,
             0,
             self.max_cycles,
+            0,
+            |_| {},
         );
         TraceOutcome {
             trace,

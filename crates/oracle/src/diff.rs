@@ -18,25 +18,70 @@
 //! The kernel side comes from one of two drivers, which share the
 //! per-cycle comparison: [`run_pair`] steps a fresh state for a fixed
 //! number of cycles, and [`solve_in_lockstep`] rides the steady-state
-//! search itself ([`measure_steady_state_with`]), so one kernel trajectory
-//! both finds the cyclic state and is checked against the oracle. The
-//! latter compares cycles `[0, pos +` [`LOCKSTEP_TAIL`]`)`, where `pos ≥ μ + λ`
-//! is the step at which the search found its recurrence.
+//! search itself ([`measure_steady_state_workload`]), so one kernel
+//! trajectory both finds the cyclic state and is checked against the
+//! oracle. The search stops when the kernel's state after `a + λ_r` steps
+//! is the address translate by `s` of its state after `a`
+//! ([`Ride::Recurred`]); the ride compares every cycle it stepped, `[0, a
+//! + λ_r)`, and then checks once that the reference's ports moved by `s`
+//! too. For a stride or burst workload on a symmetric memory, `λ_r` is
+//! the period up to translation, a divisor of the period `λ`; otherwise
+//! `s = 0` and `λ_r = λ`.
 //!
-//! Because both simulators are deterministic and the compared residues +
-//! stream positions + rotation form the complete dynamic state, agreement
-//! through one transient plus one full period of the cyclic steady state
-//! implies agreement forever.
+//! # Agreement for all time
 //!
-//! That argument needs the *full* period: the kernel's state at `μ + λ`
-//! equals its state at `μ`, so from there on it repeats cycles the oracle
-//! already matched. A search up to address translation would stop after
-//! `μ + λ/ord(s)` steps, at a translate of an earlier state. Agreement up
-//! to there covers one reduced window only; carrying it to the translated
-//! windows would assume the reference engine shares the kernel's
-//! symmetry, which is part of what the comparison checks. So the
-//! lockstep rides [`measure_steady_state_with`], which always searches
-//! the full state.
+//! A finite comparison says that the engines agree forever, by three
+//! facts.
+//!
+//! *The recurrence lemma.* The reference's next cycle depends on nothing
+//! but the compared state (busy banks, open rows, rotation) and, per
+//! port, its upcoming request and its burst cooldown. It recomputes each
+//! request from the port's absolute count `k` in `u128`, but a request is
+//! its word address modulo `M = m·max(rows, 1)` (bank `addr mod m`, row
+//! `(addr / m) mod rows`), so its request for `k` equals the one for `k +
+//! T` whenever `T` is the period the kernel's position slot resolves. For
+//! a stride or burst the upcoming address modulo `M` (the slot itself)
+//! decides the port: each grant adds the distance. The engine's
+//! `recurrence_lemma_holds_up_to_the_top_of_the_count_range` test pins
+//! this for every [`PatternSpec`] kind, with counts near `u64::MAX`.
+//!
+//! *Translation equivariance.* On a uniform or DRAM memory, unsectioned
+//! or cyclically sectioned, the reference commutes with the Appendix's
+//! relabelling, address translation `T_t: a → a + t (mod M)`: shifting
+//! every port's start address by `t` moves every requested bank, busy
+//! countdown and open row by `t` and leaves the outcomes, cooldowns and
+//! rotation alone. The engine's `reference_commutes_with_translation`
+//! property test checks it over both models, both mappings that qualify,
+//! both topologies and both priority rules; a consecutive section mapping
+//! fails it, and the kernel's search never reduces there.
+//!
+//! *The ride.* The lockstep has compared the events and the compared
+//! state of every cycle up to step `a + λ_r`. So the reference's compared
+//! state after `a + λ_r` steps is the kernel's, which is `T_s` of the
+//! kernel's after `a`, which is `T_s` of the reference's after `a`. At the
+//! match the lockstep checks the rest once: each reference port's
+//! upcoming address must read `s` higher modulo `M` than after `a` steps,
+//! and its cooldown the same; a failure is a divergence with a dump.
+//! Then, by the lemma, the reference's whole state after `a + λ_r` steps
+//! is `T_s` of its state after `a`. By equivariance both engines emit,
+//! from there on, the translates of what they emitted from `a`, which
+//! agreed; by induction over windows of `λ_r` cycles they agree for all
+//! time. A full-state search is the case `s = 0`, where `T_0` is the
+//! identity and no symmetry is assumed. A gather only ever rides that
+//! case: its port's future is its count modulo the slot's period, the
+//! kernel's slots recurred, and both engines granted each port equally
+//! often in the window, so by the lemma the reference's requests repeat
+//! too.
+//!
+//! The argument holds for a reference that satisfies the lemma, and a
+//! faulty one need not. The seeded `ResidueOverflow` fault re-arms a bank
+//! granted in the very cycle it frees: it reads the reference's raw
+//! countdown (1, "frees now", against 0), which the compared residues (0
+//! and 0) cannot tell apart. On a lone stream hammering one bank the
+//! search recurs after 4 steps and the fault strikes in the fifth. So the
+//! ride compares [`LOCKSTEP_TAIL`] cycles past the recurrence anyway: a
+//! guard that catches such a fault when it strikes that soon, not a step
+//! of the argument.
 
 // Hot-path panic policy (TESTING.md, "Hot-path rules").
 #![cfg_attr(
@@ -55,7 +100,7 @@ use crate::engine::{RefBankModel, RefConfig, RefEngine, RefOutcome, RefPriority,
 use vecmem_analytic::StreamSpec;
 use vecmem_banksim::pattern::{PatternSpec, PatternWorkload};
 use vecmem_banksim::steady::{
-    measure_steady_state_with, ObservableWorkload, SteadyState, SteadyStateError,
+    measure_steady_state_workload, ObservableWorkload, Ride, SteadyState, SteadyStateError,
 };
 use vecmem_banksim::step::step;
 use vecmem_banksim::workload::Workload;
@@ -264,6 +309,20 @@ fn sanitize_oracle(config: &SimConfig, oracle: &RefEngine, cycle: u64) {
     }
 }
 
+/// The first line of every dump: the geometry, priority rule and port
+/// topology.
+fn geometry_line(config: &SimConfig) -> String {
+    let g = &config.geometry;
+    format!(
+        "geometry m={} s={} nc={} priority={:?} ports={:?}\n",
+        g.banks(),
+        g.sections(),
+        g.bank_cycle(),
+        config.priority,
+        config.ports.iter().map(|c| c.0).collect::<Vec<_>>(),
+    )
+}
+
 /// Renders the full dual state dump at a divergent cycle. Both sides use
 /// the canonical [`SimState::render`] format.
 #[expect(
@@ -279,17 +338,7 @@ fn render_dump(
     oracle_state: &SimState,
 ) -> String {
     use std::fmt::Write as _;
-    let mut s = String::new();
-    let g = &config.geometry;
-    let _ = writeln!(
-        s,
-        "geometry m={} s={} nc={} priority={:?} ports={:?}",
-        g.banks(),
-        g.sections(),
-        g.bank_cycle(),
-        config.priority,
-        config.ports.iter().map(|c| c.0).collect::<Vec<_>>(),
-    );
+    let mut s = geometry_line(config);
     let _ = writeln!(s, "cycle {cycle}:");
     let _ = writeln!(
         s,
@@ -313,6 +362,55 @@ fn render_dump(
     s
 }
 
+/// Renders the dump of a failed translation check: the reference's ports
+/// after `anchor` steps (when recorded), now, and the addresses the
+/// translate by `shift` expects, then its state.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "divergence report: only reached after a failed check, never on the lockstep hot loop"
+)]
+fn render_unmoved(
+    config: &SimConfig,
+    oracle: &RefEngine,
+    cycle: u64,
+    anchor: u64,
+    shift: u64,
+    then: Option<&[(u128, u64)]>,
+) -> String {
+    use std::fmt::Write as _;
+    let mut s = geometry_line(config);
+    let modulus = oracle.config().address_modulus();
+    let _ = writeln!(
+        s,
+        "cycle {cycle}: the kernel recurred onto step {anchor} shifted by {shift} (mod {modulus}), \
+         the reference's ports did not"
+    );
+    let _ = writeln!(
+        s,
+        "  port | step {anchor}: address cooldown | step {cycle}: address cooldown | expected: address cooldown"
+    );
+    for (p, now) in oracle.upcoming().enumerate() {
+        let Some(&(from, cool)) = then.map(|t| &t[p]) else {
+            let _ = writeln!(s, "  {p:>4} | not recorded | {:>8} {:>8} |", now.0, now.1);
+            continue;
+        };
+        let expected = ((from + u128::from(shift)) % modulus, cool);
+        let marker = if now == expected { ' ' } else { '*' };
+        let _ = writeln!(
+            s,
+            " {marker}{p:>4} | {from:>8} {cool:>8} | {:>8} {:>8} | {:>8} {:>8}",
+            now.0, now.1, expected.0, expected.1
+        );
+    }
+    let _ = writeln!(s, "  state (rotation, remaining bank busy periods):");
+    let _ = writeln!(
+        s,
+        "    oracle: {}",
+        lift_oracle_state(config, oracle).render()
+    );
+    s
+}
+
 /// The oracle side of a lockstep run and its tally: the reference engine,
 /// the cycles compared so far, their grants, and the first divergence.
 /// Whichever driver steps the kernel hands its state to [`Self::check`]
@@ -323,6 +421,11 @@ fn render_dump(
 /// event mismatch. The oracle steps in its own reused per-cycle lists, so
 /// once it has warmed up a check allocates nothing until it renders a
 /// dump.
+///
+/// After step 0 and after every power-of-two number of steps, the anchors
+/// the search may recur onto, the lockstep records the reference's ports
+/// ([`RefEngine::upcoming`]) for [`Self::recurred`], in storage it sizes
+/// once.
 struct Lockstep<'c> {
     config: &'c SimConfig,
     oracle: RefEngine,
@@ -330,10 +433,19 @@ struct Lockstep<'c> {
     cycle: u64,
     grants: u64,
     divergence: Option<Divergence>,
+    /// The reference's ports after 0, 1, 2, 4, ... steps, one entry per
+    /// port each.
+    anchors: Vec<(u128, u64)>,
 }
+
+/// Anchors [`Lockstep`] records: step 0 and the 64 powers of two of a
+/// `u64` step count.
+const ANCHORS: usize = 1 + u64::BITS as usize;
 
 impl<'c> Lockstep<'c> {
     fn new(oracle: RefEngine, config: &'c SimConfig) -> Self {
+        let mut anchors = Vec::with_capacity(ANCHORS * config.num_ports());
+        anchors.extend(oracle.upcoming());
         Self {
             config,
             oracle,
@@ -341,6 +453,7 @@ impl<'c> Lockstep<'c> {
             cycle: 0,
             grants: 0,
             divergence: None,
+            anchors,
         }
     }
 
@@ -376,7 +489,44 @@ impl<'c> Lockstep<'c> {
             .filter(|s| s.is_some_and(|s| s.outcome.granted()))
             .count() as u64;
         self.cycle += 1;
+        if self.cycle.is_power_of_two() {
+            self.anchors.extend(self.oracle.upcoming());
+        }
         true
+    }
+
+    /// The search found the kernel's state after the last checked step to
+    /// be the translate by `shift` of its state after `anchor` steps: checks
+    /// once that each reference port's upcoming address reads `shift`
+    /// higher modulo `M` than after `anchor` steps and that its cooldown is
+    /// unchanged (see the module docs). A failure is a divergence at the
+    /// first cycle the comparison stops covering.
+    fn recurred(&mut self, anchor: u64, shift: u64) {
+        if self.divergence.is_some() {
+            return;
+        }
+        let ports = self.config.num_ports();
+        let first = if anchor == 0 {
+            Some(0)
+        } else if anchor.is_power_of_two() {
+            Some(ports * (1 + anchor.trailing_zeros() as usize))
+        } else {
+            None
+        };
+        let modulus = self.oracle.config().address_modulus();
+        let then = first.and_then(|i| self.anchors.get(i..i + ports));
+        let moved = then.is_some_and(|then| {
+            then.iter()
+                .zip(self.oracle.upcoming())
+                .all(|(&(from, cool), now)| now == ((from + u128::from(shift)) % modulus, cool))
+        });
+        if !moved {
+            let report = render_unmoved(self.config, &self.oracle, self.cycle, anchor, shift, then);
+            self.divergence = Some(Divergence {
+                cycle: self.cycle,
+                report,
+            });
+        }
     }
 
     fn outcome(self) -> DiffOutcome {
@@ -412,13 +562,16 @@ fn run_lockstep<W: Workload>(
     lockstep.outcome()
 }
 
-/// Extra cycles [`solve_in_lockstep`] compares after the search has found
-/// its recurrence.
+/// Cycles [`solve_in_lockstep`] compares after the search has found its
+/// recurrence: not part of the argument for all time (see the module
+/// docs), but a guard against a reference fault that reads state the
+/// comparison cannot see, which shows only when it strikes.
 pub const LOCKSTEP_TAIL: u64 = 8;
 
 /// Solves `workload`'s steady state from cycle 0 within `budget` search
 /// cycles while a pre-built reference engine checks every cycle the
-/// searching cursor steps, plus [`LOCKSTEP_TAIL`] more. A search that
+/// searching cursor steps, the reference's ports at the recurrence (see
+/// the module docs), and [`LOCKSTEP_TAIL`] cycles more. A search that
 /// gives up still returns the comparison over the `budget` cycles it
 /// stepped.
 fn solve_lockstep<W: ObservableWorkload + Clone>(
@@ -428,17 +581,25 @@ fn solve_lockstep<W: ObservableWorkload + Clone>(
     budget: u64,
 ) -> (Result<SteadyState, SteadyStateError>, DiffOutcome) {
     let mut lockstep = Lockstep::new(oracle, config);
-    let steady = measure_steady_state_with(config, &mut workload, 0, budget, LOCKSTEP_TAIL, |s| {
-        lockstep.check(s);
-    });
+    let steady =
+        measure_steady_state_workload(config, &mut workload, 0, budget, LOCKSTEP_TAIL, |ride| {
+            match ride {
+                Ride::Step(state) => {
+                    lockstep.check(state);
+                }
+                Ride::Recurred { anchor, shift } => lockstep.recurred(anchor, shift),
+            }
+        });
     (steady, lockstep.outcome())
 }
 
 /// The steady state of `streams` (as `measure_steady_state` finds it,
 /// within `budget` search cycles) together with a lockstep comparison
 /// against a pre-built reference engine over the same kernel trajectory:
-/// cycles `[0, pos + LOCKSTEP_TAIL)`, where `pos ≥ μ + λ` is the step at
-/// which the search found its recurrence, or `[0, budget)` when it found
+/// cycles `[0, a + λ_r)`, up to the step at which the search found its
+/// recurrence, and the one-time check of the reference's ports there,
+/// which together cover all time (see the module docs), then
+/// [`LOCKSTEP_TAIL`] cycles more; or `[0, budget)` when the search found
 /// none. Each cycle is simulated once by the kernel.
 ///
 /// The `oracle` must have been built from [`mirror_config`]`(config)` and
@@ -590,6 +751,20 @@ mod tests {
         ];
         let out = run_pair_patterns(&cfg, &specs, 2000);
         assert!(out.matched(), "{out:?}");
+        // The fused driver rides the search up to translation over the
+        // same bursts, cooldowns in the one-time check, on both models.
+        let dram = cfg.clone().with_bank_model(BankModel::Dram {
+            hit_cycle: 2,
+            rows: 4,
+        });
+        for cfg in [cfg, dram] {
+            let oracle = RefEngine::from_specs(mirror_config(&cfg), &specs);
+            let workload = PatternWorkload::from_specs(&cfg, &specs);
+            let (steady, fused) = solve_lockstep(oracle, &cfg, workload, 1 << 20);
+            let plain = vecmem_banksim::measure_steady_state_patterns(&cfg, &specs, 1 << 20);
+            assert_eq!(steady, plain);
+            assert!(fused.matched(), "{fused:?}");
+        }
     }
 
     #[test]
@@ -621,7 +796,8 @@ mod tests {
     /// request-period slot encoding of affine gathers.
     fn affine_lockstep_over_cyclic_state(cfg: &SimConfig, specs: &[PatternSpec]) {
         let mut w = PatternWorkload::from_specs(cfg, specs);
-        let ss = vecmem_banksim::measure_steady_state_workload(cfg, &mut w, 0, 1 << 20).unwrap();
+        let ss = vecmem_banksim::measure_steady_state_workload(cfg, &mut w, 0, 1 << 20, 0, |_| {})
+            .unwrap();
         assert!(ss.exact);
         let cycles = ss.transient + ss.period;
         let out = run_pair_patterns(cfg, specs, cycles);
@@ -687,6 +863,58 @@ mod tests {
                 grants: 3
             }
         );
+    }
+
+    /// Rides a solve of `streams` with the lockstep, then reports the
+    /// search's recurrence to it as `(anchor, shift)` rewritten by `edit`.
+    fn ride_and_report(
+        cfg: &SimConfig,
+        streams: &[StreamSpec],
+        edit: impl Fn(u64, u64) -> (u64, u64),
+    ) -> DiffOutcome {
+        let mut lockstep = Lockstep::new(RefEngine::new(mirror_config(cfg), streams), cfg);
+        let mut recurrence = None;
+        let mut workload = PatternWorkload::strided(&cfg.geometry, streams);
+        measure_steady_state_workload(cfg, &mut workload, 0, 1 << 20, 0, |ride| match ride {
+            Ride::Step(state) => {
+                lockstep.check(state);
+            }
+            Ride::Recurred { anchor, shift } => recurrence = Some((anchor, shift)),
+        })
+        .unwrap();
+        let (anchor, shift) = recurrence.unwrap();
+        let (anchor, shift) = edit(anchor, shift);
+        lockstep.recurred(anchor, shift);
+        lockstep.outcome()
+    }
+
+    /// The check at the recurrence is live. The search's own anchor and
+    /// shift pass it; a shift the reference's ports did not take, or an
+    /// anchor the lockstep never recorded, is a divergence at the first
+    /// cycle the comparison stops covering, with the ports in the dump.
+    #[test]
+    fn a_recurrence_the_reference_did_not_make_is_a_divergence() {
+        let g = Geometry::unsectioned(16, 4).unwrap();
+        let cfg = SimConfig::one_port_per_cpu(g, 2);
+        let streams = [spec(&g, 0, 1), spec(&g, 5, 3)];
+        let DiffOutcome::Match { cycles, .. } = ride_and_report(&cfg, &streams, |a, s| (a, s))
+        else {
+            panic!("the search's own recurrence must pass");
+        };
+        let moved = ride_and_report(&cfg, &streams, |a, s| (a, (s + 1) % 16));
+        let d = moved.divergence().expect("a wrong shift must diverge");
+        assert_eq!(d.cycle, cycles);
+        assert!(
+            d.report.contains("the reference's ports did not"),
+            "{}",
+            d.report
+        );
+        assert!(d.report.contains(" *   0 |"), "{}", d.report);
+        let unrecorded = ride_and_report(&cfg, &streams, |_, s| (3, s));
+        let d = unrecorded
+            .divergence()
+            .expect("an unrecorded anchor must diverge");
+        assert!(d.report.contains("not recorded"), "{}", d.report);
     }
 
     #[test]

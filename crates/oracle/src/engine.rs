@@ -149,6 +149,18 @@ impl RefConfig {
         self.bank_model = bank_model;
         self
     }
+
+    /// The word-address modulus `M = m·max(rows, 1)` that decides a
+    /// request: bank `addr mod m` and row `(addr / m) mod rows` both read
+    /// `addr mod M`. Wide enough that no row count overflows it.
+    #[must_use]
+    pub(crate) fn address_modulus(&self) -> u128 {
+        let rows = match self.bank_model {
+            RefBankModel::Uniform => 1,
+            RefBankModel::Dram { rows, .. } => rows.max(1),
+        };
+        u128::from(self.geometry.banks()) * u128::from(rows)
+    }
 }
 
 /// Naive per-port address source: the `k`-th request is recomputed from
@@ -209,9 +221,9 @@ impl RefPattern {
         }
     }
 
-    /// Bank and row of the `k`-th request, recomputed from scratch.
-    fn request(&self, k: u64, banks: u64, rows: u64) -> (u64, u64) {
-        let addr: u128 = match *self {
+    /// Word address of the `k`-th request, recomputed from scratch.
+    fn address(&self, k: u64) -> u128 {
+        match *self {
             Self::Stride { start, distance }
             | Self::Burst {
                 start, distance, ..
@@ -219,7 +231,12 @@ impl RefPattern {
             Self::Gather { base, span, index } => {
                 u128::from(base) + u128::from(index.index(k, span))
             }
-        };
+        }
+    }
+
+    /// Bank and row of the `k`-th request, recomputed from scratch.
+    fn request(&self, k: u64, banks: u64, rows: u64) -> (u64, u64) {
+        let addr = self.address(k);
         let bank = (addr % u128::from(banks)) as u64;
         #[expect(
             clippy::integer_division,
@@ -445,6 +462,26 @@ impl RefEngine {
     #[must_use]
     pub fn open_rows(&self) -> &[Option<u64>] {
         &self.open_row
+    }
+
+    /// Each port's upcoming request as a word address modulo
+    /// [`RefConfig::address_modulus`], with the clock periods left before
+    /// the port presents it (its burst cooldown), in port order. With the
+    /// compared state (busy banks, open rows, rotation), these decide
+    /// every later cycle of a stride or burst port (see
+    /// [`crate::diff`]'s module docs).
+    pub(crate) fn upcoming(&self) -> impl Iterator<Item = (u128, u64)> + '_ {
+        let modulus = self.config.address_modulus();
+        self.patterns
+            .iter()
+            .zip(&self.issued)
+            .zip(&self.next_req_cycle)
+            .map(move |((pattern, &k), &next)| {
+                (
+                    pattern.address(k) % modulus,
+                    next.saturating_sub(self.cycle),
+                )
+            })
     }
 
     /// Priority rank of a port; lower wins. Written independently of the
@@ -817,6 +854,283 @@ mod tests {
         );
         let banks: Vec<u64> = (0..4).map(|_| e.step()[0].bank).collect();
         assert_eq!(banks, vec![1, 3, 5, 7]);
+    }
+
+    /// The translate of request `(bank, row)` by `t`, from the Appendix's
+    /// relabelling `a → a + t (mod M)`: the request is the address `bank +
+    /// m·row` modulo `M = m·max(rows, 1)`.
+    fn translate(config: &RefConfig, t: u64, bank: u64, row: u64) -> (u64, u64) {
+        let m = u128::from(config.geometry.banks());
+        let addr =
+            (u128::from(bank) + m * u128::from(row) + u128::from(t)) % config.address_modulus();
+        ((addr % m) as u64, (addr / m) as u64)
+    }
+
+    /// `spec` with every address `t` higher.
+    fn shifted(spec: &PatternSpec, t: u64) -> PatternSpec {
+        match *spec {
+            PatternSpec::Stride {
+                start_bank,
+                distance,
+            } => PatternSpec::Stride {
+                start_bank: start_bank + t,
+                distance,
+            },
+            PatternSpec::Burst {
+                start_bank,
+                distance,
+                burst,
+            } => PatternSpec::Burst {
+                start_bank: start_bank + t,
+                distance,
+                burst,
+            },
+            PatternSpec::Gather { base, span, index } => PatternSpec::Gather {
+                base: base + t,
+                span,
+                index,
+            },
+        }
+    }
+
+    /// The first of `cycles` cycles after which the engine over `specs`
+    /// shifted by `t` is not the translate of the engine over `specs`:
+    /// every port's event moved by `t` with the same outcome, every
+    /// bank's countdown residue and open row moved with its bank, and the
+    /// same rotation. `None` when they agree throughout.
+    fn first_untranslated(
+        config: &RefConfig,
+        specs: &[PatternSpec],
+        t: u64,
+        cycles: u64,
+    ) -> Option<u64> {
+        let moved: Vec<PatternSpec> = specs.iter().map(|s| shifted(s, t)).collect();
+        let mut plain = RefEngine::from_specs(config.clone(), specs);
+        let mut translated = RefEngine::from_specs(config.clone(), &moved);
+        let bank_of = |bank| translate(config, t, bank, 0).0 as usize;
+        for cycle in 0..cycles {
+            plain.advance();
+            translated.advance();
+            let events =
+                plain
+                    .last_steps()
+                    .iter()
+                    .zip(translated.last_steps())
+                    .all(|(p, q)| match (p, q) {
+                        (None, None) => true,
+                        (Some(p), Some(q)) => {
+                            q.bank as usize == bank_of(p.bank) && q.outcome == p.outcome
+                        }
+                        _ => false,
+                    });
+            let residues: Vec<u64> = plain.bank_residues().collect();
+            let moved_residues: Vec<u64> = translated.bank_residues().collect();
+            let banks = (0..config.geometry.banks()).all(|bank| {
+                let to = bank_of(bank);
+                let row = plain.open_rows()[bank as usize];
+                moved_residues[to] == residues[bank as usize]
+                    && translated.open_rows()[to] == row.map(|r| translate(config, t, bank, r).1)
+            });
+            if !(events && banks && translated.rotation() == plain.rotation()) {
+                return Some(cycle);
+            }
+        }
+        None
+    }
+
+    vecmem_prop::proptest! {
+        #![proptest_config(vecmem_prop::ProptestConfig::with_cases(256))]
+        /// Translation equivariance, the second fact of `diff`'s argument:
+        /// shifting every port's addresses by `t` translates the events and
+        /// the compared state, over one to three ports of every pattern
+        /// kind, on unsectioned and cyclically sectioned geometries, under
+        /// the uniform and the DRAM model, with one port per CPU or all on
+        /// one, and under both priority rules.
+        #[test]
+        fn reference_commutes_with_translation(
+            sectioned in vecmem_prop::select(vec![false, true]),
+            dram in vecmem_prop::select(vec![false, true]),
+            cross in vecmem_prop::select(vec![false, true]),
+            priority in vecmem_prop::select(vec![RefPriority::Fixed, RefPriority::Cyclic]),
+            seed in 0u64..=u64::MAX,
+        ) {
+            let mut rng = vecmem_prop::TestRng::seed_from_u64(seed);
+            let nc = 1 + rng.bounded(5);
+            let geometry = if sectioned {
+                let s = 1 + rng.bounded(4);
+                Geometry::new(s * (1 + rng.bounded(4)), s, nc).unwrap()
+            } else {
+                geom(1 + rng.bounded(16), nc)
+            };
+            let ports = 1 + rng.bounded(3) as usize;
+            let mut config = if cross {
+                RefConfig::one_port_per_cpu(geometry, ports, priority)
+            } else {
+                RefConfig::single_cpu(geometry, ports, priority)
+            };
+            if dram {
+                config = config.with_bank_model(RefBankModel::Dram {
+                    hit_cycle: 1 + rng.bounded(nc),
+                    rows: 1 + rng.bounded(6),
+                });
+            }
+            let modulus = config.address_modulus() as u64;
+            let specs: Vec<PatternSpec> = (0..ports)
+                .map(|_| {
+                    let start = rng.bounded(1 << 20);
+                    match rng.bounded(4) {
+                        0 => PatternSpec::Stride { start_bank: start, distance: rng.bounded(4 * modulus) },
+                        1 => PatternSpec::Burst {
+                            start_bank: start,
+                            distance: rng.bounded(4 * modulus),
+                            burst: 1 + rng.bounded(4),
+                        },
+                        2 => PatternSpec::Gather {
+                            base: start,
+                            span: 1 + rng.bounded(200),
+                            index: IndexPattern::Affine { a: rng.bounded(64), c: rng.bounded(64) },
+                        },
+                        _ => PatternSpec::Gather {
+                            base: start,
+                            span: 1 + rng.bounded(1 << 12),
+                            index: IndexPattern::PseudoRandom { seed: rng.next_u64() },
+                        },
+                    }
+                })
+                .collect();
+            let t = rng.bounded(2 * modulus);
+            vecmem_prop::prop_assert_eq!(first_untranslated(&config, &specs, t, 96), None);
+        }
+    }
+
+    /// Consecutive sections are not a symmetry: banks 3 and 4 of 12 in 3
+    /// sections lie in different sections, banks 4 and 5 in one. Two
+    /// ports of one CPU granted both at cycle 0 collide on one path once
+    /// moved up a bank. The cyclic mapping of the same geometry keeps it.
+    #[test]
+    fn consecutive_sections_break_translation() {
+        use vecmem_analytic::SectionMapping;
+        let stride = |start_bank, distance| PatternSpec::Stride {
+            start_bank,
+            distance,
+        };
+        let specs = [stride(3, 1), stride(4, 1)];
+        let config = |mapping| {
+            let g = Geometry::with_mapping(12, 3, 2, mapping).unwrap();
+            RefConfig::single_cpu(g, 2, RefPriority::Fixed)
+        };
+        let consecutive = config(SectionMapping::Consecutive);
+        assert_eq!(first_untranslated(&consecutive, &specs, 1, 96), Some(0));
+        let cyclic = config(SectionMapping::Cyclic);
+        assert_eq!(first_untranslated(&cyclic, &specs, 1, 96), None);
+    }
+
+    vecmem_prop::proptest! {
+        #![proptest_config(vecmem_prop::ProptestConfig::with_cases(512))]
+        /// The recurrence lemma, the first fact of `diff`'s argument: the
+        /// reference's `(bank, row)` for request `k` equals the one for `k +
+        /// T`, `T` the period the kernel's position slot resolves, and the
+        /// kernel's own request, for every pattern kind with addresses and
+        /// counts across the whole `u64` range, so the `u128`
+        /// recomputation runs near the top of its range. A pseudo-random
+        /// gather declares no period: its slot is the count itself.
+        #[test]
+        fn recurrence_lemma_holds_up_to_the_top_of_the_count_range(
+            kind in 0u64..4,
+            dram in vecmem_prop::select(vec![false, true]),
+            seed in 0u64..=u64::MAX,
+        ) {
+            use vecmem_banksim::pattern::AccessPattern;
+            use vecmem_banksim::{BankModel, SimConfig};
+            let mut rng = vecmem_prop::TestRng::seed_from_u64(seed);
+            let m = 1 + rng.bounded(64);
+            let mut config = SimConfig::single_cpu(geom(m, 4), 1);
+            let mut rows = 0;
+            if dram {
+                rows = 1 + rng.bounded(8);
+                config = config.with_bank_model(BankModel::Dram { hit_cycle: 1, rows });
+            }
+            let modulus = m * rows.max(1);
+            let span = match rng.bounded(3) {
+                0 => modulus * (1 + rng.bounded(1 << 16)),
+                1 => 1 + rng.bounded(1 << 20),
+                _ => 1 + rng.next_u64(),
+            };
+            let spec = match kind {
+                0 => PatternSpec::Stride { start_bank: rng.next_u64(), distance: rng.next_u64() },
+                1 => PatternSpec::Burst {
+                    start_bank: rng.next_u64(),
+                    distance: rng.next_u64(),
+                    burst: 1 + rng.bounded(4),
+                },
+                2 => PatternSpec::Gather {
+                    base: rng.next_u64(),
+                    span,
+                    index: IndexPattern::Affine { a: rng.next_u64(), c: rng.next_u64() },
+                },
+                _ => PatternSpec::Gather {
+                    base: rng.next_u64(),
+                    span,
+                    index: IndexPattern::PseudoRandom { seed: rng.next_u64() },
+                },
+            };
+            let reference = RefPattern::from_spec(&spec);
+            let kernel = spec.build(&config);
+            let period = kernel.period_hint();
+            let pseudo_random = matches!(
+                spec,
+                PatternSpec::Gather { index: IndexPattern::PseudoRandom { .. }, .. }
+            );
+            vecmem_prop::prop_assert_eq!(period.is_none(), pseudo_random);
+            for _ in 0..16 {
+                let k = rng.next_u64();
+                let request = reference.request(k, m, rows);
+                let own = kernel.request_at(k);
+                vecmem_prop::prop_assert_eq!(request, (own.bank, own.row), "k = {}", k);
+                if let Some(t) = period.filter(|&t| k.checked_add(t).is_some()) {
+                    vecmem_prop::prop_assert_eq!(request, reference.request(k + t, m, rows), "k = {}", k);
+                }
+            }
+        }
+    }
+
+    /// The seeded `ResidueOverflow` fault breaks the lemma's premise that
+    /// the compared state decides the next cycle. A lone stream hammering
+    /// bank 0 shows, after 4 steps, exactly the compared state and port it
+    /// showed at the start (residue 0 stands for a raw countdown of 1
+    /// there, 0 at the start). The faithful reference then repeats its
+    /// first cycle; the faulty one reads the countdown and re-arms the
+    /// bank for `n_c + 2`. So a comparison that stops at the recurrence
+    /// cannot catch it, and `diff`'s tail does.
+    #[cfg(feature = "bug_injection")]
+    #[test]
+    fn residue_overflow_reads_a_countdown_the_residues_cannot_show() {
+        let g = geom(8, 4);
+        let view = |e: &RefEngine| {
+            (
+                e.bank_residues().collect::<Vec<_>>(),
+                e.rotation(),
+                e.open_rows().to_vec(),
+                e.upcoming().collect::<Vec<_>>(),
+            )
+        };
+        for faulty in [false, true] {
+            let mut e = RefEngine::new(
+                RefConfig::single_cpu(g, 1, RefPriority::Fixed),
+                &[spec(&g, 0, 0)],
+            );
+            if faulty {
+                e = e.with_bug(InjectedBug::ResidueOverflow);
+            }
+            let start = view(&e);
+            e.advance();
+            let first = (e.last_steps().to_vec(), view(&e));
+            e.run(3);
+            assert_eq!(view(&e), start, "faulty: {faulty}");
+            e.advance();
+            let fifth = (e.last_steps().to_vec(), view(&e));
+            assert_eq!(fifth == first, !faulty, "{fifth:?} against {first:?}");
+        }
     }
 
     #[cfg(feature = "bug_injection")]

@@ -4,17 +4,17 @@
 //! samples the rest of the space — sectioned geometries, both section
 //! mappings, mixed topologies — with generation biased toward
 //! configurations whose *(conflict-kind set, section count, gcd class)*
-//! signature has not been exercised yet. Every accepted case is diffed
-//! against the [`RefEngine`](crate::engine::RefEngine) in lockstep, and
-//! the evolving coverage is logged to `vecmem-obs` counters under the
+//! signature has not been exercised yet. Every accepted case is solved
+//! with the [`RefEngine`](crate::engine::RefEngine) riding the search in
+//! lockstep ([`solve_in_lockstep`]), one kernel pass per case, and the
+//! evolving coverage is logged to `vecmem-obs` counters under the
 //! `oracle.explore.` prefix.
 
 use crate::conform::Violation;
-use crate::diff::{run_pair, DiffOutcome};
+use crate::diff::{solve_in_lockstep, DiffOutcome};
 use std::collections::HashSet;
 use vecmem_analytic::numtheory::{divisors, gcd};
 use vecmem_analytic::{Geometry, SectionMapping, StreamSpec};
-use vecmem_banksim::steady::measure_steady_state;
 use vecmem_banksim::{PriorityRule, SimConfig};
 use vecmem_obs::MetricsRegistry;
 use vecmem_prop::strategy::{select, Strategy};
@@ -197,8 +197,9 @@ pub fn explore(cfg: &ExploreConfig, registry: &mut MetricsRegistry) -> ExploreRe
         report.cases += 1;
         registry.add_counter("oracle.explore.cases", 1);
 
-        let steady = measure_steady_state(&candidate.config, &candidate.streams, cfg.steady_budget);
-        let (kinds, horizon) = match &steady {
+        let (steady, diff) =
+            solve_in_lockstep(&candidate.config, &candidate.streams, cfg.steady_budget);
+        let kinds = match &steady {
             Ok(ss) => {
                 let c = ss.conflicts_per_period;
                 let mut kinds = 0u8;
@@ -211,16 +212,16 @@ pub fn explore(cfg: &ExploreConfig, registry: &mut MetricsRegistry) -> ExploreRe
                 if c.simultaneous > 0 {
                     kinds |= 4;
                 }
-                (kinds, ss.transient + ss.period + 8)
+                kinds
             }
             Err(_) => {
                 report.not_converged += 1;
                 registry.add_counter("oracle.explore.not_converged", 1);
-                (0, 1024)
+                0
             }
         };
 
-        if let DiffOutcome::Diverged(d) = run_pair(&candidate.config, &candidate.streams, horizon) {
+        if let DiffOutcome::Diverged(d) = diff {
             report.divergence_count += 1;
             registry.add_counter("oracle.explore.divergences", 1);
             if report.divergences.len() < 8 {

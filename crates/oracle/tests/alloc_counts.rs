@@ -528,27 +528,36 @@ fn sweep_allocations_follow_simulations_not_points() {
 }
 
 /// The lockstep riding a search adds the same allocations to it however
-/// long the trajectory: the reference engine's construction and warm-up,
-/// and nothing per compared cycle. The three pairs' trajectories run from
-/// under a hundred to over five hundred cycles. The lockstep rides the
-/// full-state search, so the baseline is that search with no rider, not
-/// [`measure_steady_state`], which stops at a recurrence up to bank
-/// translation and so keeps fewer snapshots on longer trajectories.
+/// long the ride: the reference engine's construction and warm-up, its
+/// anchor records, and nothing per compared cycle. The rides run from
+/// under a hundred cycles (a pair the search reduces by translation) to
+/// several hundred (pairs on consecutive sections, which it searches
+/// whole). The baseline is the same search with no rider.
 #[cfg(not(feature = "sanitize"))]
 #[test]
 fn fused_lockstep_adds_no_per_cycle_allocation() {
-    use vecmem_banksim::steady::measure_steady_state_with;
-    use vecmem_oracle::solve_in_lockstep;
-    let config = SimConfig::one_port_per_cpu(Geometry::unsectioned(61, 8).unwrap(), 2);
+    use vecmem_analytic::SectionMapping;
+    use vecmem_banksim::steady::measure_steady_state_workload;
+    use vecmem_oracle::{solve_in_lockstep, DiffOutcome};
+    let consecutive = Geometry::with_mapping(60, 4, 8, SectionMapping::Consecutive).unwrap();
     let mut runs = Vec::new();
-    for streams in [
-        vec![spec(0, 1), spec(0, 1)],
-        vec![spec(0, 1), spec(0, 3)],
-        vec![spec(0, 7), spec(5, 2)],
+    for (config, streams) in [
+        (
+            SimConfig::one_port_per_cpu(Geometry::unsectioned(61, 8).unwrap(), 2),
+            vec![spec(0, 1), spec(0, 1)],
+        ),
+        (
+            SimConfig::single_cpu(consecutive, 2),
+            vec![spec(0, 1), spec(1, 1)],
+        ),
+        (
+            SimConfig::single_cpu(consecutive, 2),
+            vec![spec(0, 7), spec(5, 11)],
+        ),
     ] {
         let (plain_n, plain) = allocations(|| {
             let mut workload = PatternWorkload::strided(&config.geometry, &streams);
-            measure_steady_state_with(&config, &mut workload, 0, 500_000, 0, |_| {})
+            measure_steady_state_workload(&config, &mut workload, 0, 500_000, 0, |_| {})
         });
         assert_eq!(
             plain.as_ref(),
@@ -557,18 +566,19 @@ fn fused_lockstep_adds_no_per_cycle_allocation() {
         );
         let (fused_n, (fused, diff)) =
             allocations(|| solve_in_lockstep(&config, &streams, 500_000));
-        let plain = plain.unwrap();
-        assert_eq!(fused.as_ref(), Ok(&plain), "{streams:?}");
-        assert!(diff.matched(), "{streams:?}: {diff:?}");
-        runs.push((plain.transient + plain.period, fused_n - plain_n));
+        assert_eq!(fused.as_ref(), plain.as_ref(), "{streams:?}");
+        let DiffOutcome::Match { cycles, .. } = diff else {
+            panic!("{streams:?}: {diff:?}");
+        };
+        runs.push((cycles, fused_n - plain_n));
     }
     let (shortest, longest) = (runs[0].0, runs[2].0);
     assert!(
         shortest < 100 && longest > 500,
-        "trajectories of {shortest} and {longest} cycles"
+        "rides of {shortest} and {longest} cycles"
     );
     assert!(
         runs.iter().all(|&(_, extra)| extra == runs[0].1),
-        "the lockstep's allocations grow with the trajectory: {runs:?}"
+        "the lockstep's allocations grow with the ride: {runs:?}"
     );
 }

@@ -118,9 +118,10 @@ impl SimConfig {
     /// Sets the bank timing model (builder style).
     ///
     /// # Panics
-    /// For [`BankModel::Dram`], if `hit_cycle` is outside `1..=n_c` or
-    /// `rows` is zero: a hit may never cost more than a miss, and at least
-    /// one row per bank must exist.
+    /// For [`BankModel::Dram`], if `hit_cycle` is outside `1..=n_c`, if
+    /// `rows` is zero, or if `m·rows` overflows a `u64`: a hit may never
+    /// cost more than a miss, at least one row per bank must exist, and a
+    /// request is its word address modulo `m·rows`.
     #[must_use]
     #[expect(
         clippy::disallowed_macros,
@@ -134,6 +135,11 @@ impl SimConfig {
                 self.geometry.bank_cycle()
             );
             assert!(rows >= 1, "DRAM bank model needs at least one row");
+            assert!(
+                self.geometry.banks().checked_mul(rows).is_some(),
+                "DRAM rows {rows} overflow the address modulus m·rows (m = {})",
+                self.geometry.banks()
+            );
         }
         self.bank_model = bank_model;
         self
@@ -223,6 +229,17 @@ mod tests {
         let _ = SimConfig::cray_xmp_dual().with_bank_model(BankModel::Dram {
             hit_cycle: 5,
             rows: 8,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow the address modulus")]
+    fn dram_rows_bounded_by_the_address_modulus() {
+        // 16 banks of 2^60 rows: m·rows = 2^64 wraps a u64.
+        let geometry = vecmem_analytic::Geometry::unsectioned(16, 4).unwrap();
+        let _ = SimConfig::single_cpu(geometry, 1).with_bank_model(BankModel::Dram {
+            hit_cycle: 2,
+            rows: 1 << 60,
         });
     }
 }

@@ -73,8 +73,8 @@ pub use request::{ConflictKind, CpuId, PortId, PortOutcome, Request};
 pub use state::{InvariantViolation, PortEvent, SimState};
 pub use stats::{ConflictCounts, PortStats, SimStats, WAIT_BUCKETS};
 pub use steady::{
-    measure_steady_state_with, measure_steady_state_workload, ObservableWorkload, SteadyState,
-    SteadyStateError, WINDOWED_FALLBACK_CYCLES,
+    measure_steady_state_workload, ObservableWorkload, Ride, SteadyState, SteadyStateError,
+    WINDOWED_FALLBACK_CYCLES,
 };
 pub use step::{step, CycleEvents};
 pub use workload::Workload;

@@ -93,13 +93,6 @@ pub trait AccessPattern: Clone {
     /// finds.
     fn encode_slot(&self, k: u64, cooldown: u64) -> u64;
 
-    /// Inverse of [`encode_slot`](Self::encode_slot) up to position
-    /// reduction: `(position, cooldown)`, the position in the pattern's own
-    /// reduced form (`k mod period` for a gather, the upcoming address
-    /// residue for a stride or burst). Diagnostics and conformance tests
-    /// only — the hot paths never decode.
-    fn decode_slot(&self, slot: u64) -> (u64, u64);
-
     /// The marker slot written for a finished (finite) port. Must be
     /// distinct from every live encoding and still within
     /// [`slot_bound`](Self::slot_bound).
@@ -315,10 +308,6 @@ impl AccessPattern for StridePattern {
         self.walk.residue(&self.walk.request_at(k))
     }
 
-    fn decode_slot(&self, slot: u64) -> (u64, u64) {
-        (slot, 0)
-    }
-
     fn finished_code(&self) -> u64 {
         self.walk.modulus
     }
@@ -513,10 +502,38 @@ impl GatherPattern {
     }
 }
 
+impl GatherPattern {
+    /// [`AccessPattern::request_at`] for an address past `u64::MAX`, as
+    /// `u128`: a base and an index that sum past the top of the range.
+    #[cold]
+    #[expect(
+        clippy::integer_division,
+        reason = "banks >= 1 by the validated geometry; rows != 0 on this branch"
+    )]
+    fn request_past_u64(&self, index: u64) -> Request {
+        let (addr, banks) = (
+            u128::from(self.base) + u128::from(index),
+            u128::from(self.banks),
+        );
+        let row = if self.rows == 0 {
+            0
+        } else {
+            ((addr / banks) % u128::from(self.rows)) as u64
+        };
+        Request {
+            bank: (addr % banks) as u64,
+            row,
+        }
+    }
+}
+
 impl AccessPattern for GatherPattern {
     #[inline]
     fn request_at(&self, k: u64) -> Request {
-        let addr = self.base + self.index.index(k, self.span);
+        let index = self.index.index(k, self.span);
+        let Some(addr) = self.base.checked_add(index) else {
+            return self.request_past_u64(index);
+        };
         let bank = addr % self.banks;
         #[expect(
             clippy::integer_division,
@@ -536,10 +553,6 @@ impl AccessPattern for GatherPattern {
             Some(p) => k % p,
             None => k,
         }
-    }
-
-    fn decode_slot(&self, slot: u64) -> (u64, u64) {
-        (slot, 0)
     }
 
     fn finished_code(&self) -> u64 {
@@ -624,14 +637,6 @@ impl AccessPattern for BurstPattern {
         self.slot(cooldown, &self.walk.request_at(k))
     }
 
-    #[expect(
-        clippy::integer_division,
-        reason = "the modulus m·max(rows, 1) >= 1 (validated geometry)"
-    )]
-    fn decode_slot(&self, slot: u64) -> (u64, u64) {
-        (slot % self.walk.modulus, slot / self.walk.modulus)
-    }
-
     fn finished_code(&self) -> u64 {
         self.burst * self.walk.modulus
     }
@@ -692,13 +697,6 @@ impl AccessPattern for AnyPattern {
             Self::Stride(p) => p.encode_slot(k, cooldown),
             Self::Gather(p) => p.encode_slot(k, cooldown),
             Self::Burst(p) => p.encode_slot(k, cooldown),
-        }
-    }
-    fn decode_slot(&self, slot: u64) -> (u64, u64) {
-        match self {
-            Self::Stride(p) => p.decode_slot(slot),
-            Self::Gather(p) => p.decode_slot(slot),
-            Self::Burst(p) => p.decode_slot(slot),
         }
     }
     fn finished_code(&self) -> u64 {
@@ -1233,13 +1231,11 @@ mod tests {
         assert_eq!(p.burst(), 4);
         // M = 8, burst = 4: slot = cooldown·8 + (addr mod 8).
         assert_eq!(p.encode_slot(3, 2), 19);
-        assert_eq!(p.decode_slot(19), (3, 2));
         assert_eq!(p.finished_code(), 32);
         assert_eq!(p.slot_bound(), Some(32));
         // With 2 rows the residue is taken mod 16: addr(11) = 11.
         let rows = BurstPattern::with_rows(&geom(8, 2), spec(0, 1), 4, 2);
         assert_eq!(rows.encode_slot(11, 3), 3 * 16 + 11);
-        assert_eq!(rows.decode_slot(59), (11, 3));
         assert_eq!(rows.finished_code(), 64);
         assert_eq!(rows.translation_modulus(), Some(16));
     }
@@ -1278,7 +1274,7 @@ mod tests {
                 spec(0, 1),
                 burst,
             ))]);
-            let ss = measure_steady_state_workload(&cfg, &mut w, 0, 100_000).unwrap();
+            let ss = measure_steady_state_workload(&cfg, &mut w, 0, 100_000, 0, |_| {}).unwrap();
             assert!(ss.exact);
             assert_eq!(ss.beff, Ratio::new(1, burst), "burst = {burst}");
         }
@@ -1295,7 +1291,7 @@ mod tests {
             IndexPattern::PseudoRandom { seed: 42 },
         ))]);
         assert!(!w.periodic());
-        let ss = measure_steady_state_workload(&cfg, &mut w, 0, 10_000_000).unwrap();
+        let ss = measure_steady_state_workload(&cfg, &mut w, 0, 10_000_000, 0, |_| {}).unwrap();
         assert!(!ss.exact);
         assert_eq!(ss.period, crate::steady::WINDOWED_FALLBACK_CYCLES);
         // Same regime as the classical single random port: between 1/n_c
@@ -1315,7 +1311,7 @@ mod tests {
             1 << 10,
             IndexPattern::Affine { a: 1, c: 0 },
         ))]);
-        let ss = measure_steady_state_workload(&cfg, &mut w, 0, 1_000_000).unwrap();
+        let ss = measure_steady_state_workload(&cfg, &mut w, 0, 1_000_000, 0, |_| {}).unwrap();
         assert!(ss.exact);
         assert_eq!(ss.beff, Ratio::integer(1));
     }
@@ -1336,12 +1332,13 @@ mod tests {
             distance: 0,
         }];
         let mut w = PatternWorkload::from_specs(&cfg, &specs);
-        let ss = measure_steady_state_workload(&cfg, &mut w, 0, 1_000_000).unwrap();
+        let ss = measure_steady_state_workload(&cfg, &mut w, 0, 1_000_000, 0, |_| {}).unwrap();
         assert!(ss.exact);
         assert_eq!(ss.beff, Ratio::integer(1));
         let uni_cfg = SimConfig::single_cpu(g, 1);
         let mut uw = PatternWorkload::from_specs(&uni_cfg, &specs);
-        let uni = measure_steady_state_workload(&uni_cfg, &mut uw, 0, 1_000_000).unwrap();
+        let uni =
+            measure_steady_state_workload(&uni_cfg, &mut uw, 0, 1_000_000, 0, |_| {}).unwrap();
         assert_eq!(uni.beff, Ratio::new(1, 4));
     }
 
@@ -1361,10 +1358,12 @@ mod tests {
             rows: 4,
         });
         let mut dw = PatternWorkload::from_specs(&dram_cfg, &specs);
-        let dram = measure_steady_state_workload(&dram_cfg, &mut dw, 0, 1_000_000).unwrap();
+        let dram =
+            measure_steady_state_workload(&dram_cfg, &mut dw, 0, 1_000_000, 0, |_| {}).unwrap();
         let uni_cfg = SimConfig::single_cpu(g, 1);
         let mut uw = PatternWorkload::from_specs(&uni_cfg, &specs);
-        let uni = measure_steady_state_workload(&uni_cfg, &mut uw, 0, 1_000_000).unwrap();
+        let uni =
+            measure_steady_state_workload(&uni_cfg, &mut uw, 0, 1_000_000, 0, |_| {}).unwrap();
         assert_eq!(dram.beff, uni.beff);
         assert_eq!(dram.beff, Ratio::new(1, 2));
     }

@@ -98,10 +98,20 @@
 //!
 //! Every [`SteadyState`] field is the one the full-state search returns;
 //! only the number of steps falls, from `μ' + λ` to `μ' + λ_r` plus the
-//! walk. [`measure_steady_state_with`] always searches the full state,
-//! because a caller riding its trajectory needs one whole period. A
-//! gather never qualifies: its index wraps at its span, which breaks
-//! translation unless `M` divides the span.
+//! walk. A gather never qualifies: its index wraps at its span, which
+//! breaks translation unless `M` divides the span.
+//!
+//! # Riding the search
+//!
+//! [`measure_steady_state_workload`] shows a caller the trajectory it
+//! steps, so the caller can check it instead of simulating it again (the
+//! oracle's lockstep does). Each step the searching cursor takes from
+//! cycle 0 arrives as a [`Ride::Step`]. When the search finds its
+//! recurrence it reports, once, a [`Ride::Recurred`]: the last state shown
+//! is the translate by `shift` (zero for a full-state search) of the state
+//! after `anchor` steps. A rider that knows its own half of the model
+//! commutes with translation can extend agreement over `[0, anchor + λ_r)`
+//! to all time, so the ride is `μ' + λ_r` steps, not `μ' + λ`.
 
 // Hot-path panic policy (TESTING.md, "Hot-path rules").
 #![cfg_attr(
@@ -185,6 +195,26 @@ impl std::fmt::Display for SteadyStateError {
 }
 
 impl std::error::Error for SteadyStateError {}
+
+/// What [`measure_steady_state_workload`] shows a caller riding its
+/// trajectory (see the module docs).
+#[derive(Debug, Clone, Copy)]
+pub enum Ride<'a> {
+    /// The searching cursor's state after one more step.
+    Step(&'a SimState),
+    /// The search found its recurrence, once, right after the step that
+    /// reached it: the state of that step is the address translate by
+    /// `shift` (modulo `m·max(rows, 1)`; zero when the search compares
+    /// whole states) of the state after `anchor` steps. `anchor` counts
+    /// from cycle 0, warmup included, and is the warmup plus zero or a
+    /// power of two: the search compares only against its snapshots.
+    Recurred {
+        /// Steps from cycle 0 to the state recurred onto.
+        anchor: u64,
+        /// The address translation between the two states.
+        shift: u64,
+    },
+}
 
 /// A workload whose full dynamic state can be summarised for cyclic-state
 /// detection. The signature, together with the bank residues and priority
@@ -384,10 +414,10 @@ impl<'c, W: ObservableWorkload + Clone> Cursor<'c, W> {
     }
 
     /// Advances `cycles` steps, handing the state to `on_step` after each.
-    fn advance_watched(&mut self, cycles: u64, on_step: &mut impl FnMut(&SimState)) {
+    fn advance_watched(&mut self, cycles: u64, on_step: &mut impl FnMut(Ride<'_>)) {
         for _ in 0..cycles {
             self.advance();
-            on_step(&self.state);
+            on_step(Ride::Step(&self.state));
         }
     }
 
@@ -422,10 +452,8 @@ impl<'c, W: ObservableWorkload + Clone> Cursor<'c, W> {
 
     /// Grants per port between `earlier` and this cursor, on one
     /// trajectory.
-    fn grants_since(&self, earlier: &W) -> Vec<u64> {
-        (0..self.config.num_ports())
-            .map(|p| self.workload.grants(p) - earlier.grants(p))
-            .collect()
+    fn grants_since<'a>(&'a self, earlier: &'a W) -> impl Iterator<Item = u64> + 'a {
+        (0..self.config.num_ports()).map(|p| self.workload.grants(p) - earlier.grants(p))
     }
 }
 
@@ -439,6 +467,10 @@ trait Recurrence: Copy {
 
     /// Whether `later` is a recurrence of `earlier`.
     fn recurs(self, earlier: &SimState, later: &SimState) -> bool;
+
+    /// The address translation taking `earlier` to `later`, given that
+    /// `later` recurs onto `earlier`.
+    fn shift(self, earlier: &SimState, later: &SimState) -> u64;
 
     /// Reduced periods per full period, given that `later` recurs onto
     /// `earlier`.
@@ -459,6 +491,10 @@ impl Recurrence for SameCore {
         earlier == later
     }
 
+    fn shift(self, _earlier: &SimState, _later: &SimState) -> u64 {
+        0
+    }
+
     fn order(self, _earlier: &SimState, _later: &SimState) -> u64 {
         1
     }
@@ -470,18 +506,6 @@ impl Recurrence for SameCore {
 #[derive(Clone, Copy)]
 struct UpToTranslation;
 
-impl UpToTranslation {
-    /// The translation taking `earlier`'s port-0 address to `later`'s.
-    fn shift(earlier: &SimState, later: &SimState) -> u64 {
-        let (from, to) = (earlier.slot_address(0), later.slot_address(0));
-        if to >= from {
-            to - from
-        } else {
-            to + earlier.address_modulus() - from
-        }
-    }
-}
-
 impl Recurrence for UpToTranslation {
     #[inline]
     fn key(self, state: &SimState) -> u64 {
@@ -489,7 +513,17 @@ impl Recurrence for UpToTranslation {
     }
 
     fn recurs(self, earlier: &SimState, later: &SimState) -> bool {
-        earlier.translates_to(later, Self::shift(earlier, later))
+        earlier.translates_to(later, self.shift(earlier, later))
+    }
+
+    /// The translation taking `earlier`'s port-0 address to `later`'s.
+    fn shift(self, earlier: &SimState, later: &SimState) -> u64 {
+        let (from, to) = (earlier.slot_address(0), later.slot_address(0));
+        if to >= from {
+            to - from
+        } else {
+            to + earlier.address_modulus() - from
+        }
     }
 
     /// `ord(s) = M / gcd(M, s)`, the order of the shift `s` modulo `M`.
@@ -499,7 +533,7 @@ impl Recurrence for UpToTranslation {
     )]
     fn order(self, earlier: &SimState, later: &SimState) -> u64 {
         let modulus = earlier.address_modulus();
-        modulus / gcd(modulus, Self::shift(earlier, later))
+        modulus / gcd(modulus, self.shift(earlier, later))
     }
 }
 
@@ -533,6 +567,18 @@ fn translation_symmetric(config: &SimConfig) -> bool {
 /// may take fewer than `μ + λ` steps, and so may converge within a budget
 /// below that.
 ///
+/// `on_step` rides the searching cursor (see the module docs): it sees a
+/// [`Ride::Step`] after every step from cycle 0 — warmup, search, and then
+/// `tail` further steps taken once the period statistics are read (the
+/// transient walk runs on restored snapshots and is not shown) — and one
+/// [`Ride::Recurred`] between the search's last step and the tail. So it
+/// sees one unbroken trajectory of cycles `[0, n)`, with `n = warmup +
+/// anchor + λ_r + tail` on success (`λ_r` the period up to translation, or
+/// `λ`) and `n = warmup + max_cycles` when the search gives up. The
+/// windowed estimate of an aperiodic workload shows its warmup, its window
+/// and the tail the same way, and no recurrence. A caller with no use for
+/// the trajectory passes `0` and `|_| {}`, which cost nothing.
+///
 /// The caller's workload is read (and cloned) but left untouched; the
 /// search replays pristine clones internally.
 ///
@@ -544,49 +590,8 @@ pub fn measure_steady_state_workload<W: ObservableWorkload + Clone>(
     workload: &mut W,
     warmup: u64,
     max_cycles: u64,
-) -> Result<SteadyState, SteadyStateError> {
-    let on_step = &mut |_: &SimState| {};
-    if !workload.periodic() {
-        return measure_windowed(config, workload, warmup, max_cycles, 0, on_step);
-    }
-    let mut hare = Cursor::new(config, workload.clone());
-    hare.advance_by(warmup);
-    if translation_symmetric(config)
-        && hare.state.signature_slots() > 0
-        && hare
-            .workload
-            .translates_with_addresses(hare.state.now(), hare.state.address_modulus())
-    {
-        search(hare, warmup, max_cycles, 0, on_step, UpToTranslation)
-    } else {
-        search(hare, warmup, max_cycles, 0, on_step, SameCore)
-    }
-}
-
-/// [`measure_steady_state_workload`] that also hands the searching
-/// cursor's state to `on_step` after every step it takes from cycle 0:
-/// warmup, search, and then `tail` further steps taken once the period
-/// statistics are read (the transient walk runs on restored snapshots and
-/// is not shown). So `on_step` sees one unbroken trajectory of cycles `[0,
-/// n)`, with `n ≥ warmup + μ + λ + tail` on success and `n = warmup +
-/// max_cycles` when the search gives up; a caller can ride that trajectory
-/// instead of simulating it again. The windowed estimate of an aperiodic
-/// workload shows its warmup, its window and the tail the same way.
-///
-/// To keep that bound, this entry always looks for a recurrence of the
-/// full state, never one up to address translation: its search takes `μ' +
-/// λ` steps (`μ'` the first power of two ≥ `μ`), so `max_cycles` must
-/// cover them.
-///
-/// # Errors
-/// As [`measure_steady_state_workload`].
-pub fn measure_steady_state_with<W: ObservableWorkload + Clone>(
-    config: &SimConfig,
-    workload: &mut W,
-    warmup: u64,
-    max_cycles: u64,
     tail: u64,
-    mut on_step: impl FnMut(&SimState),
+    mut on_step: impl FnMut(Ride<'_>),
 ) -> Result<SteadyState, SteadyStateError> {
     // Aperiodic workloads (per their own declaration) can never recur:
     // answer with a budgeted windowed estimate instead of burning the full
@@ -596,7 +601,23 @@ pub fn measure_steady_state_with<W: ObservableWorkload + Clone>(
     }
     let mut hare = Cursor::new(config, workload.clone());
     hare.advance_watched(warmup, &mut on_step);
-    search(hare, warmup, max_cycles, tail, &mut on_step, SameCore)
+    if translation_symmetric(config)
+        && hare.state.signature_slots() > 0
+        && hare
+            .workload
+            .translates_with_addresses(hare.state.now(), hare.state.address_modulus())
+    {
+        search(
+            hare,
+            warmup,
+            max_cycles,
+            tail,
+            &mut on_step,
+            UpToTranslation,
+        )
+    } else {
+        search(hare, warmup, max_cycles, tail, &mut on_step, SameCore)
+    }
 }
 
 /// The search proper, from a cursor already past `warmup` cycles: at most
@@ -607,7 +628,7 @@ fn search<W: ObservableWorkload + Clone, R: Recurrence>(
     warmup: u64,
     max_cycles: u64,
     tail: u64,
-    on_step: &mut impl FnMut(&SimState),
+    on_step: &mut impl FnMut(Ride<'_>),
     recurrence: R,
 ) -> Result<SteadyState, SteadyStateError> {
     let not_converged = SteadyStateError::NotConverged { cycles: max_cycles };
@@ -636,7 +657,7 @@ fn search<W: ObservableWorkload + Clone, R: Recurrence>(
             return Err(not_converged);
         }
         hare.advance();
-        on_step(&hare.state);
+        on_step(Ride::Step(&hare.state));
         pos += 1;
         let h = recurrence.key(&hare.state);
         // Nearly every step misses: ask branch-free whether any hash
@@ -671,17 +692,26 @@ fn search<W: ObservableWorkload + Clone, R: Recurrence>(
         reason = "matched is the index of the snapshot the detector matched"
     )]
     let anchor = &snaps[matched];
+    on_step(Ride::Recurred {
+        anchor: warmup + anchor.pos,
+        shift: recurrence.shift(&anchor.state, &hare.state),
+    });
     let order = recurrence.order(&anchor.state, &hare.state);
-    let per_port_grants = hare.grants_since(&anchor.workload);
     // A full period too long for its length or counts to fit a `u64` lies
     // past any budget the full search could be given.
     let (Some(period), Some(grants_per_period), Some(conflicts)) = (
         lambda.checked_mul(order),
-        per_port_grants.iter().sum::<u64>().checked_mul(order),
+        hare.grants_since(&anchor.workload)
+            .sum::<u64>()
+            .checked_mul(order),
         (hare.conflicts - anchor.conflicts).checked_mul(order),
     ) else {
         return Err(not_converged);
     };
+    let per_port = hare
+        .grants_since(&anchor.workload)
+        .map(|g| Ratio::new(g, lambda))
+        .collect();
     // The walk below restores the cursor from a snapshot, so the tail
     // steps can use it first.
     hare.advance_watched(tail, on_step);
@@ -692,10 +722,7 @@ fn search<W: ObservableWorkload + Clone, R: Recurrence>(
         transient: warmup + mu,
         period,
         grants_per_period,
-        per_port: per_port_grants
-            .iter()
-            .map(|&g| Ratio::new(g, lambda))
-            .collect(),
+        per_port,
         conflicts_per_period: conflicts,
         exact: true,
     })
@@ -775,14 +802,14 @@ pub const WINDOWED_FALLBACK_CYCLES: u64 = 1 << 16;
 /// [`WINDOWED_FALLBACK_CYCLES`]`)` cycles, and report the window averages
 /// with [`SteadyState::exact`] = `false`. No snapshots are kept — there is
 /// nothing to recur against. `on_step` sees every step, `tail` included,
-/// as in [`measure_steady_state_with`].
+/// as in [`measure_steady_state_workload`].
 fn measure_windowed<W: ObservableWorkload + Clone>(
     config: &SimConfig,
     workload: &mut W,
     warmup: u64,
     max_cycles: u64,
     tail: u64,
-    on_step: &mut impl FnMut(&SimState),
+    on_step: &mut impl FnMut(Ride<'_>),
 ) -> Result<SteadyState, SteadyStateError> {
     let window = max_cycles.min(WINDOWED_FALLBACK_CYCLES);
     if window == 0 {
@@ -793,19 +820,19 @@ fn measure_windowed<W: ObservableWorkload + Clone>(
     let base = cursor.workload.clone();
     let base_conflicts = cursor.conflicts;
     cursor.advance_watched(window, on_step);
-    let per_port_grants = cursor.grants_since(&base);
+    let grants_per_period: u64 = cursor.grants_since(&base).sum();
+    let per_port = cursor
+        .grants_since(&base)
+        .map(|g| Ratio::new(g, window))
+        .collect();
     let conflicts = cursor.conflicts - base_conflicts;
     cursor.advance_watched(tail, on_step);
-    let grants_per_period: u64 = per_port_grants.iter().sum();
     Ok(SteadyState {
         beff: Ratio::new(grants_per_period, window),
         transient: warmup,
         period: window,
         grants_per_period,
-        per_port: per_port_grants
-            .iter()
-            .map(|&g| Ratio::new(g, window))
-            .collect(),
+        per_port,
         conflicts_per_period: conflicts,
         exact: false,
     })
@@ -876,46 +903,123 @@ mod tests {
     fn unit_stride_single_stream_full_bandwidth() {
         let cfg = SimConfig::single_cpu(Geometry::unsectioned(16, 4).unwrap(), 1);
         let mut w = Strides::new(16, &[1]);
-        let ss = measure_steady_state_workload(&cfg, &mut w, 0, 10_000).unwrap();
+        let ss = measure_steady_state_workload(&cfg, &mut w, 0, 10_000, 0, |_| {}).unwrap();
         assert_eq!(ss.beff, Ratio::integer(1));
         assert!(ss.conflict_free());
         assert_eq!(ss.grants_per_period, ss.period);
     }
 
-    /// The callback entry solves like the plain one while `on_step` sees
-    /// the searching cursor's trajectory from cycle 0, warmup included:
-    /// at least `warmup + μ + λ + tail` states on success, `warmup +
-    /// max_cycles` when the search gives up, each equal to a fresh
-    /// cursor's state after as many steps.
+    /// What a rider sees of one solve: the states of its steps, and the
+    /// recurrence with the number of steps shown before it.
+    struct Seen {
+        states: Vec<SimState>,
+        recurred: Option<(usize, u64, u64)>,
+    }
+
+    fn ride<W: ObservableWorkload + Clone>(
+        config: &SimConfig,
+        workload: &W,
+        warmup: u64,
+        max_cycles: u64,
+        tail: u64,
+    ) -> (Result<SteadyState, SteadyStateError>, Seen) {
+        let mut seen = Seen {
+            states: Vec::new(),
+            recurred: None,
+        };
+        let mut w = workload.clone();
+        let result =
+            measure_steady_state_workload(config, &mut w, warmup, max_cycles, tail, |r| match r {
+                Ride::Step(state) => seen.states.push(state.clone()),
+                Ride::Recurred { anchor, shift } => {
+                    assert!(seen.recurred.is_none(), "a second recurrence");
+                    seen.recurred = Some((seen.states.len(), anchor, shift));
+                }
+            });
+        (result, seen)
+    }
+
+    /// The rider sees the searching cursor's trajectory from cycle 0,
+    /// warmup included, each state equal to a fresh cursor's after as
+    /// many steps, and the solve is the rider-free one. On success it sees
+    /// one recurrence after `warmup + anchor + λ_r` steps, the last of
+    /// them the translate by `shift` of the state after `anchor` steps,
+    /// with `λ_r` dividing the period, then `tail` more steps. The full
+    /// search (a workload that declares no symmetry) reports shift 0 and
+    /// λ_r = λ. When the search gives up it sees `warmup + max_cycles`
+    /// steps and no recurrence.
     #[test]
-    fn on_step_sees_the_trajectory_from_cycle_zero() {
-        let cfg = SimConfig::single_cpu(Geometry::unsectioned(13, 4).unwrap(), 2);
-        let w = Strides::new(13, &[1, 5]);
+    fn on_step_sees_the_trajectory_and_its_recurrence() {
+        let g = Geometry::unsectioned(13, 4).unwrap();
+        let cfg = SimConfig::single_cpu(g, 2);
+        check_ride(&cfg, &Strides::new(13, &[1, 5]), false);
+        check_ride(&cfg, &strides(&g, &[(0, 1), (1, 5)]), true);
+        let dram = SimConfig::one_port_per_cpu(Geometry::unsectioned(16, 4).unwrap(), 2)
+            .with_bank_model(BankModel::Dram {
+                hit_cycle: 2,
+                rows: 4,
+            });
+        let specs = [
+            PatternSpec::Stride {
+                start_bank: 5,
+                distance: 17,
+            },
+            PatternSpec::Burst {
+                start_bank: 0,
+                distance: 35,
+                burst: 2,
+            },
+        ];
+        check_ride(&dram, &PatternWorkload::from_specs(&dram, &specs), true);
+    }
+
+    fn check_ride<W: ObservableWorkload + Clone>(cfg: &SimConfig, w: &W, reduced: bool) {
         let replay = |seen: &[SimState]| {
-            let mut cursor = Cursor::new(&cfg, w.clone());
+            let mut cursor = Cursor::new(cfg, w.clone());
+            let start = cursor.state.clone();
             for (cycle, state) in seen.iter().enumerate() {
                 cursor.advance();
                 assert!(cursor.state == *state, "cycle {cycle}");
             }
+            start
         };
         for warmup in [0, 7] {
-            let mut seen = Vec::new();
-            let ss = measure_steady_state_with(&cfg, &mut w.clone(), warmup, 1 << 20, 8, |s| {
-                seen.push(s.clone());
-            })
-            .unwrap();
-            let plain = measure_steady_state_workload(&cfg, &mut w.clone(), warmup, 1 << 20);
+            let (ss, seen) = ride(cfg, w, warmup, 1 << 20, 8);
+            let ss = ss.unwrap();
+            let plain =
+                measure_steady_state_workload(cfg, &mut w.clone(), warmup, 1 << 20, 0, |_| {});
             assert_eq!(Ok(&ss), plain.as_ref());
-            assert!(seen.len() as u64 >= ss.transient + ss.period + 8);
-            replay(&seen);
+            let start = replay(&seen.states);
+            let (shown, anchor, shift) = seen.recurred.expect("a recurrence");
+            assert_eq!(seen.states.len(), shown + 8);
+            let after = |steps: u64| match steps.checked_sub(1) {
+                Some(i) => &seen.states[i as usize],
+                None => &start,
+            };
+            let anchor_steps = anchor - warmup;
+            assert!(
+                anchor_steps == 0 || anchor_steps.is_power_of_two(),
+                "anchor {anchor}"
+            );
+            assert!(
+                anchor >= ss.transient,
+                "anchor {anchor} before μ {}",
+                ss.transient
+            );
+            let lambda_r = shown as u64 - anchor;
+            assert!(lambda_r >= 1 && ss.period % lambda_r == 0, "λ_r {lambda_r}");
+            assert!(after(anchor).translates_to(after(shown as u64), shift));
+            if reduced {
+                assert!(lambda_r < ss.period && shift != 0, "λ_r {lambda_r}");
+            } else {
+                assert_eq!((lambda_r, shift), (ss.period, 0));
+            }
 
-            let mut seen = Vec::new();
-            let starved = measure_steady_state_with(&cfg, &mut w.clone(), warmup, 3, 8, |s| {
-                seen.push(s.clone());
-            });
+            let (starved, seen) = ride(cfg, w, warmup, 3, 8);
             assert_eq!(starved, Err(SteadyStateError::NotConverged { cycles: 3 }));
-            assert_eq!(seen.len() as u64, warmup + 3);
-            replay(&seen);
+            assert_eq!(seen.states.len() as u64, warmup + 3);
+            assert!(seen.recurred.is_none());
+            replay(&seen.states);
         }
     }
 
@@ -949,7 +1053,7 @@ mod tests {
         // d = 0: one bank hammered forever, b_eff = 1 / n_c.
         let cfg = SimConfig::single_cpu(Geometry::unsectioned(8, 4).unwrap(), 1);
         let mut w = Strides::new(8, &[0]);
-        let ss = measure_steady_state_workload(&cfg, &mut w, 0, 10_000).unwrap();
+        let ss = measure_steady_state_workload(&cfg, &mut w, 0, 10_000, 0, |_| {}).unwrap();
         assert_eq!(ss.beff, Ratio::new(1, 4));
         assert_eq!(ss.period, 4);
         assert_eq!(ss.conflicts_per_period.bank, 3);
@@ -960,11 +1064,11 @@ mod tests {
         let cfg = SimConfig::single_cpu(Geometry::unsectioned(16, 4).unwrap(), 1);
         let mut w = Strides::new(16, &[1]);
         // The 16-bank unit stride needs more than 3 search cycles.
-        let err = measure_steady_state_workload(&cfg, &mut w, 0, 3).unwrap_err();
+        let err = measure_steady_state_workload(&cfg, &mut w, 0, 3, 0, |_| {}).unwrap_err();
         assert_eq!(err, SteadyStateError::NotConverged { cycles: 3 });
         assert_eq!(err.to_string(), "no cyclic state within 3 cycles");
         // Warmup does not inflate the reported budget.
-        let err = measure_steady_state_workload(&cfg, &mut w, 100, 3).unwrap_err();
+        let err = measure_steady_state_workload(&cfg, &mut w, 100, 3, 0, |_| {}).unwrap_err();
         assert_eq!(err, SteadyStateError::NotConverged { cycles: 3 });
     }
 
@@ -973,7 +1077,7 @@ mod tests {
         let cfg = SimConfig::single_cpu(Geometry::unsectioned(8, 2).unwrap(), 1);
         let mut w = Strides::new(8, &[3]);
         let before = w.state_signature();
-        let _ = measure_steady_state_workload(&cfg, &mut w, 0, 10_000).unwrap();
+        let _ = measure_steady_state_workload(&cfg, &mut w, 0, 10_000, 0, |_| {}).unwrap();
         assert_eq!(w.state_signature(), before);
     }
 
@@ -1028,7 +1132,7 @@ mod tests {
             inner,
             cycles: Rc::clone(&cycles),
         };
-        let ss = measure_steady_state_workload(config, &mut w, warmup, 1 << 20).unwrap();
+        let ss = measure_steady_state_workload(config, &mut w, warmup, 1 << 20, 0, |_| {}).unwrap();
         (ss, cycles.get())
     }
 
@@ -1041,15 +1145,15 @@ mod tests {
         solve_counted_after(config, inner, 0)
     }
 
-    /// The full-state search's answer: [`measure_steady_state_with`] never
-    /// reduces by translation.
+    /// The full-state search's answer, whatever the symmetry.
     fn solve_full<W: ObservableWorkload + Clone>(
         config: &SimConfig,
         workload: &W,
         warmup: u64,
     ) -> SteadyState {
-        measure_steady_state_with(config, &mut workload.clone(), warmup, 1 << 20, 0, |_| {})
-            .unwrap()
+        let mut hare = Cursor::new(config, workload.clone());
+        hare.advance_by(warmup);
+        search(hare, warmup, 1 << 20, 0, &mut |_| {}, SameCore).unwrap()
     }
 
     /// Reference `(μ, λ)`: keeps every visited state and stops at the first
@@ -1245,7 +1349,7 @@ mod tests {
         let mut w = PatternWorkload::from_specs(&cfg, &specs);
         assert!(w.translates_with_addresses(0, 0u64.wrapping_sub(16)));
         assert_eq!(
-            measure_steady_state_workload(&cfg, &mut w, 0, 100_000),
+            measure_steady_state_workload(&cfg, &mut w, 0, 100_000, 0, |_| {}),
             Err(SteadyStateError::NotConverged { cycles: 100_000 })
         );
     }
@@ -1351,9 +1455,7 @@ mod tests {
             let full = solve_full(&config, &w, warmup);
             let full_cycles = {
                 let cycles = Rc::new(Cell::new(0));
-                let mut counted = Counted { inner: w.clone(), cycles: Rc::clone(&cycles) };
-                measure_steady_state_with(&config, &mut counted, warmup, 1 << 20, 0, |_| {})
-                    .unwrap();
+                solve_full(&config, &Counted { inner: w.clone(), cycles: Rc::clone(&cycles) }, warmup);
                 cycles.get()
             };
             let (reduced, cycles) = solve_counted_after(&config, w, warmup);

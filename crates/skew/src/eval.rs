@@ -93,10 +93,6 @@ impl<M: BankMapping + ?Sized> AccessPattern for Mapped<'_, M> {
         self.period.map_or(k, |p| k % p)
     }
 
-    fn decode_slot(&self, slot: u64) -> (u64, u64) {
-        (slot, 0)
-    }
-
     fn finished_code(&self) -> u64 {
         self.period.unwrap_or(u64::MAX)
     }
@@ -118,7 +114,14 @@ fn measure<'a, M: BankMapping + ?Sized + 'a>(
 ) -> Result<SteadyState, SteadyStateError> {
     let ports: Vec<_> = patterns.into_iter().map(PatternPort::new).collect();
     assert_eq!(config.num_ports(), ports.len());
-    measure_steady_state_workload(config, &mut PatternWorkload::new(ports), 0, max_cycles)
+    measure_steady_state_workload(
+        config,
+        &mut PatternWorkload::new(ports),
+        0,
+        max_cycles,
+        0,
+        |_| {},
+    )
 }
 
 /// Steady state of a single-port indexed gather under a mapping (exact

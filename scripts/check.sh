@@ -166,6 +166,7 @@ for args in \
   "steady --pattern burst --burst 0" \
   "steady --bank-model dram --dram-hit 0" \
   "steady --bank-model dram --dram-rows 0" \
+  "steady --banks 16 --nc 4 --bank-model dram --dram-rows 1152921504606846976 --d1 1 --d2 3" \
   "steady --pattern burst --burst abc" \
   "steady --banks many" \
   "steady --bankz 13" \
@@ -191,7 +192,7 @@ for args in \
   [ "$code" -eq 2 ] \
     || { echo "vecmem $args exited $code, not 2"; cat "$smoke_dir/usage.err"; exit 1; }
 done
-echo "    twenty-five rejected command lines exit 2"
+echo "    twenty-six rejected command lines exit 2"
 
 echo "==> verify: differential oracle + theorem conformance (see TESTING.md)"
 $vecmem verify --exhaustive > "$smoke_dir/verify.txt" \
@@ -210,10 +211,23 @@ grep -qx "  theorem checks: Thm1 136  Thm2 40968  Thm3 223168 (skipped 51792)  I
   || { echo "exhaustive sweep ran a different set of theorem checks"; cat "$smoke_dir/verify.txt"; exit 1; }
 grep -qx "  barrier checks: Thms 6/7 (eq. 29) 20608" "$smoke_dir/verify.txt" \
   || { echo "exhaustive sweep checked a different number of unique barriers"; cat "$smoke_dir/verify.txt"; exit 1; }
+# A second pinned sweep over the geometry of Figs 3 and 4 (m = 13, n_c =
+# 6): every unsectioned m <= 16 at n_c <= 6.
+$vecmem verify --exhaustive --max-nc 6 > "$smoke_dir/verify-nc6.txt" \
+  || { echo "vecmem verify --exhaustive --max-nc 6 failed"; cat "$smoke_dir/verify-nc6.txt"; exit 1; }
+for line in \
+  "  points enumerated      896784" \
+  "  simulated (orbits)     151956" \
+  "  theorem checks: Thm1 136  Thm2 45160  Thm3 302592 (skipped 116144)  III-A 8976" \
+  "  barrier checks: Thms 6/7 (eq. 29) 24432" \
+  "  divergences 0  violations 0  not converged 0"; do
+  grep -qx "$line" "$smoke_dir/verify-nc6.txt" \
+    || { echo "sweep at n_c <= 6 drifted: no line '$line'"; cat "$smoke_dir/verify-nc6.txt"; exit 1; }
+done
 $vecmem verify --random 200 --seed 42 > "$smoke_dir/verify-random.txt" \
   || { echo "vecmem verify --random failed"; cat "$smoke_dir/verify-random.txt"; exit 1; }
 grep -q "verdict: CLEAN" "$smoke_dir/verify-random.txt" \
   || { echo "random exploration not clean"; cat "$smoke_dir/verify-random.txt"; exit 1; }
-echo "    exhaustive sweep (597856 points, 101304 orbits, pinned theorem and barrier counts) + 200 random cases: zero divergences"
+echo "    exhaustive sweeps (597856 points, 101304 orbits; at n_c <= 6, 896784 points, 151956 orbits; pinned theorem and barrier counts) + 200 random cases: zero divergences"
 
 echo "==> OK"
